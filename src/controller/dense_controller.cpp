@@ -1,7 +1,11 @@
 #include "controller/dense_controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "controller/delivery.hpp"
@@ -20,6 +24,263 @@ index_t
 blocks(index_t total, index_t t)
 {
     return (total + t - 1) / t;
+}
+
+/** One filter weight of the functional reduce: its input offset
+ *  c*X*Y + r*Y + s relative to the window origin, and its (r, s). Kept
+ *  to 12 bytes: a layer's list is live beside its tensors. */
+struct ReduceTerm
+{
+    std::int32_t off;
+    float w;
+    std::int16_t r;
+    std::int16_t s;
+};
+
+/**
+ * One filter's reduce terms in ascending (c, r, s) order. The (offset,
+ * r, s) of every window element are tabulated once per layer; each
+ * filter then only copies its weights in.
+ */
+class FilterTerms
+{
+  public:
+    explicit FilterTerms(const Conv2dShape &shape)
+    {
+        const index_t cg = shape.cPerGroup();
+        const index_t in_c_stride = shape.X * shape.Y;
+        fatalIf(shape.R > INT16_MAX || shape.S > INT16_MAX ||
+                    cg * in_c_stride + shape.R * shape.Y > INT32_MAX,
+                "convolution window too large for the functional reduce");
+        layout_.resize(static_cast<std::size_t>(cg * shape.R * shape.S));
+        std::size_t e = 0;
+        for (index_t c = 0; c < cg; ++c)
+            for (index_t r = 0; r < shape.R; ++r)
+                for (index_t s = 0; s < shape.S; ++s)
+                    layout_[e++] = {
+                        static_cast<std::int32_t>(c * in_c_stride +
+                                                  r * shape.Y + s),
+                        0.0f, static_cast<std::int16_t>(r),
+                        static_cast<std::int16_t>(s)};
+    }
+
+    /** List one filter's terms (its weights w in (c, r, s) order); zero
+     *  weights are left out when skip_zeros is set. */
+    void
+    reset(const float *w, bool skip_zeros)
+    {
+        // Pruned weights are zero at random, so the list is compacted
+        // without a branch: every term is written, and the length only
+        // advances past the kept ones.
+        terms_.resize(layout_.size());
+        std::size_t len = 0;
+        for (std::size_t e = 0; e < layout_.size(); ++e) {
+            terms_[len] = layout_[e];
+            terms_[len].w = w[e];
+            len += !skip_zeros || w[e] != 0.0f;
+        }
+        terms_.resize(len);
+    }
+
+    const ReduceTerm *begin() const { return terms_.data(); }
+    const ReduceTerm *end() const { return terms_.data() + terms_.size(); }
+
+  private:
+    std::vector<ReduceTerm> layout_; //!< every window element, w = 0
+    std::vector<ReduceTerm> terms_;
+};
+
+/** The in-bounds filter rows [r_lo, r_hi) and columns [s_lo, s_hi) of
+ *  an output position. */
+struct WindowBounds
+{
+    index_t r_lo, r_hi, s_lo, s_hi;
+};
+
+/** Lanes reduced per kernel call, at most. */
+constexpr index_t kBlock = 16;
+
+/** Four float lanes in one SIMD register (a GCC/Clang vector
+ *  extension). Its arithmetic is plain IEEE single precision per lane,
+ *  so it rounds exactly as the scalar form does. */
+using Float4 = float __attribute__((vector_size(16)));
+
+/** What a term outside the window bounds reads instead of the input. */
+alignas(16) constexpr float kZeros[kBlock] = {};
+
+/**
+ * Reduce kLanes outputs that share their window bounds: out[i *
+ * out_step] = the sum, from +0 in list order, of w * in[base + off +
+ * i * step] over the terms inside the bounds, plus the bias. Each lane
+ * is its own chain, kept four to a Float4 register (with kUnit, step 1,
+ * the four inputs are one load).
+ *
+ * kMasked marks outputs at the edge of the input. There a term outside
+ * the bounds multiplies a zero weight by zeros (kZeros, read with step
+ * 0) and adds +0. The sum starts at +0 and a float sum is -0 only when
+ * both addends are, so it is never -0 and adding +0 leaves it
+ * unchanged: the loop needs no branch and no per-bounds copy of the
+ * list.
+ */
+template <index_t kLanes, bool kUnit, bool kMasked>
+void
+reduceLanes(const ReduceTerm *t0, const ReduceTerm *t1, const float *in,
+            index_t base, index_t step, const WindowBounds &b, float bias,
+            float *out, index_t out_step)
+{
+    constexpr index_t kVecs = kLanes / 4;
+    constexpr index_t kTail = kLanes % 4;
+    Float4 vacc[kVecs + 1] = {};
+    float acc[kTail + 1] = {};
+    for (const ReduceTerm *t = t0; t != t1; ++t) {
+        float ws = t->w;
+        index_t sp = kUnit ? 1 : step;
+        const float *ir;
+        if constexpr (kMasked) {
+            const bool keep = t->r >= b.r_lo && t->r < b.r_hi &&
+                t->s >= b.s_lo && t->s < b.s_hi;
+            ws = keep ? ws : 0.0f;
+            sp = keep ? sp : 0;
+            ir = keep ? in + (base + t->off) : kZeros;
+        } else {
+            ir = in + (base + t->off);
+        }
+        // Fully unrolled, or the compiler keeps the accumulators on the
+        // stack and every term waits on a store-to-load round trip.
+#pragma GCC unroll 4
+        for (index_t v = 0; v < kVecs; ++v) {
+            const float *iv = ir + 4 * v * sp;
+            Float4 x;
+            if constexpr (kUnit && !kMasked)
+                std::memcpy(&x, iv, sizeof x);
+            else
+                x = Float4{iv[0], iv[sp], iv[2 * sp], iv[3 * sp]};
+            vacc[v] += ws * x;
+        }
+#pragma GCC unroll 4
+        for (index_t i = 0; i < kTail; ++i)
+            acc[i] += ws * ir[(4 * kVecs + i) * sp];
+    }
+    for (index_t v = 0; v < kVecs; ++v)
+        for (index_t j = 0; j < 4; ++j)
+            out[(4 * v + j) * out_step] = vacc[v][j] + bias;
+    for (index_t i = 0; i < kTail; ++i)
+        out[(4 * kVecs + i) * out_step] = acc[i] + bias;
+}
+
+using LanesKernel = void (*)(const ReduceTerm *, const ReduceTerm *,
+                             const float *, index_t, index_t,
+                             const WindowBounds &, float, float *, index_t);
+
+template <bool kUnit, bool kMasked, std::size_t... I>
+constexpr std::array<LanesKernel, sizeof...(I)>
+lanesKernels(std::index_sequence<I...>)
+{
+    return {&reduceLanes<static_cast<index_t>(I) + 1, kUnit, kMasked>...};
+}
+
+/** reduceLanes for 1..kBlock lanes, indexed by count - 1, by [unit
+ *  step][masked]. */
+constexpr std::array<std::array<std::array<LanesKernel, kBlock>, 2>, 2>
+    kLanesKernels = {{
+        {lanesKernels<false, false>(std::make_index_sequence<kBlock>()),
+         lanesKernels<false, true>(std::make_index_sequence<kBlock>())},
+        {lanesKernels<true, false>(std::make_index_sequence<kBlock>()),
+         lanesKernels<true, true>(std::make_index_sequence<kBlock>())},
+    }};
+
+/** The outputs [lo, hi) along one axis whose whole filter extent lies
+ *  inside the input. */
+std::pair<index_t, index_t>
+interiorRange(index_t in, index_t k, index_t outs, index_t st, index_t pad)
+{
+    const index_t lo = std::min<index_t>(outs, (pad + st - 1) / st);
+    index_t hi = lo;
+    if (in - k + pad >= 0)
+        hi = std::max(lo, std::min<index_t>(outs, (in - k + pad) / st + 1));
+    return {lo, hi};
+}
+
+/**
+ * Functional convolution: every output is the sum, from +0 and in
+ * ascending (c, r, s) order, of w * in over the in-bounds window terms,
+ * plus the bias, so the result bit-matches the CPU reference.
+ *
+ * With an all-finite input the term lists hold only the non-zero
+ * weights: adding w * in = +-0 to a sum that is never -0 (see
+ * reduceLanes) leaves it unchanged. A non-finite input keeps every
+ * weight, since 0 * inf is NaN. Each output row's interior columns go
+ * kBlock at a time along the row; each edge column goes kBlock interior
+ * rows at a time down the column, so edge outputs also run as
+ * independent chains.
+ */
+void
+reduceConv(const Conv2dShape &shape, const Tensor &input,
+           const Tensor &weights, const Tensor &bias, Tensor &output)
+{
+    const index_t cg = shape.cPerGroup();
+    const index_t xo = shape.outX();
+    const index_t yo = shape.outY();
+    const index_t st = shape.stride;
+    const index_t pad = shape.padding;
+    const auto [ox_lo, ox_hi] = interiorRange(shape.X, shape.R, xo, st, pad);
+    const auto [oy_lo, oy_hi] = interiorRange(shape.Y, shape.S, yo, st, pad);
+    const index_t in_c_stride = shape.X * shape.Y;
+    const index_t in_n_stride = shape.C * in_c_stride;
+    const bool skip_zeros = input.allFinite();
+    const auto bounds = [&](index_t ox, index_t oy) {
+        const index_t x_base = ox * st - pad;
+        const index_t y_base = oy * st - pad;
+        return WindowBounds{std::max<index_t>(0, -x_base),
+                            std::min(shape.R, shape.X - x_base),
+                            std::max<index_t>(0, -y_base),
+                            std::min(shape.S, shape.Y - y_base)};
+    };
+    // Input index of output (ox, oy)'s window origin.
+    const auto origin = [&](index_t ox, index_t oy) {
+        return (ox * st - pad) * shape.Y + oy * st - pad;
+    };
+
+    FilterTerms terms(shape);
+    for (index_t ko = 0; ko < shape.K; ++ko) {
+        terms.reset(weights.data() + ko * cg * shape.R * shape.S,
+                    skip_zeros);
+        const ReduceTerm *t0 = terms.begin();
+        const ReduceTerm *t1 = terms.end();
+        const index_t g = ko / shape.kPerGroup();
+        const float bias_v = bias.empty() ? 0.0f : bias.at(ko);
+        for (index_t n = 0; n < shape.N; ++n) {
+            const float *in_n =
+                input.data() + n * in_n_stride + g * cg * in_c_stride;
+            float *out_k = output.data() + (n * shape.K + ko) * xo * yo;
+            // Interior columns of every row, along the row.
+            for (index_t ox = 0; ox < xo; ++ox) {
+                const bool edge_row = ox < ox_lo || ox >= ox_hi;
+                for (index_t oy = oy_lo; oy < oy_hi; oy += kBlock) {
+                    const index_t m = std::min(kBlock, oy_hi - oy);
+                    kLanesKernels[st == 1][edge_row][
+                        static_cast<std::size_t>(m - 1)](
+                        t0, t1, in_n, origin(ox, oy), st, bounds(ox, oy),
+                        bias_v, out_k + ox * yo + oy, 1);
+                }
+            }
+            // Edge columns, down the column.
+            for (index_t oy = 0; oy < yo; ++oy) {
+                if (oy >= oy_lo && oy < oy_hi)
+                    continue;
+                for (index_t ox = 0; ox < xo;) {
+                    const bool edge_row = ox < ox_lo || ox >= ox_hi;
+                    const index_t m =
+                        edge_row ? 1 : std::min(kBlock, ox_hi - ox);
+                    kLanesKernels[false][true][
+                        static_cast<std::size_t>(m - 1)](
+                        t0, t1, in_n, origin(ox, oy), st * shape.Y,
+                        bounds(ox, oy), bias_v, out_k + ox * yo + oy, yo);
+                    ox += m;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
@@ -56,48 +317,6 @@ DenseController::traceAdvance(cycle_t cycles)
 {
     if (trace_ != nullptr && cycles > 0)
         trace_->advance(cycles);
-}
-
-float
-DenseController::convOutputValue(const Conv2dShape &shape,
-                                 const Tensor &input, const Tensor &weights,
-                                 const Tensor &bias, index_t n, index_t ko,
-                                 index_t ox, index_t oy)
-{
-    const index_t cg = shape.cPerGroup();
-    const index_t g = ko / shape.kPerGroup();
-    const float *in = input.data();
-    const float *w = weights.data() + ko * cg * shape.R * shape.S;
-    const index_t in_c_stride = shape.X * shape.Y;
-    const index_t in_n_stride = shape.C * in_c_stride;
-
-    // The in-bounds filter rows/columns of this output position are a
-    // contiguous sub-rectangle, invariant across channels: hoisting the
-    // bounds out of the inner loops leaves a branch-free multiply-add
-    // kernel. Skipped out-of-bounds terms contribute nothing, and the
-    // kept terms accumulate in the identical (c, r, s) order, so the
-    // float result is bit-identical to the guarded form.
-    const index_t x_base = ox * shape.stride - shape.padding;
-    const index_t y_base = oy * shape.stride - shape.padding;
-    const index_t r_lo = std::max<index_t>(0, -x_base);
-    const index_t r_hi = std::min(shape.R, shape.X - x_base);
-    const index_t s_lo = std::max<index_t>(0, -y_base);
-    const index_t s_hi = std::min(shape.S, shape.Y - y_base);
-
-    float acc = 0.0f;
-    for (index_t c = 0; c < cg; ++c) {
-        const float *in_c =
-            in + n * in_n_stride + (g * cg + c) * in_c_stride;
-        const float *wc = w + c * shape.R * shape.S;
-        for (index_t r = r_lo; r < r_hi; ++r) {
-            const float *in_row =
-                in_c + (x_base + r) * shape.Y + y_base;
-            const float *wr = wc + r * shape.S;
-            for (index_t s = s_lo; s < s_hi; ++s)
-                acc += wr[s] * in_row[s];
-        }
-    }
-    return acc + (bias.empty() ? 0.0f : bias.at(ko));
 }
 
 ControllerResult
@@ -512,100 +731,8 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
         }
     }
 
-    // Functional results: every output reduced in canonical order so the
-    // simulator output bit-matches the CPU reference. Interior columns
-    // (where the whole S window is in bounds) are computed a block at a
-    // time: each output still accumulates its own terms in (c, r, s)
-    // order — the per-column chains are merely independent, which lets
-    // the compiler overlap their serial float-add latencies — so the
-    // values stay bit-identical to the scalar convOutputValue() used on
-    // the edge columns.
     setPhase("functional reduce");
-    {
-        const index_t st = shape.stride;
-        const index_t pad = shape.padding;
-        const index_t oy_lo = std::min<index_t>(yo, (pad + st - 1) / st);
-        index_t oy_hi = oy_lo;
-        if (shape.Y - shape.S + pad >= 0)
-            oy_hi = std::max(
-                oy_lo, std::min<index_t>(
-                           yo, (shape.Y - shape.S + pad) / st + 1));
-        const index_t in_c_stride = shape.X * shape.Y;
-        const index_t in_n_stride = shape.C * in_c_stride;
-        constexpr index_t kBlock = 16;
-        float acc[kBlock];
-        for (index_t n = 0; n < shape.N; ++n) {
-            for (index_t ko = 0; ko < shape.K; ++ko) {
-                const index_t g = ko / shape.kPerGroup();
-                const float *w =
-                    weights.data() + ko * cg * shape.R * shape.S;
-                const float bias_v = bias.empty() ? 0.0f : bias.at(ko);
-                const float *in_n = input.data() + n * in_n_stride +
-                    g * cg * in_c_stride;
-                for (index_t ox = 0; ox < xo; ++ox) {
-                    float *out_row = output.data() +
-                        ((n * shape.K + ko) * xo + ox) * yo;
-                    const index_t x_base = ox * st - pad;
-                    const index_t r_lo = std::max<index_t>(0, -x_base);
-                    const index_t r_hi =
-                        std::min(shape.R, shape.X - x_base);
-                    for (index_t oy = 0; oy < oy_lo; ++oy)
-                        out_row[oy] = convOutputValue(
-                            shape, input, weights, bias, n, ko, ox, oy);
-                    for (index_t oy0 = oy_lo; oy0 < oy_hi;
-                         oy0 += kBlock) {
-                        const index_t m =
-                            std::min(kBlock, oy_hi - oy0);
-                        for (index_t i = 0; i < m; ++i)
-                            acc[i] = 0.0f;
-                        for (index_t c = 0; c < cg; ++c) {
-                            const float *in_c = in_n + c * in_c_stride;
-                            const float *wc =
-                                w + c * shape.R * shape.S;
-                            for (index_t r = r_lo; r < r_hi; ++r) {
-                                const float *in_row = in_c +
-                                    (x_base + r) * shape.Y +
-                                    oy0 * st - pad;
-                                const float *wr = wc + r * shape.S;
-                                for (index_t s = 0; s < shape.S; ++s) {
-                                    const float ws = wr[s];
-                                    const float *ir = in_row + s;
-                                    if (st == 1) {
-                                        // Unit stride: adjacent
-                                        // columns read adjacent input
-                                        // elements. The constant-trip
-                                        // groups of four below map to
-                                        // one 4-float SIMD fma each
-                                        // under basic-block
-                                        // vectorization; per-column
-                                        // accumulation order is
-                                        // untouched.
-                                        index_t i = 0;
-                                        for (; i + 4 <= m; i += 4) {
-                                            acc[i] += ws * ir[i];
-                                            acc[i + 1] += ws * ir[i + 1];
-                                            acc[i + 2] += ws * ir[i + 2];
-                                            acc[i + 3] += ws * ir[i + 3];
-                                        }
-                                        for (; i < m; ++i)
-                                            acc[i] += ws * ir[i];
-                                    } else {
-                                        for (index_t i = 0; i < m; ++i)
-                                            acc[i] += ws * ir[i * st];
-                                    }
-                                }
-                            }
-                        }
-                        for (index_t i = 0; i < m; ++i)
-                            out_row[oy0 + i] = acc[i] + bias_v;
-                    }
-                    for (index_t oy = oy_hi; oy < yo; ++oy)
-                        out_row[oy] = convOutputValue(
-                            shape, input, weights, bias, n, ko, ox, oy);
-                }
-            }
-        }
-    }
+    reduceConv(shape, input, weights, bias, output);
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0

@@ -137,12 +137,6 @@ class DenseController : public Checkpointable
                                      const PanelSource &b, bool b_finite,
                                      Tensor &c);
 
-    /** Canonical-order dot product of one output window. */
-    static float convOutputValue(const Conv2dShape &shape,
-                                 const Tensor &input, const Tensor &weights,
-                                 const Tensor &bias, index_t n, index_t ko,
-                                 index_t ox, index_t oy);
-
     /**
      * Whether the steady-state fast path is eligible: requested by the
      * configuration and no fault injector attached (fault injection

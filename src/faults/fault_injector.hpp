@@ -90,9 +90,10 @@ class FaultInjector : public Checkpointable
     std::string describe() const;
 
     /**
-     * Serialize the RNG stream position (std::mt19937_64's textual
-     * state) and the stuck-multiplier map, so a restored run draws
-     * exactly the faults the uninterrupted run would have drawn.
+     * Serialize the RNG stream position (Mt19937_64's textual state,
+     * the same text std::mt19937_64 writes) and the stuck-multiplier
+     * map, so a restored run draws exactly the faults the uninterrupted
+     * run would have drawn.
      */
     void saveState(ArchiveWriter &ar) const override;
     void loadState(ArchiveReader &ar) override;

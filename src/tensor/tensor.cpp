@@ -124,8 +124,7 @@ Tensor::fillUniform(Rng &rng, float lo, float hi)
 void
 Tensor::fillNormal(Rng &rng, float mean, float stddev)
 {
-    for (auto &x : data_)
-        x = rng.normal(mean, stddev);
+    rng.fillNormal(data_.data(), data_.size(), mean, stddev);
 }
 
 double

@@ -1,10 +1,18 @@
 /**
  * @file
  * Unit tests for the common infrastructure: logging, stats registry,
- * JSON writer, hardware configuration, RNG determinism.
+ * JSON writer, hardware configuration, RNG determinism and bit parity
+ * with libstdc++'s engine and float distributions.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
@@ -307,6 +315,172 @@ TEST(Rng, IntegerRangeIsInclusive)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+// --- Parity with libstdc++ -------------------------------------------
+// Rng reimplements std::mt19937_64 and the float distributions value for
+// value (the model-zoo goldens pin the values). The library is the
+// oracle here.
+
+constexpr std::uint64_t kParitySeeds[] = {0, 1, 42, 0x570AA1u,
+                                          ~std::uint64_t{0}};
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    for (const std::uint64_t seed : kParitySeeds) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 theirs(seed);
+        for (int i = 0; i < 1'000'000; ++i)
+            ASSERT_EQ(ours(), theirs()) << "seed " << seed << " draw " << i;
+    }
+}
+
+/** A URBG that returns one fixed value, to probe generate_canonical. */
+struct FixedBits {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type v;
+    result_type operator()() { return v; }
+};
+
+TEST(Rng, CanonicalFloatMatchesGenerateCanonical)
+{
+    // Rounding boundaries of the uint64 -> float conversion on both of
+    // its paths, the clamp below 1, and random bit patterns.
+    std::vector<std::uint64_t> vs = {0, 1, 2, 3, (1ull << 24) - 1,
+                                     (1ull << 24) + 1, (1ull << 25) + 1,
+                                     (1ull << 25) + 3, (1ull << 63) - 1,
+                                     1ull << 63, (1ull << 63) + 1,
+                                     ~std::uint64_t{0}};
+    for (int shift = 24; shift < 64; ++shift) {
+        const std::uint64_t one = 1ull << shift;
+        const std::uint64_t half = one >> 24; // half a float ulp at 2^shift
+        for (const std::uint64_t d : {half - 1, half, half + 1}) {
+            vs.push_back(one + d);
+            vs.push_back(one + 2 * half + d); // odd mantissa
+            vs.push_back(~std::uint64_t{0} - d);
+        }
+    }
+    std::mt19937_64 bits(9);
+    for (int i = 0; i < 100'000; ++i)
+        vs.push_back(bits() >> (i % 64));
+    for (const std::uint64_t v : vs) {
+        FixedBits g{v};
+        const float want = std::generate_canonical<float, 24>(g);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(canonicalFloat(v)),
+                  std::bit_cast<std::uint32_t>(want))
+            << "v = " << v;
+    }
+}
+
+TEST(Rng, DrawsMatchStdDistributionsBitForBit)
+{
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    for (const std::uint64_t seed : kParitySeeds) {
+        Rng ours(seed);
+        std::mt19937_64 theirs(seed);
+        std::mt19937_64 pick(seed + 1);
+        for (int i = 0; i < 1'000'000; ++i) {
+            switch (pick() % 6) {
+              case 0: {
+                std::normal_distribution<float> d(0.0f, 1.0f);
+                ASSERT_EQ(bits(ours.normal()), bits(d(theirs))) << i;
+                break;
+              }
+              case 1: {
+                std::normal_distribution<float> d(0.25f, 0.0625f);
+                ASSERT_EQ(bits(ours.normal(0.25f, 0.0625f)),
+                          bits(d(theirs))) << i;
+                break;
+              }
+              case 2: {
+                std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+                ASSERT_EQ(bits(ours.uniform()), bits(d(theirs))) << i;
+                break;
+              }
+              case 3: {
+                std::uniform_real_distribution<float> d(-0.45f, 0.05f);
+                ASSERT_EQ(bits(ours.uniform(-0.45f, 0.05f)),
+                          bits(d(theirs))) << i;
+                break;
+              }
+              case 4: {
+                std::uniform_int_distribution<std::int64_t> d(-3, 31);
+                ASSERT_EQ(ours.integer(-3, 31), d(theirs)) << i;
+                break;
+              }
+              default: {
+                std::bernoulli_distribution d(0.3);
+                ASSERT_EQ(ours.chance(0.3), d(theirs)) << i;
+                break;
+              }
+            }
+        }
+        // Still in lockstep after the mix.
+        EXPECT_EQ(ours.engine()(), theirs());
+    }
+}
+
+TEST(Rng, BulkFillNormalMatchesPerDrawNormal)
+{
+    for (const std::uint64_t seed : kParitySeeds) {
+        Rng bulk(seed), single(seed);
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{255},
+              std::size_t{256}, std::size_t{257}, std::size_t{100'003}}) {
+            std::vector<float> got(n);
+            bulk.fillNormal(got.data(), n, 0.5f, 0.03f);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                          std::bit_cast<std::uint32_t>(
+                              single.normal(0.5f, 0.03f)))
+                    << "seed " << seed << " n " << n << " i " << i;
+            // Both consumed the same engine outputs.
+            ASSERT_TRUE(bulk.engine() == single.engine());
+        }
+    }
+}
+
+TEST(Rng, StateTextMatchesStdEngine)
+{
+    for (const int draws : {0, 1, 311, 312, 313, 5000}) {
+        Mt19937_64 ours(0x570AA1u);
+        std::mt19937_64 theirs(0x570AA1u);
+        for (int i = 0; i < draws; ++i) {
+            ours();
+            theirs();
+        }
+        std::ostringstream a, b;
+        a << ours;
+        b << theirs;
+        ASSERT_EQ(a.str(), b.str()) << draws << " draws";
+
+        // The library's text restores into Mt19937_64 (and back).
+        Mt19937_64 restored(7);
+        std::istringstream in(b.str());
+        in >> restored;
+        ASSERT_TRUE(static_cast<bool>(in));
+        EXPECT_TRUE(restored == ours);
+        std::mt19937_64 back(7);
+        std::istringstream in2(a.str());
+        in2 >> back;
+        EXPECT_EQ(back, theirs);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(restored(), theirs());
+    }
+}
+
+TEST(Rng, TruncatedStateTextLeavesTheEngineUnchanged)
+{
+    Mt19937_64 e(3);
+    std::ostringstream os;
+    os << Mt19937_64(11);
+    const std::string text = os.str();
+    std::istringstream in(text.substr(0, text.size() / 2));
+    in >> e;
+    EXPECT_FALSE(static_cast<bool>(in));
+    EXPECT_TRUE(e == Mt19937_64(3));
 }
 
 } // namespace

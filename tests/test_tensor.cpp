@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "tensor/im2col.hpp"
@@ -249,6 +255,125 @@ TEST(Prune, RejectsFullSparsity)
     Tensor t({10});
     t.fill(1.0f);
     EXPECT_THROW(pruneMagnitude(t, 1.0), FatalError);
+}
+
+/**
+ * The magnitude pruning of one span as it was written before the
+ * selection was bracketed: nth_element over a float copy of the
+ * magnitudes, then the same below-threshold and tie zeroing. The
+ * property test below holds pruneMagnitude to it bit for bit.
+ */
+void
+pruneSpanOracle(float *data, index_t n, double sparsity)
+{
+    if (n == 0 || sparsity <= 0.0)
+        return;
+    const auto zero_count =
+        static_cast<index_t>(std::llround(sparsity * static_cast<double>(n)));
+    if (zero_count <= 0)
+        return;
+    if (zero_count >= n) {
+        std::fill(data, data + n, 0.0f);
+        return;
+    }
+    std::vector<float> mags(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i)
+        mags[static_cast<std::size_t>(i)] = std::abs(data[i]);
+    std::nth_element(mags.begin(), mags.begin() + zero_count, mags.end());
+    const float threshold = mags[static_cast<std::size_t>(zero_count)];
+    index_t zeroed = 0;
+    for (index_t i = 0; i < n; ++i) {
+        if (std::abs(data[i]) < threshold) {
+            data[i] = 0.0f;
+            ++zeroed;
+        }
+    }
+    for (index_t i = 0; i < n && zeroed < zero_count; ++i) {
+        if (data[i] != 0.0f && std::abs(data[i]) == threshold) {
+            data[i] = 0.0f;
+            ++zeroed;
+        }
+    }
+}
+
+TEST(Prune, SelectionMatchesFullNthElement)
+{
+    Rng rng(23);
+    const index_t sizes[] = {1, 2, 3, 7, 64, 255, 256, 257, 1000, 4608};
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    for (int trial = 0; trial < 480; ++trial) {
+        // Every (size, kind, cut) combination, twice.
+        const index_t n = sizes[trial % 10];
+        Tensor t({n});
+        const int kind = (trial / 10) % 6;
+        for (index_t i = 0; i < n; ++i) {
+            float v = 0.0f;
+            switch (kind) {
+              case 0: v = rng.normal(0.0f, 0.05f); break;
+              case 1: // heavy ties among a few magnitudes, both signs
+                v = static_cast<float>(rng.integer(-3, 3)) * 0.25f;
+                break;
+              case 2: v = 1.5f; break; // all equal
+              case 3: // denormals and both zeros
+                v = static_cast<float>(rng.integer(-4, 4)) * denorm;
+                if (rng.chance(0.2))
+                    v = rng.chance(0.5) ? 0.0f : -0.0f;
+                break;
+              case 4: // one exponent band, so one histogram bucket
+                v = 1.0f + rng.uniform(0.0f, 0.1f);
+                break;
+              default: // mixed scales, infinities, signed zeros
+                v = rng.normal(0.0f, 1.0f) *
+                    std::ldexp(1.0f, static_cast<int>(rng.integer(-140, 100)));
+                if (rng.chance(0.05))
+                    v = rng.chance(0.5) ? -0.0f : 0.0f;
+                if (rng.chance(0.01))
+                    v = std::numeric_limits<float>::infinity();
+                break;
+            }
+            t.at(i) = v;
+        }
+        // Zero counts 0, 1, n - 1 and one in between.
+        const index_t cuts[] = {0, 1, n - 1,
+                                static_cast<index_t>(rng.integer(0, n - 1))};
+        const index_t cut = cuts[(trial / 60) % 4];
+        const double sparsity =
+            static_cast<double>(cut) / static_cast<double>(n);
+        if (sparsity >= 1.0)
+            continue;
+        Tensor want = t;
+        pruneSpanOracle(want.data(), n, sparsity);
+        pruneMagnitude(t, sparsity);
+        for (index_t i = 0; i < n; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(t.at(i)),
+                      std::bit_cast<std::uint32_t>(want.at(i)))
+                << "trial " << trial << " n " << n << " cut " << cut
+                << " i " << i;
+    }
+}
+
+TEST(Prune, RejectsNanWithItsCount)
+{
+    for (const index_t n : {index_t{10}, index_t{1000}}) {
+        Tensor t({n});
+        Rng rng(5);
+        t.fillNormal(rng);
+        t.at(static_cast<index_t>(3)) = std::nanf("");
+        t.at(static_cast<index_t>(7)) = -std::nanf("");
+        const Tensor before = t;
+        try {
+            pruneMagnitude(t, 0.5);
+            FAIL() << "a span with NaN was pruned";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "2 of " + std::to_string(n) + " values"),
+                      std::string::npos)
+                << e.what();
+        }
+        for (index_t i = 0; i < n; ++i)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(t.at(i)),
+                      std::bit_cast<std::uint32_t>(before.at(i)));
+    }
 }
 
 TEST(Reference, GemmMatchesManual)
