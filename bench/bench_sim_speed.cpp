@@ -1,24 +1,22 @@
 /**
  * @file
- * Simulator-speed benchmark: tick vs. event engine, exact vs.
- * fast-forward.
+ * Simulator-speed benchmark: tick vs. event engine.
  *
  * Unlike the bench_fig* binaries (whose metric is the simulated cycle
  * count), this harness measures the *simulator's own* wall-clock
- * throughput. Every Figure 1 workload below runs three times on the
- * same operands:
+ * throughput. Every Figure 1 workload below runs twice on the same
+ * operands:
  *
- *  - `engine = TICK`, `fast_forward = OFF`: the original
- *    tick-everything exact loop (the pre-event-engine reference),
- *  - `engine = EVENT`, `fast_forward = OFF`: exact mode on the wakeup
- *    scheduler (steady idle spans skipped in closed form),
- *  - `engine = EVENT`, `fast_forward = ON`: the fast-forward engine.
+ *  - `engine = TICK`: every cycle through the per-cycle loops (the
+ *    pre-event-engine reference),
+ *  - `engine = EVENT`: the wakeup scheduler (steady spans skipped in
+ *    exact closed form).
  *
- * The harness panics unless all three modes produce bit-identical
+ * The harness panics unless both engines produce bit-identical
  * results: same cycle count, same activity-counter snapshot, same
  * output tensor. The wall times, speedups and cycles/second go to
- * stdout and to BENCH_sim_speed.json; the CI perf-smoke job gates on
- * the exact-mode S-EC throughput.
+ * stdout and to BENCH_sim_speed.json; the CI sim-speed job gates on
+ * the event-engine S-EC throughput.
  *
  * The workload points run concurrently over the SweepRunner thread
  * pool (each point owns its Stonne instances).
@@ -51,7 +49,7 @@ constexpr int kReps = 3;
 struct Workload {
     std::string name;   //!< point label, e.g. "S-EC @ maeri-128/bw8"
     std::string tag;    //!< Figure 1 layer tag
-    HardwareConfig cfg; //!< base config; fast_forward overridden per run
+    HardwareConfig cfg; //!< base config; engine overridden per run
     double sparsity;
 };
 
@@ -89,11 +87,9 @@ struct ModeResult {
 };
 
 struct PointResult {
-    ModeResult tick;  //!< TICK engine, exact (pre-event-engine ref)
-    ModeResult exact; //!< EVENT engine, exact
-    ModeResult fast;  //!< EVENT engine, fast-forward
-    double exact_speedup = 0.0; //!< tick exact / event exact
-    double ff_speedup = 0.0;    //!< tick exact / event fast-forward
+    ModeResult tick;  //!< TICK engine (pre-event-engine reference)
+    ModeResult exact; //!< EVENT engine
+    double exact_speedup = 0.0; //!< tick wall / event wall
 };
 
 const LayerSpec &
@@ -107,14 +103,12 @@ layerByTag(const std::string &tag)
 }
 
 ModeResult
-runMode(const Workload &w, const LayerData &data, EngineType engine,
-        bool fast_forward)
+runMode(const Workload &w, const LayerData &data, EngineType engine)
 {
     ModeResult m;
     for (int rep = 0; rep < kReps; ++rep) {
         HardwareConfig cfg = w.cfg;
         cfg.engine_type = engine;
-        cfg.fast_forward = fast_forward;
         Stonne st(cfg);
         const SimulationResult r = runLayer(st, layerByTag(w.tag), data);
         if (rep == 0) {
@@ -129,28 +123,28 @@ runMode(const Workload &w, const LayerData &data, EngineType engine,
     return m;
 }
 
-/** Panic unless the two modes were bit-identical on this point. */
+/** Panic unless the two engines were bit-identical on this point. */
 void
-checkParity(const Workload &w, const ModeResult &ref, const ModeResult &fast)
+checkParity(const Workload &w, const ModeResult &ref, const ModeResult &got)
 {
-    panicIf(ref.sim.cycles != fast.sim.cycles, "'", w.name,
-            "': cycle mismatch (reference ", ref.sim.cycles,
-            ", compared mode ", fast.sim.cycles, ")");
-    panicIf(ref.counters.size() != fast.counters.size(), "'", w.name,
+    panicIf(ref.sim.cycles != got.sim.cycles, "'", w.name,
+            "': cycle mismatch (tick ", ref.sim.cycles, ", event ",
+            got.sim.cycles, ")");
+    panicIf(ref.counters.size() != got.counters.size(), "'", w.name,
             "': counter set size mismatch");
     for (std::size_t i = 0; i < ref.counters.size(); ++i) {
-        panicIf(ref.counters[i].name != fast.counters[i].name, "'", w.name,
+        panicIf(ref.counters[i].name != got.counters[i].name, "'", w.name,
                 "': counter order mismatch at '", ref.counters[i].name,
                 "'");
-        panicIf(ref.counters[i].value != fast.counters[i].value, "'",
+        panicIf(ref.counters[i].value != got.counters[i].value, "'",
                 w.name, "': counter '", ref.counters[i].name,
-                "' mismatch (reference ", ref.counters[i].value, ", fast ",
-                fast.counters[i].value, ")");
+                "' mismatch (tick ", ref.counters[i].value, ", event ",
+                got.counters[i].value, ")");
     }
-    panicIf(ref.output.shape() != fast.output.shape(), "'", w.name,
+    panicIf(ref.output.shape() != got.output.shape(), "'", w.name,
             "': output shape mismatch");
     panicIf(ref.output.size() > 0 &&
-                std::memcmp(ref.output.data(), fast.output.data(),
+                std::memcmp(ref.output.data(), got.output.data(),
                             static_cast<std::size_t>(ref.output.size()) *
                                 sizeof(float)) != 0,
             "'", w.name, "': output tensor mismatch");
@@ -247,19 +241,11 @@ main()
                  const LayerData data =
                      makeLayerData(layerByTag(w.tag), w.sparsity, 42);
                  PointResult &p = results[i];
-                 p.tick = runMode(w, data, EngineType::Tick,
-                                  /*fast_forward=*/false);
-                 p.exact = runMode(w, data, EngineType::Event,
-                                   /*fast_forward=*/false);
-                 p.fast = runMode(w, data, EngineType::Event,
-                                  /*fast_forward=*/true);
+                 p.tick = runMode(w, data, EngineType::Tick);
+                 p.exact = runMode(w, data, EngineType::Event);
                  checkParity(w, p.tick, p.exact);
-                 checkParity(w, p.tick, p.fast);
                  p.exact_speedup = p.exact.best_wall > 0.0
                      ? p.tick.best_wall / p.exact.best_wall
-                     : 0.0;
-                 p.ff_speedup = p.fast.best_wall > 0.0
-                     ? p.tick.best_wall / p.fast.best_wall
                      : 0.0;
              }});
     }
@@ -273,20 +259,16 @@ main()
     banner("Simulator speed — tick vs. event engine (" +
            std::to_string(runner.threadCount()) + " sweep threads)");
     TablePrinter t({"workload", "cycles", "tick wall [s]",
-                    "event wall [s]", "exact speedup", "ff wall [s]",
-                    "exact cycles/s"});
+                    "event wall [s]", "exact speedup", "exact cycles/s"});
     double max_exact_speedup = 0.0;
-    double max_ff_speedup = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &p = results[i];
         max_exact_speedup = std::max(max_exact_speedup, p.exact_speedup);
-        max_ff_speedup = std::max(max_ff_speedup, p.ff_speedup);
         t.addRow({points[i].name,
                   TablePrinter::num(static_cast<count_t>(p.tick.sim.cycles)),
                   TablePrinter::num(p.tick.best_wall, 4),
                   TablePrinter::num(p.exact.best_wall, 4),
                   TablePrinter::num(p.exact_speedup, 2),
-                  TablePrinter::num(p.fast.best_wall, 4),
                   TablePrinter::num(p.exact.best_wall > 0.0
                                         ? static_cast<double>(
                                               p.exact.sim.cycles) /
@@ -295,9 +277,9 @@ main()
                                     0)});
     }
     t.print();
-    std::printf("\nmax exact speedup: %.2fx, max fast-forward speedup: "
-                "%.2fx (parity held on all %zu points)\n",
-                max_exact_speedup, max_ff_speedup, points.size());
+    std::printf("\nmax exact speedup: %.2fx (parity held on all %zu "
+                "points)\n",
+                max_exact_speedup, points.size());
 
     JsonValue j = JsonValue::makeObject();
     j.set("benchmark", std::string("sim_speed"));
@@ -316,24 +298,17 @@ main()
         o.set("cycles", static_cast<std::uint64_t>(p.tick.sim.cycles));
         o.set("tick_exact_wall_seconds", p.tick.best_wall);
         o.set("event_exact_wall_seconds", p.exact.best_wall);
-        o.set("fast_forward_wall_seconds", p.fast.best_wall);
         o.set("exact_speedup", p.exact_speedup);
-        o.set("fast_forward_speedup", p.ff_speedup);
         o.set("exact_cycles_per_second",
               p.exact.best_wall > 0.0
                   ? static_cast<double>(p.exact.sim.cycles) /
                         p.exact.best_wall
-                  : 0.0);
-        o.set("fast_forward_cycles_per_second",
-              p.fast.best_wall > 0.0
-                  ? static_cast<double>(p.fast.sim.cycles) / p.fast.best_wall
                   : 0.0);
         o.set("parity", true);
         arr.append(std::move(o));
     }
     j["points"] = arr;
     j.set("max_exact_speedup", max_exact_speedup);
-    j.set("max_fast_forward_speedup", max_ff_speedup);
 
     // Full-model points: the multi-core and batched regimes.
     const std::vector<ModelPoint> model_points = {runMulticorePoint(),

@@ -64,12 +64,10 @@ RecoveringSweepRunner::run(const std::vector<Point> &points) const
                 HardwareConfig cfg = p.cfg;
                 cfg.checkpoint = true;
                 cfg.checkpoint_file = ckpt;
-                if (a.degraded) {
-                    // The execution-policy knobs are not structural, so
-                    // the restore below still accepts the snapshot.
-                    cfg.fast_forward = false;
+                // The watchdog budget is not structural, so the
+                // restore below still accepts the snapshot.
+                if (a.degraded)
                     cfg.watchdog_cycles *= 4;
-                }
 
                 try {
                     p.fn(cfg, a);

@@ -56,9 +56,8 @@ struct PointOutcome {
  * configuration is handed back with `checkpoint = ON` and a per-point
  * snapshot file, so a failed attempt resumes from the last layer/
  * operation boundary rather than from scratch; the final attempt runs
- * degraded — `fast_forward = OFF` and a 4x watchdog budget — to rule
- * out the execution-policy knobs as the failure cause (checkpoint
- * restore accepts that, policy keys are not structural). Per-point
+ * degraded — a 4x watchdog budget — to outwait a slow-but-live point
+ * (checkpoint restore accepts that, the watchdog is not structural). Per-point
  * attempt counts and failure causes land in the JSON summary.
  */
 class RecoveringSweepRunner

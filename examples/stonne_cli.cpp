@@ -43,7 +43,6 @@ struct CliState {
     std::uint64_t seed = 42;
     FaultConfig faults;          // applied at the next create/load
     index_t watchdog_cycles = 0; // 0 keeps the config's default
-    std::optional<bool> fast_forward; // applied at the next create/load
     std::optional<bool> trace;   // applied at the next create/load
     std::string trace_file;
     index_t trace_sample = 0;    // 0 keeps the config's default
@@ -57,8 +56,6 @@ applyHardening(HardwareConfig cfg, const CliState &st)
         cfg.faults = st.faults;
     if (st.watchdog_cycles > 0)
         cfg.watchdog_cycles = st.watchdog_cycles;
-    if (st.fast_forward)
-        cfg.fast_forward = *st.fast_forward;
     if (st.trace) {
         cfg.trace = *st.trace;
         if (!st.trace_file.empty())
@@ -97,8 +94,6 @@ printHelp()
         "  faults <seed> <stuck> <drop> <corrupt> <bitflip>\n"
         "                                  fault rates for next create/load\n"
         "  watchdog <cycles>               stall budget for next create/load\n"
-        "  fastforward <on|off>            steady-state skipping at next\n"
-        "                                  create/load (default on)\n"
         "  trace <file> [sample_cycles]    cycle-level trace at next\n"
         "  trace off                       create/load (Perfetto JSON)\n"
         "  run                             simulate the configured op\n"
@@ -245,17 +240,6 @@ handle(CliState &st, const std::string &line)
                     "watchdog stall budget must be positive");
             std::printf("watchdog_cycles = %lld at the next create/load\n",
                         static_cast<long long>(st.watchdog_cycles));
-        } else if (cmd == "fastforward") {
-            std::string v;
-            in >> v;
-            if (v == "on" || v == "ON")
-                st.fast_forward = true;
-            else if (v == "off" || v == "OFF")
-                st.fast_forward = false;
-            else
-                fatal("fastforward expects on|off, got '", v, "'");
-            std::printf("fast_forward = %s at the next create/load\n",
-                        *st.fast_forward ? "ON" : "OFF");
         } else if (cmd == "trace") {
             std::string file;
             in >> file;

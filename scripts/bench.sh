@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Simulator-speed benchmark: build bench_sim_speed and run it from the
 # repo root, leaving BENCH_sim_speed.json there. The harness itself
-# asserts fast-forward/reference parity on every point before timing.
+# asserts TICK/EVENT engine parity on every point before timing.
 #
 #   scripts/bench.sh          # build + run
 set -euo pipefail

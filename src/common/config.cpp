@@ -463,8 +463,6 @@ HardwareConfig::parse(const std::string &text, const std::string &origin)
                        "' (expected PIPELINE or KSPLIT)");
         } else if (key == "WATCHDOG_CYCLES") {
             c.watchdog_cycles = as_int();
-        } else if (key == "FAST_FORWARD") {
-            c.fast_forward = as_flag();
         } else if (key == "ENGINE") {
             if (uval == "EVENT") c.engine_type = EngineType::Event;
             else if (uval == "TICK") c.engine_type = EngineType::Tick;
@@ -561,8 +559,7 @@ HardwareConfig::toConfigText() const
        << "dram_latency_cycles = " << dram_latency_cycles << "\n"
        << "clock_ghz = " << clock_ghz << "\n"
        << "data_type = " << dataTypeName(data_type) << "\n"
-       << "watchdog_cycles = " << watchdog_cycles << "\n"
-       << "fast_forward = " << (fast_forward ? "ON" : "OFF") << "\n";
+       << "watchdog_cycles = " << watchdog_cycles << "\n";
     if (!energy_table_path.empty())
         os << "energy_table = " << energy_table_path << "\n";
     if (!area_table_path.empty())
@@ -622,7 +619,6 @@ std::string
 HardwareConfig::structuralText() const
 {
     HardwareConfig c = *this;
-    c.fast_forward = true;
     c.engine_type = EngineType::Event;
     c.watchdog_cycles = 1;
     c.checkpoint = false;

@@ -171,15 +171,6 @@ struct HardwareConfig {
     index_t watchdog_cycles = 100000;
 
     /**
-     * Fast-forward execution: skip steady-state streaming regions with
-     * closed-form bulkAdvance() arithmetic instead of per-cycle
-     * iteration. Bit-identical to the per-cycle path (same cycles,
-     * counters, outputs); automatically disabled while a fault
-     * injector is attached. `fast_forward = on|off`, default on.
-     */
-    bool fast_forward = true;
-
-    /**
      * Delivery/drain engine selection: `engine = EVENT|TICK`, default
      * EVENT. The event engine advances watchdog, tracer samples and
      * occupancy counters in exact closed form across idle-skipped
@@ -210,7 +201,7 @@ struct HardwareConfig {
      * simulation state to `checkpoint_file` at the first operation
      * boundary after every `checkpoint_interval_cycles` simulated
      * cycles. A restored run continues bit-identically to the
-     * uninterrupted one, in both exact and fast-forward modes.
+     * uninterrupted one, under either engine.
      */
     bool checkpoint = false;
 
@@ -306,9 +297,8 @@ struct HardwareConfig {
     /**
      * Retries after a job's first failed attempt (DeadlockError or
      * CheckpointError): bounded exponential backoff between attempts,
-     * and the final attempt runs degraded (fast_forward OFF, watchdog
-     * budget x4) exactly like the recovering sweep runner. 0 disables
-     * retrying.
+     * and the final attempt runs degraded (watchdog budget x4) exactly
+     * like the recovering sweep runner. 0 disables retrying.
      */
     index_t job_retries = 2;
 
@@ -359,12 +349,12 @@ struct HardwareConfig {
 
     /**
      * Configuration text with the execution-policy knobs normalized
-     * away: fast-forward mode, watchdog budget, trace/checkpoint
-     * destinations and the dse tuning knobs may all legitimately
-     * differ between two runs of the *same* simulated hardware
-     * (fast-forward and exact execution are bit-identical; the
-     * recovering sweep runner's degraded retries and the dse result
-     * cache rely on exactly that), but everything architectural must
+     * away: engine, watchdog budget, trace/checkpoint destinations
+     * and the dse tuning knobs may all legitimately differ between two
+     * runs of the *same* simulated hardware (both engines are
+     * bit-identical; the recovering sweep runner's degraded retries
+     * and the dse result cache rely on exactly that), but everything
+     * architectural must
      * match exactly. Checkpoint restores compare snapshots with this,
      * and the dse cache keys simulation outcomes on it.
      */

@@ -105,17 +105,17 @@ class Watchdog : public Checkpointable
      * Record `cycles` consecutive simulated cycles that each made
      * `progress_per_cycle` forward-progress events — the closed-form
      * equivalent of calling tick(progress_per_cycle) `cycles` times.
-     * Used by the fast-forward engine to skip steady-state regions
-     * without losing the watchdog's cycle accounting.
+     * Used by the event engine to skip steady-state spans without
+     * losing the watchdog's cycle accounting.
      */
     void bulkTick(cycle_t cycles, count_t progress_per_cycle);
 
     /**
      * Arm a simulated-cycle ceiling: tick()/bulkTick() throw
      * BudgetExceededError once the cycles observed for the current
-     * operation pass `budget` (0 disarms). The budget is a bound, not
-     * an exact stop — a fast-forward bulk region may overshoot it
-     * before the check fires. A disarmed budget adds no observable
+     * operation pass `budget` (0 disarms): the abort reports
+     * budget + 1 cycles observed (the event engine clamps its skipped
+     * spans to land on that cycle). A disarmed budget adds no observable
      * behavior, keeping budget-free runs bit-identical.
      */
     void setCycleBudget(cycle_t budget) { cycle_budget_ = budget; }

@@ -2,18 +2,13 @@
  * @file
  * Cycle-by-cycle delivery of a fetch list through GB read ports + DN.
  *
- * Shared by all memory controllers: per cycle the Global Buffer grants up
- * to its read bandwidth, the distribution network injects up to its own
- * bandwidth, and the controller retries the remainder — the stall
- * mechanism that separates STONNE's timing from the analytical models.
- *
- * When fast-forwarding is enabled and no fault injector is attached the
- * loop is in steady state: every cycle moves exactly
- * min(dn_bandwidth, gb_read_bandwidth) elements, so all but the final
- * (possibly partial) cycle can be skipped with closed-form bulkAdvance()
- * counter arithmetic. The final cycle always executes through the exact
- * per-cycle path so trailing per-cycle state (budgets, issue slots) is
- * bit-identical by construction.
+ * Shared by all memory controllers through EventEngine: per cycle the
+ * Global Buffer grants up to its read bandwidth, the distribution
+ * network injects up to its own bandwidth, and the controller retries
+ * the remainder — the stall mechanism that separates STONNE's timing
+ * from the analytical models. `engine = TICK` runs every cycle through
+ * these loops; `engine = EVENT` skips the steady prefix in closed form
+ * and runs only the tail here.
  */
 
 #ifndef STONNE_CONTROLLER_DELIVERY_HPP
@@ -58,8 +53,13 @@ countFresh(const std::vector<std::int64_t> &cur,
 }
 
 /**
- * Stream `count` elements of the same kind/fanout from the GB through
- * the DN, cycle by cycle.
+ * Stream `remaining` elements of the same kind/fanout from the GB
+ * through the DN, cycle by cycle: the one per-cycle delivery loop,
+ * behind both engines (EventEngine::deliver() validates the request,
+ * accounts the backlog and may skip a steady prefix first).
+ *
+ * A template over the DN type so calls through a `final` concrete DN
+ * resolve statically; `Dn = DistributionNetwork` dispatches virtually.
  *
  * With a watchdog attached, a cycle that moves nothing counts as a stall
  * and a long enough stall run raises DeadlockError with a full fabric
@@ -68,70 +68,16 @@ countFresh(const std::vector<std::int64_t> &cur,
  * flits after DN acceptance: dropped flits stay in `remaining` and are
  * retransmitted on a later cycle, stretching the delivery.
  *
- * With `fast_forward` set and no fault injector, the steady-state prefix
- * is skipped in O(1): the per-cycle grant is the constant
- * min(dn.bandwidth(), gb.readBandwidth()), so the first n-1 of the
- * n = ceil(count / grant) cycles are accounted with bulkAdvance() and
- * only the final cycle runs through the exact loop. Cycle counts, stats
- * and watchdog state are bit-identical to the per-cycle path. Any fault
- * injector forces the exact loop: dropFlits() consumes the seeded RNG
- * stream per cycle and must observe every cycle to stay reproducible.
- *
  * @return the number of cycles the delivery occupied.
  */
-inline cycle_t
-deliverElements(DistributionNetwork &dn, GlobalBuffer &gb, index_t count,
+template <class Dn>
+cycle_t
+deliverElements(Dn &dn, GlobalBuffer &gb, index_t remaining,
                 index_t fanout, PackageKind kind,
                 Watchdog *watchdog = nullptr,
-                FaultInjector *faults = nullptr,
-                bool fast_forward = false,
-                Tracer *trace = nullptr)
+                FaultInjector *faults = nullptr, Tracer *trace = nullptr)
 {
-    // Guards are open-coded `if (...) panic(...)`: panicIf evaluates
-    // its message arguments eagerly, and constructing dn.name() here
-    // on every delivery is measurable on the hot path.
-    if (count < 0)
-        panic("delivery of ", count, " elements through '", dn.name(),
-              "': count must not be negative");
-    if (fanout <= 0)
-        panic("delivery through '", dn.name(),
-              "' with non-positive fanout ", fanout,
-              " (destination range is empty)");
-    if (dn.bandwidth() <= 0)
-        panic("delivery through '", dn.name(),
-              "' with non-positive bandwidth ", dn.bandwidth(),
-              " (should have been rejected by HardwareConfig::validate)");
-
-    // Queue-occupancy telemetry (dn.inject_queue_occ): the backlog
-    // integral of the whole delivery, accounted up front in closed form
-    // so exact and fast-forwarded runs see identical counter evolution
-    // (per-cycle attribution would diverge at sample boundaries inside
-    // a skipped steady-state region).
-    dn.accountBacklog(count, std::min(dn.bandwidth(), gb.readBandwidth()));
-
     cycle_t cycles = 0;
-    index_t remaining = count;
-
-    if (fast_forward && faults == nullptr && remaining > 0) {
-        const index_t grant = std::min(dn.bandwidth(), gb.readBandwidth());
-        const cycle_t total = static_cast<cycle_t>(
-            (remaining + grant - 1) / grant);
-        if (total > 1) {
-            const cycle_t skip = total - 1;
-            const index_t moved = static_cast<index_t>(skip) * grant;
-            if (trace != nullptr)
-                trace->bulkBegin();
-            gb.bulkAdvance(skip, moved, 0);
-            dn.bulkAdvance(skip, moved, fanout, kind);
-            if (watchdog != nullptr)
-                watchdog->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace != nullptr)
-                trace->bulkEnd(skip, "ff.delivery");
-            remaining -= moved;
-            cycles += skip;
-        }
-    }
-
     while (remaining > 0) {
         gb.nextCycle();
         dn.cycle();
@@ -164,50 +110,17 @@ deliverElements(DistributionNetwork &dn, GlobalBuffer &gb, index_t count,
 }
 
 /**
- * Drain `count` finished outputs through the GB write ports, cycle by
- * cycle — the write-side sibling of deliverElements(), shared by the
- * dense, sparse and SNAPEA controllers.
- *
- * Every cycle absorbs min(remaining, write_bandwidth) elements, so the
- * steady-state prefix fast-forwards exactly like delivery; the final
- * cycle always runs through the exact path.
+ * Drain `remaining` finished outputs through the GB write ports, cycle
+ * by cycle: the one per-cycle drain loop, the write-side sibling of
+ * deliverElements() (EventEngine::drain() runs the shared preamble).
  *
  * @return the number of cycles the drain occupied.
  */
 inline cycle_t
-drainOutputs(GlobalBuffer &gb, index_t count, Watchdog *watchdog = nullptr,
-             bool fast_forward = false, Tracer *trace = nullptr)
+drainOutputs(GlobalBuffer &gb, index_t remaining,
+             Watchdog *watchdog = nullptr, Tracer *trace = nullptr)
 {
-    if (count < 0)
-        panic("drain of ", count, " outputs through '", gb.name(),
-              "': count must not be negative");
-
-    // Write-queue occupancy telemetry (gb.write_queue_occ), closed form
-    // for the same exact-vs-fast-forward parity reason as delivery.
-    gb.accountDrainBacklog(count);
-
     cycle_t cycles = 0;
-    index_t remaining = count;
-
-    if (fast_forward && remaining > 0) {
-        const index_t grant = gb.writeBandwidth();
-        const cycle_t total = static_cast<cycle_t>(
-            (remaining + grant - 1) / grant);
-        if (total > 1) {
-            const cycle_t skip = total - 1;
-            const index_t drained = static_cast<index_t>(skip) * grant;
-            if (trace != nullptr)
-                trace->bulkBegin();
-            gb.bulkAdvance(skip, 0, drained);
-            if (watchdog != nullptr)
-                watchdog->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace != nullptr)
-                trace->bulkEnd(skip, "ff.drain");
-            remaining -= drained;
-            cycles += skip;
-        }
-    }
-
     while (remaining > 0) {
         gb.nextCycle();
         const index_t granted = gb.writeBulk(remaining);

@@ -369,7 +369,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     const bool input_stationary =
         cfg_.dataflow == Dataflow::InputStationary;
 
-    const bool ff = fastForward();
 
     // Stage the input activations: traffic is accounted, but the
     // cycles are hidden by the double-buffered prefetch (the previous
@@ -527,7 +526,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                     const cycle_t w_cycles = engine_.deliver(
                         dn_, gb_, tg * tk * len,
                         tile.t_n * tile.t_x * tile.t_y,
-                        PackageKind::Weight, ff);
+                        PackageKind::Weight);
                     block_cycles += w_cycles > prev_fold_cycles
                         ? w_cycles - prev_fold_cycles : 0;
                     cycle_t fold_cycles = 0;
@@ -677,8 +676,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 
                         setPhase("input streaming");
                         cycle_t dl = engine_.deliver(dn_, gb_, fresh, tk,
-                                                     PackageKind::Input,
-                                                     ff);
+                                                     PackageKind::Input);
 
                         const index_t active_vns = tg * tk * tn * tx * ty;
                         mn_.fireMultipliers(
@@ -696,16 +694,16 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                                 // psums round-trip through the GB and
                                 // re-enter via the MN forwarders.
                                 setPhase("psum spill");
-                                drain = engine_.drain(gb_, active_vns, ff);
+                                drain = engine_.drain(gb_, active_vns);
                                 mn_.forwardPsums(active_vns);
                                 if (f > 0)
                                     dl += engine_.deliver(
                                         dn_, gb_, active_vns, 1,
-                                        PackageKind::Psum, ff);
+                                        PackageKind::Psum);
                             }
                         } else {
                             setPhase("output drain");
-                            drain = engine_.drain(gb_, active_vns, ff);
+                            drain = engine_.drain(gb_, active_vns);
                         }
                         if (f + 1 == folds)
                             chunk_outputs += active_vns;
@@ -722,7 +720,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 
                 if (folding && !psum_spill) {
                     setPhase("output drain");
-                    block_cycles += engine_.drain(gb_, chunk_outputs, ff);
+                    block_cycles += engine_.drain(gb_, chunk_outputs);
                 }
             }
 
@@ -778,14 +776,13 @@ DenseController::runGemmSystolic(MatrixView a, index_t n,
         bpe);
 
     SystolicArray array(rows, cols, *popn, mn_, *lrn, gb_);
-    // The systolic inner run is closed-form in both execution modes;
-    // its whole region lands on the fast-forward track with the
-    // counter deltas attached.
+    // The systolic inner run is closed-form under both engines; its
+    // sample boundaries are interpolated like a skipped steady span.
     if (trace_ != nullptr)
-        trace_->bulkBegin();
+        trace_->steadyBegin();
     const SystolicResult sr = array.run(a, n, b, b_finite, c);
     if (trace_ != nullptr)
-        trace_->bulkEnd(sr.cycles, "systolic.run");
+        trace_->steadyEnd(sr.cycles);
     res.cycles += sr.cycles;
     res.macs = sr.macs;
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
@@ -968,7 +965,6 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
     const count_t mem0 = gb_.totalReads() + gb_.totalWrites();
     const count_t mult0 = mn_.multOps();
 
-    const bool ff = fastForward();
 
     setPhase("max pool streaming");
     const index_t positions = c.N * xo * yo;
@@ -1020,7 +1016,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                     mn_.forwardOperands(distinct - fresh);
                 }
                 dl_total += engine_.deliver(dn_, gb_, fresh, 1,
-                                            PackageKind::Input, ff);
+                                            PackageKind::Input);
                 const index_t clusters = tkc * typ;
                 rn_.bulkReduce(clusters, len);
                 if (folds > 1 && rn_.supportsAccumulation())
@@ -1029,7 +1025,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                 have_prev = true;
             }
             setPhase("output drain");
-            const cycle_t drain = engine_.drain(gb_, tkc * typ, ff);
+            const cycle_t drain = engine_.drain(gb_, tkc * typ);
             setPhase("max pool streaming");
             res.cycles += std::max<cycle_t>({1, dl_total, drain});
         }

@@ -137,18 +137,6 @@ class DenseController : public Checkpointable
                                      const PanelSource &b, bool b_finite,
                                      Tensor &c);
 
-    /**
-     * Whether the steady-state fast path is eligible: requested by the
-     * configuration and no fault injector attached (fault injection
-     * consumes a seeded RNG stream per cycle, so every cycle must run
-     * through the exact loop to stay reproducible).
-     */
-    bool
-    fastForward() const
-    {
-        return cfg_.fast_forward && faults_ == nullptr;
-    }
-
     /** Change phase: watchdog reports see it, the tracer spans it. */
     void setPhase(const char *phase);
 

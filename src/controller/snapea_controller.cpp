@@ -144,7 +144,6 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
 
     // Fault injection consumes a seeded RNG stream per cycle, so any
     // attached injector forces the exact per-cycle loops.
-    const bool ff = cfg_.fast_forward && faults_ == nullptr;
 
     auto blocks = [](index_t total, index_t t) {
         return (total + t - 1) / t;
@@ -277,11 +276,11 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     setPhase("sorted weight streaming");
                     cycle_t dl = engine_.deliver(
                         dn_, gb_, stream_elems, tn * tx * ty,
-                        PackageKind::Weight, ff);
+                        PackageKind::Weight);
                     setPhase("activation gather");
                     dl += engine_.deliver(
                         dn_, gb_, static_cast<index_t>(fetch.size()), 1,
-                        PackageKind::Input, ff);
+                        PackageKind::Input);
 
                     // Compute and sign-check.
                     index_t fired = 0;
@@ -341,7 +340,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                 // emit the non-positive value the ReLU will zero).
                 setPhase("output drain");
                 res.cycles += engine_.drain(
-                    gb_, static_cast<index_t>(vns.size()), ff);
+                    gb_, static_cast<index_t>(vns.size()));
                 for (const VnState &v : vns)
                     output.at(v.n, v.ko, v.ox, v.oy) = v.psum;
             }

@@ -74,7 +74,6 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
 
     // Fault injection consumes a seeded RNG stream per cycle, so any
     // attached injector forces the exact per-cycle loops.
-    const bool ff = cfg_.fast_forward && faults_ == nullptr;
 
     std::vector<index_t> union_k;
     union_k.reserve(static_cast<std::size_t>(cfg_.ms_size));
@@ -82,7 +81,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
         // Stationary non-zeros enter through the Benes (unicast).
         setPhase("stationary nnz load");
         res.cycles += engine_.deliver(dn_, gb_, round.nnz, 1,
-                                      PackageKind::Weight, ff);
+                                      PackageKind::Weight);
 
         // Streaming operands: the union of column indices the mapped
         // segments need; shared indices are multicast.
@@ -130,9 +129,9 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
 
             setPhase("streaming operand multicast");
             const cycle_t dl = engine_.deliver(dn_, gb_, needed, 1,
-                                               PackageKind::Input, ff);
+                                               PackageKind::Input);
             setPhase("output drain");
-            const cycle_t drain = engine_.drain(gb_, completions, ff);
+            const cycle_t drain = engine_.drain(gb_, completions);
 
             mn_.fireMultipliers(std::min(fired, cfg_.ms_size));
             res.macs += static_cast<count_t>(fired);

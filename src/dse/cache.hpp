@@ -5,8 +5,8 @@
  * A tuner run simulates many (config, layer, tile) points, and sweeps
  * revisit the same points constantly; a point's outcome is fully
  * determined by its canonical key text — the structural configuration
- * text (policy knobs normalized away; fast-forward and exact execution
- * are bit-identical), the layer shape, the tile in canonical form and
+ * text (policy knobs normalized away; both engines are bit-identical),
+ * the layer shape, the tile in canonical form and
  * the data-policy knobs (seed/sparsity for the value-dependent
  * controllers). Entries are addressed by a stable 64-bit FNV-1a hash
  * of that text; the full key text is stored alongside the outcome so a

@@ -248,7 +248,7 @@ Accelerator::restore(ArchiveReader &ar)
     const HardwareConfig snap_cfg =
         HardwareConfig::parse(snap_text, "<checkpoint>");
     // Snapshots restore across differing execution-policy knobs
-    // (fast-forward, watchdog, trace/checkpoint destinations, dse
+    // (engine, watchdog, trace/checkpoint destinations, dse
     // tuning) but never across architectural changes.
     if (snap_cfg.structuralText() != cfg_.structuralText())
         ar.fail("the snapshot was taken on accelerator '" +

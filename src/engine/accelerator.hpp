@@ -99,7 +99,7 @@ class Accelerator : public Unit
     /**
      * Restore a checkpoint() snapshot into this freshly constructed
      * instance. The embedded configuration must match this instance's
-     * structurally (execution-policy knobs — fast_forward, the
+     * structurally (execution-policy knobs — the engine, the
      * watchdog budget, checkpoint/trace file paths — may differ);
      * a mismatch throws CheckpointError before any state is touched.
      */

@@ -22,15 +22,16 @@
  *    and deadlock detection stay bit-identical to exact per-cycle
  *    stepping.
  *
- * The remainder of every span runs through a devirtualized exact loop:
- * one switch on the DN topology tag selects a template instantiation
- * whose inner per-cycle calls are non-virtual (gemmini-style single
- * dispatch), replacing three virtual calls per simulated cycle.
+ * The remainder of every span runs through delivery.hpp's exact loop,
+ * instantiated on the concrete DN type: one switch on the DN topology
+ * tag selects the instantiation whose inner per-cycle calls are
+ * non-virtual (gemmini-style single dispatch), replacing three virtual
+ * calls per simulated cycle.
  *
- * `engine = TICK` routes both entry points through the original
- * delivery.hpp loops so the parity suite can compare the two engines
- * directly; the wakeup bookkeeping advances identically in both modes,
- * keeping checkpoints mode-independent.
+ * `engine = TICK` takes no skip and runs every cycle through the same
+ * loops, so the parity suite can compare the two engines directly; the
+ * wakeup bookkeeping advances identically in both modes, keeping
+ * checkpoints mode-independent.
  */
 
 #ifndef STONNE_ENGINE_EVENT_ENGINE_HPP
@@ -68,67 +69,30 @@ class EventEngine : public Checkpointable
 
     /**
      * Stream `count` same-kind, same-fanout elements from the GB
-     * through the DN — the scheduler-owned replacement for
-     * deliverElements(). With `fast_forward` set (and no faults) the
-     * skipped span is recorded on the tracer's fast-forward track
-     * exactly like the legacy path; without it the span is skipped
-     * silently, byte-identical to exact per-cycle stepping. A fault
+     * through the DN. Under EVENT the steady prefix is skipped in
+     * closed form, byte-identical to exact per-cycle stepping. A fault
      * injector pins the whole delivery to the exact loop (dropFlits()
      * consumes the seeded RNG stream once per cycle).
      *
      * @return the number of cycles the delivery occupied.
      */
     cycle_t deliver(DistributionNetwork &dn, GlobalBuffer &gb,
-                    index_t count, index_t fanout, PackageKind kind,
-                    bool fast_forward);
+                    index_t count, index_t fanout, PackageKind kind);
 
     /**
-     * Drain `count` finished outputs through the GB write ports — the
-     * scheduler-owned replacement for drainOutputs(). Draining makes
-     * no RNG draws, so the steady span is skipped even with a fault
-     * injector attached.
+     * Drain `count` finished outputs through the GB write ports.
+     * Draining makes no RNG draws, so under EVENT the steady span is
+     * skipped even with a fault injector attached.
      *
      * @return the number of cycles the drain occupied.
      */
-    cycle_t drain(GlobalBuffer &gb, index_t count, bool fast_forward);
+    cycle_t drain(GlobalBuffer &gb, index_t count);
 
     /** Engine clock: total cycles scheduled across both streams. */
     cycle_t now() const { return now_; }
 
     /** Cycle the stream last completed a span at (wakeup record). */
     cycle_t lastActive(Stream s) const { return next_active_[s]; }
-
-    /**
-     * Pin deliver/drain to exact per-cycle stepping while `*flag` is
-     * true (nullptr reopens the gate). The multicore composition
-     * closes the gate on a core whose span overlaps a sibling core in
-     * simulated time: idle stretches may only be skipped when every
-     * core is in steady state. Because skipped and exact spans are
-     * bit-identical (cycles, counters, outputs, trace samples), the
-     * gate trades speed for conservatism, never results — per-core
-     * fast-forward parity holds with the gate open or closed.
-     */
-    void setSkipInhibit(const bool *flag) { skip_inhibit_ = flag; }
-
-    /**
-     * Permanently drop this engine out of the composition's all-cores-
-     * busy check: detaches the skip-inhibit gate (a quarantined core
-     * never runs again, so its siblings must not step exactly on its
-     * account) and marks the engine so the runner's reports can tell a
-     * benched core from an idle one.
-     */
-    void quarantine()
-    {
-        skip_inhibit_ = nullptr;
-        quarantined_ = true;
-    }
-    bool quarantined() const { return quarantined_; }
-
-    /**
-     * Cycles stepped exactly because the inhibit gate was closed.
-     * Observability only: not serialized, not a StatCounter.
-     */
-    cycle_t gatedCycles() const { return gated_cycles_; }
 
     void reset();
 
@@ -171,20 +135,10 @@ class EventEngine : public Checkpointable
         next_active_[s] = now_;
     }
 
-    bool
-    skipInhibited() const
-    {
-        return skip_inhibit_ != nullptr && *skip_inhibit_;
-    }
-
     EngineType mode_;
     Watchdog *watchdog_;
     FaultInjector *faults_;
     Tracer *trace_;
-
-    const bool *skip_inhibit_ = nullptr;
-    bool quarantined_ = false;
-    cycle_t gated_cycles_ = 0;
 
     cycle_t now_ = 0;
     cycle_t next_active_[kStreams] = {0, 0};

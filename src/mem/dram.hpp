@@ -44,8 +44,8 @@ class Dram : public Checkpointable
     /**
      * Account `bytes` of traffic across `n_accesses` transfers without
      * computing a duration — the counter side of transferCycles(),
-     * exposed for the fast-forward engine so skipped regions keep the
-     * DRAM traffic counters exact.
+     * exposed so closed-form regions keep the DRAM traffic counters
+     * exact.
      */
     void bulkAdvance(index_t bytes, count_t n_accesses);
 

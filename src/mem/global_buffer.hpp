@@ -68,14 +68,14 @@ class GlobalBuffer : public Checkpointable
     index_t writeBulk(index_t n);
 
     /**
-     * Fast-forward `n_cycles` cycles of steady-state streaming in which
+     * Skip `n_cycles` cycles of steady-state streaming in which
      * `n_reads` read grants and `n_writes` write grants were issued in
      * total — the closed-form equivalent of n_cycles iterations of
      * nextCycle() + readBulk()/writeBulk(). Access counters advance
      * exactly as the per-cycle path would; the per-cycle budgets are
      * left untouched (every consumer re-arms them with nextCycle()
-     * before the next grant, and the fast-forward engine executes the
-     * final, possibly partial, cycle through the exact path).
+     * before the next grant, and the event engine executes the final,
+     * possibly partial, cycle through the exact path).
      */
     void bulkAdvance(cycle_t n_cycles, index_t n_reads, index_t n_writes);
 
@@ -83,7 +83,7 @@ class GlobalBuffer : public Checkpointable
      * Account the write-queue occupancy of draining `count` outputs at
      * write_bandwidth absorbed per cycle: the pending backlog summed
      * over the drain's cycles, in closed form. Accounted once per
-     * drain — not per cycle — so exact and fast-forwarded runs see
+     * drain — not per cycle — so skipped and stepped spans see
      * identical counter evolution.
      */
     void accountDrainBacklog(index_t count);

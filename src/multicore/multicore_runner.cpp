@@ -110,8 +110,7 @@ MulticoreRunner::makeCoreConfig(index_t c) const
     if (cfg_.cores > 1 && cfg_.trace)
         cc.trace_file = cfg_.trace_file + ".core" + std::to_string(c);
     // fault_core routing: a targeted injector arms only its core; the
-    // siblings run fault-free (and keep fast-forward, faults disable
-    // it per instance).
+    // siblings run fault-free.
     if (cfg_.faults.enabled && cfg_.faults.core >= 0)
         cc.faults.enabled = cfg_.faults.core == static_cast<int>(c);
     cc.faults.core = -1;
@@ -142,18 +141,6 @@ MulticoreRunner::MulticoreRunner(const DnnModel &model,
         // single-core outcomes can never answer a multi-core request.
         tuner_ = std::make_unique<dse::AutoTuner>(cfg_, opts);
     }
-
-    if (cfg_.cores > 1) {
-        contended_ = std::make_unique<bool[]>(
-            static_cast<std::size_t>(cfg_.cores));
-        for (index_t c = 0; c < cfg_.cores; ++c) {
-            contended_[c] = false;
-            cores_[static_cast<std::size_t>(c)]
-                ->accelerator()
-                .engine()
-                .setSkipInhibit(&contended_[c]);
-        }
-    }
 }
 
 void
@@ -162,12 +149,6 @@ MulticoreRunner::rebuildCore(index_t c)
     const auto i = static_cast<std::size_t>(c);
     cores_[i] = std::make_unique<Stonne>(makeCoreConfig(c));
     cores_[i]->setAutoCheckpoint(false);
-    if (contended_) {
-        contended_[i] = false;
-        cores_[i]->accelerator().engine().setSkipInhibit(&contended_[i]);
-    }
-    if (quarantined_[i])
-        cores_[i]->accelerator().engine().quarantine();
     cores_[i]->accelerator().watchdog().setWallDeadline(wall_deadline_);
 }
 
@@ -290,18 +271,6 @@ MulticoreRunner::resetRunState(std::vector<Tensor> inputs)
     last_checkpoint_path_.clear();
 }
 
-bool
-MulticoreRunner::siblingBusyPast(std::size_t self, cycle_t at) const
-{
-    // Stages map one-to-one onto healthy cores, so "another stage is
-    // busy" is "another (healthy) core is busy"; quarantined cores own
-    // no stage and therefore never hold a sibling's gate closed.
-    for (std::size_t s = 0; s < stage_free_.size(); ++s)
-        if (s != self && stage_free_[s] > at)
-            return true;
-    return false;
-}
-
 count_t
 MulticoreRunner::dramBytes(index_t core) const
 {
@@ -393,9 +362,6 @@ MulticoreRunner::runPipelineStage(std::size_t b, std::size_t s)
         t = g.completion;
     }
 
-    if (contended_)
-        contended_[core_idx] = siblingBusyPast(s, t);
-
     LayerExecOptions opts;
     opts.simulate = true;
     opts.snapea_early_exit = snapea_early_exit_;
@@ -467,11 +433,7 @@ MulticoreRunner::applyQuarantine(const CoreFault &f)
     at = std::max(at, makespan_);
     resume_cycle_ = at;
 
-    // Bench the core: its engine leaves the all-cores-busy check and
-    // its phantom future DRAM traffic stops contending.
-    cores_[i]->accelerator().engine().quarantine();
-    if (contended_)
-        contended_[i] = false;
+    // Bench the core: its phantom future DRAM traffic stops contending.
     arbiter_.retireCore(f.core, at);
 
     // Re-run the MAC-balanced partitioner over the healthy survivors.
@@ -576,8 +538,6 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
         // attention, pooling and every native host op), exactly as the
         // single-core path runs it.
         const index_t c0 = healthy.front();
-        if (contended_)
-            contended_[c0] = false;
         Stonne &core = *cores_[static_cast<std::size_t>(c0)];
         LayerExecOptions opts;
         opts.simulate = true;
@@ -614,14 +574,6 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
             ? l.spec.conv.K
             : l.weights.dim(0);
         const auto shards = splitOutputChannels(k_total, n_healthy);
-
-        index_t active = 0;
-        for (const auto &[k0, len] : shards)
-            if (len > 0)
-                ++active;
-        if (contended_)
-            for (index_t c = 0; c < coreCount(); ++c)
-                contended_[c] = !isQuarantined(c) && active > 1;
 
         const cycle_t start = ksplit_t_;
         cycle_t finish_max = start;
@@ -707,10 +659,6 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
             finish_max = std::max(finish_max, finish);
             parts.push_back(core.output());
         }
-        if (contended_)
-            for (index_t c = 0; c < coreCount(); ++c)
-                contended_[c] = false;
-
         ksplit_t_ = finish_max;
         st.cur = concatDim1(parts);
     }
@@ -730,9 +678,6 @@ MulticoreRunner::finishRun()
         if (!tracers.empty())
             Tracer::writeMerged(tracers, cfg_.trace_file);
     }
-    if (contended_)
-        for (index_t c = 0; c < coreCount(); ++c)
-            contended_[c] = false;
 }
 
 void
@@ -861,14 +806,8 @@ MulticoreRunner::resumeBatch(const std::string &path)
     const std::vector<count_t> benched = ar.getCounts();
     if (benched.size() != static_cast<std::size_t>(cfg_.cores))
         ar.fail("snapshot quarantine-flag count mismatch");
-    for (std::size_t c = 0; c < benched.size(); ++c) {
+    for (std::size_t c = 0; c < benched.size(); ++c)
         quarantined_[c] = benched[c] != 0;
-        if (quarantined_[c]) {
-            cores_[c]->accelerator().engine().quarantine();
-            if (contended_)
-                contended_[c] = false;
-        }
-    }
     // The survivor partition is a pure function of the benched set.
     part_ = assignPipelineStages(model_, healthyCores());
     if (stage_free_.size() != part_.stage_bounds.size())

@@ -22,21 +22,17 @@
  *
  *  Off-chip traffic of concurrent operations contends through the
  *  SharedDramArbiter; its per-core stall counters quantify the
- *  interference. While any sibling core is busy past an operation's
- *  start cycle, the operation's core runs with the event engine's
- *  skip-inhibit gate closed, so idle stretches are only skipped when
- *  every core is in steady state (the gate is timing-neutral).
+ *  interference.
  *
  * Fault tolerance (core quarantine + work migration): when a core hits
  * a terminal fault mid-composition — a watchdog DeadlockError (e.g.
  * from an injected stuck unit) or a per-core cycle-budget blowout —
  * and at least one healthy sibling remains, the runner quarantines the
- * sick core instead of aborting the job: its event engine drops out of
- * the all-cores-busy check, its outstanding shared-DRAM ledger entries
- * are retired, the MAC-balanced partitioner re-runs over the healthy
- * survivors, and execution resumes from the last completed layer
- * boundary (the in-flight activation is re-fetched through the shared
- * DRAM by its new owner). Because layers are only ever committed at
+ * sick core instead of aborting the job: its outstanding shared-DRAM
+ * ledger entries are retired, the MAC-balanced partitioner re-runs over
+ * the healthy survivors, and execution resumes from the last completed
+ * layer boundary (the in-flight activation is re-fetched through the
+ * shared DRAM by its new owner). Because layers are only ever committed at
  * their boundaries, the final outputs are bit-identical to a healthy
  * run whenever the injected faults are timing-only — the job completes
  * at degraded throughput rather than failing. With `checkpoint = ON` a
@@ -222,8 +218,7 @@ class MulticoreRunner
     HardwareConfig makeCoreConfig(index_t c) const;
 
     /** Replace core c with a fresh instance (restore fallback),
-     *  re-wiring auto-checkpoint, skip-inhibit, quarantine state and
-     *  the wall deadline. */
+     *  re-wiring auto-checkpoint and the wall deadline. */
     void rebuildCore(index_t c);
 
     /** Whether a fault on one more core can still be absorbed. */
@@ -244,9 +239,6 @@ class MulticoreRunner
     /** Snapshot at the quarantine point (checkpoint = ON only). */
     void quarantineSnapshot();
 
-    /** Whether any stage other than `self` is busy past `at`. */
-    bool siblingBusyPast(std::size_t self, cycle_t at) const;
-
     count_t dramBytes(index_t core) const;
     /** Core-internal nominal cycles of `bytes` of its own traffic. */
     cycle_t internalNominal(index_t core, count_t bytes) const;
@@ -264,9 +256,6 @@ class MulticoreRunner
     mutable std::unique_ptr<dse::AutoTuner> tuner_;
     SharedDramArbiter arbiter_;
     PipelinePartition part_;
-    /** Skip-inhibit flags the cores' event engines watch (stable
-     *  storage; only wired for cores > 1). */
-    std::unique_ptr<bool[]> contended_;
 
     bool snapea_early_exit_ = true;
     bool offload_pooling_ = true;

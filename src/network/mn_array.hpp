@@ -34,8 +34,7 @@ class MultiplierArray final : public Unit
     /**
      * Account `n_mults` multiplications spread over `n_cycles`
      * steady-state cycles — the closed-form equivalent of calling
-     * fireMultipliers(n_mults / n_cycles) each cycle. Used by the
-     * fast-forward engine.
+     * fireMultipliers(n_mults / n_cycles) each cycle.
      */
     void bulkAdvance(cycle_t n_cycles, index_t n_mults);
 

@@ -171,7 +171,7 @@ class DistributionNetwork : public Unit
                                PackageKind kind) = 0;
 
     /**
-     * Fast-forward `n_cycles` steady-state cycles in which a total of
+     * Skip `n_cycles` steady-state cycles in which a total of
      * `n_packages` same-kind, same-fanout packages were accepted — the
      * closed-form equivalent of n_cycles iterations of cycle() +
      * injectBulk() where every offered package is accepted (so no
@@ -190,7 +190,7 @@ class DistributionNetwork : public Unit
      * elements at `grant` accepted per cycle: the pending backlog
      * summed over the delivery's cycles (count + (count - grant) +
      * ...), in closed form. Accounted once per delivery — not per
-     * cycle — so exact and fast-forwarded runs see identical counter
+     * cycle — so skipped and stepped spans see identical counter
      * evolution; under fault injection this stays the no-drop
      * integral, and the stretched cycles show up in dn.stalls.
      */

@@ -475,10 +475,8 @@ ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
         ++attempts;
         HardwareConfig attempt_cfg = cfg;
         if (attempts == max_attempts && max_attempts > 1) {
-            // Last rung of the ladder: trade speed for robustness, as
-            // the run envelope does (exact engine path, patient
-            // watchdog).
-            attempt_cfg.fast_forward = false;
+            // Last rung of the ladder, as the run envelope does: a
+            // patient watchdog.
             attempt_cfg.watchdog_cycles = cfg.watchdog_cycles * 4;
             degraded = true;
         }

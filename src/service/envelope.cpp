@@ -124,10 +124,8 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
         const bool degraded = max_attempts > 1 && attempt == max_attempts;
         out.degraded = degraded;
         HardwareConfig acfg = job_cfg;
-        if (degraded) {
-            acfg.fast_forward = false;
+        if (degraded)
             acfg.watchdog_cycles *= 4;
-        }
         try {
             if (deadline && Clock::now() > *deadline)
                 throw BudgetExceededError(
@@ -265,10 +263,8 @@ runModelJobEnvelope(const DnnModel &model, const HardwareConfig &cfg,
         const bool degraded = max_attempts > 1 && attempt == max_attempts;
         out.degraded = degraded;
         HardwareConfig acfg = job_cfg;
-        if (degraded) {
-            acfg.fast_forward = false;
+        if (degraded)
             acfg.watchdog_cycles *= 4;
-        }
         try {
             if (deadline && Clock::now() > *deadline)
                 throw BudgetExceededError(

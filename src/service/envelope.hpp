@@ -14,8 +14,7 @@
  *  - retry with backoff: DeadlockError and CheckpointError are the
  *    retryable failures. Between attempts the envelope sleeps
  *    base * 2^(attempt-1) capped at 2 s, and the *final* attempt runs
- *    degraded exactly like the recovering sweep runner: fast-forward
- *    OFF (the exact engine sidesteps bulk-path bugs) and the watchdog
+ *    degraded exactly like the recovering sweep runner: the watchdog
  *    window widened x4 (outwaits transient stalls).
  *
  *  - resume-instead-of-restart: a multi-operation job (`repeat` > 1)
@@ -190,8 +189,7 @@ struct ModelJobOutcome {
  *  2. retry with backoff, resuming from the job snapshot when one
  *     exists (a corrupt snapshot is deleted and the attempt restarts
  *     clean);
- *  3. final degraded restart: fast-forward OFF, watchdog window x4,
- *     fault tolerance OFF so a systematically sick composition still
+ *  3. final degraded restart: watchdog window x4, fault tolerance OFF so a systematically sick composition still
  *     surfaces its root cause instead of quarantining every core.
  *
  * Never throws: every failure mode lands in the returned outcome.

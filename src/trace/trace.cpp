@@ -20,8 +20,8 @@ constexpr std::size_t kMaxEvents = 10'000'000;
 /**
  * Value of a counter `k` cycles into a region of `cycles` cycles whose
  * value moved from `pre` to `post`. Exact whenever the delta divides
- * the region length — always true for fast-forwarded steady state, so
- * exact and fast-forward runs sample identical values.
+ * the region length — always true for skipped steady state, so
+ * skipped and stepped regions sample identical values.
  */
 count_t
 interpolate(count_t pre, count_t post, cycle_t cycles, cycle_t k)
@@ -151,41 +151,9 @@ Tracer::advance(cycle_t cycles)
 }
 
 void
-Tracer::bulkBegin()
-{
-    panicIf(in_bulk_, "trace bulkBegin inside an open bulk region");
-    in_bulk_ = true;
-    bulk_pre_ = stats_.snapshot();
-}
-
-void
-Tracer::bulkEnd(cycle_t cycles, const char *what)
-{
-    panicIf(!in_bulk_, "trace bulkEnd without bulkBegin");
-    in_bulk_ = false;
-    const std::vector<count_t> post = stats_.snapshot();
-
-    TraceEvent span;
-    span.kind = TraceEvent::Kind::Span;
-    span.name = what;
-    span.ts = now_;
-    span.dur = cycles;
-    span.track = kFastForwardTrack;
-    for (std::size_t i = 0; i < post.size(); ++i) {
-        const count_t pre = i < bulk_pre_.size() ? bulk_pre_[i] : 0;
-        if (post[i] != pre)
-            span.args.emplace_back(stats_.counters()[i].name,
-                                   post[i] - pre);
-    }
-    record(std::move(span));
-
-    interpolateSamples(post, cycles);
-}
-
-void
 Tracer::steadyBegin()
 {
-    panicIf(in_bulk_, "trace steadyBegin inside an open bulk region");
+    panicIf(in_bulk_, "trace steadyBegin inside an open steady region");
     in_bulk_ = true;
     bulk_pre_ = stats_.snapshot();
 }
@@ -302,7 +270,6 @@ Tracer::appendThreadMetasTo(JsonValue &list, index_t tid_base,
         list.append(std::move(m));
     };
     meta(kPhaseTrack, "controller phases");
-    meta(kFastForwardTrack, "fast-forward regions");
     meta(kEventTrack, "faults & watchdog");
 }
 
@@ -320,16 +287,9 @@ Tracer::appendEventsTo(JsonValue &list, index_t tid_base,
         switch (ev.kind) {
           case TraceEvent::Kind::Span: {
             e.set("ph", "X");
-            e.set("cat", ev.track == kFastForwardTrack
-                             ? "fastforward" : "phase");
+            e.set("cat", "phase");
             e.set("tid", static_cast<std::int64_t>(tid_base + ev.track));
             e.set("dur", static_cast<std::uint64_t>(ev.dur));
-            if (!ev.args.empty()) {
-                JsonValue args = JsonValue::makeObject();
-                for (const auto &[name, delta] : ev.args)
-                    args.set(name, static_cast<std::uint64_t>(delta));
-                e["args"] = args;
-            }
             break;
           }
           case TraceEvent::Kind::Counter: {
@@ -446,11 +406,6 @@ Tracer::saveState(ArchiveWriter &ar) const
         ar.putI64(ev.track);
         ar.putU64(ev.value);
         ar.putDouble(ev.dvalue);
-        ar.putU64(ev.args.size());
-        for (const auto &[name, value] : ev.args) {
-            ar.putString(name);
-            ar.putU64(value);
-        }
     }
 }
 
@@ -479,13 +434,6 @@ Tracer::loadState(ArchiveReader &ar)
         ev.track = ar.getI64();
         ev.value = ar.getU64();
         ev.dvalue = ar.getDouble();
-        const std::uint64_t n_args = ar.getU64();
-        ev.args.reserve(static_cast<std::size_t>(n_args));
-        for (std::uint64_t a = 0; a < n_args; ++a) {
-            std::string name = ar.getString();
-            const count_t value = ar.getU64();
-            ev.args.emplace_back(std::move(name), value);
-        }
         events_.push_back(std::move(ev));
     }
 }

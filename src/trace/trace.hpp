@@ -19,14 +19,13 @@
  * Perfetto or chrome://tracing) written through the JsonValue emitter;
  * timestamps are cycles, not microseconds.
  *
- * Fast-forward integration: a closed-form bulkAdvance() region is
- * bracketed by bulkBegin()/bulkEnd(), which records the region as one
- * span on the fast-forward track carrying its counter deltas as args
- * and interpolates the sample boundaries inside the region. Steady
- * state means every counter advances by a constant per-cycle delta, so
- * the integer interpolation is exact and sample cycle-stamps and
- * values are bit-identical between exact and fast-forward runs; only
- * the fast-forward track itself differs (parity tests filter it).
+ * Closed-form regions: a span the event engine skips with bulkAdvance()
+ * arithmetic (and the closed-form systolic run) is bracketed by
+ * steadyBegin()/steadyEnd(), which interpolates the sample boundaries
+ * inside the region. Steady state means every counter advances by a
+ * constant per-cycle delta, so the integer interpolation is exact and
+ * the event stream is bit-identical to stepping the region cycle by
+ * cycle.
  *
  * The trace clock advances inside the delivery/drain streaming loops
  * and the controllers' closed-form stalls. Controllers overlap
@@ -39,7 +38,6 @@
 #define STONNE_TRACE_TRACE_HPP
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpointable.hpp"
@@ -53,7 +51,7 @@ class JsonValue;
 /** One recorded trace event, pre-serialization. */
 struct TraceEvent {
     enum class Kind {
-        Span,    //!< "X" duration event (phase or fast-forward region)
+        Span,    //!< "X" duration event (controller phase)
         Counter, //!< "C" event carrying a windowed activity delta
         Gauge,   //!< "C" event carrying a per-cycle utilization value
         Instant, //!< "i" event (fault/watchdog occurrence)
@@ -66,8 +64,6 @@ struct TraceEvent {
     index_t track = 0;   //!< tid the event renders on
     count_t value = 0;   //!< Counter delta / Instant payload
     double dvalue = 0.0; //!< Gauge value
-    /** Fast-forward span only: per-counter deltas of the region. */
-    std::vector<std::pair<std::string, count_t>> args;
 };
 
 /**
@@ -81,9 +77,8 @@ class Tracer : public Checkpointable
   public:
     /** tid of controller phase spans. */
     static constexpr index_t kPhaseTrack = 1;
-    /** tid of fast-forwarded region spans (differs between modes). */
-    static constexpr index_t kFastForwardTrack = 2;
-    /** tid of fault/watchdog instant events. */
+    /** tid of fault/watchdog instant events (tid 2 is unused, kept
+     *  free so trace files keep their track ids). */
     static constexpr index_t kEventTrack = 3;
 
     /**
@@ -117,26 +112,14 @@ class Tracer : public Checkpointable
      */
     void advance(cycle_t cycles);
 
-    /** Mark the start of a fast-forwarded bulkAdvance() region. */
-    void bulkBegin();
-
-    /**
-     * Close a fast-forwarded region of `cycles` cycles: one span on
-     * the fast-forward track carries the region's counter deltas, and
-     * the sample boundaries inside it are exactly interpolated (in
-     * steady state every delta is divisible by the cycle count).
-     */
-    void bulkEnd(cycle_t cycles, const char *what);
-
-    /** Mark the start of an event-engine steady-state skipped span. */
+    /** Mark the start of a closed-form steady-state region. */
     void steadyBegin();
 
     /**
-     * Close an event-engine steady span of `cycles` cycles: sample
-     * boundaries inside it are exactly interpolated like bulkEnd(),
-     * but no fast-forward span is recorded — the event stream stays
-     * byte-identical to `cycles` exact tick() calls (exact mode
-     * records no region spans either).
+     * Close a steady region of `cycles` cycles: the sample boundaries
+     * inside it are exactly interpolated (in steady state every delta
+     * is divisible by the cycle count), so the event stream stays
+     * byte-identical to `cycles` exact tick() calls.
      */
     void steadyEnd(cycle_t cycles);
 
@@ -171,7 +154,7 @@ class Tracer : public Checkpointable
      * Serialize the full recording state: the monotone clock, the
      * sample window (so the next sample lands on the same cycle it
      * would have without the interruption), the open phase span, the
-     * bulk-region bracket and every recorded event — a restored run's
+     * steady-region bracket and every recorded event — a restored run's
      * flush() writes a byte-identical trace file.
      */
     void saveState(ArchiveWriter &ar) const override;

@@ -6,7 +6,7 @@
  * the core invariant — a run checkpointed at cycle N and restored into
  * a fresh instance must complete bit-identically (cycles, activity
  * counters, trace samples, output tensors) to the uninterrupted run, on
- * every shipped config file, in exact and fast-forward modes alike.
+ * every shipped config file, under both engines alike.
  */
 
 #include <gtest/gtest.h>
@@ -494,11 +494,12 @@ TEST(ResumeParity, EveryShippedConfigInBothEngineModes)
     ASSERT_FALSE(files.empty());
 
     for (const std::string &path : files) {
-        for (const bool fast_forward : {false, true}) {
-            SCOPED_TRACE(path + (fast_forward ? " [fast-forward]"
-                                              : " [exact]"));
+        for (const EngineType engine :
+             {EngineType::Tick, EngineType::Event}) {
+            SCOPED_TRACE(path + (engine == EngineType::Tick ? " [TICK]"
+                                                            : " [EVENT]"));
             HardwareConfig cfg = HardwareConfig::parseFile(path);
-            cfg.fast_forward = fast_forward;
+            cfg.engine_type = engine;
             cfg.checkpoint = false; // snapshots are taken explicitly
             // Private trace path: other test binaries share the cwd.
             if (cfg.trace)
@@ -543,29 +544,24 @@ TEST(ResumeParity, EveryShippedConfigInBothEngineModes)
 
 TEST(ResumeParity, PolicyKnobsMayDifferAcrossTheResume)
 {
-    // The degraded sweep retry restores under fast_forward = OFF and a
-    // widened watchdog: execution-policy keys are not structural, and
-    // the result must still be bit-identical.
+    // The degraded sweep retry restores under a widened watchdog:
+    // execution-policy keys are not structural, and the result must
+    // still be bit-identical.
     HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
     TempFile snap("test_ckpt_policy.ckpt");
 
-    HardwareConfig ref_cfg = cfg;
-    ref_cfg.fast_forward = false;
-    Stonne ref(ref_cfg);
-    configureParityOp(ref, ref_cfg);
+    Stonne ref(cfg);
+    configureParityOp(ref, cfg);
     ref.runOperation();
-    configureParityOp(ref, ref_cfg);
+    configureParityOp(ref, cfg);
     ref.runOperation();
 
-    HardwareConfig fast_cfg = cfg;
-    fast_cfg.fast_forward = true;
-    Stonne first(fast_cfg);
-    configureParityOp(first, fast_cfg);
+    Stonne first(cfg);
+    configureParityOp(first, cfg);
     first.runOperation();
     first.saveCheckpoint(snap.path);
 
     HardwareConfig degraded = cfg;
-    degraded.fast_forward = false;
     degraded.watchdog_cycles *= 4;
     Stonne second(degraded);
     second.loadCheckpoint(snap.path);
@@ -579,9 +575,9 @@ TEST(ResumeParity, PolicyKnobsMayDifferAcrossTheResume)
 
 TEST(ResumeParity, SnapshotRestoresAcrossTheEngineKnob)
 {
-    // `engine = EVENT|TICK` is an execution policy like fast_forward:
-    // a snapshot taken under the wakeup scheduler must restore under
-    // the tick-everything engine (and back) bit-identically. The
+    // `engine = EVENT|TICK` is an execution policy: a snapshot taken
+    // under the wakeup scheduler must restore under the
+    // tick-everything engine (and back) bit-identically. The
     // "engine" archive section advances identically in both modes, so
     // nothing in the snapshot pins the mode.
     const HardwareConfig base = HardwareConfig::maeriLike(64, 16);
@@ -756,12 +752,10 @@ TEST(ModelRunCheckpoint, MidRunSnapshotResumesBitIdentically)
     ASSERT_TRUE(std::filesystem::exists(snap.path));
     EXPECT_TRUE(checkpointHasRunnerSection(snap.path));
 
-    // Resume in a fresh runner — under the opposite execution policies
-    // (fast-forward flipped, wakeup scheduler swapped for the
-    // tick-everything engine), as a degraded sweep retry would — and
-    // complete bit-identically.
+    // Resume in a fresh runner — under the other engine (wakeup
+    // scheduler swapped for the tick-everything loops) — and complete
+    // bit-identically.
     HardwareConfig resume_cfg = cfg;
-    resume_cfg.fast_forward = !cfg.fast_forward;
     resume_cfg.engine_type = EngineType::Tick;
     ModelRunner resumer(model, resume_cfg);
     const Tensor out_res = resumer.resume(snap.path);

@@ -231,7 +231,7 @@ TEST(ResultCache, KeyTextSeparatesLayersTilesAndPolicies)
     // Policy-only knobs must not split the cache: the outcome of the
     // same structural hardware is the same.
     HardwareConfig knobs = cfg;
-    knobs.fast_forward = !knobs.fast_forward;
+    knobs.engine_type = EngineType::Tick;
     knobs.autotune = true;
     knobs.dse_top_k = 3;
     knobs.watchdog_cycles += 1;

@@ -4,8 +4,10 @@
  * must be bit-identical to the original tick-everything loops
  * (`engine = TICK`) — cycles, every activity counter, output tensors,
  * watchdog accounting, budget aborts and the recorded trace event
- * stream — on bare units and on every shipped configs/*.cfg, in exact
- * and fast-forward execution, with and without a fault injector.
+ * stream — on bare units and on every shipped configs/*.cfg, with and
+ * without a fault injector. The closed-form bulkAdvance()/bulkReduce()/
+ * bulkTick() primitives the event engine's skip relies on are pinned
+ * against the per-cycle loops they replace.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +26,15 @@
 #include "engine/event_engine.hpp"
 #include "engine/stonne_api.hpp"
 #include "faults/fault_injector.hpp"
+#include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
 #include "network/dn_benes.hpp"
 #include "network/dn_popn.hpp"
 #include "network/dn_tree.hpp"
 #include "network/mn_array.hpp"
+#include "network/rn_fan.hpp"
+#include "network/rn_linear.hpp"
+#include "network/rn_tree.hpp"
 #include "tensor/prune.hpp"
 #include "trace/trace.hpp"
 
@@ -82,6 +88,29 @@ TEST(EngineConfig, StructuralTextNormalizesTheEngineKnob)
     EXPECT_EQ(ev.structuralText(), tick.structuralText());
 }
 
+TEST(ConfigValidate, NamesBandwidthInDiagnostics)
+{
+    HardwareConfig c;
+    c.dn_bandwidth = 0;
+    try {
+        c.validate();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("dn_bandwidth"),
+                  std::string::npos);
+    }
+
+    HardwareConfig r;
+    r.rn_bandwidth = -2;
+    try {
+        r.validate();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("rn_bandwidth"),
+                  std::string::npos);
+    }
+}
+
 // --- wakeup reporting -------------------------------------------------
 
 TEST(NextActiveCycle, DnReportsIdleWhenDrainedAndZeroWhenIssuing)
@@ -105,6 +134,197 @@ TEST(NextActiveCycle, PureAccountingUnitsDefaultToIdle)
     EXPECT_EQ(mn.nextActiveCycle(), Unit::kIdle);
 }
 
+// --- bulk primitives vs. their per-cycle loops ------------------------
+
+TEST(BulkAdvance, GlobalBufferMatchesLoop)
+{
+    StatsRegistry s1;
+    GlobalBuffer loop(108, 8, 8, 1, s1);
+    for (int c = 0; c < 5; ++c) {
+        loop.nextCycle();
+        EXPECT_EQ(loop.readBulk(8), 8);
+        EXPECT_EQ(loop.writeBulk(3), 3);
+    }
+
+    StatsRegistry s2;
+    GlobalBuffer bulk(108, 8, 8, 1, s2);
+    bulk.bulkAdvance(5, 40, 15);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, GlobalBufferRejectsOverAndUnderflow)
+{
+    StatsRegistry s;
+    GlobalBuffer gb(108, 8, 4, 1, s);
+    EXPECT_THROW(gb.bulkAdvance(2, 17, 0), PanicError); // > 2 * read bw
+    EXPECT_THROW(gb.bulkAdvance(2, 0, 9), PanicError);  // > 2 * write bw
+    EXPECT_THROW(gb.bulkAdvance(1, -1, 0), PanicError);
+    EXPECT_THROW(gb.bulkAdvance(1, 0, -1), PanicError);
+}
+
+TEST(BulkAdvance, DramMatchesPerTransferAccounting)
+{
+    StatsRegistry s1;
+    Dram loop(256.0, 1.0, 10, s1);
+    loop.transferCycles(1000);
+    loop.transferCycles(24);
+
+    StatsRegistry s2;
+    Dram bulk(256.0, 1.0, 10, s2);
+    bulk.bulkAdvance(1024, 2);
+    expectSameCounters(s1, s2);
+    EXPECT_THROW(bulk.bulkAdvance(-1, 1), PanicError);
+}
+
+TEST(BulkAdvance, TreeDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    TreeDistributionNetwork loop(64, 8, s1);
+    for (int c = 0; c < 5; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Input), 8);
+    }
+
+    StatsRegistry s2;
+    TreeDistributionNetwork bulk(64, 8, s2);
+    bulk.bulkAdvance(5, 40, 4, PackageKind::Input);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, BenesDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    BenesDistributionNetwork loop(64, 8, s1);
+    for (int c = 0; c < 3; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Weight), 8);
+    }
+
+    StatsRegistry s2;
+    BenesDistributionNetwork bulk(64, 8, s2);
+    bulk.bulkAdvance(3, 24, 4, PackageKind::Weight);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, PointToPointDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    PointToPointNetwork loop(16, 4, s1);
+    for (int c = 0; c < 4; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(4, 1, PackageKind::Input), 4);
+    }
+
+    StatsRegistry s2;
+    PointToPointNetwork bulk(16, 4, s2);
+    bulk.bulkAdvance(4, 16, 1, PackageKind::Input);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, DnRejectsInvalidArguments)
+{
+    StatsRegistry s;
+    TreeDistributionNetwork tree(64, 8, s);
+    EXPECT_THROW(tree.bulkAdvance(1, 9, 1, PackageKind::Input),
+                 PanicError); // exceeds 1 cycle of bandwidth
+    EXPECT_THROW(tree.bulkAdvance(1, -1, 1, PackageKind::Input),
+                 PanicError);
+    EXPECT_THROW(tree.bulkAdvance(1, 1, 0, PackageKind::Input),
+                 PanicError);
+
+    StatsRegistry s2;
+    PointToPointNetwork pop(16, 4, s2);
+    // Multicast is structurally impossible on the systolic links.
+    EXPECT_THROW(pop.bulkAdvance(1, 1, 2, PackageKind::Input), FatalError);
+}
+
+TEST(BulkAdvance, MultiplierArrayMatchesFireLoop)
+{
+    StatsRegistry s1;
+    MultiplierArray loop(64, MnType::Linear, s1);
+    for (int c = 0; c < 3; ++c)
+        loop.fireMultipliers(64);
+
+    StatsRegistry s2;
+    MultiplierArray bulk(64, MnType::Linear, s2);
+    bulk.bulkAdvance(3, 192);
+    expectSameCounters(s1, s2);
+    EXPECT_THROW(bulk.bulkAdvance(2, 129), PanicError);
+    EXPECT_THROW(bulk.bulkAdvance(1, -1), PanicError);
+}
+
+TEST(BulkReduce, ArtMatchesClusterLoop)
+{
+    // 9 is deliberately non-power-of-two: it exercises the horizontal
+    // forwarding-link accounting as well as the 3:1 adder firings.
+    StatsRegistry s1;
+    ArtReductionNetwork loop(64, true, 64, s1);
+    for (int c = 0; c < 7; ++c)
+        loop.reduceCluster(9);
+
+    StatsRegistry s2;
+    ArtReductionNetwork bulk(64, true, 64, s2);
+    bulk.bulkReduce(7, 9);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, FanMatchesClusterLoop)
+{
+    StatsRegistry s1;
+    FanReductionNetwork loop(64, s1);
+    for (int c = 0; c < 5; ++c)
+        loop.reduceCluster(9);
+
+    StatsRegistry s2;
+    FanReductionNetwork bulk(64, s2);
+    bulk.bulkReduce(5, 9);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, LinearMatchesClusterLoop)
+{
+    StatsRegistry s1;
+    LinearReductionNetwork loop(64, s1);
+    for (int c = 0; c < 3; ++c)
+        loop.reduceCluster(8);
+
+    StatsRegistry s2;
+    LinearReductionNetwork bulk(64, s2);
+    bulk.bulkReduce(3, 8);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, SingleElementClustersAreFree)
+{
+    StatsRegistry s;
+    ArtReductionNetwork rn(64, true, 64, s);
+    rn.bulkReduce(100, 1);
+    EXPECT_EQ(rn.adderOps(), 0u);
+}
+
+TEST(BulkReduce, RejectsInvalidArguments)
+{
+    StatsRegistry s;
+    FanReductionNetwork rn(64, s);
+    EXPECT_THROW(rn.bulkReduce(-1, 4), PanicError);
+    EXPECT_THROW(rn.bulkReduce(2, 0), PanicError);
+    EXPECT_THROW(rn.bulkReduce(2, 65), PanicError);
+}
+
+TEST(BulkTick, WatchdogMatchesTickSemantics)
+{
+    Watchdog wd(10);
+    wd.bulkTick(5, 2);
+    EXPECT_EQ(wd.cyclesObserved(), 5u);
+    EXPECT_EQ(wd.stallCycles(), 0u);
+    wd.bulkTick(9, 0);
+    EXPECT_EQ(wd.stallCycles(), 9u);
+    wd.bulkTick(3, 1); // any progress clears the stall window
+    EXPECT_EQ(wd.stallCycles(), 0u);
+    EXPECT_EQ(wd.cyclesObserved(), 17u);
+    EXPECT_THROW(wd.bulkTick(10, 0), DeadlockError);
+}
+
 // --- delivery / drain parity on bare units ----------------------------
 
 TEST(EventEngineDelivery, CyclesAndCountersMatchTickLoop)
@@ -112,30 +332,28 @@ TEST(EventEngineDelivery, CyclesAndCountersMatchTickLoop)
     // GB read bandwidth (4) below DN bandwidth (8) exercises the
     // min() in the steady-state grant; counts below/at/above one
     // grant exercise the tail handling.
-    for (const bool ff : {false, true}) {
-        for (const index_t count : {1, 3, 4, 5, 37, 128}) {
-            StatsRegistry s1;
-            TreeDistributionNetwork dn1(64, 8, s1);
-            GlobalBuffer gb1(108, 4, 4, 1, s1);
-            Watchdog wd1(1000);
-            EventEngine tick(EngineType::Tick, &wd1);
-            const cycle_t ref = tick.deliver(dn1, gb1, count, 2,
-                                             PackageKind::Input, ff);
+    for (const index_t count : {1, 3, 4, 5, 37, 128}) {
+        StatsRegistry s1;
+        TreeDistributionNetwork dn1(64, 8, s1);
+        GlobalBuffer gb1(108, 4, 4, 1, s1);
+        Watchdog wd1(1000);
+        EventEngine tick(EngineType::Tick, &wd1);
+        const cycle_t ref =
+            tick.deliver(dn1, gb1, count, 2, PackageKind::Input);
 
-            StatsRegistry s2;
-            TreeDistributionNetwork dn2(64, 8, s2);
-            GlobalBuffer gb2(108, 4, 4, 1, s2);
-            Watchdog wd2(1000);
-            EventEngine ev(EngineType::Event, &wd2);
-            const cycle_t got = ev.deliver(dn2, gb2, count, 2,
-                                           PackageKind::Input, ff);
+        StatsRegistry s2;
+        TreeDistributionNetwork dn2(64, 8, s2);
+        GlobalBuffer gb2(108, 4, 4, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t got =
+            ev.deliver(dn2, gb2, count, 2, PackageKind::Input);
 
-            EXPECT_EQ(ref, got) << "count " << count << " ff " << ff;
-            EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
-            EXPECT_EQ(wd1.stallCycles(), wd2.stallCycles());
-            EXPECT_EQ(tick.now(), ev.now());
-            expectSameCounters(s1, s2);
-        }
+        EXPECT_EQ(ref, got) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        EXPECT_EQ(wd1.stallCycles(), wd2.stallCycles());
+        EXPECT_EQ(tick.now(), ev.now());
+        expectSameCounters(s1, s2);
     }
 }
 
@@ -160,8 +378,7 @@ TEST(EventEngineDelivery, EveryDnTopologyMatchesTickLoop)
         }
         GlobalBuffer gb(108, 8, 8, 1, s);
         EventEngine engine(mode, &wd);
-        return engine.deliver(*dn, gb, 77, 1, PackageKind::Weight,
-                              /*fast_forward=*/false);
+        return engine.deliver(*dn, gb, 77, 1, PackageKind::Weight);
     };
 
     for (const DnType type :
@@ -178,25 +395,23 @@ TEST(EventEngineDelivery, EveryDnTopologyMatchesTickLoop)
 
 TEST(EventEngineDelivery, DrainMatchesTickLoop)
 {
-    for (const bool ff : {false, true}) {
-        for (const index_t count : {1, 2, 3, 64, 129}) {
-            StatsRegistry s1;
-            GlobalBuffer gb1(108, 4, 3, 1, s1);
-            Watchdog wd1(1000);
-            EventEngine tick(EngineType::Tick, &wd1);
-            const cycle_t ref = tick.drain(gb1, count, ff);
+    for (const index_t count : {1, 2, 3, 64, 129}) {
+        StatsRegistry s1;
+        GlobalBuffer gb1(108, 4, 3, 1, s1);
+        Watchdog wd1(1000);
+        EventEngine tick(EngineType::Tick, &wd1);
+        const cycle_t ref = tick.drain(gb1, count);
 
-            StatsRegistry s2;
-            GlobalBuffer gb2(108, 4, 3, 1, s2);
-            Watchdog wd2(1000);
-            EventEngine ev(EngineType::Event, &wd2);
-            const cycle_t got = ev.drain(gb2, count, ff);
+        StatsRegistry s2;
+        GlobalBuffer gb2(108, 4, 3, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t got = ev.drain(gb2, count);
 
-            EXPECT_EQ(ref, got) << "count " << count << " ff " << ff;
-            EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
-            EXPECT_EQ(tick.now(), ev.now());
-            expectSameCounters(s1, s2);
-        }
+        EXPECT_EQ(ref, got) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        EXPECT_EQ(tick.now(), ev.now());
+        expectSameCounters(s1, s2);
     }
 }
 
@@ -217,10 +432,9 @@ TEST(EventEngineDelivery, FaultInjectorPinsTheExactLoop)
         GlobalBuffer gb(108, 8, 8, 1, s);
         FaultInjector faults(fc, 64, s);
         EventEngine engine(mode, &wd, &faults);
-        cycle_t cycles = engine.deliver(dn, gb, 200, 2,
-                                        PackageKind::Input, true);
-        cycles += engine.deliver(dn, gb, 150, 1, PackageKind::Weight,
-                                 true);
+        cycle_t cycles =
+            engine.deliver(dn, gb, 200, 2, PackageKind::Input);
+        cycles += engine.deliver(dn, gb, 150, 1, PackageKind::Weight);
         return cycles;
     };
 
@@ -250,8 +464,7 @@ TEST(EventEngineBudget, AbortsOnTheSameCycleWithTheSameMessage)
         std::string what;
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 400, 2, PackageKind::Input,
-                                 /*fast_forward=*/false);
+            (void)engine.deliver(dn, gb, 400, 2, PackageKind::Input);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &e) {
             what = e.what();
@@ -281,8 +494,7 @@ TEST(EventEngineBudget, BudgetAlreadySpentStillAborts)
         EventEngine engine(mode, &wd);
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 64, 1, PackageKind::Input,
-                                 false);
+            (void)engine.deliver(dn, gb, 64, 1, PackageKind::Input);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &) {
             observed = wd.cyclesObserved();
@@ -314,10 +526,9 @@ struct RunOutcome {
 
 /** Run a small layer appropriate for the config's controller. */
 RunOutcome
-runOnce(HardwareConfig cfg, EngineType engine, bool fast_forward)
+runOnce(HardwareConfig cfg, EngineType engine)
 {
     cfg.engine_type = engine;
-    cfg.fast_forward = fast_forward;
     Stonne st(cfg);
     Rng rng(7);
 
@@ -364,41 +575,66 @@ TEST(EventEngineParity, AllShippedConfigsAreBitIdentical)
     const std::vector<std::string> files = configFiles();
     ASSERT_FALSE(files.empty());
     bool any_faulty = false;
+    bool any_clean = false;
 
     for (const std::string &path : files) {
         const HardwareConfig cfg = HardwareConfig::parseFile(path);
         any_faulty |= cfg.faults.enabled;
-        for (const bool ff : {false, true}) {
-            SCOPED_TRACE(path + (ff ? " [fast-forward]" : " [exact]"));
+        any_clean |= !cfg.faults.enabled;
+        SCOPED_TRACE(path);
 
-            const RunOutcome ref = runOnce(cfg, EngineType::Tick, ff);
-            const RunOutcome got = runOnce(cfg, EngineType::Event, ff);
+        const RunOutcome ref = runOnce(cfg, EngineType::Tick);
+        const RunOutcome got = runOnce(cfg, EngineType::Event);
 
-            EXPECT_EQ(ref.sim.cycles, got.sim.cycles);
-            EXPECT_EQ(ref.sim.macs, got.sim.macs);
-            EXPECT_EQ(ref.sim.skipped_macs, got.sim.skipped_macs);
-            EXPECT_EQ(ref.sim.mem_accesses, got.sim.mem_accesses);
-            EXPECT_DOUBLE_EQ(ref.sim.ms_utilization,
-                             got.sim.ms_utilization);
+        EXPECT_EQ(ref.sim.cycles, got.sim.cycles);
+        EXPECT_EQ(ref.sim.macs, got.sim.macs);
+        EXPECT_EQ(ref.sim.skipped_macs, got.sim.skipped_macs);
+        EXPECT_EQ(ref.sim.mem_accesses, got.sim.mem_accesses);
+        EXPECT_DOUBLE_EQ(ref.sim.ms_utilization, got.sim.ms_utilization);
 
-            ASSERT_EQ(ref.counters.size(), got.counters.size());
-            for (std::size_t i = 0; i < ref.counters.size(); ++i) {
-                EXPECT_EQ(ref.counters[i].name, got.counters[i].name);
-                EXPECT_EQ(ref.counters[i].value, got.counters[i].value)
-                    << "counter " << ref.counters[i].name;
-            }
-
-            ASSERT_EQ(ref.output.shape(), got.output.shape());
-            EXPECT_EQ(
-                std::memcmp(ref.output.data(), got.output.data(),
-                            static_cast<std::size_t>(ref.output.size()) *
-                                sizeof(float)),
-                0);
+        ASSERT_EQ(ref.counters.size(), got.counters.size());
+        for (std::size_t i = 0; i < ref.counters.size(); ++i) {
+            EXPECT_EQ(ref.counters[i].name, got.counters[i].name);
+            EXPECT_EQ(ref.counters[i].value, got.counters[i].value)
+                << "counter " << ref.counters[i].name;
         }
+
+        ASSERT_EQ(ref.output.shape(), got.output.shape());
+        EXPECT_EQ(std::memcmp(ref.output.data(), got.output.data(),
+                              static_cast<std::size_t>(ref.output.size()) *
+                                  sizeof(float)),
+                  0);
     }
     // The sweep must cover a config whose fault injector pins the
-    // delivery stream to the exact loop under both engines.
+    // delivery stream to the exact loop under both engines, and one
+    // where the event engine's delivery skip engages.
     EXPECT_TRUE(any_faulty);
+    EXPECT_TRUE(any_clean);
+}
+
+TEST(EventEngineBudget, DefaultConfigAbortsOnBudgetPlusOne)
+{
+    // A whole operation under the default engine, with a job budget
+    // far inside its first steady span: the skip is clamped, so the
+    // abort reports budget + 1 observed cycles — the figure and the
+    // message of the per-cycle engine.
+    const auto run = [](EngineType engine) {
+        HardwareConfig cfg = HardwareConfig::maeriLike(64, 1);
+        cfg.job_budget_cycles = 17;
+        try {
+            (void)runOnce(cfg, engine);
+            ADD_FAILURE() << "budget must abort the operation";
+        } catch (const BudgetExceededError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    ASSERT_EQ(HardwareConfig().engine_type, EngineType::Event);
+    const std::string got = run(EngineType::Event);
+    EXPECT_NE(got.find("18 cycles observed, budget 17"), std::string::npos)
+        << got;
+    EXPECT_EQ(got, run(EngineType::Tick));
 }
 
 // --- trace parity -----------------------------------------------------
@@ -408,7 +644,6 @@ runTraced(EngineType engine, const std::string &file)
 {
     HardwareConfig cfg = HardwareConfig::maeriLike(128, 8);
     cfg.engine_type = engine;
-    cfg.fast_forward = false; // exact mode: no fast-forward track
     cfg.trace = true;
     cfg.trace_file = file;
     // A short window lands many sample boundaries inside skipped
@@ -440,9 +675,9 @@ runTraced(EngineType engine, const std::string &file)
 
 TEST(EventEngineParity, TraceEventStreamIsIdentical)
 {
-    // Exact mode records no fast-forward spans under either engine, so
-    // the full event streams — phases, counter samples, gauges,
-    // instants, timestamps — must match event-for-event.
+    // Skipped spans record no events of their own, so the full event
+    // streams — phases, counter samples, gauges, instants, timestamps —
+    // must match event-for-event.
     const std::vector<TraceEvent> ref = runTraced(
         EngineType::Tick, "/tmp/stonne_event_parity_tick.trace.json");
     const std::vector<TraceEvent> got = runTraced(
@@ -459,7 +694,6 @@ TEST(EventEngineParity, TraceEventStreamIsIdentical)
         EXPECT_EQ(ref[i].track, got[i].track);
         EXPECT_EQ(ref[i].value, got[i].value);
         EXPECT_DOUBLE_EQ(ref[i].dvalue, got[i].dvalue);
-        EXPECT_EQ(ref[i].args, got[i].args);
     }
     std::filesystem::remove("/tmp/stonne_event_parity_tick.trace.json");
     std::filesystem::remove("/tmp/stonne_event_parity_event.trace.json");

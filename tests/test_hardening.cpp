@@ -151,7 +151,7 @@ class WedgedNetwork : public DistributionNetwork
     void
     bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
     {
-        panic("a wedged fabric cannot fast-forward");
+        panic("a wedged fabric cannot skip steady spans");
     }
     void cycle() override {}
     void reset() override {}

@@ -15,10 +15,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/archive.hpp"
@@ -582,6 +584,86 @@ expectBitIdentical(const Tensor &a, const Tensor &b)
               0);
 }
 
+/** Everything a composition reports that the engine must not move. */
+struct CompositionOutcome {
+    Tensor out;
+    cycle_t makespan = 0;
+    count_t migrations = 0;
+    std::vector<count_t> dram_stalls;
+    std::vector<std::deque<StatCounter>> counters;
+};
+
+CompositionOutcome
+runComposition(const DnnModel &model, HardwareConfig cfg,
+               EngineType engine, const Tensor &input)
+{
+    cfg.engine_type = engine;
+    MulticoreRunner runner(model, cfg);
+    CompositionOutcome o;
+    o.out = runner.run(input);
+    o.makespan = runner.makespanCycles();
+    o.migrations = runner.migrations();
+    for (index_t c = 0; c < runner.coreCount(); ++c) {
+        o.dram_stalls.push_back(runner.arbiter().stallCycles(c));
+        o.counters.push_back(runner.core(c).stats().counters());
+    }
+    return o;
+}
+
+TEST(MulticoreRunner, TickAndEventEnginesAreBitIdentical)
+{
+    // Every core runs the event engine, whose steady skips may overlap
+    // sibling cores in simulated time; the per-cycle engine is the
+    // oracle. Both partitions, a low-bandwidth (skip-heavy) twin and a
+    // run through quarantine + migration must agree bit for bit.
+    const DnnModel model =
+        loadModelFromFile("models/resnet_block.model");
+    const Tensor input = modelInput(model);
+    const std::vector<std::pair<std::string, HardwareConfig>> bases = {
+        {"maeri_128_x2",
+         HardwareConfig::parseFile("configs/maeri_128_x2.cfg")},
+        {"healthy twin", healthyTwin(faultyComposition())},
+        {"faulty", faultyComposition()},
+    };
+    count_t any_stalls = 0;
+    for (const auto &[label, base] : bases) {
+        for (const PartitionStrategy part :
+             {PartitionStrategy::Pipeline, PartitionStrategy::KSplit}) {
+            SCOPED_TRACE(label + (part == PartitionStrategy::Pipeline
+                                      ? " PIPELINE"
+                                      : " KSPLIT"));
+            HardwareConfig cfg = base;
+            cfg.partition = part;
+            const CompositionOutcome ref =
+                runComposition(model, cfg, EngineType::Tick, input);
+            const CompositionOutcome got =
+                runComposition(model, cfg, EngineType::Event, input);
+
+            expectBitIdentical(got.out, ref.out);
+            EXPECT_EQ(got.makespan, ref.makespan);
+            EXPECT_EQ(got.migrations, ref.migrations);
+            EXPECT_EQ(got.migrations, base.faults.enabled ? 1u : 0u);
+            EXPECT_EQ(got.dram_stalls, ref.dram_stalls);
+            for (const count_t st : got.dram_stalls)
+                any_stalls += st;
+            ASSERT_EQ(got.counters.size(), ref.counters.size());
+            for (std::size_t c = 0; c < ref.counters.size(); ++c) {
+                ASSERT_EQ(got.counters[c].size(), ref.counters[c].size());
+                for (std::size_t i = 0; i < ref.counters[c].size(); ++i) {
+                    EXPECT_EQ(got.counters[c][i].name,
+                              ref.counters[c][i].name);
+                    EXPECT_EQ(got.counters[c][i].value,
+                              ref.counters[c][i].value)
+                        << "core " << c << " counter "
+                        << ref.counters[c][i].name;
+                }
+            }
+        }
+    }
+    // The shared channel really contended somewhere in the sweep.
+    EXPECT_GT(any_stalls, 0u);
+}
+
 TEST(PipelinePartition, HealthySubsetBindsStagesToSurvivors)
 {
     const DnnModel model =
@@ -615,10 +697,10 @@ TEST(MulticoreQuarantine, SickCoreIsBenchedAndOutputsStayBitIdentical)
     // complete through quarantine + migration with outputs bitwise
     // equal to the fault-free composition (drops are retransmitted, so
     // the injector is timing-only).
-    for (const bool fast_forward : {false, true}) {
-        SCOPED_TRACE(fast_forward ? "fast-forward" : "exact");
+    for (const EngineType engine : {EngineType::Tick, EngineType::Event}) {
+        SCOPED_TRACE(engine == EngineType::Tick ? "TICK" : "EVENT");
         HardwareConfig cfg = faultyComposition();
-        cfg.fast_forward = fast_forward;
+        cfg.engine_type = engine;
 
         MulticoreRunner ref(model, healthyTwin(cfg));
         const Tensor ref_out = ref.run(input);

@@ -30,6 +30,7 @@
 #include "checkpoint/archive.hpp"
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/logging.hpp"
 #include "common/watchdog.hpp"
 #include "engine/stonne_api.hpp"
 #include "engine/workload.hpp"
@@ -135,11 +136,9 @@ constexpr index_t kGenerousWatchdog = 1 << 22;
 /** Whether `ops` back-to-back ops complete under a watchdog budget. */
 bool
 completesOps(HardwareConfig cfg, const LayerSpec &layer,
-             const LayerData &data, index_t watchdog, bool fast_forward,
-             int ops)
+             const LayerData &data, index_t watchdog, int ops)
 {
     cfg.watchdog_cycles = watchdog;
-    cfg.fast_forward = fast_forward;
     Stonne st(cfg);
     try {
         for (int i = 0; i < ops; ++i)
@@ -185,15 +184,14 @@ minCompletingBudget(const std::function<bool(index_t)> &completes)
  * The faulty world every deadlock test shares: the pinned
  * configs/maeri_64_faulty.cfg resilience config, patched through the
  * protocol's own override path onto a single-flit link with 75% drops,
- * plus the exact one-op completion thresholds of the normal and the
- * degraded (fast-forward OFF) engine. Probed once per test binary.
+ * plus the exact one-op completion threshold of its watchdog budget.
+ * Probed once per test binary.
  */
 struct FaultyWorld {
     HardwareConfig cfg;
     LayerSpec layer;
     LayerData data;
     index_t ok_norm = 0;
-    index_t ok_deg = 0;
 };
 
 const std::vector<std::pair<std::string, std::string>> &
@@ -219,10 +217,7 @@ faultyWorld()
         fw->layer = convLayer();
         fw->data = makeLayerData(fw->layer, 0.0, 42);
         fw->ok_norm = minCompletingBudget([&](index_t w) {
-            return completesOps(fw->cfg, fw->layer, fw->data, w, true, 1);
-        });
-        fw->ok_deg = minCompletingBudget([&](index_t w) {
-            return completesOps(fw->cfg, fw->layer, fw->data, w, false, 1);
+            return completesOps(fw->cfg, fw->layer, fw->data, w, 1);
         });
         return fw;
     }();
@@ -313,6 +308,35 @@ TEST(ServiceProtocol, OverridesPatchAndUnknownKeysFail)
         FAIL() << "expected ProtocolError";
     } catch (const ProtocolError &e) {
         EXPECT_EQ(e.code(), kErrBadConfig);
+    }
+}
+
+TEST(ServiceProtocol, RemovedFastForwardKeyIsRejected)
+{
+    // `fast_forward` named a second execution mode that no longer
+    // exists: a .cfg or a job override still setting it is an unknown
+    // key, reported with the strict parser's file:line diagnostic.
+    TempFile cfg_file("test_service_fast_forward.cfg");
+    std::ofstream(cfg_file.path) << "ms_size = 64\nfast_forward = ON\n";
+    try {
+        (void)HardwareConfig::parseFile(cfg_file.path);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      cfg_file.path + ":2: unknown config key"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    try {
+        (void)applyOverrides(HardwareConfig::maeriLike(64, 16),
+                             {{"fast_forward", "ON"}});
+        FAIL() << "expected ProtocolError";
+    } catch (const ProtocolError &e) {
+        EXPECT_EQ(e.code(), kErrBadConfig);
+        EXPECT_NE(std::string(e.what()).find("unknown config key"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -438,16 +462,49 @@ TEST(ServiceEnvelope, CycleBudgetTimesOutTerminally)
     EXPECT_EQ(daemon.counters().retries, 0u);
 }
 
+TEST(ServiceEnvelope, CycleBudgetTimeoutReportsBudgetPlusOne)
+{
+    // Under the default engine a steady span crossing the job budget is
+    // clamped, so the timeout names budget + 1 observed cycles, exactly
+    // as the per-cycle engine does.
+    const auto run = [](const std::string &engine) {
+        std::ostringstream out;
+        ServiceOptions opts;
+        opts.base = HardwareConfig::maeriLike(64, 16);
+        opts.base.service_workers = 1;
+        ServiceDaemon daemon(opts, out);
+        std::string overrides = R"("dn_bandwidth":1,"rn_bandwidth":1)";
+        if (!engine.empty())
+            overrides += R"(,"engine":")" + engine + "\"";
+        EXPECT_TRUE(daemon.handleLine(
+            R"({"type":"run","id":"tight","budget_cycles":17,)"
+            R"("use_cache":false,"overrides":{)" +
+            overrides + R"(},"layer":)" + convJson() + "}"));
+        daemon.finish();
+        const auto responses = parseLines(out.str());
+        const JsonValue *r = findResult(responses, "tight");
+        EXPECT_NE(r, nullptr);
+        if (r == nullptr)
+            return std::string();
+        EXPECT_EQ(r->find("status")->asString(), "timeout");
+        return r->find("error")->asString();
+    };
+
+    const std::string got = run("");
+    EXPECT_NE(got.find("18 cycles observed, budget 17"), std::string::npos)
+        << got;
+    EXPECT_EQ(got, run("TICK"));
+}
+
 TEST(ServiceEnvelope, DeadlockRetriesThenDegradedAttemptSucceeds)
 {
     const FaultyWorld &fw = faultyWorld();
     ASSERT_GT(fw.ok_norm, 1) << "no deterministic deadlock window";
-    ASSERT_GT(fw.ok_deg, 0) << "degraded engine never completes";
-    // Normal attempts run one budget notch below their threshold (a
+    // Normal attempts run one budget notch below the threshold (a
     // guaranteed deadlock); the degraded attempt's 4x widening must
-    // clear the degraded engine's own threshold.
+    // clear it.
     const index_t w = fw.ok_norm - 1;
-    ASSERT_GE(4 * w, fw.ok_deg)
+    ASSERT_GE(4 * w, fw.ok_norm)
         << "4x widening cannot rescue this fault seed";
 
     std::ostringstream out;
@@ -492,10 +549,10 @@ TEST(ServiceEnvelope, SnapshotResumeSkipsCompletedOperations)
     for (const char *seed : {"17", "7", "23", "41", "99", "3"}) {
         cfg = applyOverrides(base, {{"fault_seed", seed}});
         ok1 = minCompletingBudget([&](index_t w) {
-            return completesOps(cfg, layer, data, w, true, 1);
+            return completesOps(cfg, layer, data, w, 1);
         });
         ok12 = minCompletingBudget([&](index_t w) {
-            return completesOps(cfg, layer, data, w, true, 2);
+            return completesOps(cfg, layer, data, w, 2);
         });
         if (ok1 > 0 && ok12 > ok1) {
             found = true;
@@ -584,12 +641,10 @@ TEST(ServiceEnvelope, SecondIdenticalRunIsServedWarmFromTheCache)
 TEST(ServiceDaemon, FaultyJobFailsAloneAndNeighborsStayBitIdentical)
 {
     const FaultyWorld &fw = faultyWorld();
-    ASSERT_GT(fw.ok_norm, 1);
-    ASSERT_GT(fw.ok_deg, 4);
+    ASSERT_GT(fw.ok_norm, 4);
     // Even the degraded attempt's 4x widening must stay below the
-    // degraded engine's completion threshold: the job is beyond help.
-    const index_t w =
-        std::min(fw.ok_norm - 1, (fw.ok_deg - 1) / 4);
+    // completion threshold: the job is beyond help.
+    const index_t w = (fw.ok_norm - 1) / 4;
     ASSERT_GE(w, 1) << "thresholds leave no all-attempts-fail window";
 
     std::ostringstream out;

@@ -201,7 +201,7 @@ TEST(SweepRecovery, DeadlockedPointResumesFromItsSnapshotAndDegrades)
     EXPECT_TRUE(probe.degraded[1]);
 
     // ...bit-identically to the uninterrupted run, despite the resume
-    // crossing engine modes (degraded forces fast_forward = OFF).
+    // crossing a watchdog change (degraded widens it 4x).
     EXPECT_EQ(probe.final_cycles, ref.totalCycles());
     const auto &rc = ref.stats().counters();
     ASSERT_EQ(probe.counters.size(), rc.size());

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the cycle-level tracing subsystem: Tracer event recording
- * (samples, phase spans, instants, fast-forward regions), structural
- * validity of the emitted Chrome trace-event JSON, the telescoping
- * samples-sum-to-aggregate-counters invariant, exact-vs-fast-forward
- * trace parity, deadlock post-mortem traces and the trace config keys.
+ * (samples, phase spans, instants, steady-region interpolation),
+ * structural validity of the emitted Chrome trace-event JSON, the
+ * telescoping samples-sum-to-aggregate-counters invariant, deadlock
+ * post-mortem traces and the trace config keys. Engine parity of the
+ * trace event stream lives in test_event_engine.
  */
 
 #include <gtest/gtest.h>
@@ -382,9 +383,9 @@ TEST(TracerUnit, OccupancyCountersFeedTheOccGaugeNotUtilization)
 TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
 {
     // The same steady-state activity (5 ops/cycle for 20 cycles) once
-    // through the per-cycle loop and once as a closed-form bulk
-    // region: every counter sample and gauge must be bit-identical —
-    // the invariant the whole-run parity test leans on.
+    // through the per-cycle loop and once as a closed-form steady
+    // region: the event streams must be bit-identical — the invariant
+    // the whole-run parity test leans on.
     StatsRegistry s1;
     StatCounter &c1 = s1.counter("mn.ops", StatGroup::MultiplierNetwork);
     Tracer exact(s1, 8, tmpPath("exact.trace.json"), "acc");
@@ -395,23 +396,15 @@ TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
 
     StatsRegistry s2;
     StatCounter &c2 = s2.counter("mn.ops", StatGroup::MultiplierNetwork);
-    Tracer fast(s2, 8, tmpPath("fast.trace.json"), "acc");
-    fast.bulkBegin();
+    Tracer steady(s2, 8, tmpPath("steady.trace.json"), "acc");
+    steady.steadyBegin();
     c2.value += 100;
-    fast.bulkEnd(20, "ff.region");
+    steady.steadyEnd(20);
 
-    EXPECT_EQ(exact.now(), fast.now());
+    EXPECT_EQ(exact.now(), steady.now());
 
-    auto filtered = [](const Tracer &t) {
-        std::vector<TraceEvent> out;
-        for (const TraceEvent &ev : t.events())
-            if (!(ev.kind == TraceEvent::Kind::Span &&
-                  ev.track == Tracer::kFastForwardTrack))
-                out.push_back(ev);
-        return out;
-    };
-    const std::vector<TraceEvent> a = filtered(exact);
-    const std::vector<TraceEvent> b = filtered(fast);
+    const std::vector<TraceEvent> &a = exact.events();
+    const std::vector<TraceEvent> &b = steady.events();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].kind, b[i].kind);
@@ -420,15 +413,6 @@ TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
         EXPECT_EQ(a[i].value, b[i].value);
         EXPECT_DOUBLE_EQ(a[i].dvalue, b[i].dvalue);
     }
-
-    // The fast-forward span itself records the region's deltas.
-    const TraceEvent &span = fast.events().front();
-    ASSERT_EQ(span.kind, TraceEvent::Kind::Span);
-    EXPECT_EQ(span.name, "ff.region");
-    EXPECT_EQ(span.dur, 20u);
-    ASSERT_EQ(span.args.size(), 1u);
-    EXPECT_EQ(span.args[0].first, "mn.ops");
-    EXPECT_EQ(span.args[0].second, 100u);
 }
 
 TEST(TracerUnit, PhaseSpansCloseOnChangeAndSkipIdle)
@@ -477,10 +461,10 @@ TEST(TracerUnit, NestedBulkRegionsPanic)
 {
     StatsRegistry s;
     Tracer tr(s, 8, tmpPath("nested.trace.json"), "acc");
-    tr.bulkBegin();
-    EXPECT_THROW(tr.bulkBegin(), PanicError);
-    tr.bulkEnd(1, "x");
-    EXPECT_THROW(tr.bulkEnd(1, "x"), PanicError);
+    tr.steadyBegin();
+    EXPECT_THROW(tr.steadyBegin(), PanicError);
+    tr.steadyEnd(1);
+    EXPECT_THROW(tr.steadyEnd(1), PanicError);
 }
 
 TEST(TracerUnit, FlushWritesParsableJsonWithTailSample)
@@ -608,61 +592,6 @@ TEST(TracedRun, ProducesLoadableJsonWhoseSamplesSumToTheCounters)
     std::remove(path.c_str());
 }
 
-TEST(TracedRun, ExactAndFastForwardTracesAreIdentical)
-{
-    auto run = [](bool ff, const std::string &path, SimulationResult *r) {
-        HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
-        cfg.fast_forward = ff;
-        cfg.trace = true;
-        cfg.trace_file = path;
-        cfg.trace_sample_cycles = 32;
-        return runTracedConv(cfg, r);
-    };
-
-    const std::string pe = tmpPath("parity_exact.trace.json");
-    const std::string pf = tmpPath("parity_fast.trace.json");
-    SimulationResult re, rf;
-    std::unique_ptr<Stonne> exact = run(false, pe, &re);
-    std::unique_ptr<Stonne> fast = run(true, pf, &rf);
-    EXPECT_EQ(re.cycles, rf.cycles);
-
-    // Only the fast-forward track may differ between the modes: drop
-    // it and everything left — phase spans, counter samples, gauges,
-    // instants — must match event for event.
-    auto filtered = [](const Stonne &st) {
-        std::vector<TraceEvent> out;
-        for (const TraceEvent &ev :
-             const_cast<Stonne &>(st).accelerator().tracer()->events())
-            if (!(ev.kind == TraceEvent::Kind::Span &&
-                  ev.track == Tracer::kFastForwardTrack))
-                out.push_back(ev);
-        return out;
-    };
-    const std::vector<TraceEvent> a = filtered(*exact);
-    const std::vector<TraceEvent> b = filtered(*fast);
-    ASSERT_EQ(a.size(), b.size());
-    bool fast_spans_seen = false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
-        EXPECT_EQ(a[i].name, b[i].name) << "event " << i;
-        EXPECT_EQ(a[i].ts, b[i].ts) << "event " << a[i].name;
-        EXPECT_EQ(a[i].dur, b[i].dur) << "event " << a[i].name;
-        EXPECT_EQ(a[i].track, b[i].track) << "event " << a[i].name;
-        EXPECT_EQ(a[i].value, b[i].value) << "event " << a[i].name;
-        EXPECT_DOUBLE_EQ(a[i].dvalue, b[i].dvalue)
-            << "event " << a[i].name;
-    }
-    for (const TraceEvent &ev :
-         fast->accelerator().tracer()->events())
-        if (ev.kind == TraceEvent::Kind::Span &&
-            ev.track == Tracer::kFastForwardTrack)
-            fast_spans_seen = true;
-    EXPECT_TRUE(fast_spans_seen)
-        << "fast-forward mode must record at least one bulk region";
-    std::remove(pe.c_str());
-    std::remove(pf.c_str());
-}
-
 TEST(TracedRun, TraceOffLeavesNoPathAndNoFile)
 {
     const std::string path = tmpPath("off.trace.json");
@@ -697,7 +626,7 @@ class WedgedNetwork : public DistributionNetwork
     void
     bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
     {
-        panic("a wedged fabric cannot fast-forward");
+        panic("a wedged fabric cannot skip steady spans");
     }
     void cycle() override {}
     void reset() override {}
@@ -717,8 +646,7 @@ TEST(TracedRun, DeadlockLeavesAPostMortemTrace)
 
     try {
         deliverElements(wedged, accel.gb(), 8, 1, PackageKind::Input,
-                        &accel.watchdog(), nullptr,
-                        /*fast_forward=*/false, accel.tracer());
+                        &accel.watchdog(), nullptr, accel.tracer());
         FAIL() << "a wedged delivery must raise DeadlockError";
     } catch (const DeadlockError &) {
         // What Stonne::runOperation does on the same path.
