@@ -1,14 +1,9 @@
 #include "sweep.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <exception>
 #include <filesystem>
-#include <thread>
 
-#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
-#include "common/watchdog.hpp"
 
 namespace stonne::bench {
 
@@ -26,11 +21,9 @@ snapshotPath(const std::string &name)
 
 } // namespace
 
-RecoveringSweepRunner::RecoveringSweepRunner(
-    std::size_t threads, int max_attempts,
-    std::chrono::milliseconds backoff_base)
-    : pool_(threads), max_attempts_(max_attempts),
-      backoff_base_(backoff_base)
+RecoveringSweepRunner::RecoveringSweepRunner(std::size_t threads,
+                                             int max_attempts)
+    : pool_(threads), max_attempts_(max_attempts)
 {
     fatalIf(max_attempts_ < 1,
             "a recovering sweep needs at least one attempt per point");
@@ -46,58 +39,31 @@ RecoveringSweepRunner::run(const std::vector<Point> &points) const
     for (std::size_t i = 0; i < points.size(); ++i) {
         jobs.push_back([this, &points, &outcomes, i]() {
             const Point &p = points[i];
+            RecoveryPolicy policy;
+            policy.max_attempts = max_attempts_;
+            policy.snapshot_path = p.cfg.checkpoint_file != "stonne.ckpt"
+                                       ? p.cfg.checkpoint_file
+                                       : snapshotPath(p.name);
+            HardwareConfig cfg = p.cfg;
+            cfg.checkpoint = true;
+            cfg.checkpoint_file = policy.snapshot_path;
+
+            const RecoveryOutcome r = runWithRecovery(
+                policy, cfg,
+                [&](const HardwareConfig &acfg, const RecoveryAttempt &ra) {
+                    SweepAttempt a;
+                    static_cast<RecoveryAttempt &>(a) = ra;
+                    if (std::filesystem::exists(policy.snapshot_path))
+                        a.resume_from = policy.snapshot_path;
+                    p.fn(acfg, a);
+                });
+
             PointOutcome &out = outcomes[i];
             out.name = p.name;
-            const std::string ckpt = p.cfg.checkpoint_file != "stonne.ckpt"
-                                         ? p.cfg.checkpoint_file
-                                         : snapshotPath(p.name);
-
-            for (int attempt = 1; attempt <= max_attempts_; ++attempt) {
-                out.attempts = attempt;
-                SweepAttempt a;
-                a.attempt = attempt;
-                a.degraded = max_attempts_ > 1 &&
-                             attempt == max_attempts_;
-                if (std::filesystem::exists(ckpt))
-                    a.resume_from = ckpt;
-
-                HardwareConfig cfg = p.cfg;
-                cfg.checkpoint = true;
-                cfg.checkpoint_file = ckpt;
-                // The watchdog budget is not structural, so the
-                // restore below still accepts the snapshot.
-                if (a.degraded)
-                    cfg.watchdog_cycles *= 4;
-
-                try {
-                    p.fn(cfg, a);
-                    out.completed = true;
-                    out.degraded = a.degraded;
-                    std::error_code ec;
-                    std::filesystem::remove(ckpt, ec);
-                    return;
-                } catch (const DeadlockError &e) {
-                    out.failures.push_back({attempt,
-                                            "deadlock: " +
-                                                std::string(e.what())});
-                } catch (const CheckpointError &e) {
-                    // A corrupt/mismatched snapshot must not wedge the
-                    // point into resuming it forever: restart fresh.
-                    out.failures.push_back({attempt, e.what()});
-                    std::error_code ec;
-                    std::filesystem::remove(ckpt, ec);
-                } catch (const std::exception &e) {
-                    out.failures.push_back({attempt, e.what()});
-                }
-
-                if (attempt < max_attempts_ &&
-                    backoff_base_.count() > 0) {
-                    const auto delay = std::min(
-                        backoff_base_ * (1 << (attempt - 1)),
-                        std::chrono::milliseconds(2000));
-                    std::this_thread::sleep_for(delay);
-                }
-            }
+            out.attempts = r.attempts;
+            out.completed = r.status == "done";
+            out.degraded = out.completed && r.degraded;
+            out.failures = r.failures;
         });
     }
     pool_.run(jobs);
@@ -120,7 +86,7 @@ RecoveringSweepRunner::summary(const std::vector<PointOutcome> &outcomes)
         p.set("completed", o.completed);
         p.set("degraded", o.degraded);
         JsonValue fails = JsonValue::makeArray();
-        for (const SweepFailure &f : o.failures) {
+        for (const AttemptFailure &f : o.failures) {
             JsonValue fv = JsonValue::makeObject();
             fv.set("attempt", static_cast<std::int64_t>(f.attempt));
             fv.set("cause", f.cause);

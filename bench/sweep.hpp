@@ -5,13 +5,13 @@
  * The underlying thread pool (stonne::SweepRunner) lives in the
  * library (src/common/sweep_pool) so the design-space explorer can
  * share it; this header re-exports it into the bench namespace and
- * adds the checkpointed retry orchestration benchmarks use.
+ * runs each point on the library's retry ladder (common/recovery.hpp)
+ * with a per-point snapshot.
  */
 
 #ifndef STONNE_BENCH_SWEEP_HPP
 #define STONNE_BENCH_SWEEP_HPP
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -19,6 +19,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "common/sweep_pool.hpp"
 
 namespace stonne::bench {
@@ -26,17 +27,9 @@ namespace stonne::bench {
 using stonne::SweepRunner;
 
 /** One execution attempt handed to a recovering-sweep point function. */
-struct SweepAttempt {
-    int attempt = 1;         //!< 1-based attempt number
-    bool degraded = false;   //!< final attempt: exact engine, wide watchdog
+struct SweepAttempt : RecoveryAttempt {
     /** Snapshot left by the previous attempt ("" = start fresh). */
     std::string resume_from;
-};
-
-/** Record of one failed attempt of one point. */
-struct SweepFailure {
-    int attempt = 0;
-    std::string cause;
 };
 
 /** Final outcome of one point after all retries. */
@@ -45,19 +38,19 @@ struct PointOutcome {
     int attempts = 0;        //!< attempts consumed (>= 1)
     bool completed = false;
     bool degraded = false;   //!< completed only on the degraded attempt
-    std::vector<SweepFailure> failures;
+    std::vector<AttemptFailure> failures;
 };
 
 /**
  * Crash-recovering sweep: runs every point over the thread pool, and
- * instead of letting one pathological point (a deadlock, a
- * fault-induced failure) abort the whole sweep, retries it with
- * bounded exponential backoff from its last checkpoint. Each point's
- * configuration is handed back with `checkpoint = ON` and a per-point
- * snapshot file, so a failed attempt resumes from the last layer/
- * operation boundary rather than from scratch; the final attempt runs
- * degraded — a 4x watchdog budget — to outwait a slow-but-live point
- * (checkpoint restore accepts that, the watchdog is not structural). Per-point
+ * instead of letting one pathological point (a deadlock, a corrupt
+ * snapshot) abort the whole sweep, retries it on the shared retry
+ * ladder. Each point's configuration is handed back with
+ * `checkpoint = ON` and a per-point snapshot file, so a failed attempt
+ * resumes from the last layer/operation boundary rather than from
+ * scratch; the final attempt runs with a 4x watchdog window to outwait
+ * a slow-but-live point. A budget overrun or any other exception is
+ * terminal: the deterministic simulator would reproduce it. Per-point
  * attempt counts and failure causes land in the JSON summary.
  */
 class RecoveringSweepRunner
@@ -68,7 +61,8 @@ class RecoveringSweepRunner
      * configuration with the runner's checkpoint/degradation overlay
      * applied). When `attempt.resume_from` is non-empty, a snapshot of
      * a previous attempt exists at that path and should be resumed.
-     * Throwing signals failure and triggers the retry path.
+     * Throwing signals failure; DeadlockError and CheckpointError
+     * trigger a retry.
      */
     using PointFn =
         std::function<void(const HardwareConfig &cfg,
@@ -85,13 +79,9 @@ class RecoveringSweepRunner
      * @param threads pool size; 0 picks the hardware concurrency
      * @param max_attempts attempts per point (>= 1); the last one runs
      *        degraded when max_attempts > 1
-     * @param backoff_base first retry delay, doubled per attempt and
-     *        capped at 2 s; zero disables sleeping (tests)
      */
-    explicit RecoveringSweepRunner(
-        std::size_t threads = 0, int max_attempts = 3,
-        std::chrono::milliseconds backoff_base =
-            std::chrono::milliseconds(100));
+    explicit RecoveringSweepRunner(std::size_t threads = 0,
+                                   int max_attempts = 3);
 
     std::size_t threadCount() const { return pool_.threadCount(); }
 
@@ -108,7 +98,6 @@ class RecoveringSweepRunner
   private:
     SweepRunner pool_;
     int max_attempts_;
-    std::chrono::milliseconds backoff_base_;
 };
 
 } // namespace stonne::bench

@@ -296,9 +296,9 @@ struct HardwareConfig {
 
     /**
      * Retries after a job's first failed attempt (DeadlockError or
-     * CheckpointError): bounded exponential backoff between attempts,
-     * and the final attempt runs degraded (watchdog budget x4) exactly
-     * like the recovering sweep runner. 0 disables retrying.
+     * CheckpointError) on the shared retry ladder (common/recovery.hpp):
+     * retries start at once and the final one runs degraded (watchdog
+     * budget x4). 0 disables retrying.
      */
     index_t job_retries = 2;
 
@@ -352,8 +352,8 @@ struct HardwareConfig {
      * away: engine, watchdog budget, trace/checkpoint destinations
      * and the dse tuning knobs may all legitimately differ between two
      * runs of the *same* simulated hardware (both engines are
-     * bit-identical; the recovering sweep runner's degraded retries
-     * and the dse result cache rely on exactly that), but everything
+     * bit-identical; the retry ladder's degraded attempts and the dse
+     * result cache rely on exactly that), but everything
      * architectural must
      * match exactly. Checkpoint restores compare snapshots with this,
      * and the dse cache keys simulation outcomes on it.

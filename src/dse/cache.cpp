@@ -63,6 +63,14 @@ ResultCache::keyText(const HardwareConfig &cfg, const LayerSpec &layer,
     return os.str();
 }
 
+std::string
+ResultCache::policyText(std::uint64_t seed, double sparsity)
+{
+    std::ostringstream os;
+    os << "seed=" << seed << " sparsity=" << sparsity;
+    return os.str();
+}
+
 std::optional<CachedOutcome>
 ResultCache::lookup(const std::string &key_text) const
 {

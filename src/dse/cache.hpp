@@ -76,6 +76,13 @@ class ResultCache
                                const LayerSpec &layer, const Tile &tile,
                                const std::string &policy);
 
+    /**
+     * The data-policy part of a key: the knobs that shape operands.
+     * Tuner, explorer and service jobs all key on it, so their
+     * evaluations of the same point share one entry.
+     */
+    static std::string policyText(std::uint64_t seed, double sparsity);
+
     /** Look up a key; the stored key text must match byte-for-byte. */
     std::optional<CachedOutcome> lookup(const std::string &key_text) const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
-#include <sstream>
 
 #include "analytical/maeri_model.hpp"
 #include "common/logging.hpp"
@@ -38,15 +37,6 @@ averageRanks(const std::vector<double> &v)
         i = j + 1;
     }
     return ranks;
-}
-
-/** Data-policy part of the cache key: the knobs that shape operands. */
-std::string
-policyText(const TuneOptions &o)
-{
-    std::ostringstream os;
-    os << "seed=" << o.seed << " sparsity=" << o.sparsity;
-    return os.str();
 }
 
 /**
@@ -171,7 +161,8 @@ AutoTuner::tuneLayer(const LayerSpec &layer)
              greedy.canonical()});
 
     // Serve what the cache knows; collect the rest as simulation jobs.
-    const std::string policy = policyText(opts_);
+    const std::string policy =
+        ResultCache::policyText(opts_.seed, opts_.sparsity);
     struct Slot {
         EvaluatedTile et;
         std::string key;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <set>
-#include <sstream>
 
 #include "analytical/maeri_model.hpp"
 #include "analytical/scalesim_model.hpp"
@@ -20,16 +19,6 @@
 namespace stonne::explore {
 
 namespace {
-
-/** Data-policy part of the cache key (same shape as the tuner's, so
- *  explorer and tuner evaluations of the same point share entries). */
-std::string
-policyText(const ExploreOptions &o)
-{
-    std::ostringstream os;
-    os << "seed=" << o.seed << " sparsity=" << o.sparsity;
-    return os.str();
-}
 
 /** Variant as actually simulated: side-effect knobs silenced so the
  *  sweep's worker threads never race on shared trace/checkpoint files
@@ -286,7 +275,8 @@ Explorer::exploreLayer(const LayerSpec &layer)
     take_top([](const Objectives &o) { return o.area_um2; });
 
     // Fidelity 2: cycle-level simulation, cache first.
-    const std::string policy = policyText(opts_);
+    const std::string policy =
+        dse::ResultCache::policyText(opts_.seed, opts_.sparsity);
     struct Slot {
         std::size_t cand;
         std::string key;

@@ -184,8 +184,7 @@ MulticoreRunner::healthyCores() const
 bool
 MulticoreRunner::canQuarantine() const
 {
-    return fault_tolerant_ &&
-        healthyCores().size() >= 2;
+    return healthyCores().size() >= 2;
 }
 
 Tensor

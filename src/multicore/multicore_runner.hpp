@@ -155,16 +155,6 @@ class MulticoreRunner
 
     // --- fault tolerance ---------------------------------------------
 
-    /**
-     * Whether a terminal per-core fault quarantines the core and
-     * migrates its work (the default) or propagates as on a single
-     * accelerator. The service envelope disables this on its final
-     * degraded attempt so a systematically sick composition still
-     * surfaces its root cause.
-     */
-    void setFaultTolerant(bool enabled) { fault_tolerant_ = enabled; }
-    bool faultTolerant() const { return fault_tolerant_; }
-
     void setQuarantineObserver(QuarantineObserver obs)
     {
         observer_ = std::move(obs);
@@ -263,7 +253,6 @@ class MulticoreRunner
     // --- fault-tolerance state (sticky across runs: a benched core
     // --- stays benched for the runner's lifetime) --------------------
     std::vector<char> quarantined_;
-    bool fault_tolerant_ = true;
     count_t migrations_ = 0;
     cycle_t resume_cycle_ = 0;
     index_t restore_fallbacks_ = 0;

@@ -4,12 +4,9 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
-#include "common/watchdog.hpp"
 #include "dse/tuner.hpp"
 #include "explore/explorer.hpp"
 #include "engine/output_module.hpp"
@@ -32,6 +29,38 @@ msSince(Clock::time_point t0)
 {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0)
         .count();
+}
+
+/** Result line head: type, id, status and, unless done, the error. */
+JsonValue
+resultHead(const std::string &id, const RecoveryOutcome &out)
+{
+    JsonValue r = JsonValue::makeObject();
+    r.set("type", "result");
+    r.set("id", id);
+    r.set("status", out.status);
+    if (out.status != "done")
+        r.set("error", out.error);
+    return r;
+}
+
+/** The `service` block fields every job type shares: attempts,
+ *  degraded and the per-attempt failure causes. */
+JsonValue
+serviceBlock(const RecoveryOutcome &out)
+{
+    JsonValue svc = JsonValue::makeObject();
+    svc.set("attempts", static_cast<std::int64_t>(out.attempts));
+    svc.set("degraded", out.degraded);
+    JsonValue failures = JsonValue::makeArray();
+    for (const AttemptFailure &f : out.failures) {
+        JsonValue fj = JsonValue::makeObject();
+        fj.set("attempt", static_cast<std::int64_t>(f.attempt));
+        fj.set("cause", f.cause);
+        failures.append(std::move(fj));
+    }
+    svc["failures"] = std::move(failures);
+    return svc;
 }
 
 std::size_t
@@ -292,49 +321,64 @@ ServiceDaemon::handleLine(const std::string &line)
     return !shutdownRequested();
 }
 
-void
-ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
-                      Clock::time_point admitted_at)
+double
+ServiceDaemon::startJob(const std::string &id, Clock::time_point admitted_at)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         --queued_;
     }
     const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
+    emitStatus(id, "running");
+    return queue_wait_ms;
+}
 
-    EnvelopeOptions eo;
-    eo.max_attempts = static_cast<int>(cfg.job_retries) + 1;
-    eo.backoff_base = opts_.backoff_base;
-    eo.budget_wall_ms = cfg.job_budget_wall_ms;
+void
+ServiceDaemon::emitRetry(const std::string &id, int next_attempt,
+                         const std::string &cause, bool degraded)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++counters_.retries;
+    }
+    JsonValue r = JsonValue::makeObject();
+    r.set("type", "status");
+    r.set("id", id);
+    r.set("state", "retrying");
+    r.set("attempt", static_cast<std::int64_t>(next_attempt));
+    r.set("degraded", degraded);
+    r.set("cause", cause);
+    emit(r);
+}
+
+RecoveryPolicy
+ServiceDaemon::recoveryPolicy(const JobRequest &req,
+                              const HardwareConfig &cfg)
+{
+    RecoveryPolicy p;
+    p.max_attempts = static_cast<int>(cfg.job_retries) + 1;
+    p.budget_wall_ms = cfg.job_budget_wall_ms;
+    p.on_retry = [this, id = req.id](int next_attempt,
+                                     const std::string &cause,
+                                     bool degraded) {
+        emitRetry(id, next_attempt, cause, degraded);
+    };
+    return p;
+}
+
+void
+ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
+                      Clock::time_point admitted_at)
+{
+    const double queue_wait_ms = startJob(req.id, admitted_at);
+    EnvelopeOptions eo{recoveryPolicy(req, cfg), &cache_, req.use_cache};
     if (req.repeat > 1)
         eo.snapshot_path = snapshotPathFor(req.id);
-    eo.cache = &cache_;
-    eo.use_cache = req.use_cache;
-    eo.on_retry = [this, &req](int next_attempt, const std::string &cause,
-                               bool degraded) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++counters_.retries;
-        }
-        JsonValue r = JsonValue::makeObject();
-        r.set("type", "status");
-        r.set("id", req.id);
-        r.set("state", "retrying");
-        r.set("attempt", static_cast<std::int64_t>(next_attempt));
-        r.set("degraded", degraded);
-        r.set("cause", cause);
-        emit(r);
-    };
-
     const JobOutcome out = runJobEnvelope(cfg, req.layer, req.tile,
                                           req.seed, req.sparsity,
                                           req.repeat, eo);
 
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
-    r.set("status", out.status);
+    JsonValue r = resultHead(req.id, out);
     if (out.status == "done") {
         if (out.cache_hit) {
             JsonValue s = JsonValue::makeObject();
@@ -346,74 +390,41 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
         } else {
             r["summary"] = OutputModule::summary(cfg, out.result);
         }
-    } else {
-        r.set("error", out.error);
     }
 
-    JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts", static_cast<std::int64_t>(out.attempts));
-    svc.set("degraded", out.degraded);
+    JsonValue svc = serviceBlock(out);
     svc.set("cache_hit", out.cache_hit);
     svc.set("ops", static_cast<std::uint64_t>(req.repeat));
     svc.set("ops_resumed", static_cast<std::uint64_t>(out.ops_resumed));
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
     svc.set("output_crc32", static_cast<std::uint64_t>(out.output_crc32));
-    JsonValue failures = JsonValue::makeArray();
-    for (const AttemptFailure &f : out.failures) {
-        JsonValue fj = JsonValue::makeObject();
-        fj.set("attempt", static_cast<std::int64_t>(f.attempt));
-        fj.set("cause", f.cause);
-        failures.append(std::move(fj));
-    }
     r["service"] = std::move(svc);
-    r["service"]["failures"] = std::move(failures);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (out.status == "done")
-            ++counters_.done;
-        else if (out.status == "timeout")
-            ++counters_.timeout;
-        else
-            ++counters_.failed;
-        if (out.cache_hit)
-            ++counters_.cache_hits;
-    }
-    finishJob(req.id);
-    emit(r);
+    finishJob(req.id, out.status, out.cache_hit ? 1 : 0, r);
 }
 
 void
 ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
                        Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
+    const double queue_wait_ms = startJob(req.id, admitted_at);
+    dse::TuneReport rep;
+    const RecoveryOutcome out = runWithRecovery(
+        recoveryPolicy(req, cfg), cfg,
+        [&](const HardwareConfig &acfg, const RecoveryAttempt &) {
+            dse::TuneOptions topts;
+            topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
+            // The daemon's workers are the parallelism; a nested
+            // candidate pool per tune job would oversubscribe the host.
+            topts.threads = 1;
+            topts.sparsity = req.sparsity;
+            topts.seed = req.seed;
+            dse::AutoTuner tuner(acfg, topts, cache_);
+            rep = tuner.tuneLayer(req.layer);
+        });
 
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
-    std::uint64_t hit_count = 0;
-    bool ok = false;
-    try {
-        dse::TuneOptions topts;
-        topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
-        // The daemon's workers are the parallelism; a nested candidate
-        // pool per tune job would oversubscribe the host.
-        topts.threads = 1;
-        topts.sparsity = req.sparsity;
-        topts.seed = req.seed;
-        dse::AutoTuner tuner(cfg, topts, cache_);
-        const dse::TuneReport rep = tuner.tuneLayer(req.layer);
-        hit_count = rep.cache_hits;
-        ok = true;
-
-        r.set("status", "done");
+    JsonValue r = resultHead(req.id, out);
+    if (out.status == "done") {
         JsonValue s = JsonValue::makeObject();
         s.set("chosen_tile", rep.best.canonical());
         s.set("chosen_cycles", static_cast<std::uint64_t>(rep.best_cycles));
@@ -426,61 +437,25 @@ ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
         s.set("simulations_run", rep.simulations_run);
         s.set("rank_correlation", rep.rank_correlation);
         r["summary"] = std::move(s);
-    } catch (const std::exception &e) {
-        r.set("status", "failed");
-        r.set("error", e.what());
     }
 
-    JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts", static_cast<std::int64_t>(1));
-    svc.set("degraded", false);
-    svc.set("cache_hit", hit_count > 0);
+    JsonValue svc = serviceBlock(out);
+    svc.set("cache_hit", rep.cache_hits > 0);
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
     r["service"] = std::move(svc);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else
-            ++counters_.failed;
-        counters_.cache_hits += hit_count;
-    }
-    finishJob(req.id);
-    emit(r);
+    finishJob(req.id, out.status, rep.cache_hits, r);
 }
 
 void
 ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
                           Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
-
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
-    std::uint64_t hit_count = 0;
-    int attempts = 0;
-    bool ok = false;
-    bool degraded = false;
-    bool timed_out = false;
-    const int max_attempts = static_cast<int>(cfg.job_retries) + 1;
-    while (attempts < max_attempts && !ok && !timed_out) {
-        ++attempts;
-        HardwareConfig attempt_cfg = cfg;
-        if (attempts == max_attempts && max_attempts > 1) {
-            // Last rung of the ladder, as the run envelope does: a
-            // patient watchdog.
-            attempt_cfg.watchdog_cycles = cfg.watchdog_cycles * 4;
-            degraded = true;
-        }
-        try {
+    const double queue_wait_ms = startJob(req.id, admitted_at);
+    explore::ExploreReport rep;
+    const RecoveryOutcome out = runWithRecovery(
+        recoveryPolicy(req, cfg), cfg,
+        [&](const HardwareConfig &acfg, const RecoveryAttempt &) {
             explore::ExploreOptions eopts;
             eopts.top_k = req.top_k ? *req.top_k : cfg.explore_top_k;
             eopts.axes = req.axes.empty() ? cfg.explore_axes : req.axes;
@@ -490,88 +465,30 @@ ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
             eopts.threads = 1;
             eopts.sparsity = req.sparsity;
             eopts.seed = req.seed;
-            explore::Explorer explorer(attempt_cfg, eopts, cache_);
-            const explore::ExploreReport rep =
-                explorer.exploreLayer(req.layer);
-            hit_count = rep.cache_hits;
-            ok = true;
-            r.set("status", "done");
-            r["summary"] = rep.json();
-        } catch (const BudgetExceededError &e) {
-            timed_out = true;
-            r.set("status", "timeout");
-            r.set("error", e.what());
-        } catch (const std::exception &e) {
-            const bool retryable =
-                dynamic_cast<const DeadlockError *>(&e) != nullptr ||
-                dynamic_cast<const CheckpointError *>(&e) != nullptr;
-            if (retryable && attempts < max_attempts) {
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++counters_.retries;
-                }
-                JsonValue s = JsonValue::makeObject();
-                s.set("type", "status");
-                s.set("id", req.id);
-                s.set("state", "retrying");
-                s.set("attempt",
-                      static_cast<std::int64_t>(attempts + 1));
-                s.set("degraded", attempts + 1 == max_attempts);
-                s.set("cause", std::string(e.what()));
-                emit(s);
-                if (opts_.backoff_base.count() > 0)
-                    std::this_thread::sleep_for(opts_.backoff_base *
-                                                attempts);
-                continue;
-            }
-            r.set("status", "failed");
-            r.set("error", e.what());
-            break;
-        }
-    }
+            explore::Explorer explorer(acfg, eopts, cache_);
+            rep = explorer.exploreLayer(req.layer);
+        });
 
-    JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts", static_cast<std::int64_t>(attempts));
-    svc.set("degraded", degraded);
-    svc.set("cache_hit", hit_count > 0);
+    JsonValue r = resultHead(req.id, out);
+    if (out.status == "done")
+        r["summary"] = rep.json();
+
+    JsonValue svc = serviceBlock(out);
+    svc.set("cache_hit", rep.cache_hits > 0);
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
     r["service"] = std::move(svc);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else if (timed_out)
-            ++counters_.timeout;
-        else
-            ++counters_.failed;
-        counters_.cache_hits += hit_count;
-    }
-    finishJob(req.id);
-    emit(r);
+    finishJob(req.id, out.status, rep.cache_hits, r);
 }
 
 void
 ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
                         Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
-
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
-
-    DnnModel model;
-    std::vector<Tensor> inputs;
-    bool loaded = false;
+    const double queue_wait_ms = startJob(req.id, admitted_at);
+    ModelJobOutcome out;
     try {
-        model = loadModelFromFile(req.model_path, req.seed);
+        const DnnModel model = loadModelFromFile(req.model_path, req.seed);
         fatalIf(model.layers.empty(), "model '" + req.model_path +
                                           "' has no layers");
 
@@ -579,6 +496,7 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
         // same network over `batch` independently drawn activations.
         const DnnLayer &first = model.layers.front();
         Rng rng(req.seed);
+        std::vector<Tensor> inputs;
         for (index_t b = 0; b < req.batch; ++b) {
             Tensor in;
             if (first.op == OpType::Conv2d ||
@@ -592,70 +510,43 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
             in.fillUniform(rng, 0.0f, 1.0f);
             inputs.push_back(std::move(in));
         }
-        loaded = true;
-    } catch (const std::exception &e) {
-        r.set("status", "failed");
-        r.set("error", e.what());
-    }
 
-    ModelJobOutcome out;
-    if (loaded) {
-        ModelEnvelopeOptions eo;
-        eo.max_attempts = static_cast<int>(cfg.job_retries) + 1;
-        eo.backoff_base = opts_.backoff_base;
-        eo.budget_wall_ms = cfg.job_budget_wall_ms;
-        eo.snapshot_path = snapshotPathFor(req.id);
-        eo.on_retry = [this, &req](int next_attempt,
-                                   const std::string &cause,
-                                   bool degraded) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++counters_.retries;
-            }
-            JsonValue s = JsonValue::makeObject();
-            s.set("type", "status");
-            s.set("id", req.id);
-            s.set("state", "retrying");
-            s.set("attempt", static_cast<std::int64_t>(next_attempt));
-            s.set("degraded", degraded);
-            s.set("cause", cause);
-            emit(s);
-        };
-        // Quarantine-then-migrate is the first rung of the ladder; the
+        // Quarantine-then-migrate runs inside every attempt; the
         // status stream surfaces each transition as it happens so a
         // client watching the job sees the degradation live.
-        eo.on_quarantine = [this, &req](index_t core,
-                                        const std::string &cause,
-                                        count_t migrations,
-                                        cycle_t resume_cycle) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++counters_.quarantines;
-            }
-            JsonValue s = JsonValue::makeObject();
-            s.set("type", "status");
-            s.set("id", req.id);
-            s.set("state", "quarantined");
-            s.set("core", static_cast<std::int64_t>(core));
-            s.set("cause", cause);
-            s.set("migrations", static_cast<std::uint64_t>(migrations));
-            s.set("resume_cycle",
-                  static_cast<std::uint64_t>(resume_cycle));
-            emit(s);
-        };
-
+        ModelEnvelopeOptions eo{
+            recoveryPolicy(req, cfg),
+            [this, &req](index_t core, const std::string &cause,
+                         count_t migrations, cycle_t resume_cycle) {
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    ++counters_.quarantines;
+                }
+                JsonValue s = JsonValue::makeObject();
+                s.set("type", "status");
+                s.set("id", req.id);
+                s.set("state", "quarantined");
+                s.set("core", static_cast<std::int64_t>(core));
+                s.set("cause", cause);
+                s.set("migrations", static_cast<std::uint64_t>(migrations));
+                s.set("resume_cycle",
+                      static_cast<std::uint64_t>(resume_cycle));
+                emit(s);
+            }};
+        eo.snapshot_path = snapshotPathFor(req.id);
         out = runModelJobEnvelope(model, cfg, inputs, eo);
-        r.set("status", out.status);
-        if (out.status == "done")
-            r["summary"] = std::move(out.report);
-        else
-            r.set("error", out.error);
+    } catch (const std::exception &e) {
+        // The model or its inputs could not be built: one attempt,
+        // failed before the ladder started.
+        out.attempts = 1;
+        out.error = e.what();
     }
 
-    JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts",
-            static_cast<std::int64_t>(loaded ? out.attempts : 1));
-    svc.set("degraded", out.degraded);
+    JsonValue r = resultHead(req.id, out);
+    if (out.status == "done")
+        r["summary"] = std::move(out.report);
+
+    JsonValue svc = serviceBlock(out);
     svc.set("cache_hit", false);
     svc.set("batch", static_cast<std::int64_t>(req.batch));
     JsonValue degraded_cores = JsonValue::makeArray();
@@ -674,41 +565,32 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
     svc.set("output_crc32", static_cast<std::uint64_t>(out.output_crc32));
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    JsonValue failures = JsonValue::makeArray();
-    for (const AttemptFailure &f : out.failures) {
-        JsonValue fj = JsonValue::makeObject();
-        fj.set("attempt", static_cast<std::int64_t>(f.attempt));
-        fj.set("cause", f.cause);
-        failures.append(std::move(fj));
-    }
-    svc["failures"] = std::move(failures);
     r["service"] = std::move(svc);
-
-    const bool ok = loaded && out.status == "done";
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else if (loaded && out.status == "timeout")
-            ++counters_.timeout;
-        else
-            ++counters_.failed;
-    }
-    finishJob(req.id);
-    emit(r);
+    finishJob(req.id, out.status, 0, r);
 }
 
 void
-ServiceDaemon::finishJob(const std::string &id)
+ServiceDaemon::finishJob(const std::string &id, const std::string &status,
+                         std::uint64_t cache_hits, const JsonValue &result)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_ids_.erase(id);
-    recent_ids_.push_back(id);
-    recent_id_set_.insert(id);
-    while (recent_ids_.size() > kRecentIdCapacity) {
-        recent_id_set_.erase(recent_ids_.front());
-        recent_ids_.pop_front();
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (status == "done")
+            ++counters_.done;
+        else if (status == "timeout")
+            ++counters_.timeout;
+        else
+            ++counters_.failed;
+        counters_.cache_hits += cache_hits;
+        active_ids_.erase(id);
+        recent_ids_.push_back(id);
+        recent_id_set_.insert(id);
+        while (recent_ids_.size() > kRecentIdCapacity) {
+            recent_id_set_.erase(recent_ids_.front());
+            recent_ids_.pop_front();
+        }
     }
+    emit(result);
 }
 
 void

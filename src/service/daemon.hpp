@@ -42,6 +42,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "common/sweep_pool.hpp"
 #include "dse/cache.hpp"
 #include "service/protocol.hpp"
@@ -62,9 +63,6 @@ struct ServiceOptions {
 
     /** Directory for per-job snapshot files. */
     std::string snapshot_dir = ".";
-
-    /** Retry backoff base (0 ms = no sleep; tests use that). */
-    std::chrono::milliseconds backoff_base{50};
 
     /**
      * Spawn workers in the constructor. Pass false + startWorkers()
@@ -140,6 +138,17 @@ class ServiceDaemon
     void emitStatus(const std::string &id, const std::string &state);
     void emitError(const std::string &id, const std::string &code,
                    const std::string &message, bool rejected_job);
+    /** Leave the queue and stream `running`; returns the queue wait. */
+    double startJob(const std::string &id,
+                    std::chrono::steady_clock::time_point admitted_at);
+    /** The retry hook of every job type: counts the retry and streams
+     *  the `retrying` status line. */
+    void emitRetry(const std::string &id, int next_attempt,
+                   const std::string &cause, bool degraded);
+    /** The job's retry ladder: `job_retries`, the wall budget and
+     *  emitRetry as the hook. */
+    RecoveryPolicy recoveryPolicy(const JobRequest &req,
+                                  const HardwareConfig &cfg);
     void runJob(const JobRequest &req, const HardwareConfig &cfg,
                 std::chrono::steady_clock::time_point admitted_at);
     void runTune(const JobRequest &req, const HardwareConfig &cfg,
@@ -148,7 +157,10 @@ class ServiceDaemon
                     std::chrono::steady_clock::time_point admitted_at);
     void runModel(const JobRequest &req, const HardwareConfig &cfg,
                   std::chrono::steady_clock::time_point admitted_at);
-    void finishJob(const std::string &id);
+    /** Count the job's terminal status, release its id, emit its
+     *  result line. */
+    void finishJob(const std::string &id, const std::string &status,
+                   std::uint64_t cache_hits, const JsonValue &result);
     std::string snapshotPathFor(const std::string &id) const;
 
     ServiceOptions opts_;

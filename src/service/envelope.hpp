@@ -2,42 +2,36 @@
  * @file
  * Per-job robustness envelope of the simulation service.
  *
- * Every admitted run job executes inside this envelope:
+ * Every admitted run and run_model job executes inside this envelope,
+ * on the shared retry ladder of common/recovery.hpp:
  *
  *  - budgets: the configuration's `job_budget_cycles` arms the
- *    progress watchdog's simulated-cycle ceiling; the envelope's wall
+ *    progress watchdog's simulated-cycle ceiling; the policy's wall
  *    budget arms a host-clock deadline shared by all attempts of the
  *    job. Crossing either throws BudgetExceededError and reports the
- *    job as `timeout` — terminal, never retried (the run was making
- *    progress; a different policy cannot help).
+ *    job as `timeout`, terminal.
  *
- *  - retry with backoff: DeadlockError and CheckpointError are the
- *    retryable failures. Between attempts the envelope sleeps
- *    base * 2^(attempt-1) capped at 2 s, and the *final* attempt runs
- *    degraded exactly like the recovering sweep runner: the watchdog
- *    window widened x4 (outwaits transient stalls).
+ *  - retry: DeadlockError and CheckpointError are the retryable
+ *    failures; the final attempt runs with the watchdog window widened
+ *    x4. Any other exception (configuration conflicts, mistakes that
+ *    slipped admission) is terminal.
  *
  *  - resume-instead-of-restart: a multi-operation job (`repeat` > 1)
  *    snapshots engine state + merged results at operation boundaries;
  *    a retry resumes from the snapshot instead of re-simulating the
- *    completed operations. A corrupt snapshot is deleted and the
- *    attempt restarts clean — damage never fails the job by itself.
+ *    completed operations. A corrupt snapshot is deleted and the next
+ *    attempt restarts clean: damage never fails the job by itself.
  *
  *  - warm answers: cacheable jobs (dense controller, single op, no
  *    faults) are first served from the shared design-space ResultCache
  *    and record their outcome into it, so a re-submitted point costs a
  *    hash lookup instead of a simulation. Keys are tuner-compatible:
  *    a tune job's evaluations warm run jobs and vice versa.
- *
- * Any other exception (configuration conflicts, protocol-level
- * mistakes that slipped admission) is terminal: retrying cannot fix a
- * deterministic error.
  */
 
 #ifndef STONNE_SERVICE_ENVELOPE_HPP
 #define STONNE_SERVICE_ENVELOPE_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -46,6 +40,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
 #include "dse/cache.hpp"
@@ -54,50 +49,17 @@
 
 namespace stonne::service {
 
-/** One failed attempt inside the envelope. */
-struct AttemptFailure {
-    int attempt = 0;
-    std::string cause;
-};
-
-/** Envelope policy for one job. */
-struct EnvelopeOptions {
-    /** Total attempts (first try + retries); >= 1. */
-    int max_attempts = 3;
-
-    /** Backoff base; attempt n sleeps base * 2^(n-1). 0 = no sleep. */
-    std::chrono::milliseconds backoff_base{50};
-
-    /** Backoff ceiling. */
-    std::chrono::milliseconds backoff_cap{2000};
-
-    /** Whole-job wall-clock budget in ms (0 = unbounded). */
-    index_t budget_wall_ms = 0;
-
-    /** Snapshot file for multi-op jobs ("" disables snapshots). */
-    std::string snapshot_path;
-
+/** Envelope policy for one `run` job: the retry policy plus the cache. */
+struct EnvelopeOptions : RecoveryPolicy {
     /** Shared result cache (nullptr = no caching). */
     dse::ResultCache *cache = nullptr;
     bool use_cache = true;
-
-    /** Called before each retry: (next_attempt, cause, degraded). */
-    std::function<void(int, const std::string &, bool)> on_retry;
 };
 
-/** What happened to one job. */
-struct JobOutcome {
-    /** done | failed | timeout */
-    std::string status = "failed";
-
-    int attempts = 0;
-    bool degraded = false;   //!< the final attempt ran degraded
+/** What happened to one job (attempts 0 on a cache hit). */
+struct JobOutcome : RecoveryOutcome {
     bool cache_hit = false;  //!< served from the shared result cache
     index_t ops_resumed = 0; //!< operations skipped via the snapshot
-    std::vector<AttemptFailure> failures;
-
-    /** Terminal error text (failed / timeout). */
-    std::string error;
 
     /** Full result when status == "done" and !cache_hit. */
     SimulationResult result;
@@ -121,25 +83,7 @@ JobOutcome runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
                           index_t repeat, const EnvelopeOptions &opts);
 
 /** Envelope policy for one `run_model` job (multi-core composition). */
-struct ModelEnvelopeOptions {
-    /** Total attempts (first try + retries); >= 1. */
-    int max_attempts = 3;
-
-    /** Backoff base; attempt n sleeps base * 2^(n-1). 0 = no sleep. */
-    std::chrono::milliseconds backoff_base{50};
-
-    /** Backoff ceiling. */
-    std::chrono::milliseconds backoff_cap{2000};
-
-    /** Whole-job wall-clock budget in ms (0 = unbounded). */
-    index_t budget_wall_ms = 0;
-
-    /** Snapshot file for resume-instead-of-restart ("" disables). */
-    std::string snapshot_path;
-
-    /** Called before each retry: (next_attempt, cause, degraded). */
-    std::function<void(int, const std::string &, bool)> on_retry;
-
+struct ModelEnvelopeOptions : RecoveryPolicy {
     /** Called on each in-run quarantine event: (sick core, cause,
      *  cumulative migrations, global resume cycle). */
     std::function<void(index_t, const std::string &, count_t, cycle_t)>
@@ -147,13 +91,7 @@ struct ModelEnvelopeOptions {
 };
 
 /** What happened to one `run_model` job. */
-struct ModelJobOutcome {
-    /** done | failed | timeout */
-    std::string status = "failed";
-
-    int attempts = 0;
-    bool degraded = false; //!< the final attempt ran degraded
-
+struct ModelJobOutcome : RecoveryOutcome {
     /** Cores quarantined during the completing attempt. */
     std::vector<index_t> degraded_cores;
     /** Work-migration events of the completing attempt. */
@@ -165,11 +103,6 @@ struct ModelJobOutcome {
     /** Cores that actually finished the job (the healthy set). */
     std::vector<index_t> cores_finished;
 
-    std::vector<AttemptFailure> failures;
-
-    /** Terminal error text (failed / timeout). */
-    std::string error;
-
     /** The runner's full JSON report when status == "done". */
     JsonValue report;
 
@@ -180,17 +113,12 @@ struct ModelJobOutcome {
 };
 
 /**
- * Run one `run_model` job — a whole-network inference on a (possibly
- * multi-core) composition — under the service retry ladder:
- *
- *  1. in-run core quarantine + work migration (fault-tolerant runner):
- *     a per-core terminal fault benches the core and the survivors
- *     finish the job at degraded throughput — no restart at all;
- *  2. retry with backoff, resuming from the job snapshot when one
- *     exists (a corrupt snapshot is deleted and the attempt restarts
- *     clean);
- *  3. final degraded restart: watchdog window x4, fault tolerance OFF so a systematically sick composition still
- *     surfaces its root cause instead of quarantining every core.
+ * Run one `run_model` job, a whole-network inference on a (possibly
+ * multi-core) composition. Inside every attempt the fault-tolerant
+ * runner absorbs a per-core terminal fault by quarantining the core
+ * and migrating its work to the survivors, with no retry consumed.
+ * Only what escapes the runner climbs the retry ladder, resuming from
+ * the job snapshot when one exists.
  *
  * Never throws: every failure mode lands in the returned outcome.
  */

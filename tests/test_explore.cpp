@@ -471,7 +471,6 @@ TEST(ExploreService, ServesExploreJobsThroughTheEnvelope)
     service::ServiceOptions opts;
     opts.base = HardwareConfig::maeriLike(16, 8);
     opts.base.service_workers = 1;
-    opts.backoff_base = std::chrono::milliseconds(0);
     service::ServiceDaemon daemon(opts, out);
 
     EXPECT_TRUE(daemon.handleLine(

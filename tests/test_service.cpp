@@ -511,7 +511,6 @@ TEST(ServiceEnvelope, DeadlockRetriesThenDegradedAttemptSucceeds)
     ServiceOptions opts;
     opts.base = HardwareConfig::maeriLike(64, 16);
     opts.base.service_workers = 1;
-    opts.backoff_base = std::chrono::milliseconds(0);
     ServiceDaemon daemon(opts, out);
 
     EXPECT_TRUE(daemon.handleLine(faultyRunRequest("recov", w, 2)));
@@ -564,7 +563,6 @@ TEST(ServiceEnvelope, SnapshotResumeSkipsCompletedOperations)
     TempFile snap("test_service_resume.ckpt");
     EnvelopeOptions eo;
     eo.max_attempts = 1; // fail fast: the snapshot must survive failure
-    eo.backoff_base = std::chrono::milliseconds(0);
     eo.snapshot_path = snap.path;
 
     // Attempt under w: op 1 completes and snapshots, op 2 deadlocks.
@@ -651,7 +649,6 @@ TEST(ServiceDaemon, FaultyJobFailsAloneAndNeighborsStayBitIdentical)
     ServiceOptions opts;
     opts.base = HardwareConfig::maeriLike(64, 16);
     opts.base.service_workers = 2;
-    opts.backoff_base = std::chrono::milliseconds(0);
     ServiceDaemon daemon(opts, out);
 
     const std::string tail = R"(,"layer":)" + convJson() + "}";
@@ -798,6 +795,35 @@ TEST(ServiceDaemon, TuneJobWarmsTheCacheForRunJobs)
     ASSERT_NE(warm, nullptr);
     EXPECT_EQ(warm->find("status")->asString(), "done");
     EXPECT_TRUE(warm->find("service")->find("cache_hit")->asBool());
+}
+
+TEST(ServiceDaemon, TuneJobBudgetTimesOutTerminally)
+{
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    ServiceDaemon daemon(opts, out);
+
+    // No candidate of this conv finishes in 8 cycles: the tune crosses
+    // its budget and ends exactly like a run job does.
+    EXPECT_TRUE(daemon.handleLine(
+        R"({"type":"tune","id":"tight","budget_cycles":8,"layer":)" +
+        convJson() + "}"));
+    daemon.finish();
+
+    const auto responses = parseLines(out.str());
+    const JsonValue *r = findResult(responses, "tight");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->find("status")->asString(), "timeout");
+    EXPECT_NE(r->find("error")->asString().find("budget"),
+              std::string::npos);
+    const JsonValue &svc = *r->find("service");
+    EXPECT_EQ(svc.find("attempts")->asInt64(), 1);
+    EXPECT_EQ(svc.find("failures")->items().size(), 1u);
+    EXPECT_EQ(daemon.counters().timeout, 1u);
+    EXPECT_EQ(daemon.counters().failed, 0u);
+    EXPECT_EQ(daemon.counters().retries, 0u);
 }
 
 // --- shutdown vs. submit ordering -------------------------------------
@@ -953,7 +979,6 @@ TEST(ServiceDaemon, RunModelQuarantinesTheSickCoreAndMatchesHealthyCrc)
     ServiceOptions opts;
     opts.base = HardwareConfig::maeriLike(64, 16);
     opts.base.service_workers = 1;
-    opts.backoff_base = std::chrono::milliseconds(0);
     ServiceDaemon daemon(opts, out);
 
     EXPECT_TRUE(daemon.handleLine(

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <functional>
 #include <deque>
@@ -154,8 +153,7 @@ TEST(SweepRecovery, DeadlockedPointResumesFromItsSnapshotAndDegrades)
         std::deque<StatCounter> counters;
     } probe;
 
-    RecoveringSweepRunner runner(/*threads=*/1, /*max_attempts=*/2,
-                                 std::chrono::milliseconds(0));
+    RecoveringSweepRunner runner(/*threads=*/1, /*max_attempts=*/2);
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"deadlocked point", base,
           [&](const HardwareConfig &cfg, const SweepAttempt &a) {
@@ -190,6 +188,8 @@ TEST(SweepRecovery, DeadlockedPointResumesFromItsSnapshotAndDegrades)
     ASSERT_EQ(o.failures.size(), 1u);
     EXPECT_EQ(o.failures[0].attempt, 1);
     EXPECT_EQ(o.failures[0].cause.rfind("deadlock: ", 0), 0u)
+        << o.failures[0].cause;
+    EXPECT_NE(o.failures[0].cause.rfind("deadlock: deadlock:", 0), 0u)
         << o.failures[0].cause;
 
     // The retry actually resumed: attempt 1 started fresh, attempt 2
@@ -236,7 +236,7 @@ TEST(SweepRecovery, HealthyPointCompletesOnAttemptOne)
     TempFile snap(cfg.checkpoint_file);
 
     int calls = 0;
-    RecoveringSweepRunner runner(1, 3, std::chrono::milliseconds(0));
+    RecoveringSweepRunner runner(1, 3);
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"healthy", cfg,
           [&](const HardwareConfig &c, const SweepAttempt &a) {
@@ -261,11 +261,11 @@ TEST(SweepRecovery, ExhaustedPointReportsEveryFailureWithoutThrowing)
     cfg.checkpoint_file = "test_sweep_exhausted.ckpt";
     TempFile snap(cfg.checkpoint_file);
 
-    RecoveringSweepRunner runner(1, 3, std::chrono::milliseconds(0));
+    RecoveringSweepRunner runner(1, 3);
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"doomed", cfg,
           [&](const HardwareConfig &, const SweepAttempt &) {
-              throw std::runtime_error("boom");
+              throw DeadlockError("boom", "");
           }}});
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_FALSE(outcomes[0].completed);
@@ -275,11 +275,37 @@ TEST(SweepRecovery, ExhaustedPointReportsEveryFailureWithoutThrowing)
         EXPECT_EQ(outcomes[0].failures[static_cast<std::size_t>(i)].attempt,
                   i + 1);
         EXPECT_EQ(outcomes[0].failures[static_cast<std::size_t>(i)].cause,
-                  "boom");
+                  "deadlock: boom");
     }
 
     const std::string j = RecoveringSweepRunner::summary(outcomes).dump();
     EXPECT_NE(j.find("\"points_completed\": 0"), std::string::npos) << j;
+}
+
+TEST(SweepRecovery, PlainExceptionIsTerminalAfterOneAttempt)
+{
+    HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    cfg.checkpoint_file = "test_sweep_terminal.ckpt";
+    TempFile snap(cfg.checkpoint_file);
+
+    // The simulator is deterministic: an error that is neither a
+    // deadlock nor a damaged snapshot would recur on every attempt.
+    int calls = 0;
+    RecoveringSweepRunner runner(1, 3);
+    const std::vector<PointOutcome> outcomes = runner.run(
+        {{"deterministic", cfg,
+          [&](const HardwareConfig &, const SweepAttempt &) {
+              ++calls;
+              throw std::runtime_error("boom");
+          }}});
+    EXPECT_EQ(calls, 1);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].completed);
+    EXPECT_FALSE(outcomes[0].degraded);
+    EXPECT_EQ(outcomes[0].attempts, 1);
+    ASSERT_EQ(outcomes[0].failures.size(), 1u);
+    EXPECT_EQ(outcomes[0].failures[0].attempt, 1);
+    EXPECT_EQ(outcomes[0].failures[0].cause, "boom");
 }
 
 TEST(SweepRecovery, CorruptSnapshotIsDiscardedSoThePointRestartsFresh)
@@ -288,7 +314,7 @@ TEST(SweepRecovery, CorruptSnapshotIsDiscardedSoThePointRestartsFresh)
     cfg.checkpoint_file = "test_sweep_corrupt.ckpt";
     TempFile snap(cfg.checkpoint_file);
 
-    RecoveringSweepRunner runner(1, 3, std::chrono::milliseconds(0));
+    RecoveringSweepRunner runner(1, 3);
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"corrupt snapshot", cfg,
           [&](const HardwareConfig &c, const SweepAttempt &a) {
@@ -325,7 +351,7 @@ TEST(SweepRecovery, MixedSweepCompletesDespiteAFailingPoint)
     b.checkpoint_file = "test_sweep_mixed_b.ckpt";
     TempFile snap_a(a.checkpoint_file), snap_b(b.checkpoint_file);
 
-    RecoveringSweepRunner runner(2, 2, std::chrono::milliseconds(0));
+    RecoveringSweepRunner runner(2, 2);
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"good", a,
           [&](const HardwareConfig &c, const SweepAttempt &) {
@@ -347,9 +373,7 @@ TEST(SweepRecovery, MixedSweepCompletesDespiteAFailingPoint)
 
 TEST(SweepRecovery, RejectsAZeroAttemptBudget)
 {
-    EXPECT_THROW(
-        RecoveringSweepRunner(1, 0, std::chrono::milliseconds(0)),
-        FatalError);
+    EXPECT_THROW(RecoveringSweepRunner(1, 0), FatalError);
 }
 
 // --- WorkerPool / SweepRunner exception-safety regressions ----------
