@@ -283,6 +283,121 @@ reduceConv(const Conv2dShape &shape, const Tensor &input,
     }
 }
 
+/** One (fold, x block, y block) step's operand counts for one (group,
+ *  batch) pair of lanes. */
+struct StepCounts
+{
+    std::int32_t delivered; //!< in-bounds operands of the step
+    std::int32_t fresh;     //!< those not in block (xb, yb - 1)'s footprint
+};
+
+/**
+ * The operand counts of every (fold, x block, y block) step of a
+ * flexible-pipeline convolution, indexed (f * nbx + xb) * nby + yb.
+ *
+ * Lanes of different (g, n) read disjoint channels or batches, and a
+ * step's footprint for one (g, n) depends only on (f, xb, yb): the
+ * indices shift every input coordinate by a common offset. So a step
+ * delivers tg * tn * delivered operands, and tg * tn * fresh of them
+ * miss the previous step's footprint, which is block (xb, yb - 1) of
+ * the same fold, always a full T_Y' block.
+ *
+ * One sweep per (fold, x block) walks the y blocks in order, marking
+ * each block's footprint in an epoch-stamped slot table: a block's
+ * operand is fresh unless its slot holds the previous block's stamp.
+ * The slots cover the fold's channels, the x block's input rows and,
+ * modulo a power of two, the input columns of two neighbouring y
+ * blocks, so the table is window-sized, not input-sized.
+ */
+std::vector<StepCounts>
+stepCounts(const Conv2dShape &shape, const Tile &tile, index_t window)
+{
+    const index_t xo = shape.outX();
+    const index_t yo = shape.outY();
+    const index_t st = shape.stride;
+    const index_t rs = shape.R * shape.S;
+    const index_t vn = tile.vnSize();
+    const index_t folds = tile.folds(window);
+    const index_t nbx = blocks(xo, tile.t_x);
+    const index_t nby = blocks(yo, tile.t_y);
+
+    // Slot of input (c, ix, iy) within one (fold, x block): channel
+    // offset from the fold's first, row offset from the block's first,
+    // iy & (cols - 1). Two neighbouring y blocks read fewer than cols
+    // columns, so their distinct columns take distinct slots.
+    const index_t rows = (tile.t_x - 1) * st + shape.R;
+    index_t cols = 1;
+    while (cols < (2 * tile.t_y - 1) * st + shape.S)
+        cols <<= 1;
+    const index_t channels = std::min(shape.cPerGroup(), (vn - 1) / rs + 2);
+    // Stamps grow by 2 per block and per x block (one value per "was
+    // in the previous block" answer), so they wrap only past 2^30
+    // blocks, where the counts table alone would take 8 GiB.
+    std::vector<std::uint32_t> slot(
+        static_cast<std::size_t>(channels * rows * cols), 0);
+    std::uint32_t epoch = 0;
+
+    std::vector<StepCounts> counts(
+        static_cast<std::size_t>(folds * nbx * nby));
+    std::vector<index_t> coff, rpad, spad;
+    coff.reserve(static_cast<std::size_t>(vn));
+    rpad.reserve(static_cast<std::size_t>(vn));
+    spad.reserve(static_cast<std::size_t>(vn));
+    for (index_t f = 0; f < folds; ++f) {
+        // The e -> (c, r, s) decomposition is the same for every
+        // position of a fold, so it is tabulated once per fold.
+        const index_t e0 = f * vn;
+        const index_t len = std::min(vn, window - e0);
+        coff.clear();
+        rpad.clear();
+        spad.clear();
+        for (index_t e = e0; e < e0 + len; ++e) {
+            coff.push_back((e / rs - e0 / rs) * rows * cols);
+            rpad.push_back(e % rs / shape.S - shape.padding);
+            spad.push_back(e % shape.S - shape.padding);
+        }
+        for (index_t xb = 0; xb < nbx; ++xb) {
+            const index_t x0p = xb * tile.t_x;
+            const index_t tx = std::min(tile.t_x, xo - x0p);
+            // A new x block: nothing holds the "previous block" stamp.
+            epoch += 2;
+            for (index_t yb = 0; yb < nby; ++yb) {
+                const index_t y0p = yb * tile.t_y;
+                const index_t ty = std::min(tile.t_y, yo - y0p);
+                epoch += 2;
+                const std::uint32_t prev = epoch - 2;
+                std::int32_t delivered = 0;
+                std::int32_t fresh = 0;
+                for (index_t x = x0p; x < x0p + tx; ++x) {
+                    const index_t x_st = x * st;
+                    for (index_t y = y0p; y < y0p + ty; ++y) {
+                        const index_t y_st = y * st;
+                        for (index_t j = 0; j < len; ++j) {
+                            const index_t ix = x_st + rpad[j];
+                            const index_t iy = y_st + spad[j];
+                            if (ix < 0 || ix >= shape.X || iy < 0 ||
+                                iy >= shape.Y)
+                                continue;
+                            ++delivered;
+                            std::uint32_t &m = slot[static_cast<std::size_t>(
+                                coff[j] + (ix - x0p * st + shape.padding) *
+                                    cols + (iy & (cols - 1)))];
+                            // epoch: first seen in this block, fresh;
+                            // epoch + 1: first seen here, forwarded.
+                            if (m < epoch)
+                                m = epoch + (m == prev || m == prev + 1);
+                            fresh += m == epoch;
+                        }
+                    }
+                }
+                counts[static_cast<std::size_t>((f * nbx + xb) * nby +
+                                                yb)] = {delivered, fresh};
+            }
+        }
+    }
+    return counts;
+}
+
 } // namespace
 
 DenseController::DenseController(const HardwareConfig &cfg,
@@ -302,14 +417,8 @@ DenseController::DenseController(const HardwareConfig &cfg,
 void
 DenseController::setPhase(const char *phase)
 {
-    // Call sites pass string literals, so a pointer compare recognises
-    // the (very common) same-phase call without touching the string.
-    if (phase == phase_tag_)
-        return;
-    phase_tag_ = phase;
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
+    if (phase_.set(phase) && trace_ != nullptr)
+        trace_->setPhase(phase);
 }
 
 void
@@ -377,94 +486,9 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     (void)dram_.transferCycles(
         std::min(input.size(), gb_.capacityElements() / 2) * bpe);
 
-    // Per-step fetch list (lane-tagged for multicast accounting) and
-    // the previous step's absolute-coordinate footprint: an element
-    // already present anywhere in the array can reach its consumer over
-    // the neighbour-forwarding links instead of the GB.
-    std::vector<std::int64_t> fetch, prev_abs, cur_abs;
-    const auto step_capacity = static_cast<std::size_t>(
-        tile.t_g * tile.t_n * tile.t_x * tile.t_y * vn);
-    fetch.reserve(step_capacity);
-    prev_abs.reserve(step_capacity);
-    cur_abs.reserve(step_capacity);
-    // Per-fold coordinate tables: the e -> (c, r, s2) decomposition is
-    // identical for every mapped position of a fold, so the div/mod
-    // chain is hoisted out of the per-element loop into three small
-    // tables indexed by the fold-local element offset.
-    std::vector<index_t> cxy, rpad, spad;
-    cxy.reserve(static_cast<std::size_t>(vn));
-    rpad.reserve(static_cast<std::size_t>(vn));
-    spad.reserve(static_cast<std::size_t>(vn));
-
-    // Single-lane tiles (one mapped position cluster per step) fetch a
-    // footprint whose in-bounds count and sliding-window overlap depend
-    // only on (fold, x, y): the batch/group/filter-block indices shift
-    // every coordinate by a common offset, which cancels in both the
-    // bounds test and the equality comparison against the previous
-    // step. Both counts are therefore tabulated once per layer and the
-    // per-step loop skips the footprint enumeration entirely; the
-    // values are the same ones the enumeration would produce, so
-    // delivered-element and forwarding counters are unchanged.
-    const bool lane1_tile = tile.t_g == 1 && tile.t_n == 1 &&
-        tile.t_x == 1 && tile.t_y == 1;
-    std::vector<index_t> kept_tbl, ovl_tbl;
-    if (lane1_tile) {
-        const std::size_t cells =
-            static_cast<std::size_t>(folds) * xo * yo;
-        kept_tbl.assign(cells, 0);
-        ovl_tbl.assign(cells, 0);
-        std::vector<std::int64_t> cur, prev;
-        cur.reserve(static_cast<std::size_t>(vn));
-        prev.reserve(static_cast<std::size_t>(vn));
-        for (index_t f = 0; f < folds; ++f) {
-            const index_t e0 = f * vn;
-            const index_t len = std::min(vn, window - e0);
-            cxy.clear();
-            rpad.clear();
-            spad.clear();
-            for (index_t e = e0; e < e0 + len; ++e) {
-                const index_t c = e / (shape.R * shape.S);
-                const index_t rem = e % (shape.R * shape.S);
-                cxy.push_back(c * shape.X * shape.Y);
-                rpad.push_back(rem / shape.S - shape.padding);
-                spad.push_back(rem % shape.S - shape.padding);
-            }
-            for (index_t x = 0; x < xo; ++x) {
-                const index_t x_st = x * shape.stride;
-                prev.clear();
-                for (index_t y = 0; y < yo; ++y) {
-                    const index_t y_st = y * shape.stride;
-                    cur.clear();
-                    for (index_t j = 0; j < len; ++j) {
-                        const index_t ix = x_st + rpad[j];
-                        const index_t iy = y_st + spad[j];
-                        if (ix < 0 || ix >= shape.X || iy < 0 ||
-                            iy >= shape.Y)
-                            continue;
-                        cur.push_back(cxy[j] + ix * shape.Y + iy);
-                    }
-                    const std::size_t idx = static_cast<std::size_t>(
-                        (f * xo + x) * yo + y);
-                    kept_tbl[idx] = static_cast<index_t>(cur.size());
-                    if (y > 0) {
-                        // Footprints are sorted by construction (see
-                        // the enumeration comment below), so a
-                        // two-pointer sweep counts the overlap.
-                        index_t ovl = 0;
-                        std::size_t pi = 0;
-                        for (const std::int64_t code : cur) {
-                            while (pi < prev.size() && prev[pi] < code)
-                                ++pi;
-                            if (pi < prev.size() && prev[pi] == code)
-                                ++ovl;
-                        }
-                        ovl_tbl[idx] = ovl;
-                    }
-                    prev.swap(cur);
-                }
-            }
-        }
-    }
+    // Operand counts per (fold, x block, y block), shared by every
+    // group, batch and filter block.
+    const std::vector<StepCounts> counts = stepCounts(shape, tile, window);
     cycle_t prev_block_cycles = 0;
 
     // Pipeline fill: the multiply/reduce/collect pipeline fills once and
@@ -507,17 +531,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                     const index_t e0 = f * vn;
                     const index_t len = std::min(vn, window - e0);
 
-                    cxy.clear();
-                    rpad.clear();
-                    spad.clear();
-                    for (index_t e = e0; e < e0 + len; ++e) {
-                        const index_t c = e / (shape.R * shape.S);
-                        const index_t rem = e % (shape.R * shape.S);
-                        cxy.push_back(c * shape.X * shape.Y);
-                        rpad.push_back(rem / shape.S - shape.padding);
-                        spad.push_back(rem % shape.S - shape.padding);
-                    }
-
                     // Weight reconfiguration: tg*tk*len distinct values,
                     // multicast across the position clusters; only the
                     // part the previous fold's compute could not hide
@@ -531,7 +544,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                         ? w_cycles - prev_fold_cycles : 0;
                     cycle_t fold_cycles = 0;
 
-                    bool have_prev = false;
                     for (index_t si = 0; si < chunk_len; ++si) {
                         const index_t s = chunk0 + si;
                         const index_t yb = s % nby;
@@ -545,90 +557,15 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                         const index_t tn =
                             std::min(tile.t_n, shape.N - n0p);
 
-                        // Fetch list: in-bounds input coordinates of this
-                        // fold slice across all mapped positions. Filters
-                        // share inputs (multicast across tk), so k does
-                        // not appear in the coordinates. Different
-                        // position lanes map the same element to
-                        // different leaf offsets, so the tree cannot
-                        // merge them into one multicast: coordinates are
-                        // tagged per lane, and only the lane's own
-                        // sliding-window overlap is reused (over the LMN
-                        // forwarding links).
-                        // The list is sorted and duplicate-free by
-                        // construction, so no sort/unique pass is
-                        // needed: the lane tag ascends over the
-                        // (g, n, x, y) nest, and within a lane the kept
-                        // codes strictly increase with e — an s2 step
-                        // adds 1 to iy; an r step adds Y to ix*Y while
-                        // iy moves by at most Y-1 (both endpoints pass
-                        // the [0, Y) bounds filter); a c step adds X*Y
-                        // while ix*Y+iy stays below X*Y for in-bounds
-                        // coordinates.
-                        // Single-lane tiles take the tabulated counts
-                        // instead (x0p == x and y0p == y there).
-                        constexpr std::int64_t kAbsMask =
-                            (std::int64_t{1} << 44) - 1;
-                        index_t distinct;
-                        bool single_lane = false;
-                        if (lane1_tile) {
-                            distinct = kept_tbl[static_cast<std::size_t>(
-                                (f * xo + x0p) * yo + y0p)];
-                        } else {
-                        fetch.clear();
-                        index_t lane = 0;
-                        for (index_t g = g0; g < g0 + tg; ++g) {
-                            for (index_t n = n0p; n < n0p + tn; ++n) {
-                                const index_t nbase =
-                                    (n * shape.C + g * cg) *
-                                    shape.X * shape.Y;
-                                for (index_t x = x0p; x < x0p + tx; ++x) {
-                                    const index_t x_st = x * shape.stride;
-                                    for (index_t y = y0p; y < y0p + ty;
-                                         ++y, ++lane) {
-                                        const index_t y_st =
-                                            y * shape.stride;
-                                        const std::int64_t lane_tag =
-                                            lane << 44;
-                                        for (index_t j = 0; j < len; ++j) {
-                                            const index_t ix =
-                                                x_st + rpad[j];
-                                            const index_t iy =
-                                                y_st + spad[j];
-                                            if (ix < 0 || ix >= shape.X ||
-                                                iy < 0 || iy >= shape.Y)
-                                                continue;
-                                            fetch.push_back(
-                                                lane_tag |
-                                                (nbase + cxy[j] +
-                                                 ix * shape.Y + iy));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        distinct = static_cast<index_t>(fetch.size());
-
-                        // The lane-stripped footprint is only consulted
-                        // by the forwarding-link reuse check below, so
-                        // arrays without LMN links skip building it.
-                        // With a single mapped lane the tag is zero and
-                        // the list is already sorted and duplicate-free,
-                        // so the sort/unique pass degenerates to a copy.
-                        single_lane = lane == 1;
-                        if (mn_.hasForwardingLinks()) {
-                            cur_abs.clear();
-                            for (const std::int64_t code : fetch)
-                                cur_abs.push_back(code & kAbsMask);
-                            if (!single_lane) {
-                                std::sort(cur_abs.begin(), cur_abs.end());
-                                cur_abs.erase(
-                                    std::unique(cur_abs.begin(),
-                                                cur_abs.end()),
-                                    cur_abs.end());
-                            }
-                        }
-                        }
+                        // In-bounds input operands of this fold slice
+                        // across all mapped positions. Filters share
+                        // inputs (multicast across tk), but position
+                        // lanes map an element to different leaf
+                        // offsets, so each lane fetches its own copy.
+                        const StepCounts &sc =
+                            counts[static_cast<std::size_t>(
+                                (f * nbx + xb) * nby + yb)];
+                        const index_t distinct = tg * tn * sc.delivered;
 
                         // Spatio-temporal reuse over the LMN forwarding
                         // links: operands already in the array from the
@@ -639,39 +576,10 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                             // IS dataflow: this position chunk's inputs
                             // were pinned by the first filter block.
                             fresh = 0;
-                        } else if (mn_.hasForwardingLinks() && have_prev &&
-                            yb > 0) {
-                            if (lane1_tile) {
-                                const index_t ovl = ovl_tbl[
-                                    static_cast<std::size_t>(
-                                        (f * xo + x0p) * yo + y0p)];
-                                fresh = distinct - ovl;
-                                mn_.forwardOperands(ovl);
-                            } else {
-                            fresh = 0;
-                            if (single_lane) {
-                                // Both footprints are sorted, so a
-                                // two-pointer sweep replaces the
-                                // per-element binary search.
-                                std::size_t pi = 0;
-                                const std::size_t pn = prev_abs.size();
-                                for (const std::int64_t code : fetch) {
-                                    while (pi < pn && prev_abs[pi] < code)
-                                        ++pi;
-                                    if (pi >= pn || prev_abs[pi] != code)
-                                        ++fresh;
-                                }
-                            } else {
-                                for (const std::int64_t code : fetch) {
-                                    if (!std::binary_search(
-                                            prev_abs.begin(),
-                                            prev_abs.end(),
-                                            code & kAbsMask))
-                                        ++fresh;
-                                }
-                            }
+                        } else if (mn_.hasForwardingLinks() && si > 0 &&
+                                   yb > 0) {
+                            fresh = tg * tn * sc.fresh;
                             mn_.forwardOperands(distinct - fresh);
-                            }
                         }
 
                         setPhase("input streaming");
@@ -710,9 +618,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 
                         fold_cycles += std::max<cycle_t>(
                             {1, dl, drain});
-                        if (!lane1_tile)
-                            prev_abs.swap(cur_abs);
-                        have_prev = true;
                     }
                     block_cycles += fold_cycles;
                     prev_fold_cycles = fold_cycles;

@@ -13,12 +13,13 @@
  * and the rigid systolic pipeline (point-to-point DN) — the composition
  * is selected from the hardware configuration, as in Table IV.
  *
- * Timing is simulated cycle by cycle: each compute step's fetch list is
- * deduplicated against multicast (sharing across T_K clusters) and
- * neighbour-forwarding reuse (LMN sliding window), then streamed through
- * the bandwidth-limited GB/DN pipeline. Functional values bit-match the
- * CPU reference because every output is reduced in canonical
- * (channel, row, column) order.
+ * Timing is simulated cycle by cycle: each compute step's operands are
+ * shared by multicast across the T_K clusters and reused over the
+ * neighbour-forwarding links (LMN sliding window), and only the rest
+ * stream through the bandwidth-limited GB/DN pipeline. The operand
+ * counts come from a per-layer table over (fold, x block, y block).
+ * Functional values bit-match the CPU reference because every output is
+ * reduced in canonical (channel, row, column) order.
  */
 
 #ifndef STONNE_CONTROLLER_DENSE_CONTROLLER_HPP
@@ -29,6 +30,7 @@
 
 #include "common/config.hpp"
 #include "controller/mapper.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
@@ -99,7 +101,7 @@ class DenseController : public Checkpointable
     const Mapper &mapper() const { return mapper_; }
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    std::string phase() const { return phase_.str(); }
 
     /**
      * Serialize the controller phase. Delivery cursors are
@@ -107,16 +109,9 @@ class DenseController : public Checkpointable
      * the controller is quiescent), so the phase is the only state
      * that crosses a snapshot.
      */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override
-    {
-        phase_ = ar.getString();
-        phase_tag_ = nullptr;
-    }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   protected:
     /** Flexible-pipeline convolution (tree / Benes DN). */
@@ -162,9 +157,7 @@ class DenseController : public Checkpointable
     FaultInjector *faults_;
     Tracer *trace_;
     Mapper mapper_;
-    std::string phase_ = "idle";
-    //! Literal last passed to setPhase(), for a cheap same-phase check.
-    const char *phase_tag_ = nullptr;
+    ControllerPhase phase_;
 };
 
 } // namespace stonne

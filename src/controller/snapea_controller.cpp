@@ -1,7 +1,8 @@
 #include "controller/snapea_controller.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
+#include <cstring>
 
 #include "common/logging.hpp"
 #include "controller/tile.hpp"
@@ -24,27 +25,38 @@ SnapeaReorderTable::build(const Tensor &weights)
     fatalIf(weights.rank() != 4, "reorder table expects rank-4 weights");
     const index_t k = weights.dim(0);
     const index_t window = weights.dim(1) * weights.dim(2) * weights.dim(3);
+    fatalIf(window > UINT32_MAX, "filter window too large for the reorder "
+            "table");
 
     SnapeaReorderTable t;
     t.order.resize(static_cast<std::size_t>(k));
     t.first_negative.resize(static_cast<std::size_t>(k));
+    std::vector<std::uint64_t> keyed;
+    keyed.reserve(static_cast<std::size_t>(window));
     for (index_t f = 0; f < k; ++f) {
-        auto &ord = t.order[static_cast<std::size_t>(f)];
         const float *w = weights.data() + f * window;
-        for (index_t i = 0; i < window; ++i)
-            if (w[i] != 0.0f)
-                ord.push_back(i);
         // Positives first (largest first), then negatives with the
         // largest magnitude first: once only negatives remain, the
-        // psum should cross zero as early as possible.
-        std::stable_sort(ord.begin(), ord.end(),
-                         [w](index_t a, index_t b) {
-                             const bool pa = w[a] > 0.0f;
-                             const bool pb = w[b] > 0.0f;
-                             if (pa != pb)
-                                 return pa;
-                             return pa ? w[a] > w[b] : w[a] < w[b];
-                         });
+        // psum should cross zero as early as possible. Flipping the
+        // low 31 bits of the IEEE pattern gives exactly that order as
+        // an unsigned key (descending magnitude within each sign, the
+        // positive sign first), total over every bit pattern: a NaN
+        // leads its sign's group, ahead of the infinity. The index in
+        // the low half breaks ties in ascending order.
+        keyed.clear();
+        for (index_t i = 0; i < window; ++i) {
+            if (w[i] == 0.0f)
+                continue;
+            std::uint32_t bits;
+            std::memcpy(&bits, &w[i], sizeof bits);
+            keyed.push_back(std::uint64_t{bits ^ 0x7fffffffu} << 32 |
+                            static_cast<std::uint64_t>(i));
+        }
+        std::sort(keyed.begin(), keyed.end());
+        auto &ord = t.order[static_cast<std::size_t>(f)];
+        ord.resize(keyed.size());
+        for (std::size_t i = 0; i < keyed.size(); ++i)
+            ord[i] = static_cast<index_t>(keyed[i] & 0xffffffffu);
         auto first_neg = static_cast<index_t>(ord.size());
         for (std::size_t i = 0; i < ord.size(); ++i) {
             if (w[ord[i]] < 0.0f) {
@@ -77,9 +89,8 @@ SnapeaController::SnapeaController(const HardwareConfig &cfg,
 void
 SnapeaController::setPhase(const char *phase)
 {
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
+    if (phase_.set(phase) && trace_ != nullptr)
+        trace_->setPhase(phase);
 }
 
 ControllerResult
@@ -153,19 +164,51 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
     const index_t nbn = blocks(shape.N, tile.t_n);
     const index_t total_steps = nbn * nbx * nby;
 
+    // Each window weight's input offset from the window origin and its
+    // (r, s), tabulated once per layer: the streams visit the weights
+    // in reorder-table order, so no per-multiply div/mod remains.
+    struct WindowTerm {
+        index_t off; //!< c * X * Y + r * Y + s
+        index_t r, s;
+    };
+    std::vector<WindowTerm> terms;
+    terms.reserve(static_cast<std::size_t>(window));
+    for (index_t c = 0; c < cg; ++c)
+        for (index_t r = 0; r < shape.R; ++r)
+            for (index_t s2 = 0; s2 < shape.S; ++s2)
+                terms.push_back(
+                    {(c * shape.X + r) * shape.Y + s2, r, s2});
+
     // Per-cluster state within one step: one virtual neuron per mapped
     // (filter, position) pair.
     struct VnState {
         index_t ko = 0;           //!< global filter index
         index_t n = 0, ox = 0, oy = 0;
+        index_t ix0 = 0, iy0 = 0; //!< input row/column of the window origin
+        index_t origin = 0;       //!< input offset of the window origin
         float psum = 0.0f;
         bool active = true;
     };
     std::vector<VnState> vns;
-    std::vector<std::int64_t> fetch;
     vns.reserve(static_cast<std::size_t>(
         tile.t_g * tile.t_k * tile.t_n * tile.t_x * tile.t_y));
-    fetch.reserve(vns.capacity() * static_cast<std::size_t>(vn));
+    // A fold's distinct activations: an input is counted when its mark
+    // is not yet the fold's epoch (shared inputs multicast through the
+    // DN).
+    std::vector<std::uint32_t> seen(static_cast<std::size_t>(input.size()),
+                                    0);
+    std::uint32_t epoch = 0;
+    const float *in = input.data();
+    // The input term of one stream element, or nullptr off the input
+    // (zero padding).
+    const auto operand = [&](const VnState &v, index_t we) -> const float * {
+        const WindowTerm &t = terms[static_cast<std::size_t>(we)];
+        const index_t ix = v.ix0 + t.r;
+        const index_t iy = v.iy0 + t.s;
+        if (ix < 0 || ix >= shape.X || iy < 0 || iy >= shape.Y)
+            return nullptr;
+        return in + (v.origin + t.off);
+    };
 
     for (index_t g0 = 0; g0 < shape.G; g0 += tile.t_g) {
         const index_t tg = std::min(tile.t_g, shape.G - g0);
@@ -193,6 +236,13 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                                     v.n = n;
                                     v.ox = x;
                                     v.oy = y;
+                                    v.ix0 = x * shape.stride -
+                                        shape.padding;
+                                    v.iy0 = y * shape.stride -
+                                        shape.padding;
+                                    v.origin = ((n * shape.C + g * cg) *
+                                                    shape.X + v.ix0) *
+                                            shape.Y + v.iy0;
                                     v.psum = bias.empty()
                                         ? 0.0f : bias.at(v.ko);
                                     vns.push_back(v);
@@ -232,12 +282,15 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     if (streaming_filters == 0)
                         break;
 
-                    // Sorted-order gather of this fold's activations for
-                    // every active window, deduplicated (shared inputs
-                    // multicast through the DN).
-                    fetch.clear();
+                    // Distinct activations of this fold across every
+                    // active window.
+                    if (++epoch == 0) {
+                        std::fill(seen.begin(), seen.end(), 0);
+                        epoch = 1;
+                    }
+                    index_t distinct = 0;
                     index_t active_vns = 0;
-                    for (VnState &v : vns) {
+                    for (const VnState &v : vns) {
                         if (!v.active)
                             continue;
                         const auto &ord = table.order[
@@ -247,40 +300,27 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                         if (e0 >= len_k)
                             continue;
                         ++active_vns;
-                        const index_t g = v.ko / kg;
                         const index_t e_end =
                             std::min(e0 + vn, len_k);
                         for (index_t e = e0; e < e_end; ++e) {
-                            const index_t we =
-                                ord[static_cast<std::size_t>(e)];
-                            const index_t c = we / (shape.R * shape.S);
-                            const index_t rem = we % (shape.R * shape.S);
-                            const index_t r = rem / shape.S;
-                            const index_t s2 = rem % shape.S;
-                            const index_t ix =
-                                v.ox * shape.stride + r - shape.padding;
-                            const index_t iy =
-                                v.oy * shape.stride + s2 - shape.padding;
-                            if (ix < 0 || ix >= shape.X || iy < 0 ||
-                                iy >= shape.Y)
+                            const float *x = operand(
+                                v, ord[static_cast<std::size_t>(e)]);
+                            if (x == nullptr)
                                 continue;
-                            fetch.push_back(
-                                ((v.n * shape.C + g * cg + c) * shape.X +
-                                 ix) * shape.Y + iy);
+                            std::uint32_t &m = seen[
+                                static_cast<std::size_t>(x - in)];
+                            distinct += m != epoch;
+                            m = epoch;
                         }
                     }
-                    std::sort(fetch.begin(), fetch.end());
-                    fetch.erase(std::unique(fetch.begin(), fetch.end()),
-                                fetch.end());
 
                     setPhase("sorted weight streaming");
                     cycle_t dl = engine_.deliver(
                         dn_, gb_, stream_elems, tn * tx * ty,
                         PackageKind::Weight);
                     setPhase("activation gather");
-                    dl += engine_.deliver(
-                        dn_, gb_, static_cast<index_t>(fetch.size()), 1,
-                        PackageKind::Input);
+                    dl += engine_.deliver(dn_, gb_, distinct, 1,
+                                          PackageKind::Input);
 
                     // Compute and sign-check.
                     index_t fired = 0;
@@ -293,26 +333,14 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                             static_cast<index_t>(ord.size());
                         if (e0 >= len_k)
                             continue;
-                        const index_t g = v.ko / kg;
                         const float *w = weights.data() + v.ko * window;
                         const index_t e_end =
                             std::min(e0 + vn, len_k);
                         for (index_t e = e0; e < e_end; ++e) {
                             const index_t we =
                                 ord[static_cast<std::size_t>(e)];
-                            const index_t c = we / (shape.R * shape.S);
-                            const index_t rem = we % (shape.R * shape.S);
-                            const index_t r = rem / shape.S;
-                            const index_t s2 = rem % shape.S;
-                            const index_t ix =
-                                v.ox * shape.stride + r - shape.padding;
-                            const index_t iy =
-                                v.oy * shape.stride + s2 - shape.padding;
-                            float x = 0.0f;
-                            if (ix >= 0 && ix < shape.X && iy >= 0 &&
-                                iy < shape.Y)
-                                x = input.at(v.n, g * cg + c, ix, iy);
-                            v.psum += w[we] * x;
+                            const float *x = operand(v, we);
+                            v.psum += w[we] * (x != nullptr ? *x : 0.0f);
                         }
                         fired += e_end - e0;
                         rn_.reduceCluster(e_end - e0);

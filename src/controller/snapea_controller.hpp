@@ -26,6 +26,7 @@
 
 #include "common/config.hpp"
 #include "controller/mapper.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
@@ -37,11 +38,18 @@ namespace stonne {
 
 /**
  * Static weight reordering of SNAPEA: per filter, the indices of the
- * non-zero window weights sorted by descending value, plus the position
- * of the first strictly negative weight (the point after which a
- * non-positive psum can never recover). Pruned (zero) weights are known
- * statically and dropped from the stream — they contribute nothing to
- * the psum, for the SNAPEA architecture and its baseline alike.
+ * non-zero window weights, positives first by descending value, then
+ * negatives by descending magnitude, plus the position of the first
+ * strictly negative weight (the point after which a non-positive psum
+ * can never recover). Pruned (zero) weights are known statically and
+ * dropped from the stream — they contribute nothing to the psum, for
+ * the SNAPEA architecture and its baseline alike.
+ *
+ * The order is total over every bit pattern, since DRAM bit flips can
+ * reach the weights before the table is built: +-0 is pruned, a NaN
+ * leads its sign's group (ahead of that sign's infinity), and equal
+ * weights keep ascending index order. `first_negative` ignores NaN (a
+ * NaN is not below zero), so every weight from it on is negative.
  */
 struct SnapeaReorderTable {
     /** Per filter: non-zero window indices in descending-weight order. */
@@ -102,15 +110,12 @@ class SnapeaController : public Checkpointable
                                     bool early_exit, Tensor &output);
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    std::string phase() const { return phase_.str(); }
 
     /** Serialize the controller phase (see DenseController::saveState). */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override { phase_ = ar.getString(); }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   private:
     /** Change phase: watchdog reports see it, the tracer spans it. */
@@ -127,7 +132,7 @@ class SnapeaController : public Checkpointable
     FaultInjector *faults_;
     Tracer *trace_;
     Mapper mapper_;
-    std::string phase_ = "idle";
+    ControllerPhase phase_;
 };
 
 } // namespace stonne

@@ -30,9 +30,8 @@ SparseController::SparseController(const HardwareConfig &cfg,
 void
 SparseController::setPhase(const char *phase)
 {
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
+    if (phase_.set(phase) && trace_ != nullptr)
+        trace_->setPhase(phase);
 }
 
 ControllerResult

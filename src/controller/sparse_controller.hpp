@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "controller/scheduler.hpp"
 #include "mem/dram.hpp"
@@ -86,19 +87,16 @@ class SparseController : public Checkpointable
     const std::vector<SparseRound> &lastRounds() const { return rounds_; }
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    std::string phase() const { return phase_.str(); }
 
     /**
      * Serialize the controller phase. The per-operation round plan
      * (lastRounds()) is rebuilt by the next runSpMM call and is not
      * part of the snapshot.
      */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override { phase_ = ar.getString(); }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   private:
     /** Change phase: watchdog reports see it, the tracer spans it. */
@@ -115,7 +113,7 @@ class SparseController : public Checkpointable
     FaultInjector *faults_;
     Tracer *trace_;
     std::vector<SparseRound> rounds_;
-    std::string phase_ = "idle";
+    ControllerPhase phase_;
 };
 
 } // namespace stonne

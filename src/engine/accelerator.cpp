@@ -101,17 +101,16 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
     registerSnapshotSources();
 }
 
-const std::string &
+std::string
 Accelerator::controllerPhase() const
 {
-    static const std::string kNone = "(no controller)";
     if (dense_)
         return dense_->phase();
     if (sparse_)
         return sparse_->phase();
     if (snapea_)
         return snapea_->phase();
-    return kNone;
+    return "(no controller)";
 }
 
 void

@@ -81,7 +81,7 @@ class Accelerator : public Unit
     EventEngine &engine() { return *engine_; }
 
     /** Current memory-controller phase ("idle" between operations). */
-    const std::string &controllerPhase() const;
+    std::string controllerPhase() const;
 
     void cycle() override;
     void reset() override;

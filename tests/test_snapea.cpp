@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
 #include "frontend/snapea_pass.hpp"
@@ -84,6 +88,27 @@ TEST(SnapeaTable, PrunedWeightsAreDroppedFromTheStream)
     EXPECT_EQ(t.order[0][0], 1);
     EXPECT_EQ(t.order[0][1], 5);
     EXPECT_EQ(t.first_negative[0], 1);
+}
+
+TEST(SnapeaTable, NonFiniteAndSignedZeroWeightsHaveATotalOrder)
+{
+    // DRAM bit flips can turn a weight into a NaN or an infinity before
+    // the table is built; the order must still be a total one.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Tensor w({1, 1, 3, 3});
+    const float vals[9] = {-1.0f, nan, -0.0f, 0.5f, -inf,
+                           inf, std::copysign(nan, -1.0f), 2.0f, 0.5f};
+    for (index_t i = 0; i < 9; ++i)
+        w.at(i) = vals[i];
+    const SnapeaReorderTable t = SnapeaReorderTable::build(w);
+    // -0 is pruned like +0. A NaN leads its sign's group, ahead of the
+    // infinity; equal weights keep ascending index order.
+    const std::vector<index_t> expect = {1, 5, 7, 3, 8, 6, 4, 0};
+    EXPECT_EQ(t.order[0], expect);
+    // The cut-off point is the first weight below zero: the -NaN ahead
+    // of it is not, so everything from the cut-off on is negative.
+    EXPECT_EQ(t.first_negative[0], 6);
 }
 
 TEST(Snapea, BaselineMatchesReferencePostRelu)
