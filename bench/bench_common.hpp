@@ -10,10 +10,11 @@
  *
  * Workload construction (the Figure 1 layer set, synthetic operands,
  * one-call layer execution) lives in the library (src/engine/workload)
- * so the design-space tuner evaluates candidates through exactly the
- * construction path the benchmarks time; this header re-exports it and
- * adds the bench-only pieces: a one-call full-model runner and the
- * paper-style table printer.
+ * so the two-fidelity search (explore::Explorer: `tune` and `explore`)
+ * evaluates candidates through exactly the construction path the
+ * benchmarks time; this header re-exports it and adds the bench-only
+ * pieces: a one-call full-model runner and the paper-style table
+ * printer.
  */
 
 #ifndef STONNE_BENCH_BENCH_COMMON_HPP

@@ -22,7 +22,6 @@
 #include "checkpoint/checkpoint.hpp"
 #include "common/logging.hpp"
 #include "common/watchdog.hpp"
-#include "dse/tuner.hpp"
 #include "explore/explorer.hpp"
 #include "engine/output_module.hpp"
 #include "engine/stonne_api.hpp"
@@ -301,7 +300,7 @@ handle(CliState &st, const std::string &line)
                 std::printf("error: no layer configured\n");
             } else {
                 const HardwareConfig &cfg = st.stonne->config();
-                dse::TuneOptions opts;
+                explore::ExploreOptions opts;
                 opts.top_k = cfg.dse_top_k;
                 opts.cache_file = cfg.dse_cache_file;
                 opts.sparsity = st.sparsity;
@@ -311,11 +310,11 @@ handle(CliState &st, const std::string &line)
                     fatalIf(k <= 0, "tune top_k must be positive");
                     opts.top_k = k;
                 }
-                dse::AutoTuner tuner(cfg, opts);
-                const dse::TuneReport rep = tuner.tuneLayer(st.layer);
+                explore::Explorer tuner(cfg, opts);
+                const explore::TuneReport rep = tuner.tuneLayer(st.layer);
                 std::printf("%-22s %12s %12s  %s\n", "tile",
                             "analytical", "simulated", "source");
-                for (const dse::EvaluatedTile &et : rep.ranked)
+                for (const explore::EvaluatedTile &et : rep.ranked)
                     std::printf(
                         "%-22s %12llu %12llu  %s\n",
                         et.tile.canonical().c_str(),

@@ -575,22 +575,26 @@ HardwareConfig::toConfigText() const
            << "checkpoint_interval_cycles = " << checkpoint_interval_cycles
            << "\n";
     }
-    if (autotune) {
-        os << "autotune = ON\n"
-           << "dse_top_k = " << dse_top_k << "\n";
-        if (!dse_cache_file.empty())
-            os << "dse_cache_file = " << dse_cache_file << "\n";
-    }
-    if (explore) {
-        os << "explore = ON\n"
-           << "explore_axes = " << explore_axes << "\n"
-           << "explore_top_k = " << explore_top_k << "\n";
-    }
+    // The search keys are written when their flag is on or when they
+    // differ from the default, so a re-parsed text (the service's
+    // override path) keeps them.
+    const HardwareConfig defaults;
+    if (autotune)
+        os << "autotune = ON\n";
+    if (autotune || dse_top_k != defaults.dse_top_k)
+        os << "dse_top_k = " << dse_top_k << "\n";
+    if (autotune || dse_cache_file != defaults.dse_cache_file)
+        os << "dse_cache_file = " << dse_cache_file << "\n";
+    if (explore)
+        os << "explore = ON\n";
+    if (explore || explore_axes != defaults.explore_axes)
+        os << "explore_axes = " << explore_axes << "\n";
+    if (explore || explore_top_k != defaults.explore_top_k)
+        os << "explore_top_k = " << explore_top_k << "\n";
     // Multi-core composition keys are structural but emitted only when
     // they differ from the single-core defaults, keeping pre-existing
     // config texts (and the snapshots and cache keys embedding them)
     // byte-stable.
-    const HardwareConfig defaults;
     if (cores != defaults.cores)
         os << "cores = " << cores << "\n";
     if (dram_channels != defaults.dram_channels)
@@ -625,10 +629,10 @@ HardwareConfig::structuralText() const
     c.checkpoint_file.clear();
     c.checkpoint_interval_cycles = 1;
     c.trace_file.clear();
-    c.autotune = false;
-    c.dse_top_k = 1;
-    c.dse_cache_file.clear();
     const HardwareConfig defaults;
+    c.autotune = false;
+    c.dse_top_k = defaults.dse_top_k;
+    c.dse_cache_file = defaults.dse_cache_file;
     c.explore = false;
     c.explore_axes = defaults.explore_axes;
     c.explore_top_k = defaults.explore_top_k;

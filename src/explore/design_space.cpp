@@ -174,6 +174,18 @@ DesignSpace::enumerate(const HardwareConfig &base,
         }
     }
 
+    // A variant is a plain runnable instance: it must not re-trigger a
+    // search when its config text is fed back in, so it carries none
+    // of the search keys.
+    const HardwareConfig defaults;
+    HardwareConfig plain = base;
+    plain.autotune = false;
+    plain.dse_top_k = defaults.dse_top_k;
+    plain.dse_cache_file = defaults.dse_cache_file;
+    plain.explore = false;
+    plain.explore_axes = defaults.explore_axes;
+    plain.explore_top_k = defaults.explore_top_k;
+
     std::vector<DesignPoint> points;
     const int fabric_count = sweep_fabric ? 2 : 1;
     for (int fabric = 0; fabric < fabric_count; ++fabric) {
@@ -187,7 +199,7 @@ DesignSpace::enumerate(const HardwareConfig &base,
                         continue;
                     for (index_t acc : acc_vals) {
                         DesignPoint p;
-                        p.cfg = base;
+                        p.cfg = plain;
                         p.cfg.ms_size = ms;
                         p.cfg.dn_bandwidth = dn;
                         p.cfg.rn_bandwidth = rn;
@@ -199,11 +211,6 @@ DesignSpace::enumerate(const HardwareConfig &base,
                             p.cfg.controller_type = ControllerType::Sparse;
                             p.cfg.dataflow = Dataflow::WeightStationary;
                         }
-                        // A variant is a plain runnable instance; it
-                        // must not re-trigger the search when its
-                        // config text is fed back in.
-                        p.cfg.explore = false;
-                        p.cfg.autotune = false;
                         p.cfg.validate();
                         std::ostringstream label;
                         label << "ms=" << ms << " dn=" << dn << " rn=" << rn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <set>
 
 #include "analytical/maeri_model.hpp"
@@ -18,19 +19,41 @@
 
 namespace stonne::explore {
 
+/** One candidate with its mapping and analytical objectives. */
+struct Candidate {
+    DesignPoint point;
+    LayerSpec layer;     //!< layer as executed (sparse GEMM on sparse)
+    Tile tile;
+    bool has_tile = false;
+    cycle_t analytical_cycles = 0;
+    double analytical_energy_uj = 0.0;
+    double area_um2 = 0.0;
+    std::size_t tiles_ranked = 1;
+};
+
 namespace {
 
-/** Variant as actually simulated: side-effect knobs silenced so the
- *  sweep's worker threads never race on shared trace/checkpoint files
- *  (structurally identical, so cache keys are unaffected). */
-HardwareConfig
-evalConfig(HardwareConfig cfg)
+/** 1-based ranks of v, ties sharing their average rank. */
+std::vector<double>
+averageRanks(const std::vector<double> &v)
 {
-    cfg.trace = false;
-    cfg.checkpoint = false;
-    cfg.autotune = false;
-    cfg.explore = false;
-    return cfg;
+    const std::size_t n = v.size();
+    std::vector<std::size_t> idx(n);
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    std::vector<double> ranks(n, 0.0);
+    std::size_t i = 0;
+    while (i < n) {
+        std::size_t j = i;
+        while (j + 1 < n && v[idx[j + 1]] == v[idx[i]])
+            ++j;
+        const double rank = (static_cast<double>(i + j)) / 2.0 + 1.0;
+        for (std::size_t k = i; k <= j; ++k)
+            ranks[idx[k]] = rank;
+        i = j + 1;
+    }
+    return ranks;
 }
 
 AreaTable
@@ -48,18 +71,6 @@ energyTableFor(const HardwareConfig &cfg)
                ? EnergyTable::forDataType(cfg.data_type)
                : EnergyTable::parseFile(cfg.energy_table_path);
 }
-
-/** One variant with its chosen mapping and analytical objectives. */
-struct Candidate {
-    DesignPoint point;
-    LayerSpec layer;     //!< layer as executed (sparse GEMM on sparse)
-    Tile tile;
-    bool has_tile = false;
-    cycle_t analytical_cycles = 0;
-    double analytical_energy_uj = 0.0;
-    double area_um2 = 0.0;
-    std::size_t tiles_ranked = 1;
-};
 
 /**
  * Closed-form energy estimate matching the cycle-level model's cost
@@ -98,6 +109,35 @@ analyticalEnergyUj(const HardwareConfig &cfg, const LayerSpec &layer,
     return (mult + dn + rn + gb + dram + leak) / 1.0e6;
 }
 
+/** A legal tile with its analytical cycles. */
+struct RankedTile {
+    Tile tile;
+    cycle_t cycles = 0;
+    std::string canonical;
+};
+
+/**
+ * The legal tile space of `layer` on `cfg`, fastest analytical first;
+ * the canonical form breaks ties, so the order is deterministic.
+ */
+std::vector<RankedTile>
+rankTiles(const LayerSpec &layer, const HardwareConfig &cfg)
+{
+    const std::vector<Tile> space = dse::TileSpace::enumerate(layer, cfg);
+    std::vector<RankedTile> ranked;
+    ranked.reserve(space.size());
+    for (const Tile &t : space)
+        ranked.push_back(
+            {t, analytical::maeriCycles(layer, t, cfg), t.canonical()});
+    std::sort(ranked.begin(), ranked.end(),
+              [](const RankedTile &a, const RankedTile &b) {
+                  if (a.cycles != b.cycles)
+                      return a.cycles < b.cycles;
+                  return a.canonical < b.canonical;
+              });
+    return ranked;
+}
+
 /** Analytical cycles + best mapping for one variant. */
 void
 rankVariant(Candidate &c, const LayerSpec &layer, double sparsity)
@@ -128,24 +168,88 @@ rankVariant(Candidate &c, const LayerSpec &layer, double sparsity)
                                                            side);
         return;
     }
-    const std::vector<Tile> tiles = dse::TileSpace::enumerate(layer, cfg);
+    const std::vector<RankedTile> tiles = rankTiles(layer, cfg);
     c.tiles_ranked = tiles.size();
-    cycle_t best = 0;
-    std::string best_canonical;
-    for (const Tile &t : tiles) {
-        const cycle_t cyc = analytical::maeriCycles(layer, t, cfg);
-        const std::string canon = t.canonical();
-        if (best_canonical.empty() || cyc < best ||
-            (cyc == best && canon < best_canonical)) {
-            best = cyc;
-            best_canonical = canon;
-            c.tile = t;
-        }
+    if (!tiles.empty()) {
+        c.tile = tiles.front().tile;
+        c.analytical_cycles = tiles.front().cycles;
     }
-    c.analytical_cycles = best;
 }
 
 } // namespace
+
+HardwareConfig
+evalConfig(HardwareConfig cfg)
+{
+    cfg.trace = false;
+    cfg.checkpoint = false;
+    cfg.autotune = false;
+    cfg.explore = false;
+    return cfg;
+}
+
+double
+spearmanCorrelation(const std::vector<double> &a,
+                    const std::vector<double> &b)
+{
+    fatalIf(a.size() != b.size(),
+            "spearmanCorrelation: sample sizes differ (", a.size(), " vs ",
+            b.size(), ")");
+    if (a.size() < 2)
+        return 1.0;
+    const std::vector<double> ra = averageRanks(a);
+    const std::vector<double> rb = averageRanks(b);
+    const double n = static_cast<double>(a.size());
+    const double ma = std::accumulate(ra.begin(), ra.end(), 0.0) / n;
+    const double mb = std::accumulate(rb.begin(), rb.end(), 0.0) / n;
+    double cov = 0.0, va = 0.0, vb = 0.0;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+        const double da = ra[i] - ma;
+        const double db = rb[i] - mb;
+        cov += da * db;
+        va += da * da;
+        vb += db * db;
+    }
+    if (va == 0.0 && vb == 0.0)
+        return 1.0; // both orderings degenerate: trivially agree
+    if (va == 0.0 || vb == 0.0)
+        return 0.0; // one side carries no ordering information
+    return cov / std::sqrt(va * vb);
+}
+
+DseSummary
+TuneReport::summary() const
+{
+    DseSummary s;
+    s.enabled = true;
+    s.space_size = space_size;
+    s.evaluated = ranked.size();
+    s.cache_hits = cache_hits;
+    s.simulations_run = simulations_run;
+    s.rank_correlation = rank_correlation;
+    s.chosen_tile = best.canonical();
+    s.chosen_cycles = best_cycles;
+    s.greedy_cycles = greedy_cycles;
+    s.cycles_saved_vs_greedy = static_cast<std::int64_t>(greedy_cycles) -
+                               static_cast<std::int64_t>(best_cycles);
+    return s;
+}
+
+JsonValue
+TuneReport::json() const
+{
+    JsonValue v = JsonValue::makeObject();
+    v.set("chosen_tile", best.canonical());
+    v.set("chosen_cycles", static_cast<std::uint64_t>(best_cycles));
+    v.set("greedy_tile", greedy_tile.canonical());
+    v.set("greedy_cycles", static_cast<std::uint64_t>(greedy_cycles));
+    v.set("space_size", space_size);
+    v.set("evaluated", static_cast<std::uint64_t>(ranked.size()));
+    v.set("cache_hits", cache_hits);
+    v.set("simulations_run", simulations_run);
+    v.set("rank_correlation", rank_correlation);
+    return v;
+}
 
 JsonValue
 ExploreReport::json() const
@@ -208,6 +312,125 @@ Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts,
     fatalIf(opts_.top_k <= 0, "Explorer: top_k must be positive, got ",
             opts_.top_k);
     base_.validate();
+}
+
+std::vector<Explorer::Evaluation>
+Explorer::evaluate(const LayerSpec &layer,
+                   const std::vector<Candidate> &cands)
+{
+    const std::string policy =
+        dse::ResultCache::policyText(opts_.seed, opts_.sparsity);
+    std::vector<Evaluation> evals(cands.size());
+    std::vector<std::string> keys(cands.size());
+    std::vector<std::size_t> jobs;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        keys[i] = dse::ResultCache::keyText(cands[i].point.cfg,
+                                            cands[i].layer, cands[i].tile,
+                                            policy);
+        if (const auto hit = cache_->lookup(keys[i]))
+            evals[i] = {*hit, true};
+        else
+            jobs.push_back(i);
+    }
+
+    if (!jobs.empty()) {
+        // One operand bundle per executed layer form (dense layers
+        // share operands across candidates; sparse variants run the
+        // GEMM view with pruned weights). Workers copy into their own
+        // accelerator instances, so evals are written race-free.
+        const LayerData dense_data =
+            makeLayerData(layer, opts_.sparsity, opts_.seed);
+        LayerData sparse_data;
+        for (const std::size_t i : jobs)
+            if (!cands[i].has_tile) {
+                sparse_data = makeLayerData(cands[i].layer, opts_.sparsity,
+                                            opts_.seed);
+                break;
+            }
+        std::vector<std::function<void()>> work;
+        work.reserve(jobs.size());
+        for (const std::size_t i : jobs)
+            work.push_back([&cands, &evals, &dense_data, &sparse_data, i] {
+                const Candidate &c = cands[i];
+                Stonne st(evalConfig(c.point.cfg));
+                const SimulationResult r =
+                    c.has_tile
+                        ? runLayer(st, c.layer, dense_data, c.tile)
+                        : runLayer(st, c.layer, sparse_data);
+                evals[i].outcome = {r.cycles, r.energy.total(),
+                                    r.area.total(), r.ms_utilization};
+            });
+        SweepRunner(opts_.threads).run(work);
+        for (const std::size_t i : jobs)
+            cache_->insert(keys[i], evals[i].outcome);
+        // A shared cache is persisted by its owner (the service saves
+        // once at shutdown), not after every search.
+        if (own_cache_)
+            own_cache_->save();
+    }
+    total_simulations_ += jobs.size();
+    return evals;
+}
+
+TuneReport
+Explorer::tuneLayer(const LayerSpec &layer)
+{
+    const std::vector<RankedTile> space = rankTiles(layer, base_);
+    const Tile greedy = Mapper(base_.ms_size).generateTile(layer);
+
+    // Evaluation set: the analytical top-K, plus the greedy baseline so
+    // the tuned pick can never regress below the status quo.
+    std::vector<Candidate> cands;
+    const auto add = [&](const Tile &tile, cycle_t analytical) {
+        Candidate c;
+        c.point.cfg = base_;
+        c.layer = layer;
+        c.tile = tile;
+        c.has_tile = true;
+        c.analytical_cycles = analytical;
+        cands.push_back(std::move(c));
+    };
+    const std::size_t k = std::min<std::size_t>(
+        space.size(), static_cast<std::size_t>(opts_.top_k));
+    bool greedy_in_top = false;
+    for (std::size_t i = 0; i < k; ++i) {
+        add(space[i].tile, space[i].cycles);
+        greedy_in_top = greedy_in_top || space[i].tile == greedy;
+    }
+    if (!greedy_in_top)
+        add(greedy, analytical::maeriCycles(layer, greedy, base_));
+
+    const std::vector<Evaluation> evals = evaluate(layer, cands);
+    TuneReport rep;
+    rep.space_size = space.size();
+    std::vector<double> analytical_v, simulated_v;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        const dse::CachedOutcome &o = evals[i].outcome;
+        rep.ranked.push_back({cands[i].tile, cands[i].analytical_cycles,
+                              o.cycles, o.energy_uj, o.area_um2,
+                              o.ms_utilization, evals[i].from_cache});
+        rep.cache_hits += evals[i].from_cache ? 1 : 0;
+        if (cands[i].tile == greedy)
+            rep.greedy_cycles = o.cycles;
+        analytical_v.push_back(
+            static_cast<double>(cands[i].analytical_cycles));
+        simulated_v.push_back(static_cast<double>(o.cycles));
+    }
+    rep.simulations_run = cands.size() - rep.cache_hits;
+    rep.rank_correlation = spearmanCorrelation(analytical_v, simulated_v);
+
+    std::sort(rep.ranked.begin(), rep.ranked.end(),
+              [](const EvaluatedTile &a, const EvaluatedTile &b) {
+                  if (a.simulated_cycles != b.simulated_cycles)
+                      return a.simulated_cycles < b.simulated_cycles;
+                  if (a.analytical_cycles != b.analytical_cycles)
+                      return a.analytical_cycles < b.analytical_cycles;
+                  return a.tile.canonical() < b.tile.canonical();
+              });
+    rep.best = rep.ranked.front().tile;
+    rep.best_cycles = rep.ranked.front().simulated_cycles;
+    rep.greedy_tile = greedy;
+    return rep;
 }
 
 ExploreReport
@@ -274,101 +497,39 @@ Explorer::exploreLayer(const LayerSpec &layer)
     take_top([](const Objectives &o) { return o.energy_uj; });
     take_top([](const Objectives &o) { return o.area_um2; });
 
-    // Fidelity 2: cycle-level simulation, cache first.
-    const std::string policy =
-        dse::ResultCache::policyText(opts_.seed, opts_.sparsity);
-    struct Slot {
-        std::size_t cand;
-        std::string key;
-        ExplorePoint pt;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(chosen.size());
-    for (const std::size_t i : chosen) {
-        Slot s;
-        s.cand = i;
-        s.key = dse::ResultCache::keyText(cands[i].point.cfg, cands[i].layer,
-                                          cands[i].tile, policy);
-        s.pt.label = cands[i].point.label;
-        s.pt.tile = cands[i].tile;
-        s.pt.analytical_cycles = cands[i].analytical_cycles;
-        s.pt.analytical_energy_uj = cands[i].analytical_energy_uj;
-        s.pt.area_um2 = cands[i].area_um2;
-        s.pt.config_text = cands[i].point.cfg.toConfigText();
-        slots.push_back(std::move(s));
+    // Fidelity 2: cycle-level simulation of the chosen variants.
+    std::vector<Candidate> picked;
+    picked.reserve(chosen.size());
+    for (const std::size_t i : chosen)
+        picked.push_back(std::move(cands[i]));
+    const std::vector<Evaluation> evals = evaluate(layer, picked);
+    std::vector<ExplorePoint> points(picked.size());
+    for (std::size_t i = 0; i < picked.size(); ++i) {
+        const Candidate &c = picked[i];
+        ExplorePoint &p = points[i];
+        p.label = c.point.label;
+        p.tile = c.tile;
+        p.analytical_cycles = c.analytical_cycles;
+        p.analytical_energy_uj = c.analytical_energy_uj;
+        p.simulated_cycles = evals[i].outcome.cycles;
+        p.energy_uj = evals[i].outcome.energy_uj;
+        p.area_um2 = evals[i].outcome.area_um2;
+        p.ms_utilization = evals[i].outcome.ms_utilization;
+        p.from_cache = evals[i].from_cache;
+        p.config_text = c.point.cfg.toConfigText();
+        rep.cache_hits += p.from_cache ? 1 : 0;
     }
-
-    std::vector<std::size_t> jobs;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (const auto hit = cache_->lookup(slots[i].key)) {
-            slots[i].pt.simulated_cycles = hit->cycles;
-            slots[i].pt.energy_uj = hit->energy_uj;
-            slots[i].pt.area_um2 = hit->area_um2;
-            slots[i].pt.ms_utilization = hit->ms_utilization;
-            slots[i].pt.from_cache = true;
-        } else {
-            jobs.push_back(i);
-        }
-    }
-
-    if (!jobs.empty()) {
-        // One operand bundle per executed layer form (dense layers
-        // share operands across variants; sparse variants run the
-        // GEMM view with pruned weights). Workers copy into their own
-        // accelerator instances, so slots are written race-free.
-        const LayerData dense_data =
-            makeLayerData(layer, opts_.sparsity, opts_.seed);
-        LayerData sparse_data;
-        for (const std::size_t i : jobs)
-            if (!cands[slots[i].cand].has_tile) {
-                sparse_data = makeLayerData(cands[slots[i].cand].layer,
-                                            opts_.sparsity, opts_.seed);
-                break;
-            }
-        std::vector<std::function<void()>> work;
-        work.reserve(jobs.size());
-        for (const std::size_t i : jobs)
-            work.push_back([this, &cands, &slots, &dense_data,
-                            &sparse_data, i] {
-                const Candidate &c = cands[slots[i].cand];
-                Stonne st(evalConfig(c.point.cfg));
-                const SimulationResult r =
-                    c.has_tile
-                        ? runLayer(st, c.layer, dense_data, c.tile)
-                        : runLayer(st, c.layer, sparse_data);
-                slots[i].pt.simulated_cycles = r.cycles;
-                slots[i].pt.energy_uj = r.energy.total();
-                slots[i].pt.area_um2 = r.area.total();
-                slots[i].pt.ms_utilization = r.ms_utilization;
-            });
-        SweepRunner(opts_.threads).run(work);
-        for (const std::size_t i : jobs)
-            cache_->insert(slots[i].key,
-                           dse::CachedOutcome{slots[i].pt.simulated_cycles,
-                                              slots[i].pt.energy_uj,
-                                              slots[i].pt.area_um2,
-                                              slots[i].pt.ms_utilization});
-        // A shared cache is persisted by its owner (the service saves
-        // once at shutdown), not after every exploration.
-        if (own_cache_)
-            own_cache_->save();
-    }
-
-    rep.cache_hits = slots.size() - jobs.size();
-    rep.simulations_run = jobs.size();
-    total_simulations_ += jobs.size();
+    rep.simulations_run = points.size() - rep.cache_hits;
 
     // The exact frontier: dominance over the *simulated* objectives.
-    std::vector<Objectives> exact(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i)
-        exact[i] = {static_cast<double>(slots[i].pt.simulated_cycles),
-                    slots[i].pt.energy_uj, slots[i].pt.area_um2};
+    std::vector<Objectives> exact(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        exact[i] = {static_cast<double>(points[i].simulated_cycles),
+                    points[i].energy_uj, points[i].area_um2};
     for (const std::size_t i : paretoFront(exact))
-        slots[i].pt.on_frontier = true;
+        points[i].on_frontier = true;
 
-    rep.points.reserve(slots.size());
-    for (Slot &s : slots)
-        rep.points.push_back(std::move(s.pt));
+    rep.points = std::move(points);
     std::sort(rep.points.begin(), rep.points.end(),
               [](const ExplorePoint &a, const ExplorePoint &b) {
                   if (a.on_frontier != b.on_frontier)

@@ -55,7 +55,7 @@ sliceColsT(const Tensor &t, index_t c0, index_t w)
 } // namespace
 
 LayerExecutor::LayerExecutor(const DnnModel &model, Stonne &stonne,
-                             dse::AutoTuner *tuner,
+                             explore::Explorer *tuner,
                              const LayerExecOptions &opts,
                              std::vector<LayerRunRecord> *records)
     : model_(model), stonne_(stonne), tuner_(tuner), opts_(opts),
@@ -105,7 +105,7 @@ LayerExecutor::tuneTile(const LayerSpec &spec)
 {
     if (!tuner_)
         return std::nullopt;
-    const dse::TuneReport rep = tuner_->tuneLayer(spec);
+    const explore::TuneReport rep = tuner_->tuneLayer(spec);
     pending_dse_ = rep.summary();
     return rep.best;
 }

@@ -18,8 +18,8 @@
 #include <optional>
 #include <vector>
 
-#include "dse/tuner.hpp"
 #include "engine/stonne_api.hpp"
+#include "explore/explorer.hpp"
 #include "frontend/dnn_layer.hpp"
 
 namespace stonne {
@@ -58,7 +58,7 @@ class LayerExecutor
      * @param records per-operation record sink (nullptr = don't record)
      */
     LayerExecutor(const DnnModel &model, Stonne &stonne,
-                  dse::AutoTuner *tuner, const LayerExecOptions &opts,
+                  explore::Explorer *tuner, const LayerExecOptions &opts,
                   std::vector<LayerRunRecord> *records);
 
     /**
@@ -89,7 +89,7 @@ class LayerExecutor
 
     const DnnModel &model_;
     Stonne &stonne_;
-    dse::AutoTuner *tuner_;
+    explore::Explorer *tuner_;
     LayerExecOptions opts_;
     std::vector<LayerRunRecord> *records_;
     /** Tuning summary awaiting its operation's SimulationResult. */

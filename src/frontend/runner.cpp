@@ -19,10 +19,10 @@ ModelRunner::ModelRunner(const DnnModel &model, const HardwareConfig &cfg)
     stonne_.setAutoCheckpoint(false);
 
     if (cfg.autotune) {
-        dse::TuneOptions opts;
+        explore::ExploreOptions opts;
         opts.top_k = cfg.dse_top_k;
         opts.cache_file = cfg.dse_cache_file;
-        tuner_ = std::make_unique<dse::AutoTuner>(cfg, opts);
+        tuner_ = std::make_unique<explore::Explorer>(cfg, opts);
     }
 }
 

@@ -19,8 +19,8 @@
 #include <memory>
 #include <vector>
 
-#include "dse/tuner.hpp"
 #include "engine/stonne_api.hpp"
+#include "explore/explorer.hpp"
 #include "frontend/dnn_layer.hpp"
 #include "frontend/layer_exec.hpp"
 
@@ -101,7 +101,7 @@ class ModelRunner
     const DnnModel &model_;
     mutable Stonne stonne_;
     /** Mapping auto-tuner, present only with `autotune = ON`. */
-    mutable std::unique_ptr<dse::AutoTuner> tuner_;
+    mutable std::unique_ptr<explore::Explorer> tuner_;
     std::vector<LayerRunRecord> records_;
     bool snapea_early_exit_ = true;
     bool offload_pooling_ = true;

@@ -133,13 +133,13 @@ MulticoreRunner::MulticoreRunner(const DnnModel &model,
     }
 
     if (cfg_.autotune) {
-        dse::TuneOptions opts;
+        explore::ExploreOptions opts;
         opts.top_k = cfg_.dse_top_k;
         opts.cache_file = cfg_.dse_cache_file;
         // Keyed on the original multi-core configuration: its
         // structural text carries cores/channels/partition, so cached
         // single-core outcomes can never answer a multi-core request.
-        tuner_ = std::make_unique<dse::AutoTuner>(cfg_, opts);
+        tuner_ = std::make_unique<explore::Explorer>(cfg_, opts);
     }
 }
 
@@ -600,7 +600,7 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
             std::optional<Tile> tile;
             std::optional<DseSummary> dse;
             if (tuner_) {
-                const dse::TuneReport rep = tuner_->tuneLayer(spec);
+                const explore::TuneReport rep = tuner_->tuneLayer(spec);
                 tile = rep.best;
                 dse = rep.summary();
             }

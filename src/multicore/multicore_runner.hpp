@@ -52,8 +52,8 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
-#include "dse/tuner.hpp"
 #include "engine/stonne_api.hpp"
+#include "explore/explorer.hpp"
 #include "frontend/layer_exec.hpp"
 #include "multicore/partition.hpp"
 #include "multicore/shared_dram.hpp"
@@ -243,7 +243,7 @@ class MulticoreRunner
     mutable std::vector<std::unique_ptr<Stonne>> cores_;
     /** Mapping auto-tuner, present only with `autotune = ON`; shared by
      *  all cores (keyed on the multi-core structural text). */
-    mutable std::unique_ptr<dse::AutoTuner> tuner_;
+    mutable std::unique_ptr<explore::Explorer> tuner_;
     SharedDramArbiter arbiter_;
     PipelinePartition part_;
 

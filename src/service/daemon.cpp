@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "dse/tuner.hpp"
 #include "explore/explorer.hpp"
 #include "engine/output_module.hpp"
 #include "frontend/model_loader.hpp"
@@ -305,13 +304,10 @@ ServiceDaemon::handleLine(const std::string &line)
             pool_.submit([this, job, cfg, admitted_at] {
                 runJob(job, cfg, admitted_at);
             });
-        else if (req.type == RequestType::Tune)
+        else if (req.type == RequestType::Tune ||
+                 req.type == RequestType::Explore)
             pool_.submit([this, job, cfg, admitted_at] {
-                runTune(job, cfg, admitted_at);
-            });
-        else if (req.type == RequestType::Explore)
-            pool_.submit([this, job, cfg, admitted_at] {
-                runExplore(job, cfg, admitted_at);
+                runSearch(job, cfg, admitted_at);
             });
         else
             pool_.submit([this, job, cfg, admitted_at] {
@@ -404,81 +400,48 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
 }
 
 void
-ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
-                       Clock::time_point admitted_at)
+ServiceDaemon::runSearch(const JobRequest &req, const HardwareConfig &cfg,
+                         Clock::time_point admitted_at)
 {
     const double queue_wait_ms = startJob(req.id, admitted_at);
-    dse::TuneReport rep;
+    const bool tune = req.type == RequestType::Tune;
+    JsonValue summary;
+    std::uint64_t cache_hits = 0;
     const RecoveryOutcome out = runWithRecovery(
         recoveryPolicy(req, cfg), cfg,
         [&](const HardwareConfig &acfg, const RecoveryAttempt &) {
-            dse::TuneOptions topts;
-            topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
+            explore::ExploreOptions opts;
+            opts.top_k = req.top_k ? *req.top_k
+                         : tune    ? cfg.dse_top_k
+                                   : cfg.explore_top_k;
+            opts.axes = req.axes.empty() ? cfg.explore_axes : req.axes;
             // The daemon's workers are the parallelism; a nested
-            // candidate pool per tune job would oversubscribe the host.
-            topts.threads = 1;
-            topts.sparsity = req.sparsity;
-            topts.seed = req.seed;
-            dse::AutoTuner tuner(acfg, topts, cache_);
-            rep = tuner.tuneLayer(req.layer);
-        });
-
-    JsonValue r = resultHead(req.id, out);
-    if (out.status == "done") {
-        JsonValue s = JsonValue::makeObject();
-        s.set("chosen_tile", rep.best.canonical());
-        s.set("chosen_cycles", static_cast<std::uint64_t>(rep.best_cycles));
-        s.set("greedy_tile", rep.greedy_tile.canonical());
-        s.set("greedy_cycles",
-              static_cast<std::uint64_t>(rep.greedy_cycles));
-        s.set("space_size", rep.space_size);
-        s.set("evaluated", static_cast<std::uint64_t>(rep.ranked.size()));
-        s.set("cache_hits", rep.cache_hits);
-        s.set("simulations_run", rep.simulations_run);
-        s.set("rank_correlation", rep.rank_correlation);
-        r["summary"] = std::move(s);
-    }
-
-    JsonValue svc = serviceBlock(out);
-    svc.set("cache_hit", rep.cache_hits > 0);
-    svc.set("queue_wait_ms", queue_wait_ms);
-    svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    r["service"] = std::move(svc);
-    finishJob(req.id, out.status, rep.cache_hits, r);
-}
-
-void
-ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
-                          Clock::time_point admitted_at)
-{
-    const double queue_wait_ms = startJob(req.id, admitted_at);
-    explore::ExploreReport rep;
-    const RecoveryOutcome out = runWithRecovery(
-        recoveryPolicy(req, cfg), cfg,
-        [&](const HardwareConfig &acfg, const RecoveryAttempt &) {
-            explore::ExploreOptions eopts;
-            eopts.top_k = req.top_k ? *req.top_k : cfg.explore_top_k;
-            eopts.axes = req.axes.empty() ? cfg.explore_axes : req.axes;
-            // The daemon's workers are the parallelism; a nested
-            // candidate pool per explore job would oversubscribe the
+            // candidate pool per search job would oversubscribe the
             // host.
-            eopts.threads = 1;
-            eopts.sparsity = req.sparsity;
-            eopts.seed = req.seed;
-            explore::Explorer explorer(acfg, eopts, cache_);
-            rep = explorer.exploreLayer(req.layer);
+            opts.threads = 1;
+            opts.sparsity = req.sparsity;
+            opts.seed = req.seed;
+            explore::Explorer explorer(acfg, opts, cache_);
+            const auto keep = [&](const auto &rep) {
+                summary = rep.json();
+                cache_hits = rep.cache_hits;
+            };
+            if (tune)
+                keep(explorer.tuneLayer(req.layer));
+            else
+                keep(explorer.exploreLayer(req.layer));
         });
 
     JsonValue r = resultHead(req.id, out);
     if (out.status == "done")
-        r["summary"] = rep.json();
+        r["summary"] = std::move(summary);
 
     JsonValue svc = serviceBlock(out);
-    svc.set("cache_hit", rep.cache_hits > 0);
+    svc.set("cache_hit", cache_hits > 0);
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
     r["service"] = std::move(svc);
-    finishJob(req.id, out.status, rep.cache_hits, r);
+    finishJob(req.id, out.status, cache_hits, r);
 }
 
 void

@@ -151,10 +151,10 @@ class ServiceDaemon
                                   const HardwareConfig &cfg);
     void runJob(const JobRequest &req, const HardwareConfig &cfg,
                 std::chrono::steady_clock::time_point admitted_at);
-    void runTune(const JobRequest &req, const HardwareConfig &cfg,
-                 std::chrono::steady_clock::time_point admitted_at);
-    void runExplore(const JobRequest &req, const HardwareConfig &cfg,
-                    std::chrono::steady_clock::time_point admitted_at);
+    /** A tune or explore job: one Explorer method over the shared
+     *  cache, picked by the request type. */
+    void runSearch(const JobRequest &req, const HardwareConfig &cfg,
+                   std::chrono::steady_clock::time_point admitted_at);
     void runModel(const JobRequest &req, const HardwareConfig &cfg,
                   std::chrono::steady_clock::time_point admitted_at);
     /** Count the job's terminal status, release its id, emit its

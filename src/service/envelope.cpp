@@ -7,6 +7,7 @@
 #include "common/watchdog.hpp"
 #include "controller/mapper.hpp"
 #include "engine/workload.hpp"
+#include "explore/explorer.hpp"
 
 namespace stonne::service {
 
@@ -52,13 +53,11 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
 {
     JobOutcome out;
 
-    // Side-effect knobs are silenced for service jobs: workers must
-    // never race on shared trace/checkpoint files, and a service job
-    // never re-enters the tuner implicitly.
-    HardwareConfig job_cfg = cfg;
-    job_cfg.trace = false;
-    job_cfg.checkpoint = false;
-    job_cfg.autotune = false;
+    // Side-effect knobs are silenced for service jobs exactly as for
+    // search candidates: workers must never race on shared
+    // trace/checkpoint files, and a service job never re-enters a
+    // search implicitly.
+    const HardwareConfig job_cfg = explore::evalConfig(cfg);
 
     // Warm answer from the shared cache?
     std::string cache_key;

@@ -19,20 +19,22 @@
 #include "controller/mapper.hpp"
 #include "dse/cache.hpp"
 #include "dse/tile_space.hpp"
-#include "dse/tuner.hpp"
 #include "engine/output_module.hpp"
+#include "explore/explorer.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
 
 namespace stonne {
 namespace {
 
-using dse::AutoTuner;
 using dse::CachedOutcome;
 using dse::ResultCache;
 using dse::TileSpace;
-using dse::TuneOptions;
-using dse::TuneReport;
+using explore::EvaluatedTile;
+using explore::ExploreOptions;
+using explore::Explorer;
+using explore::spearmanCorrelation;
+using explore::TuneReport;
 
 /** Self-deleting cache file (covers the .tmp sibling too). */
 struct TempFile {
@@ -249,19 +251,19 @@ TEST(ResultCache, KeyTextSeparatesLayersTilesAndPolicies)
 TEST(Spearman, AgreementDisagreementAndTies)
 {
     EXPECT_DOUBLE_EQ(
-        dse::spearmanCorrelation({1, 2, 3, 4}, {10, 20, 30, 40}), 1.0);
+        spearmanCorrelation({1, 2, 3, 4}, {10, 20, 30, 40}), 1.0);
     EXPECT_DOUBLE_EQ(
-        dse::spearmanCorrelation({1, 2, 3, 4}, {40, 30, 20, 10}), -1.0);
-    EXPECT_DOUBLE_EQ(dse::spearmanCorrelation({5}, {9}), 1.0);
+        spearmanCorrelation({1, 2, 3, 4}, {40, 30, 20, 10}), -1.0);
+    EXPECT_DOUBLE_EQ(spearmanCorrelation({5}, {9}), 1.0);
     // A constant side carries no ordering information.
-    EXPECT_DOUBLE_EQ(dse::spearmanCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
+    EXPECT_DOUBLE_EQ(spearmanCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
     const double mid =
-        dse::spearmanCorrelation({1, 2, 3, 4}, {10, 20, 40, 30});
+        spearmanCorrelation({1, 2, 3, 4}, {10, 20, 40, 30});
     EXPECT_GT(mid, 0.0);
     EXPECT_LT(mid, 1.0);
 }
 
-// --- AutoTuner -------------------------------------------------------
+// --- tune: Explorer::tuneLayer -----------------------------------
 
 TEST(AutoTuner, BeatsGreedyMapperOnShippedConfigs)
 {
@@ -271,7 +273,7 @@ TEST(AutoTuner, BeatsGreedyMapperOnShippedConfigs)
     for (const char *path :
          {"configs/maeri_256.cfg", "configs/maeri_128_traced.cfg"}) {
         const HardwareConfig cfg = HardwareConfig::parseFile(path);
-        AutoTuner tuner(cfg, TuneOptions{}); // in-memory cache
+        Explorer tuner(cfg, ExploreOptions{}); // in-memory cache
         const TuneReport rep = tuner.tuneLayer(secLayer());
         EXPECT_LT(rep.best_cycles, rep.greedy_cycles) << path;
         EXPECT_GT(rep.space_size, rep.ranked.size()) << path;
@@ -281,16 +283,16 @@ TEST(AutoTuner, BeatsGreedyMapperOnShippedConfigs)
 TEST(AutoTuner, ReportIsConsistentAndDeterministic)
 {
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 32);
-    TuneOptions opts;
+    ExploreOptions opts;
     opts.top_k = 6;
-    AutoTuner tuner(cfg, opts);
+    Explorer tuner(cfg, opts);
     const TuneReport rep = tuner.tuneLayer(secLayer());
 
     EXPECT_EQ(rep.ranked.size(), rep.cache_hits + rep.simulations_run);
     EXPECT_GE(rep.ranked.size(), 6u); // top-K plus maybe the greedy tile
     EXPECT_TRUE(std::is_sorted(
         rep.ranked.begin(), rep.ranked.end(),
-        [](const dse::EvaluatedTile &a, const dse::EvaluatedTile &b) {
+        [](const EvaluatedTile &a, const EvaluatedTile &b) {
             return a.simulated_cycles < b.simulated_cycles;
         }));
     EXPECT_EQ(rep.best, rep.ranked.front().tile);
@@ -302,13 +304,13 @@ TEST(AutoTuner, ReportIsConsistentAndDeterministic)
     // The greedy tile was evaluated cycle-level.
     const bool greedy_ranked = std::any_of(
         rep.ranked.begin(), rep.ranked.end(),
-        [&](const dse::EvaluatedTile &et) {
+        [&](const EvaluatedTile &et) {
             return et.tile == rep.greedy_tile;
         });
     EXPECT_TRUE(greedy_ranked);
 
     // Determinism: an independent tuner picks the identical tile.
-    AutoTuner again(cfg, opts);
+    Explorer again(cfg, opts);
     const TuneReport rep2 = again.tuneLayer(secLayer());
     EXPECT_EQ(rep.best, rep2.best);
     EXPECT_EQ(rep.best_cycles, rep2.best_cycles);
@@ -329,26 +331,26 @@ TEST(AutoTuner, WarmCacheRunsZeroSimulations)
     // cycle-level simulations, proven by the invocation counter.
     TempFile f("test_dse_warm.dse.cache");
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 64);
-    TuneOptions opts;
+    ExploreOptions opts;
     opts.top_k = 5;
     opts.cache_file = f.path;
 
     Tile first_choice;
     {
-        AutoTuner cold(cfg, opts);
+        Explorer cold(cfg, opts);
         const TuneReport rep = cold.tuneLayer(secLayer());
         EXPECT_GT(rep.simulations_run, 0u);
         EXPECT_EQ(rep.cache_hits, 0u);
         EXPECT_EQ(cold.totalSimulations(), rep.simulations_run);
         first_choice = rep.best;
     }
-    AutoTuner warm(cfg, opts);
+    Explorer warm(cfg, opts);
     const TuneReport rep = warm.tuneLayer(secLayer());
     EXPECT_EQ(warm.totalSimulations(), 0u);
     EXPECT_EQ(rep.simulations_run, 0u);
     EXPECT_EQ(rep.cache_hits, rep.ranked.size());
     EXPECT_EQ(rep.best, first_choice);
-    for (const dse::EvaluatedTile &et : rep.ranked)
+    for (const EvaluatedTile &et : rep.ranked)
         EXPECT_TRUE(et.from_cache) << et.tile.canonical();
 }
 
@@ -357,9 +359,9 @@ TEST(AutoTuner, CacheOutcomesMatchFreshSimulation)
     // A cache hit must report exactly what a simulation would have: tune
     // twice in one tuner (second call all-hits) and compare reports.
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 32);
-    TuneOptions opts;
+    ExploreOptions opts;
     opts.top_k = 4;
-    AutoTuner tuner(cfg, opts);
+    Explorer tuner(cfg, opts);
     const TuneReport cold = tuner.tuneLayer(secLayer());
     const TuneReport warm = tuner.tuneLayer(secLayer());
     EXPECT_EQ(warm.simulations_run, 0u);
@@ -428,6 +430,18 @@ TEST(Autotune, ConfigKeysParseValidateAndRoundTrip)
     bad.autotune = true;
     bad.dse_top_k = 0;
     EXPECT_THROW(bad.validate(), FatalError);
+}
+
+TEST(Autotune, InMemoryCacheSurvivesTheConfigText)
+{
+    // An empty dse_cache_file keeps the tuner's cache in memory; writing
+    // the config back out must not turn it into the default file.
+    const HardwareConfig cfg = HardwareConfig::parse(
+        "controller = DENSE\nautotune = ON\ndse_cache_file =\n");
+    EXPECT_TRUE(cfg.dse_cache_file.empty());
+    const HardwareConfig round = HardwareConfig::parse(cfg.toConfigText());
+    EXPECT_TRUE(round.autotune);
+    EXPECT_TRUE(round.dse_cache_file.empty());
 }
 
 TEST(Autotune, StructuralTextIgnoresTuningKnobs)
@@ -555,14 +569,14 @@ TEST(ResultCacheTest, ConcurrentHammerStaysConsistent)
 TEST(ResultCacheTest, TunersShareAnExternalCache)
 {
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
-    TuneOptions opts;
+    ExploreOptions opts;
     opts.top_k = 2;
     opts.threads = 1;
 
     ResultCache shared; // in-memory, externally owned
     TuneReport first;
     {
-        AutoTuner tuner(cfg, opts, shared);
+        Explorer tuner(cfg, opts, shared);
         first = tuner.tuneLayer(secLayer());
         EXPECT_GT(first.simulations_run, 0u);
     }
@@ -570,7 +584,7 @@ TEST(ResultCacheTest, TunersShareAnExternalCache)
     {
         // A second tuner over the same shared cache re-tunes the same
         // layer without a single new simulation.
-        AutoTuner tuner(cfg, opts, shared);
+        Explorer tuner(cfg, opts, shared);
         const TuneReport again = tuner.tuneLayer(secLayer());
         EXPECT_EQ(again.simulations_run, 0u);
         EXPECT_EQ(again.cache_hits, again.ranked.size());

@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "dse/cache.hpp"
 #include "engine/workload.hpp"
 #include "explore/axes.hpp"
 #include "explore/design_space.hpp"
@@ -427,6 +428,40 @@ TEST(ExplorerTest, RejectsNonDenseBaseAndWrongLayerKinds)
     Explorer e(HardwareConfig::maeriLike(16, 8), smallOptions());
     EXPECT_THROW(e.exploreLayer(LayerSpec::sparseGemm("s", 8, 8, 8)),
                  FatalError);
+}
+
+TEST(ExplorerTest, TuneAndExploreShareOneKeyPath)
+{
+    // An exploration of the base alone simulates its analytically best
+    // tile; a tune of the same layer then finds that tile in the shared
+    // cache and simulates only the rest of its shortlist.
+    const HardwareConfig base =
+        HardwareConfig::parseFile("configs/maeri_256.cfg");
+    Conv2dShape c;
+    c.R = 3;
+    c.S = 3;
+    c.C = 16;
+    c.K = 64;
+    c.X = 13;
+    c.Y = 13;
+    c.padding = 1;
+    const LayerSpec layer = LayerSpec::convolution("S-EC", c);
+    ExploreOptions opts;
+    opts.top_k = base.dse_top_k;
+    opts.threads = 1;
+    opts.axes = "ms_size=256:256";
+    dse::ResultCache shared;
+
+    Explorer explorer(base, opts, shared);
+    const ExploreReport explored = explorer.exploreLayer(layer);
+    EXPECT_EQ(explored.variants, 1u);
+    EXPECT_EQ(explored.simulations_run, 1u);
+
+    const explore::TuneReport tuned = explorer.tuneLayer(layer);
+    EXPECT_EQ(tuned.ranked.size(), 8u);
+    EXPECT_EQ(tuned.cache_hits, 1u);
+    EXPECT_EQ(tuned.simulations_run, 7u);
+    EXPECT_EQ(shared.size(), 8u);
 }
 
 // --------------------------------------------------------------- service

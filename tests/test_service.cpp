@@ -311,6 +311,22 @@ TEST(ServiceProtocol, OverridesPatchAndUnknownKeysFail)
     }
 }
 
+TEST(ServiceProtocol, OverridesKeepTheSearchKeys)
+{
+    // Overrides re-serialise the job config: search keys set in the
+    // config text must survive that with their flags off.
+    const HardwareConfig cfg = HardwareConfig::parse(
+        "controller = DENSE\ndse_top_k = 2\ndse_cache_file = job.cache\n"
+        "explore_axes = ms_size\nexplore_top_k = 9\n");
+    const HardwareConfig patched =
+        applyOverrides(cfg, {{"job_retries", "1"}});
+    EXPECT_EQ(patched.job_retries, 1);
+    EXPECT_EQ(patched.dse_top_k, 2);
+    EXPECT_EQ(patched.dse_cache_file, "job.cache");
+    EXPECT_EQ(patched.explore_axes, "ms_size");
+    EXPECT_EQ(patched.explore_top_k, 9);
+}
+
 TEST(ServiceProtocol, RemovedFastForwardKeyIsRejected)
 {
     // `fast_forward` named a second execution mode that no longer
