@@ -79,6 +79,16 @@ StatsRegistry::delta(const std::vector<count_t> &before) const
 }
 
 void
+StatsRegistry::repeat(const std::vector<count_t> &before, count_t times)
+{
+    panicIf(before.size() != counters_.size(),
+            "repeat over a snapshot of ", before.size(), " counters; ",
+            counters_.size(), " are registered");
+    for (std::size_t i = 0; i < counters_.size(); ++i)
+        counters_[i].value += times * (counters_[i].value - before[i]);
+}
+
+void
 StatsRegistry::reset()
 {
     for (auto &c : counters_)

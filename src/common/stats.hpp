@@ -101,6 +101,13 @@ class StatsRegistry : public Checkpointable
      */
     StatsRegistry delta(const std::vector<count_t> &before) const;
 
+    /**
+     * Add `times` x (value - before) to every counter: the activity
+     * since the snapshot, repeated `times` more times. `before` must
+     * cover every registered counter.
+     */
+    void repeat(const std::vector<count_t> &before, count_t times);
+
     /** Reset every counter to zero (keeps registrations). */
     void reset();
 

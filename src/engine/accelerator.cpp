@@ -36,7 +36,7 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
 
     engine_ = std::make_unique<EventEngine>(cfg_.engine_type,
                                             watchdog_.get(), faults_.get(),
-                                            trace_.get());
+                                            trace_.get(), &stats_);
 
     gb_ = std::make_unique<GlobalBuffer>(
         cfg_.gb_size_kib, cfg_.dn_bandwidth, cfg_.rn_bandwidth,

@@ -155,12 +155,64 @@ EventEngine::drain(GlobalBuffer &gb, index_t count)
     return cycles;
 }
 
+EventEngine::Mark
+EventEngine::mark() const
+{
+    Mark m;
+    if (stats_ != nullptr)
+        m.counters = stats_->snapshot();
+    if (watchdog_ != nullptr) {
+        m.observed = watchdog_->cyclesObserved();
+        m.stall = watchdog_->stallCycles();
+    }
+    m.now = now_;
+    for (std::size_t s = 0; s < kStreams; ++s)
+        m.spans[s] = spans_[s];
+    return m;
+}
+
+bool
+EventEngine::replay(const Mark &m, count_t times)
+{
+    if (mode_ == EngineType::Tick || faults_ != nullptr ||
+        trace_ != nullptr || stats_ == nullptr ||
+        stats_->counters().size() != m.counters.size())
+        return false;
+    cycle_t unit_cycles = 0;
+    if (watchdog_ != nullptr) {
+        // A stall run would make the repetitions' deadlock checks
+        // differ; a budget crossed inside the span must abort on its
+        // exact cycle, which only stepping reproduces.
+        if (m.stall != 0 || watchdog_->stallCycles() != 0)
+            return false;
+        unit_cycles = watchdog_->cyclesObserved() - m.observed;
+        const cycle_t budget = watchdog_->cycleBudget();
+        if (budget != 0 &&
+            watchdog_->cyclesObserved() + times * unit_cycles > budget)
+            return false;
+    }
+
+    stats_->repeat(m.counters, times);
+    const cycle_t span = times * (now_ - m.now);
+    now_ += span;
+    for (std::size_t s = 0; s < kStreams; ++s)
+        if (spans_[s] != m.spans[s])
+            next_active_[s] += span;
+    // Every cycle of a stall-free unit made progress.
+    replayed_ += times;
+    if (watchdog_ != nullptr)
+        watchdog_->bulkTick(times * unit_cycles, 1);
+    return true;
+}
+
 void
 EventEngine::reset()
 {
     now_ = 0;
-    for (std::size_t s = 0; s < kStreams; ++s)
+    for (std::size_t s = 0; s < kStreams; ++s) {
         next_active_[s] = 0;
+        spans_[s] = 0;
+    }
 }
 
 void

@@ -28,17 +28,31 @@
  * non-virtual (gemmini-style single dispatch), replacing three virtual
  * calls per simulated cycle.
  *
- * `engine = TICK` takes no skip and runs every cycle through the same
- * loops, so the parity suite can compare the two engines directly; the
- * wakeup bookkeeping advances identically in both modes, keeping
- * checkpoints mode-independent.
+ * Controllers whose units of work repeat (MAERI filter blocks and pool
+ * channel blocks, SIGMA's columns of a round) run the first unit
+ * exactly between mark() and replay(); replay() then commits the
+ * following identical units in closed form — every counter, the
+ * watchdog, the engine clock and the wakeup records move by a multiple
+ * of the first unit's delta. It declines whenever per-cycle stepping
+ * could be observed: under TICK, with a fault injector or tracer
+ * attached, when a cycle budget would abort inside the span, with a
+ * stall run open, or after a counter was registered.
+ *
+ * `engine = TICK` takes no skip and replays nothing: it runs every
+ * cycle through the same loops, so the parity suite can compare the two
+ * engines directly; the wakeup bookkeeping advances identically in
+ * both modes, keeping checkpoints mode-independent.
  */
 
 #ifndef STONNE_ENGINE_EVENT_ENGINE_HPP
 #define STONNE_ENGINE_EVENT_ENGINE_HPP
 
+#include <cstdint>
+#include <vector>
+
 #include "checkpoint/checkpointable.hpp"
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "common/watchdog.hpp"
 #include "faults/fault_injector.hpp"
@@ -59,9 +73,27 @@ class EventEngine : public Checkpointable
         kStreams = 2,
     };
 
+    /**
+     * The engine-visible state at the start of a controller's unit of
+     * work: what replay() scales the unit's effect against.
+     */
+    struct Mark {
+        std::vector<count_t> counters; //!< registry snapshot
+        cycle_t observed = 0;          //!< watchdog cycles observed
+        cycle_t stall = 0;             //!< watchdog stall run
+        cycle_t now = 0;
+        std::uint64_t spans[kStreams] = {0, 0};
+    };
+
+    /**
+     * @param stats the registry every unit counts into; without one,
+     *        replay() always declines
+     */
     EventEngine(EngineType mode, Watchdog *watchdog = nullptr,
-                FaultInjector *faults = nullptr, Tracer *trace = nullptr)
-        : mode_(mode), watchdog_(watchdog), faults_(faults), trace_(trace)
+                FaultInjector *faults = nullptr, Tracer *trace = nullptr,
+                StatsRegistry *stats = nullptr)
+        : mode_(mode), watchdog_(watchdog), faults_(faults), trace_(trace),
+          stats_(stats)
     {
     }
 
@@ -87,6 +119,36 @@ class EventEngine : public Checkpointable
      * @return the number of cycles the drain occupied.
      */
     cycle_t drain(GlobalBuffer &gb, index_t count);
+
+    /** Record the state a unit of work starts from (see replay()). */
+    Mark mark() const;
+
+    /**
+     * Commit `times` more repetitions of the unit run since `m`, as if
+     * each had been stepped again: every counter gains times x its
+     * delta since the mark, the watchdog observes times x the unit's
+     * cycles (bulkTick(), so wall-clock deadlines are still checked),
+     * and the engine clock and the record of every stream the unit
+     * used advance by times x the unit's clock delta.
+     *
+     * The caller guarantees the repetitions are identical: they start
+     * from the same controller state and issue the same deliveries,
+     * drains and counts. Unit state (per-cycle issue budgets) is left
+     * as the first unit left it, which is where each repetition
+     * would leave it too.
+     *
+     * @return false, changing nothing, when per-cycle stepping could be
+     *         observed: under TICK, with a fault injector or tracer
+     *         attached, without a registry, when the armed cycle budget
+     *         would be crossed inside the span, with a watchdog stall
+     *         run open at the mark or now, or when a counter was
+     *         registered since the mark. The caller then steps the
+     *         remaining units exactly.
+     */
+    bool replay(const Mark &m, count_t times);
+
+    /** Units replay() has committed since construction. */
+    count_t replayedUnits() const { return replayed_; }
 
     /** Engine clock: total cycles scheduled across both streams. */
     cycle_t now() const { return now_; }
@@ -133,15 +195,21 @@ class EventEngine : public Checkpointable
     {
         now_ += cycles;
         next_active_[s] = now_;
+        ++spans_[s];
     }
 
     EngineType mode_;
     Watchdog *watchdog_;
     FaultInjector *faults_;
     Tracer *trace_;
+    StatsRegistry *stats_;
 
     cycle_t now_ = 0;
     cycle_t next_active_[kStreams] = {0, 0};
+    //! Spans noted per stream: tells replay() which streams a unit
+    //! used. Operation-local, so not checkpointed.
+    std::uint64_t spans_[kStreams] = {0, 0};
+    count_t replayed_ = 0;
 };
 
 } // namespace stonne
