@@ -331,10 +331,16 @@ Stonne::runOperationImpl()
             Tensor out({c.K, gd.n});
             cr = accel_->sparseController().runSpMM(
                 a, b, out, policy_, skip_zero_b_, policy_seed_);
-            if (!bias_.empty())
-                for (index_t k = 0; k < c.K; ++k)
+            if (!bias_.empty()) {
+                fatalIf(bias_.size() != c.K, "convolution bias of ",
+                        bias_.size(), " values for ", c.K, " filters");
+                const float *bd = bias_.data();
+                for (index_t k = 0; k < c.K; ++k) {
+                    float *row = out.data() + k * gd.n;
                     for (index_t j = 0; j < gd.n; ++j)
-                        out.at(k, j) += bias_.at(k);
+                        row[j] += bd[k];
+                }
+            }
             // Scatter back per group (col2im consumes per-group rows).
             for (index_t g = 0; g < c.G; ++g)
                 col2imFrom(out.data() + g * kg * gd.n, gd.n, c, g, output_);
@@ -346,17 +352,11 @@ Stonne::runOperationImpl()
         output_ = Tensor({g.n, g.m});
         if (cfg.controller_type == ControllerType::Sparse) {
             // Stationary sparse weights, streamed transposed inputs.
-            Tensor b({g.k, g.n});
-            for (index_t i = 0; i < g.n; ++i)
-                for (index_t j = 0; j < g.k; ++j)
-                    b.at(j, i) = input_.at(i, j);
             Tensor out({g.m, g.n});
             cr = accel_->sparseController().runSpMMDense(
-                weights_, b, out, policy_, skip_zero_b_, policy_seed_);
-            for (index_t i = 0; i < g.n; ++i)
-                for (index_t j = 0; j < g.m; ++j)
-                    output_.at(i, j) = out.at(j, i) +
-                        (bias_.empty() ? 0.0f : bias_.at(j));
+                weights_, input_.transposed(), out, policy_, skip_zero_b_,
+                policy_seed_);
+            linearFromGemm(out, bias_, output_);
         } else if (cfg.controller_type == ControllerType::Snapea) {
             // SNAPEA applies to ReLU-gated convolutions; linear layers
             // run through the same pipeline without the cut-off, as a
@@ -365,11 +365,8 @@ Stonne::runOperationImpl()
             shape.C = g.k;
             shape.K = g.m;
             shape.Y = g.n;
-            Tensor in({g.k, g.n});
-            for (index_t i = 0; i < g.n; ++i)
-                for (index_t j = 0; j < g.k; ++j)
-                    in.at(j, i) = input_.at(i, j);
-            const Tensor in4 = in.reshaped({1, g.k, 1, g.n});
+            const Tensor in4 =
+                input_.transposed().reshaped({1, g.k, 1, g.n});
             const Tensor w4 = weights_.reshaped({g.m, g.k, 1, 1});
             Tensor out({1, g.m, 1, g.n});
             const LayerSpec as_conv =

@@ -133,4 +133,23 @@ col2imFrom(const float *src, index_t ld, const Conv2dShape &shape,
                           (n * shape.K + group * kg + k) * plane);
 }
 
+void
+linearFromGemm(const Tensor &result, const Tensor &bias, Tensor &output)
+{
+    fatalIf(result.rank() != 2, "linear GEMM result must be rank-2");
+    const index_t m = result.dim(0);
+    const index_t n = result.dim(1);
+    fatalIf(output.rank() != 2 || output.dim(0) != n || output.dim(1) != m,
+            "linear output shape mismatch");
+    fatalIf(!bias.empty() && bias.size() != m, "linear bias size ",
+            bias.size(), " for ", m, " features");
+    const float *src = result.data();
+    const float *bd = bias.empty() ? nullptr : bias.data();
+    for (index_t i = 0; i < n; ++i) {
+        float *row = output.data() + i * m;
+        for (index_t j = 0; j < m; ++j)
+            row[j] = src[j * n + i] + (bd != nullptr ? bd[j] : 0.0f);
+    }
+}
+
 } // namespace stonne

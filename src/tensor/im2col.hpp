@@ -80,6 +80,14 @@ void col2im(const Tensor &result, const Conv2dShape &shape, index_t group,
 void col2imFrom(const float *src, index_t ld, const Conv2dShape &shape,
                 index_t group, Tensor &output);
 
+/**
+ * Write a linear layer's (batch x features) output from its GEMM result
+ * (features x batch): output(i, j) = result(j, i) + bias(j). An empty
+ * bias adds +0, which turns a -0 sum into +0 as a zero bias would.
+ */
+void linearFromGemm(const Tensor &result, const Tensor &bias,
+                    Tensor &output);
+
 } // namespace stonne
 
 #endif // STONNE_TENSOR_IM2COL_HPP

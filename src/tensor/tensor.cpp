@@ -86,6 +86,21 @@ Tensor::at(index_t a, index_t b, index_t c, index_t d) const
 }
 
 Tensor
+Tensor::transposed() const
+{
+    panicIf(rank() != 2, "transpose of a rank-", rank(), " tensor");
+    const index_t rows = shape_[0];
+    const index_t cols = shape_[1];
+    Tensor t({cols, rows});
+    const float *src = data_.data();
+    float *dst = t.data_.data();
+    for (index_t i = 0; i < rows; ++i)
+        for (index_t j = 0; j < cols; ++j)
+            dst[j * rows + i] = src[i * cols + j];
+    return t;
+}
+
+Tensor
 Tensor::reshaped(std::vector<index_t> new_shape) const
 {
     index_t total = 1;

@@ -67,6 +67,9 @@ class Tensor
     float &at(index_t a, index_t b, index_t c, index_t d);
     float at(index_t a, index_t b, index_t c, index_t d) const;
 
+    /** Transpose of a rank-2 tensor. */
+    Tensor transposed() const;
+
     /** Reinterpret the same storage under a new shape (same size). */
     Tensor reshaped(std::vector<index_t> new_shape) const;
 
