@@ -59,6 +59,44 @@ TEST(Tensor, ReshapePreservesData)
     EXPECT_THROW(t.reshaped({5, 5}), FatalError);
 }
 
+TEST(Tensor, TransposeSwapsRowsAndColumns)
+{
+    Tensor t({2, 3});
+    for (index_t i = 0; i < t.size(); ++i)
+        t.at(i) = static_cast<float>(i);
+    const Tensor tt = t.transposed();
+    ASSERT_EQ(tt.shape(), (std::vector<index_t>{3, 2}));
+    for (index_t i = 0; i < 2; ++i)
+        for (index_t j = 0; j < 3; ++j)
+            EXPECT_EQ(tt.at(j, i), t.at(i, j));
+    EXPECT_THROW(Tensor({2, 2, 2}).transposed(), PanicError);
+}
+
+TEST(Im2col, LinearFromGemmTransposesAndAddsBias)
+{
+    // A (features x batch) result becomes (batch x features) output.
+    Tensor c({3, 2});
+    for (index_t i = 0; i < c.size(); ++i)
+        c.at(i) = static_cast<float>(i);
+    c.at(1, 1) = -0.0f;
+    Tensor bias({3});
+    bias.at(static_cast<index_t>(2)) = 0.5f;
+    Tensor out({2, 3});
+    linearFromGemm(c, bias, out);
+    for (index_t i = 0; i < 2; ++i)
+        for (index_t j = 0; j < 3; ++j)
+            EXPECT_EQ(out.at(i, j), c.at(j, i) + bias.at(j));
+
+    // An empty bias still adds +0, turning a -0 sum into +0.
+    linearFromGemm(c, Tensor(), out);
+    EXPECT_FALSE(std::signbit(out.at(1, 1)));
+    EXPECT_EQ(out.at(0, 2), 4.0f);
+
+    Tensor wrong({3, 2});
+    EXPECT_THROW(linearFromGemm(c, bias, wrong), FatalError);
+    EXPECT_THROW(linearFromGemm(c, Tensor({2}), out), FatalError);
+}
+
 TEST(Tensor, SparsityCountsExactZeros)
 {
     Tensor t({4});
