@@ -33,24 +33,6 @@
 #include "explore/explorer.hpp"
 #include "service/daemon.hpp"
 
-// `tune` is a method of the explorer; older trees carried it in a
-// class of its own. The suite builds against either, so the same table
-// pins both.
-#if __has_include("dse/tuner.hpp")
-#include "dse/tuner.hpp"
-namespace stonne::golden {
-using SearchOptions = dse::TuneOptions;
-using dse::EvaluatedTile;
-using dse::TuneReport;
-inline TuneReport
-tune(const HardwareConfig &cfg, const SearchOptions &opts,
-     dse::ResultCache &cache, const LayerSpec &layer)
-{
-    dse::AutoTuner tuner(cfg, opts, cache);
-    return tuner.tuneLayer(layer);
-}
-} // namespace stonne::golden
-#else
 namespace stonne::golden {
 using SearchOptions = explore::ExploreOptions;
 using explore::EvaluatedTile;
@@ -63,7 +45,6 @@ tune(const HardwareConfig &cfg, const SearchOptions &opts,
     return tuner.tuneLayer(layer);
 }
 } // namespace stonne::golden
-#endif
 
 namespace stonne {
 namespace {

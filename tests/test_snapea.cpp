@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -109,6 +115,70 @@ TEST(SnapeaTable, NonFiniteAndSignedZeroWeightsHaveATotalOrder)
     // The cut-off point is the first weight below zero: the -NaN ahead
     // of it is not, so everything from the cut-off on is negative.
     EXPECT_EQ(t.first_negative[0], 6);
+}
+
+/** The reference order: sort (sign-flipped key << 32 | index) words. */
+std::vector<index_t>
+sortedPackedKeys(const float *w, index_t window)
+{
+    std::vector<std::uint64_t> keyed;
+    for (index_t i = 0; i < window; ++i) {
+        if (w[i] == 0.0f)
+            continue;
+        std::uint32_t bits;
+        std::memcpy(&bits, &w[i], sizeof bits);
+        keyed.push_back(std::uint64_t{bits ^ 0x7fffffffu} << 32 |
+                        static_cast<std::uint64_t>(i));
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<index_t> order;
+    for (const std::uint64_t k : keyed)
+        order.push_back(static_cast<index_t>(k & 0xffffffffu));
+    return order;
+}
+
+TEST(SnapeaReorderTable, MatchesSortingPackedKeys)
+{
+    // Weights drawn from a small pool so that ties are common, plus
+    // every special bit class and arbitrary bit patterns (NaN payloads
+    // included), at window sizes on both sides of 256, one byte's
+    // worth of keys.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float pool[] = {0.0f, -0.0f, inf, -inf, nan,
+                          std::copysign(nan, -1.0f), 0.5f, -0.5f,
+                          0.25f, -0.25f, 1e-40f, -1e-40f, 3.0f, -3.0f};
+    std::mt19937_64 gen(3);
+    for (const index_t window : {1, 2, 255, 256, 257, 4096}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        const index_t k = 6;
+        Tensor w({k, window, 1, 1});
+        for (index_t i = 0; i < w.size(); ++i) {
+            if (gen() % 4 == 0) {
+                const auto bits = static_cast<std::uint32_t>(gen());
+                std::memcpy(&w.at(i), &bits, sizeof bits);
+            } else {
+                w.at(i) = pool[gen() % std::size(pool)];
+            }
+        }
+        const SnapeaReorderTable t = SnapeaReorderTable::build(w);
+        ASSERT_EQ(t.order.size(), static_cast<std::size_t>(k));
+        for (index_t f = 0; f < k; ++f) {
+            const float *row = w.data() + f * window;
+            const std::vector<index_t> expect =
+                sortedPackedKeys(row, window);
+            EXPECT_EQ(t.order[static_cast<std::size_t>(f)], expect);
+            auto first_neg = static_cast<index_t>(expect.size());
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+                if (row[expect[i]] < 0.0f) {
+                    first_neg = static_cast<index_t>(i);
+                    break;
+                }
+            }
+            EXPECT_EQ(t.first_negative[static_cast<std::size_t>(f)],
+                      first_neg);
+        }
+    }
 }
 
 TEST(Snapea, BaselineMatchesReferencePostRelu)
