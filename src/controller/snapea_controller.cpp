@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "controller/tile.hpp"
@@ -19,6 +20,46 @@ SnapeaReorderTable::maxLength() const
     return m;
 }
 
+namespace {
+
+/**
+ * Sort `n` packed (key << 32 | index) words by their key: a stable LSD
+ * radix sort over the key's four bytes, with `tmp` as the second
+ * buffer. Entered with the indices ascending, ties keep that order, so
+ * the result is the words' numeric order. A pass whose byte is the same
+ * in every key moves nothing and is skipped. Returns the buffer (`a` or
+ * `tmp`) holding the sorted words.
+ */
+const std::uint64_t *
+radixSortKeys(std::uint64_t *a, std::uint64_t *tmp, std::size_t n)
+{
+    if (n == 0)
+        return a;
+    std::uint32_t count[4][256] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto key = static_cast<std::uint32_t>(a[i] >> 32);
+        ++count[0][key & 0xffu];
+        ++count[1][(key >> 8) & 0xffu];
+        ++count[2][(key >> 16) & 0xffu];
+        ++count[3][key >> 24];
+    }
+    for (unsigned b = 0; b < 4; ++b) {
+        std::uint32_t *c = count[b];
+        const unsigned shift = 32 + 8 * b;
+        if (c[(a[0] >> shift) & 0xffu] == n)
+            continue;
+        std::uint32_t pos = 0;
+        for (unsigned d = 0; d < 256; ++d)
+            pos += std::exchange(c[d], pos);
+        for (std::size_t i = 0; i < n; ++i)
+            tmp[c[(a[i] >> shift) & 0xffu]++] = a[i];
+        std::swap(a, tmp);
+    }
+    return a;
+}
+
+} // namespace
+
 SnapeaReorderTable
 SnapeaReorderTable::build(const Tensor &weights)
 {
@@ -31,8 +72,10 @@ SnapeaReorderTable::build(const Tensor &weights)
     SnapeaReorderTable t;
     t.order.resize(static_cast<std::size_t>(k));
     t.first_negative.resize(static_cast<std::size_t>(k));
-    std::vector<std::uint64_t> keyed;
-    keyed.reserve(static_cast<std::size_t>(window));
+    // The keyed words and the radix sort's second buffer, reused by
+    // every filter.
+    std::vector<std::uint64_t> keyed(static_cast<std::size_t>(window));
+    std::vector<std::uint64_t> tmp(keyed.size());
     for (index_t f = 0; f < k; ++f) {
         const float *w = weights.data() + f * window;
         // Positives first (largest first), then negatives with the
@@ -43,20 +86,21 @@ SnapeaReorderTable::build(const Tensor &weights)
         // positive sign first), total over every bit pattern: a NaN
         // leads its sign's group, ahead of the infinity. The index in
         // the low half breaks ties in ascending order.
-        keyed.clear();
+        std::size_t n = 0;
         for (index_t i = 0; i < window; ++i) {
             if (w[i] == 0.0f)
                 continue;
             std::uint32_t bits;
             std::memcpy(&bits, &w[i], sizeof bits);
-            keyed.push_back(std::uint64_t{bits ^ 0x7fffffffu} << 32 |
-                            static_cast<std::uint64_t>(i));
+            keyed[n++] = std::uint64_t{bits ^ 0x7fffffffu} << 32 |
+                static_cast<std::uint64_t>(i);
         }
-        std::sort(keyed.begin(), keyed.end());
+        const std::uint64_t *sorted =
+            radixSortKeys(keyed.data(), tmp.data(), n);
         auto &ord = t.order[static_cast<std::size_t>(f)];
-        ord.resize(keyed.size());
-        for (std::size_t i = 0; i < keyed.size(); ++i)
-            ord[i] = static_cast<index_t>(keyed[i] & 0xffffffffu);
+        ord.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            ord[i] = static_cast<index_t>(sorted[i] & 0xffffffffu);
         auto first_neg = static_cast<index_t>(ord.size());
         for (std::size_t i = 0; i < ord.size(); ++i) {
             if (w[ord[i]] < 0.0f) {
@@ -165,8 +209,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
     const index_t total_steps = nbn * nbx * nby;
 
     // Each window weight's input offset from the window origin and its
-    // (r, s), tabulated once per layer: the streams visit the weights
-    // in reorder-table order, so no per-multiply div/mod remains.
+    // (r, s), tabulated once per layer.
     struct WindowTerm {
         index_t off; //!< c * X * Y + r * Y + s
         index_t r, s;
@@ -179,19 +222,39 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                 terms.push_back(
                     {(c * shape.X + r) * shape.Y + s2, r, s2});
 
+    // One record per stream element of the filter block being run, in
+    // reorder-table order, filter after filter: the streams then read
+    // their terms front to back with no index table in between. The
+    // buffer holds one block's streams and is refilled per block.
+    struct StreamTerm {
+        std::int32_t off; //!< WindowTerm::off
+        std::int32_t r, s;
+        float w;
+    };
+    fatalIf(cg * shape.X * shape.Y > INT32_MAX,
+            "SNAPEA input map too large for its stream records");
+    std::vector<StreamTerm> stream;
+    // Per filter of the block: its first record, plus the end.
+    std::vector<index_t> stream_begin;
+
     // Per-cluster state within one step: one virtual neuron per mapped
     // (filter, position) pair.
     struct VnState {
         index_t ko = 0;           //!< global filter index
-        index_t n = 0, ox = 0, oy = 0;
+        index_t fi = 0;           //!< filter index within the block
+        index_t out = 0;          //!< flat output index
         index_t ix0 = 0, iy0 = 0; //!< input row/column of the window origin
         index_t origin = 0;       //!< input offset of the window origin
         float psum = 0.0f;
         bool active = true;
+        bool interior = true;     //!< the window lies inside the input
     };
     std::vector<VnState> vns;
     vns.reserve(static_cast<std::size_t>(
         tile.t_g * tile.t_k * tile.t_n * tile.t_x * tile.t_y));
+    // Reduction cluster sizes of one fold, in window order.
+    std::vector<index_t> clusters;
+    clusters.reserve(vns.capacity());
     // A fold's distinct activations: an input is counted when its mark
     // is not yet the fold's epoch (shared inputs multicast through the
     // DN).
@@ -199,21 +262,47 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                                     0);
     std::uint32_t epoch = 0;
     const float *in = input.data();
-    // The input term of one stream element, or nullptr off the input
-    // (zero padding).
-    const auto operand = [&](const VnState &v, index_t we) -> const float * {
-        const WindowTerm &t = terms[static_cast<std::size_t>(we)];
-        const index_t ix = v.ix0 + t.r;
-        const index_t iy = v.iy0 + t.s;
-        if (ix < 0 || ix >= shape.X || iy < 0 || iy >= shape.Y)
-            return nullptr;
-        return in + (v.origin + t.off);
+    const auto inside = [&shape](index_t ix, index_t iy) {
+        return ix >= 0 && ix < shape.X && iy >= 0 && iy < shape.Y;
     };
+    fatalIf(!bias.empty() && bias.size() != shape.K, "convolution bias of ",
+            bias.size(), " values for ", shape.K, " filters");
+    const float *bias_d = bias.empty() ? nullptr : bias.data();
+    float *out = output.data();
 
     for (index_t g0 = 0; g0 < shape.G; g0 += tile.t_g) {
         const index_t tg = std::min(tile.t_g, shape.G - g0);
         for (index_t k0 = 0; k0 < kg; k0 += tile.t_k) {
             const index_t tk = std::min(tile.t_k, kg - k0);
+
+            stream_begin.clear();
+            index_t total = 0;
+            for (index_t g = g0; g < g0 + tg; ++g)
+                for (index_t k = k0; k < k0 + tk; ++k) {
+                    stream_begin.push_back(total);
+                    total += static_cast<index_t>(
+                        table.order[static_cast<std::size_t>(g * kg + k)]
+                            .size());
+                }
+            stream_begin.push_back(total);
+            stream.resize(static_cast<std::size_t>(total));
+            {
+                StreamTerm *rec = stream.data();
+                for (index_t g = g0; g < g0 + tg; ++g)
+                    for (index_t k = k0; k < k0 + tk; ++k) {
+                        const index_t ko = g * kg + k;
+                        const float *w = weights.data() + ko * window;
+                        for (const index_t we :
+                             table.order[static_cast<std::size_t>(ko)]) {
+                            const WindowTerm &t =
+                                terms[static_cast<std::size_t>(we)];
+                            *rec++ = {static_cast<std::int32_t>(t.off),
+                                      static_cast<std::int32_t>(t.r),
+                                      static_cast<std::int32_t>(t.s), w[we]};
+                        }
+                    }
+            }
+
             for (index_t s = 0; s < total_steps; ++s) {
                 const index_t yb = s % nby;
                 const index_t xb = (s / nby) % nbx;
@@ -233,9 +322,9 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                                 for (index_t y = y0p; y < y0p + ty; ++y) {
                                     VnState v;
                                     v.ko = g * kg + k;
-                                    v.n = n;
-                                    v.ox = x;
-                                    v.oy = y;
+                                    v.fi = (g - g0) * tk + (k - k0);
+                                    v.out = ((n * shape.K + v.ko) * xo +
+                                             x) * yo + y;
                                     v.ix0 = x * shape.stride -
                                         shape.padding;
                                     v.iy0 = y * shape.stride -
@@ -243,8 +332,12 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                                     v.origin = ((n * shape.C + g * cg) *
                                                     shape.X + v.ix0) *
                                             shape.Y + v.iy0;
-                                    v.psum = bias.empty()
-                                        ? 0.0f : bias.at(v.ko);
+                                    v.psum = bias_d == nullptr
+                                        ? 0.0f : bias_d[v.ko];
+                                    v.interior =
+                                        inside(v.ix0, v.iy0) &&
+                                        inside(v.ix0 + shape.R - 1,
+                                               v.iy0 + shape.S - 1);
                                     vns.push_back(v);
                                 }
 
@@ -260,59 +353,68 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                 for (index_t f = 0; f < folds; ++f) {
                     const index_t e0 = f * vn;
 
-                    // Which filters still stream weights this fold?
-                    index_t streaming_filters = 0;
-                    index_t stream_elems = 0;
-                    {
-                        index_t last_ko = -1;
-                        for (const VnState &v : vns) {
-                            if (!v.active || v.ko == last_ko)
-                                continue;
-                            const auto len_k = static_cast<index_t>(
-                                table.order[static_cast<std::size_t>(
-                                    v.ko)].size());
-                            if (e0 >= len_k)
-                                continue;
-                            ++streaming_filters;
-                            stream_elems +=
-                                std::min(vn, len_k - e0);
-                            last_ko = v.ko;
-                        }
-                    }
-                    if (streaming_filters == 0)
-                        break;
-
-                    // Distinct activations of this fold across every
-                    // active window.
+                    // One pass over the windows still streaming this
+                    // fold: mark its distinct activations, accumulate
+                    // the psum and run the sign check. The deliveries
+                    // and reductions it implies follow in order.
                     if (++epoch == 0) {
                         std::fill(seen.begin(), seen.end(), 0);
                         epoch = 1;
                     }
+                    index_t stream_elems = 0;
                     index_t distinct = 0;
-                    index_t active_vns = 0;
-                    for (const VnState &v : vns) {
+                    index_t fired = 0;
+                    index_t last_fi = -1;
+                    clusters.clear();
+                    for (VnState &v : vns) {
                         if (!v.active)
                             continue;
-                        const auto &ord = table.order[
-                            static_cast<std::size_t>(v.ko)];
-                        const auto len_k =
-                            static_cast<index_t>(ord.size());
+                        const index_t begin =
+                            stream_begin[static_cast<std::size_t>(v.fi)];
+                        const index_t len_k = stream_begin[
+                            static_cast<std::size_t>(v.fi) + 1] - begin;
                         if (e0 >= len_k)
                             continue;
-                        ++active_vns;
-                        const index_t e_end =
-                            std::min(e0 + vn, len_k);
-                        for (index_t e = e0; e < e_end; ++e) {
-                            const float *x = operand(
-                                v, ord[static_cast<std::size_t>(e)]);
-                            if (x == nullptr)
+                        const index_t e_end = std::min(e0 + vn, len_k);
+                        const index_t m = e_end - e0;
+                        if (v.fi != last_fi) {
+                            stream_elems += m;
+                            last_fi = v.fi;
+                        }
+                        clusters.push_back(m);
+                        fired += m;
+
+                        const StreamTerm *t = stream.data() + begin + e0;
+                        float psum = v.psum;
+                        for (index_t i = 0; i < m; ++i) {
+                            // Terms off the input read the zero padding.
+                            if (!v.interior &&
+                                !inside(v.ix0 + t[i].r, v.iy0 + t[i].s)) {
+                                psum += t[i].w * 0.0f;
                                 continue;
-                            std::uint32_t &m = seen[
-                                static_cast<std::size_t>(x - in)];
-                            distinct += m != epoch;
-                            m = epoch;
+                            }
+                            const auto at = static_cast<std::size_t>(
+                                v.origin + t[i].off);
+                            distinct += seen[at] != epoch;
+                            seen[at] = epoch;
+                            psum += t[i].w * in[at];
+                        }
+                        v.psum = psum;
+
+                        // Exact-mode cut-off: only negative weights left
+                        // and a non-positive psum can never recover
+                        // (activations are non-negative).
+                        if (early_exit && e_end < len_k &&
+                            e_end >= table.first_negative[
+                                static_cast<std::size_t>(v.ko)] &&
+                            psum <= 0.0f) {
+                            v.active = false;
+                            res.skipped_macs += static_cast<count_t>(
+                                len_k - e_end);
                         }
                     }
+                    if (clusters.empty())
+                        break;
 
                     setPhase("sorted weight streaming");
                     cycle_t dl = engine_.deliver(
@@ -322,44 +424,11 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     dl += engine_.deliver(dn_, gb_, distinct, 1,
                                           PackageKind::Input);
 
-                    // Compute and sign-check.
-                    index_t fired = 0;
-                    for (VnState &v : vns) {
-                        if (!v.active)
-                            continue;
-                        const auto &ord = table.order[
-                            static_cast<std::size_t>(v.ko)];
-                        const auto len_k =
-                            static_cast<index_t>(ord.size());
-                        if (e0 >= len_k)
-                            continue;
-                        const float *w = weights.data() + v.ko * window;
-                        const index_t e_end =
-                            std::min(e0 + vn, len_k);
-                        for (index_t e = e0; e < e_end; ++e) {
-                            const index_t we =
-                                ord[static_cast<std::size_t>(e)];
-                            const float *x = operand(v, we);
-                            v.psum += w[we] * (x != nullptr ? *x : 0.0f);
-                        }
-                        fired += e_end - e0;
-                        rn_.reduceCluster(e_end - e0);
-
-                        // Exact-mode cut-off: only negative weights left
-                        // and a non-positive psum can never recover
-                        // (activations are non-negative).
-                        if (early_exit && e_end < len_k &&
-                            e_end >= table.first_negative[
-                                static_cast<std::size_t>(v.ko)] &&
-                            v.psum <= 0.0f) {
-                            v.active = false;
-                            res.skipped_macs += static_cast<count_t>(
-                                len_k - e_end);
-                        }
-                    }
+                    for (const index_t m : clusters)
+                        rn_.reduceCluster(m);
                     mn_.fireMultipliers(std::min(fired, cfg_.ms_size));
                     res.macs += static_cast<count_t>(fired);
-                    rn_.accumulate(active_vns);
+                    rn_.accumulate(static_cast<index_t>(clusters.size()));
 
                     res.cycles += std::max<cycle_t>(1, dl);
                 }
@@ -370,7 +439,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                 res.cycles += engine_.drain(
                     gb_, static_cast<index_t>(vns.size()));
                 for (const VnState &v : vns)
-                    output.at(v.n, v.ko, v.ox, v.oy) = v.psum;
+                    out[v.out] = v.psum;
             }
         }
     }
