@@ -35,7 +35,6 @@
 #include "engine/output_module.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
-#include "multicore/multicore_runner.hpp"
 #include "sweep.hpp"
 
 namespace {
@@ -174,7 +173,7 @@ runMulticorePoint()
 
     ModelPoint p{"squeezenet-tiny x2 pipeline"};
     for (int rep = 0; rep < kReps; ++rep) {
-        MulticoreRunner runner(model, cfg);
+        ModelRunner runner(model, cfg);
         const Tensor out = runner.run(input);
         panicIf(!out.equals(runner.runNative(input)),
                 "multicore bench point diverged from the native path");
@@ -191,7 +190,7 @@ runMulticorePoint()
     return p;
 }
 
-/** Batched inference (N = 4) through the single-accelerator runner. */
+/** Batched inference (N = 4) on one accelerator. */
 ModelPoint
 runBatchPoint()
 {

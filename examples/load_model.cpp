@@ -13,7 +13,6 @@
 
 #include "frontend/model_loader.hpp"
 #include "frontend/runner.hpp"
-#include "multicore/multicore_runner.hpp"
 
 using namespace stonne;
 
@@ -53,13 +52,13 @@ main(int argc, char **argv)
     }
     input.fillUniform(rng, 0.0f, 1.0f);
 
-    // A cores > 1 configuration runs the multi-core composition:
-    // N accelerators behind the shared DRAM, with per-core stall
-    // counters from the bandwidth arbiter.
+    ModelRunner runner(model, cfg);
+    const Tensor out = runner.run(input);
+    const SimulationResult total = runner.total();
+
+    // A cores > 1 configuration runs N accelerators behind the shared
+    // DRAM: report per-core stall counters from the bandwidth arbiter.
     if (cfg.cores > 1) {
-        MulticoreRunner runner(model, cfg);
-        const Tensor out = runner.run(input);
-        const SimulationResult total = runner.total();
         std::printf("%-10s %12s %14s %10s %12s %12s\n", "core", "cycles",
                     "dram stalls", "grants", "bytes", "state");
         for (index_t c = 0; c < runner.coreCount(); ++c)
@@ -94,10 +93,6 @@ main(int argc, char **argv)
                             runner.resumeCycle()));
         return 0;
     }
-
-    ModelRunner runner(model, cfg);
-    const Tensor out = runner.run(input);
-    const SimulationResult total = runner.total();
 
     std::printf("%-14s %-10s %12s %10s\n", "layer", "where", "cycles",
                 "util %");

@@ -57,10 +57,11 @@ class ArchiveWriter
      *  bookkeeping); version 3 added the multi-core run's quarantine
      *  cursor (layers_done / migrations / benched set) and the per-core
      *  section liveness flag; version 4 dropped the per-span counter
-     *  deltas of trace events (only fast-forward spans carried them).
-     *  Older archives are rejected with a version diagnostic rather
-     *  than misparsed. */
-    static constexpr std::uint32_t kVersion = 4;
+     *  deltas of trace events (only fast-forward spans carried them);
+     *  version 5 added the in-flight pipeline stage's clock to the
+     *  model run's cursor. Older archives are rejected with a version
+     *  diagnostic rather than misparsed. */
+    static constexpr std::uint32_t kVersion = 5;
 
     void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);

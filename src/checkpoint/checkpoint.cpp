@@ -107,33 +107,48 @@ loadSimulationResult(ArchiveReader &ar)
 
 namespace {
 
-/** Open `path` and read the "meta" section: (kind, config text). */
-std::pair<std::uint32_t, std::string>
-readMeta(const std::string &path)
+/** What a snapshot of `kind` carries; empty for an unknown kind. */
+std::string
+kindContents(std::uint32_t kind)
+{
+    switch (kind) {
+      case kCheckpointKindEngine:
+        return "engine state only";
+      case kCheckpointKindServiceJob:
+        return "a service job";
+      case kCheckpointKindMulticoreRun:
+        return "a model run";
+      default:
+        return "";
+    }
+}
+
+} // namespace
+
+void
+requireCheckpointKind(const ArchiveReader &ar, std::uint32_t kind,
+                      std::uint32_t expected)
+{
+    if (kind == expected)
+        return;
+    const std::string got = kindContents(kind);
+    if (got.empty())
+        ar.fail("unknown checkpoint kind " + std::to_string(kind));
+    ar.fail("the snapshot carries " + got + ", but " +
+            kindContents(expected) + " was expected");
+}
+
+std::string
+checkpointConfigText(const std::string &path)
 {
     ArchiveReader r(path);
     r.enterSection("meta");
     const std::uint32_t kind = r.getU32();
     std::string cfg_text = r.getString();
     r.leaveSection();
-    if (kind != kCheckpointKindEngine && kind != kCheckpointKindModelRun &&
-        kind != kCheckpointKindServiceJob)
+    if (kindContents(kind).empty())
         r.fail("unknown checkpoint kind " + std::to_string(kind));
-    return {kind, std::move(cfg_text)};
-}
-
-} // namespace
-
-std::string
-checkpointConfigText(const std::string &path)
-{
-    return readMeta(path).second;
-}
-
-bool
-checkpointHasRunnerSection(const std::string &path)
-{
-    return readMeta(path).first == kCheckpointKindModelRun;
+    return cfg_text;
 }
 
 } // namespace stonne

@@ -23,7 +23,7 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
         static_cast<cycle_t>(cfg_.job_budget_cycles));
     // A standalone accelerator is core 0 of a one-core composition:
     // when fault_core routes the injector to some other core, this
-    // instance stays injector-free (MulticoreRunner clears faults.core
+    // instance stays injector-free (ModelRunner clears faults.core
     // in the per-core configs it builds, so routing happens exactly
     // once, at whichever layer owns the composition).
     if (cfg_.faults.enabled && cfg_.faults.core <= 0)

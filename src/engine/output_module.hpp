@@ -19,7 +19,7 @@
 #include "common/json_writer.hpp"
 #include "common/stats.hpp"
 #include "engine/stonne_api.hpp"
-#include "frontend/runner.hpp"
+#include "frontend/layer_exec.hpp"
 
 namespace stonne {
 

@@ -196,10 +196,10 @@ Stonne::saveCheckpointTo(ArchiveWriter &ar, std::uint32_t kind) const
 }
 
 void
-Stonne::loadCheckpointFrom(ArchiveReader &ar)
+Stonne::loadCheckpointFrom(ArchiveReader &ar, std::uint32_t kind)
 {
     ar.enterSection("meta");
-    ar.getU32(); // kind — the file-level entry points dispatch on it
+    requireCheckpointKind(ar, ar.getU32(), kind);
     ar.getString();
     ar.leaveSection();
     ar.enterSection("stonne");
@@ -223,9 +223,6 @@ Stonne::loadCheckpoint(const std::string &path)
 {
     ArchiveReader ar(path);
     loadCheckpointFrom(ar);
-    if (!ar.atEnd())
-        ar.fail("the snapshot carries a full model-run state; resume it "
-                "through the ModelRunner, not the engine API");
 }
 
 void

@@ -171,7 +171,9 @@ class Stonne
      * Restore a saveCheckpoint() snapshot into this freshly created
      * instance. The instance must have been built from a structurally
      * identical configuration (checkpointConfigText() recovers the
-     * embedded one); throws CheckpointError on mismatch or corruption.
+     * embedded one); throws CheckpointError on mismatch or corruption,
+     * and up front, naming the kind, on a model-run or service-job
+     * snapshot.
      */
     void loadCheckpoint(const std::string &path);
 
@@ -179,16 +181,19 @@ class Stonne
     void saveCheckpointTo(ArchiveWriter &ar,
                           std::uint32_t kind = kCheckpointKindEngine) const;
 
-    /** Restore from an open archive (counterpart of saveCheckpointTo). */
-    void loadCheckpointFrom(ArchiveReader &ar);
+    /** Restore from an open archive (counterpart of saveCheckpointTo);
+     *  the snapshot's kind must be `kind`. */
+    void loadCheckpointFrom(ArchiveReader &ar,
+                            std::uint32_t kind = kCheckpointKindEngine);
 
     /** Cycle this instance resumed from (0 if never restored). */
     cycle_t restoredFromCycle() const { return restored_from_cycle_; }
 
     /**
      * Enable/disable the periodic `checkpoint = ON` snapshots written
-     * after operations. The ModelRunner turns these off and writes its
-     * own layer-boundary snapshots carrying the forward-pass state.
+     * after operations. The ModelRunner turns these off on its cores
+     * and writes its own snapshots carrying the schedule cursor; the
+     * service's layer jobs write their own per-job snapshots.
      */
     void setAutoCheckpoint(bool enabled) { auto_checkpoint_ = enabled; }
 

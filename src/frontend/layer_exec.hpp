@@ -3,12 +3,10 @@
  * Single-layer executor: runs one DnnLayer of a model on one simulated
  * accelerator instance (or natively for the CPU reference path).
  *
- * Extracted from ModelRunner::forward so the single-core runner and the
- * multi-core runner share one execution path per layer: ModelRunner
- * iterates layers on one Stonne instance; MulticoreRunner gives every
- * core its own executor and schedules layers across them. Anything that
- * changes how a layer is lowered onto the accelerator belongs here, not
- * in either runner.
+ * The ModelRunner gives every core its own executor and schedules
+ * layers across them; its native reference path runs the same executor
+ * without offloading. Anything that changes how a layer is lowered onto
+ * the accelerator belongs here, not in the runner.
  */
 
 #ifndef STONNE_FRONTEND_LAYER_EXEC_HPP

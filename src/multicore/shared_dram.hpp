@@ -18,8 +18,8 @@
  * Properties the tests rely on:
  *  - one core on one channel never overlaps itself (its timeline is
  *    serial), so every request completes at its nominal duration and
- *    the stall counters stay zero — the single-core composition is
- *    bit-identical to the legacy path by construction;
+ *    the stall counters stay zero — a one-core run's timeline is its
+ *    core's own cycles by construction;
  *  - grants are deterministic: the ledger only depends on the request
  *    sequence, and the scheduler issues requests in its static
  *    schedule order.

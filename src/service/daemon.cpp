@@ -10,7 +10,7 @@
 #include "explore/explorer.hpp"
 #include "engine/output_module.hpp"
 #include "frontend/model_loader.hpp"
-#include "multicore/multicore_runner.hpp"
+#include "frontend/runner.hpp"
 #include "service/envelope.hpp"
 
 namespace stonne::service {

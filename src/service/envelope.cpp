@@ -95,7 +95,7 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
             SimulationResult merged;
             if (!snapshot.empty() && std::filesystem::exists(snapshot)) {
                 ArchiveReader ar(snapshot);
-                st.loadCheckpointFrom(ar);
+                st.loadCheckpointFrom(ar, kCheckpointKindServiceJob);
                 ar.enterSection("service_job");
                 ops_done = static_cast<index_t>(ar.getU64());
                 merged = loadSimulationResult(ar);
@@ -146,7 +146,7 @@ runModelJobEnvelope(const DnnModel &model, const HardwareConfig &cfg,
     static_cast<RecoveryOutcome &>(out) = runWithRecovery(
         opts, job_cfg,
         [&](const HardwareConfig &acfg, const RecoveryAttempt &a) {
-            MulticoreRunner runner(model, acfg);
+            ModelRunner runner(model, acfg);
             runner.setWallDeadline(a.deadline);
             if (opts.on_quarantine)
                 runner.setQuarantineObserver(opts.on_quarantine);

@@ -45,7 +45,7 @@
 #include "controller/tile.hpp"
 #include "dse/cache.hpp"
 #include "engine/stonne_api.hpp"
-#include "multicore/multicore_runner.hpp"
+#include "frontend/runner.hpp"
 
 namespace stonne::service {
 

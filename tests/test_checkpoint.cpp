@@ -661,7 +661,6 @@ TEST(EngineCheckpoint, EmbeddedConfigTextIsPeekable)
 
     // The CLI `resume` command rebuilds the instance from this text.
     EXPECT_EQ(checkpointConfigText(snap.path), st.config().toConfigText());
-    EXPECT_FALSE(checkpointHasRunnerSection(snap.path));
 
     Stonne rebuilt(
         HardwareConfig::parse(checkpointConfigText(snap.path), snap.path));
@@ -717,7 +716,7 @@ TEST(ModelRunCheckpoint, MidRunSnapshotResumesBitIdentically)
     // Reference: the uninterrupted run.
     ModelRunner ref(model, cfg);
     const Tensor out_ref = ref.run(input);
-    const cycle_t total_ref = ref.stonne().totalCycles();
+    const cycle_t total_ref = ref.core(0).totalCycles();
 
     // Pick an interval that fires exactly once, at the boundary after
     // the second conv: larger than every other per-layer cycle count,
@@ -750,7 +749,6 @@ TEST(ModelRunCheckpoint, MidRunSnapshotResumesBitIdentically)
     EXPECT_EQ(writer.lastCheckpointPath(), snap.path);
     EXPECT_EQ(writer.total().checkpoint_path, snap.path);
     ASSERT_TRUE(std::filesystem::exists(snap.path));
-    EXPECT_TRUE(checkpointHasRunnerSection(snap.path));
 
     // Resume in a fresh runner — under the other engine (wakeup
     // scheduler swapped for the tick-everything loops) — and complete
@@ -761,9 +759,8 @@ TEST(ModelRunCheckpoint, MidRunSnapshotResumesBitIdentically)
     const Tensor out_res = resumer.resume(snap.path);
 
     expectIdenticalOutput(out_ref, out_res);
-    EXPECT_EQ(resumer.stonne().totalCycles(), total_ref);
-    expectIdenticalCounters(ref.stonne().stats(),
-                            resumer.stonne().stats());
+    EXPECT_EQ(resumer.core(0).totalCycles(), total_ref);
+    expectIdenticalCounters(ref.core(0).stats(), resumer.core(0).stats());
     EXPECT_GT(resumer.total().restored_from_cycle, 0u);
     EXPECT_LT(resumer.total().restored_from_cycle, total_ref);
 
@@ -806,7 +803,7 @@ TEST(ModelRunCheckpoint, KindMismatchesAreNamedErrors)
     ASSERT_TRUE(std::filesystem::exists(run_snap.path));
     Stonne other(cfg);
     expectThrowsWith([&] { other.loadCheckpoint(run_snap.path); },
-                     "ModelRunner");
+                     "carries a model run");
 
     // A different model cannot claim the snapshot either.
     const DnnModel other_model = loadModelFromText(
@@ -815,6 +812,63 @@ TEST(ModelRunCheckpoint, KindMismatchesAreNamedErrors)
         7, "<other_net>");
     ModelRunner wrong(other_model, ckpt_cfg);
     EXPECT_THROW(wrong.resume(run_snap.path), CheckpointError);
+}
+
+TEST(ModelRunCheckpoint, EveryKindIsPeekableAndNamedWhenRefused)
+{
+    const DnnModel model =
+        loadModelFromText(kCkptModel, 7, "<ckpt_net>");
+    Tensor input({1, 3, 8, 8});
+    Rng rng(21);
+    input.fillUniform(rng, 0.0f, 1.0f);
+
+    // A two-core run's snapshot: the CLI `resume` flow peeks its config
+    // text, rebuilds an instance from it, and is refused by name.
+    TempFile run_snap("test_ckpt_kind_run.ckpt");
+    HardwareConfig run_cfg =
+        HardwareConfig::parseFile("configs/maeri_128_x2.cfg");
+    run_cfg.checkpoint = true;
+    run_cfg.checkpoint_file = run_snap.path;
+    run_cfg.checkpoint_interval_cycles = 1;
+    ModelRunner writer(model, run_cfg);
+    writer.run(input);
+    ASSERT_TRUE(std::filesystem::exists(run_snap.path));
+    const std::string text = checkpointConfigText(run_snap.path);
+    EXPECT_EQ(text, run_cfg.toConfigText());
+    Stonne rebuilt(HardwareConfig::parse(text, run_snap.path));
+    expectThrowsWith([&] { rebuilt.loadCheckpoint(run_snap.path); },
+                     "carries a model run");
+
+    // A service job's snapshot: engine state plus the job cursor.
+    TempFile job_snap("test_ckpt_kind_job.ckpt");
+    const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    {
+        ArchiveWriter ar;
+        Stonne(cfg).saveCheckpointTo(ar, kCheckpointKindServiceJob);
+        ar.beginSection("service_job");
+        ar.putU64(0);
+        ar.endSection();
+        ar.writeFile(job_snap.path);
+    }
+    EXPECT_EQ(checkpointConfigText(job_snap.path), cfg.toConfigText());
+    Stonne engine(cfg);
+    expectThrowsWith([&] { engine.loadCheckpoint(job_snap.path); },
+                     "carries a service job");
+    ModelRunner runner(model, cfg);
+    expectThrowsWith([&] { runner.resume(job_snap.path); },
+                     "carries a service job");
+
+    // A kind no build writes is refused by number.
+    TempFile odd_snap("test_ckpt_kind_odd.ckpt");
+    {
+        ArchiveWriter ar;
+        Stonne(cfg).saveCheckpointTo(ar, 2);
+        ar.writeFile(odd_snap.path);
+    }
+    expectThrowsWith([&] { checkpointConfigText(odd_snap.path); },
+                     "unknown checkpoint kind 2");
+    expectThrowsWith([&] { engine.loadCheckpoint(odd_snap.path); },
+                     "unknown checkpoint kind 2");
 }
 
 } // namespace

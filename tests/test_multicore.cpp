@@ -1,13 +1,12 @@
 /**
  * @file
- * Multi-accelerator composition tests (src/multicore): the shared-DRAM
- * arbiter's fairness/determinism/self-exclusion properties, the model
- * partitioners, and — the core invariant — a cores = 1 MulticoreRunner
- * reproduces the legacy ModelRunner bit-identically (cycles, records,
- * outputs, trace bytes, zero stalls) on every shipped configs/*.cfg,
- * while a cores = 2 composition stays functionally exact against the
- * native reference, checkpoints/restores bit-identically mid-run, and
- * reports per-core DRAM stall counters in strict JSON.
+ * Multi-accelerator composition tests (src/multicore and the model
+ * runner): the shared-DRAM arbiter's fairness/determinism/self-exclusion
+ * properties, the model partitioners, and the cores = 2 compositions,
+ * which stay functionally exact against the native reference,
+ * checkpoint and restore bit-identically mid-run (also inside a
+ * pipeline stage), and report per-core DRAM stall counters in strict
+ * JSON. The one-core runs are pinned by the ModelRunGolden suite.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +31,6 @@
 #include "frontend/model_loader.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
-#include "multicore/multicore_runner.hpp"
 #include "multicore/partition.hpp"
 #include "multicore/shared_dram.hpp"
 
@@ -65,19 +63,6 @@ slurp(const std::string &path)
     EXPECT_TRUE(static_cast<bool>(is)) << path;
     return std::string((std::istreambuf_iterator<char>(is)),
                        std::istreambuf_iterator<char>());
-}
-
-std::vector<std::string>
-configFiles()
-{
-    std::vector<std::string> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator("configs"))
-        if (entry.path().extension() == ".cfg")
-            files.push_back(entry.path().string());
-    std::sort(files.begin(), files.end());
-    EXPECT_FALSE(files.empty());
-    return files;
 }
 
 /** Deterministic input matching the model's first layer. */
@@ -277,68 +262,6 @@ TEST(Partition, ShardabilityFollowsTheLayerKind)
     }
 }
 
-// --- 1-core composition == legacy path, on every shipped config -------
-
-TEST(MulticoreRunner, OneCoreIsBitIdenticalToModelRunnerOnEveryConfig)
-{
-    const DnnModel model = loadModelFromFile("models/fire_mini.model");
-    const Tensor input = modelInput(model);
-
-    for (const std::string &path : configFiles()) {
-        SCOPED_TRACE(path);
-        HardwareConfig cfg = HardwareConfig::parseFile(path);
-        cfg.cores = 1;
-        cfg.dram_channels = 1;
-        // Collapsing to one core removes the core that fault_core
-        // routed the injector to; its sickness (and the tight watchdog
-        // calibrated against it) has no one-core analogue.
-        if (cfg.faults.core > 0) {
-            cfg.faults = FaultConfig{};
-            cfg.watchdog_cycles = HardwareConfig{}.watchdog_cycles;
-        }
-        TempFile trace("test_multicore_parity_trace.json");
-        TempFile ckpt("test_multicore_parity.ckpt");
-        if (cfg.trace)
-            cfg.trace_file = trace.path;
-        if (cfg.checkpoint)
-            cfg.checkpoint_file = ckpt.path;
-
-        ModelRunner legacy(model, cfg);
-        const Tensor ref_out = legacy.run(input);
-        const SimulationResult ref_total = legacy.total();
-        const std::string ref_trace = cfg.trace ? slurp(trace.path) : "";
-        trace.clean();
-
-        MulticoreRunner mc(model, cfg);
-        const Tensor out = mc.run(input);
-        const SimulationResult total = mc.total();
-
-        EXPECT_TRUE(out.equals(ref_out));
-        EXPECT_EQ(total.cycles, ref_total.cycles);
-        EXPECT_EQ(total.macs, ref_total.macs);
-        EXPECT_EQ(total.skipped_macs, ref_total.skipped_macs);
-        EXPECT_EQ(total.mem_accesses, ref_total.mem_accesses);
-        EXPECT_EQ(mc.core(0).totalCycles(),
-                  legacy.stonne().totalCycles());
-
-        // The composed timeline adds nothing with one core: the
-        // arbiter never charges a stall.
-        EXPECT_EQ(mc.arbiter().stallCycles(0), 0u);
-
-        const auto &ref_recs = legacy.records();
-        const auto &recs = mc.coreRecords(0);
-        ASSERT_EQ(recs.size(), ref_recs.size());
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-            EXPECT_EQ(recs[i].name, ref_recs[i].name);
-            EXPECT_EQ(recs[i].offloaded, ref_recs[i].offloaded);
-            EXPECT_EQ(recs[i].sim.cycles, ref_recs[i].sim.cycles);
-        }
-
-        if (cfg.trace)
-            EXPECT_EQ(slurp(trace.path), ref_trace);
-    }
-}
-
 // --- 2-core compositions ----------------------------------------------
 
 TEST(MulticoreRunner, TwoCorePipelineRunsResnetBlockEndToEnd)
@@ -351,7 +274,7 @@ TEST(MulticoreRunner, TwoCorePipelineRunsResnetBlockEndToEnd)
     ASSERT_EQ(cfg.partition, PartitionStrategy::Pipeline);
 
     const Tensor input = modelInput(model);
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     const Tensor out = runner.run(input);
     EXPECT_TRUE(out.equals(runner.runNative(input)));
 
@@ -378,7 +301,7 @@ TEST(MulticoreRunner, KSplitMatchesTheNativeReference)
     cfg.partition = PartitionStrategy::KSplit;
 
     const Tensor input = modelInput(model);
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     const Tensor out = runner.run(input);
     EXPECT_TRUE(out.equals(runner.runNative(input)));
     EXPECT_GT(runner.core(1).totalCycles(), 0u); // shards really ran
@@ -394,13 +317,13 @@ TEST(MulticoreRunner, SharedChannelContendsAndPrivateChannelsDoNot)
     const Tensor input = modelInput(model);
 
     cfg.dram_channels = 1;
-    MulticoreRunner shared(model, cfg);
+    ModelRunner shared(model, cfg);
     shared.run(input);
     const count_t stalls_shared = shared.arbiter().stallCycles(0) +
                                   shared.arbiter().stallCycles(1);
 
     cfg.dram_channels = 2;
-    MulticoreRunner split(model, cfg);
+    ModelRunner split(model, cfg);
     split.run(input);
     const count_t stalls_split = split.arbiter().stallCycles(0) +
                                  split.arbiter().stallCycles(1);
@@ -422,7 +345,7 @@ TEST(MulticoreRunner, MergedTraceCarriesOneTidGroupPerCore)
     cfg.trace = true;
     cfg.trace_file = trace.path;
 
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     runner.run(modelInput(model));
 
     const std::string text = slurp(trace.path);
@@ -438,7 +361,7 @@ TEST(MulticoreRunner, ReportJsonIsStrictAndCarriesPerCoreCounters)
         loadModelFromFile("models/resnet_block.model");
     const HardwareConfig cfg =
         HardwareConfig::parseFile("configs/maeri_128_x2.cfg");
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     runner.run(modelInput(model));
 
     const JsonValue report =
@@ -474,11 +397,11 @@ TEST(MulticoreRunner, MidRunCheckpointRestoresBitIdentically)
 
     // Probe the batch's total simulated work (checkpointing is
     // timing-neutral, so the probe run is the reference run too), then
-    // pick an interval that fires exactly once, at a stage boundary
+    // pick an interval that fires exactly once, at a layer boundary
     // strictly inside the run: ~60% of the total crosses mid-batch and
     // the <= 40% left can never re-trigger, so the snapshot on disk is
     // guaranteed to be a mid-run one.
-    MulticoreRunner straight(model, cfg);
+    ModelRunner straight(model, cfg);
     const std::vector<Tensor> ref_outs = straight.runBatch(inputs);
     const cycle_t sum =
         straight.core(0).totalCycles() + straight.core(1).totalCycles();
@@ -488,7 +411,7 @@ TEST(MulticoreRunner, MidRunCheckpointRestoresBitIdentically)
     cfg.checkpoint_file = ckpt.path;
     cfg.checkpoint_interval_cycles =
         static_cast<index_t>(sum * 6 / 10);
-    MulticoreRunner snapped(model, cfg);
+    ModelRunner snapped(model, cfg);
     const std::vector<Tensor> snap_outs = snapped.runBatch(inputs);
     ASSERT_FALSE(snapped.lastCheckpointPath().empty());
     ASSERT_TRUE(std::filesystem::exists(ckpt.path));
@@ -500,7 +423,7 @@ TEST(MulticoreRunner, MidRunCheckpointRestoresBitIdentically)
     // Restore the mid-run snapshot into a fresh composition and
     // complete: outputs, per-core cycle counts, arbiter counters and
     // the composed makespan must all match the uninterrupted run.
-    MulticoreRunner resumed(model, cfg);
+    ModelRunner resumed(model, cfg);
     const std::vector<Tensor> outs = resumed.resumeBatch(ckpt.path);
     ASSERT_EQ(outs.size(), ref_outs.size());
     for (std::size_t b = 0; b < ref_outs.size(); ++b)
@@ -516,11 +439,92 @@ TEST(MulticoreRunner, MidRunCheckpointRestoresBitIdentically)
         EXPECT_EQ(resumed.arbiter().bytesRequested(c),
                   straight.arbiter().bytesRequested(c));
     }
-    const auto ref_recs = straight.allRecords();
-    const auto recs = resumed.allRecords();
+    const auto ref_recs = straight.records();
+    const auto recs = resumed.records();
     ASSERT_EQ(recs.size(), ref_recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i) {
         EXPECT_EQ(recs[i].name, ref_recs[i].name);
+        EXPECT_EQ(recs[i].sim.cycles, ref_recs[i].sim.cycles);
+    }
+}
+
+TEST(MulticoreRunner, SnapshotInsideAStageResumesBitIdentically)
+{
+    TempFile ckpt("test_multicore_mid_stage.ckpt");
+    const DnnModel model =
+        loadModelFromFile("models/resnet_block.model");
+    HardwareConfig cfg =
+        HardwareConfig::parseFile("configs/maeri_128_x2.cfg");
+    ASSERT_EQ(cfg.partition, PartitionStrategy::Pipeline);
+    const std::vector<Tensor> inputs = {modelInput(model, 21),
+                                        modelInput(model, 22)};
+
+    ModelRunner straight(model, cfg);
+    const std::vector<Tensor> ref_outs = straight.runBatch(inputs);
+    const PipelinePartition &part = straight.partition();
+    ASSERT_EQ(part.stages(), 2);
+
+    // Replay the schedule's layer commits (sample-major, then stage,
+    // then layer; one record per layer) as the running sum of the
+    // cores' cycles. The interval is the sum at a commit that is not
+    // the last of its stage, that advanced the sum, and that lies past
+    // half the total, so the snapshot fires there and only there.
+    std::vector<std::size_t> next_rec(2, 0);
+    cycle_t sum = 0;
+    const cycle_t total =
+        straight.core(0).totalCycles() + straight.core(1).totalCycles();
+    cycle_t interval = 0;
+    for (std::size_t b = 0; b < inputs.size(); ++b)
+        for (std::size_t st = 0; st < 2; ++st) {
+            const auto [first, last] = part.stage_bounds[st];
+            const auto c = static_cast<std::size_t>(part.coreOf(st));
+            for (std::size_t i = first; i < last; ++i) {
+                const LayerRunRecord &r = straight.coreRecords(
+                    static_cast<index_t>(c))[next_rec[c]++];
+                ASSERT_EQ(r.name, model.layers[i].name);
+                sum += r.sim.cycles;
+                // The second stage reads the model input across the
+                // boundary: a resume inside it must not fetch it again.
+                if (st == 1 && i + 1 < last && r.sim.cycles > 0 &&
+                    2 * sum > total && interval == 0)
+                    interval = sum;
+            }
+        }
+    ASSERT_EQ(sum, total);
+    ASSERT_GT(interval, 0u) << "no commit inside a stage past half-way";
+
+    cfg.checkpoint = true;
+    cfg.checkpoint_file = ckpt.path;
+    cfg.checkpoint_interval_cycles = static_cast<index_t>(interval);
+    ModelRunner snapped(model, cfg);
+    snapped.runBatch(inputs);
+    ASSERT_EQ(snapped.lastCheckpointPath(), ckpt.path);
+
+    // Resume under the other engine and finish bit-identically.
+    HardwareConfig resume_cfg = cfg;
+    resume_cfg.engine_type = EngineType::Tick;
+    ModelRunner resumed(model, resume_cfg);
+    const std::vector<Tensor> outs = resumed.resumeBatch(ckpt.path);
+    ASSERT_EQ(outs.size(), ref_outs.size());
+    for (std::size_t b = 0; b < ref_outs.size(); ++b)
+        EXPECT_TRUE(outs[b].equals(ref_outs[b]));
+    EXPECT_EQ(resumed.makespanCycles(), straight.makespanCycles());
+    for (index_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(resumed.core(c).totalCycles(),
+                  straight.core(c).totalCycles());
+        EXPECT_EQ(resumed.arbiter().stallCycles(c),
+                  straight.arbiter().stallCycles(c));
+        EXPECT_EQ(resumed.arbiter().grantCount(c),
+                  straight.arbiter().grantCount(c));
+        EXPECT_EQ(resumed.arbiter().bytesRequested(c),
+                  straight.arbiter().bytesRequested(c));
+    }
+    const auto ref_recs = straight.records();
+    const auto recs = resumed.records();
+    ASSERT_EQ(recs.size(), ref_recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].name, ref_recs[i].name);
+        EXPECT_EQ(recs[i].offloaded, ref_recs[i].offloaded);
         EXPECT_EQ(recs[i].sim.cycles, ref_recs[i].sim.cycles);
     }
 }
@@ -531,7 +535,7 @@ TEST(MulticoreRunner, PipelinedBatchOverlapsStagesAndStaysExact)
         loadModelFromFile("models/resnet_block.model");
     const HardwareConfig cfg =
         HardwareConfig::parseFile("configs/maeri_128_x2.cfg");
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
 
     std::vector<Tensor> inputs;
     for (std::uint64_t s = 0; s < 4; ++s)
@@ -598,7 +602,7 @@ runComposition(const DnnModel &model, HardwareConfig cfg,
                EngineType engine, const Tensor &input)
 {
     cfg.engine_type = engine;
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     CompositionOutcome o;
     o.out = runner.run(input);
     o.makespan = runner.makespanCycles();
@@ -702,12 +706,12 @@ TEST(MulticoreQuarantine, SickCoreIsBenchedAndOutputsStayBitIdentical)
         HardwareConfig cfg = faultyComposition();
         cfg.engine_type = engine;
 
-        MulticoreRunner ref(model, healthyTwin(cfg));
+        ModelRunner ref(model, healthyTwin(cfg));
         const Tensor ref_out = ref.run(input);
         EXPECT_EQ(ref.migrations(), 0u);
         EXPECT_TRUE(ref.quarantinedCores().empty());
 
-        MulticoreRunner runner(model, cfg);
+        ModelRunner runner(model, cfg);
         const Tensor out = runner.run(input);
         expectBitIdentical(out, ref_out);
         EXPECT_TRUE(out.equals(runner.runNative(input)));
@@ -732,10 +736,10 @@ TEST(MulticoreQuarantine, KSplitReshardsTheFaultingLayerOverSurvivors)
     HardwareConfig cfg = faultyComposition();
     cfg.partition = PartitionStrategy::KSplit;
 
-    MulticoreRunner ref(model, healthyTwin(cfg));
+    ModelRunner ref(model, healthyTwin(cfg));
     const Tensor ref_out = ref.run(input);
 
-    MulticoreRunner runner(model, cfg);
+    ModelRunner runner(model, cfg);
     const Tensor out = runner.run(input);
     expectBitIdentical(out, ref_out);
     EXPECT_EQ(runner.migrations(), 1u);
@@ -758,7 +762,7 @@ TEST(MulticoreQuarantine, QuarantineSnapshotResumesToTheSameOutputs)
     // the one the quarantine itself writes at the migration point.
     cfg.checkpoint_interval_cycles = static_cast<index_t>(1) << 60;
 
-    MulticoreRunner snapped(model, cfg);
+    ModelRunner snapped(model, cfg);
     const Tensor full_out = snapped.run(input);
     ASSERT_EQ(snapped.migrations(), 1u);
     ASSERT_TRUE(std::filesystem::exists(ckpt.path));
@@ -766,7 +770,7 @@ TEST(MulticoreQuarantine, QuarantineSnapshotResumesToTheSameOutputs)
     // A fresh composition resuming the mid-migration snapshot (the
     // SIGKILL-after-quarantine story) must land on the same outputs,
     // the same makespan, and remember the benched core.
-    MulticoreRunner resumed(model, cfg);
+    ModelRunner resumed(model, cfg);
     const std::vector<Tensor> outs = resumed.resumeBatch(ckpt.path);
     ASSERT_EQ(outs.size(), 1u);
     expectBitIdentical(outs.front(), full_out);
@@ -788,14 +792,14 @@ TEST(MulticoreQuarantine, CorruptPerCoreSectionFallsBackToACleanCore)
 
     // Reference run + a guaranteed mid-run snapshot (the probe-then-
     // interval recipe of MidRunCheckpointRestoresBitIdentically).
-    MulticoreRunner straight(model, cfg);
+    ModelRunner straight(model, cfg);
     const std::vector<Tensor> ref_outs = straight.runBatch(inputs);
     const cycle_t sum =
         straight.core(0).totalCycles() + straight.core(1).totalCycles();
     cfg.checkpoint = true;
     cfg.checkpoint_file = ckpt.path;
     cfg.checkpoint_interval_cycles = static_cast<index_t>(sum * 6 / 10);
-    MulticoreRunner snapped(model, cfg);
+    ModelRunner snapped(model, cfg);
     snapped.runBatch(inputs);
     ASSERT_TRUE(std::filesystem::exists(ckpt.path));
 
@@ -841,7 +845,7 @@ TEST(MulticoreQuarantine, CorruptPerCoreSectionFallsBackToACleanCore)
     // fresh, finish the batch bit-identically (the composed timeline
     // only ever consumes per-operation deltas), and delete the
     // known-bad snapshot so nothing resumes from it again.
-    MulticoreRunner resumed(model, cfg);
+    ModelRunner resumed(model, cfg);
     const std::vector<Tensor> outs = resumed.resumeBatch(ckpt.path);
     EXPECT_EQ(resumed.restoreFallbacks(), 1u);
     EXPECT_FALSE(std::filesystem::exists(ckpt.path));
@@ -855,7 +859,7 @@ TEST(MulticoreQuarantine, ReportJsonRecordsTheDegradedRun)
 {
     const DnnModel model =
         loadModelFromFile("models/resnet_block.model");
-    MulticoreRunner runner(model, faultyComposition());
+    ModelRunner runner(model, faultyComposition());
     runner.run(modelInput(model));
 
     const JsonValue report =
