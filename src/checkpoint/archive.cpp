@@ -11,20 +11,33 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'N', 'E', 'C', 'K', 'P', 'T'};
 
-const std::array<std::uint32_t, 256> &
-crcTable()
+/**
+ * CRC-32 (reflected polynomial 0xEDB88320) tables for slicing-by-8:
+ * row 0 is the bytewise table, and row k advances a byte's CRC through
+ * k further zero bytes, so eight rows fold eight input bytes at once.
+ */
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
+}();
+
+/** Four bytes as a little-endian word, whatever the host's order. */
+std::uint32_t
+loadLe32(const std::uint8_t *p)
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    return static_cast<std::uint32_t>(p[0]) |
+        static_cast<std::uint32_t>(p[1]) << 8 |
+        static_cast<std::uint32_t>(p[2]) << 16 |
+        static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -32,10 +45,18 @@ crcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    const auto &table = crcTable();
+    const auto &t = kCrcTables;
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = c ^ loadLe32(data);
+        const std::uint32_t hi = loadLe32(data + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

@@ -204,8 +204,10 @@ HardwareConfig::validate() const
             "variants; it requires cores = 1");
     // The axes string is validated wherever the config comes from
     // (file keys get a file:line diagnostic at parse; programmatic
-    // configs are caught here).
-    explore::parseAxesSpec(explore_axes, "config '" + name + "'", 0);
+    // configs are caught here). Every component validates its config
+    // on construction, so the default, which parses, is not re-parsed.
+    if (explore_axes != kDefaultExploreAxes)
+        explore::parseAxesSpec(explore_axes, "config '" + name + "'", 0);
     faults.validate();
     fatalIf(faults.core >= cores, "config '", name,
             "': fault_core = ", faults.core,

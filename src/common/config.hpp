@@ -90,6 +90,10 @@ const char *dataflowName(Dataflow d);
 const char *engineTypeName(EngineType t);
 const char *partitionStrategyName(PartitionStrategy p);
 
+/** The co-search's default structural axes (`explore_axes`). */
+inline constexpr char kDefaultExploreAxes[] =
+    "ms_size,dn_bandwidth,rn_bandwidth,accumulator_size";
+
 /** Full description of one simulated accelerator instance. */
 struct HardwareConfig {
     std::string name = "custom";
@@ -255,8 +259,7 @@ struct HardwareConfig {
      * range `name=lo:hi`; `fabric` toggles the dense tree fabric
      * against the SIGMA-style sparse one and takes no range.
      */
-    std::string explore_axes =
-        "ms_size,dn_bandwidth,rn_bandwidth,accumulator_size";
+    std::string explore_axes = kDefaultExploreAxes;
 
     /** Variants simulated cycle-level per objective (>= 1). */
     index_t explore_top_k = 4;

@@ -67,13 +67,15 @@ StatsRegistry::snapshot() const
 StatsRegistry
 StatsRegistry::delta(const std::vector<count_t> &before) const
 {
-    StatsRegistry d;
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-        const count_t prev = i < before.size() ? before[i] : 0;
-        panicIf(counters_[i].value < prev,
-                "stat counter ", counters_[i].name, " went backwards");
-        d.counter(counters_[i].name, counters_[i].group,
-                  counters_[i].kind).value = counters_[i].value - prev;
+    // A copy keeps every name, group, kind and the index, in order;
+    // only the values change.
+    StatsRegistry d(*this);
+    for (std::size_t i = 0; i < d.counters_.size() && i < before.size();
+         ++i) {
+        StatCounter &c = d.counters_[i];
+        panicIf(c.value < before[i], "stat counter ", c.name,
+                " went backwards");
+        c.value -= before[i];
     }
     return d;
 }

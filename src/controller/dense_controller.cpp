@@ -9,6 +9,7 @@
 
 #include "common/logging.hpp"
 #include "controller/delivery.hpp"
+#include "controller/step_counts.hpp"
 #include "engine/event_engine.hpp"
 #include "network/dn_popn.hpp"
 #include "network/rn_linear.hpp"
@@ -281,121 +282,6 @@ reduceConv(const Conv2dShape &shape, const Tensor &input,
             }
         }
     }
-}
-
-/** One (fold, x block, y block) step's operand counts for one (group,
- *  batch) pair of lanes. */
-struct StepCounts
-{
-    std::int32_t delivered; //!< in-bounds operands of the step
-    std::int32_t fresh;     //!< those not in block (xb, yb - 1)'s footprint
-};
-
-/**
- * The operand counts of every (fold, x block, y block) step of a
- * flexible-pipeline convolution, indexed (f * nbx + xb) * nby + yb.
- *
- * Lanes of different (g, n) read disjoint channels or batches, and a
- * step's footprint for one (g, n) depends only on (f, xb, yb): the
- * indices shift every input coordinate by a common offset. So a step
- * delivers tg * tn * delivered operands, and tg * tn * fresh of them
- * miss the previous step's footprint, which is block (xb, yb - 1) of
- * the same fold, always a full T_Y' block.
- *
- * One sweep per (fold, x block) walks the y blocks in order, marking
- * each block's footprint in an epoch-stamped slot table: a block's
- * operand is fresh unless its slot holds the previous block's stamp.
- * The slots cover the fold's channels, the x block's input rows and,
- * modulo a power of two, the input columns of two neighbouring y
- * blocks, so the table is window-sized, not input-sized.
- */
-std::vector<StepCounts>
-stepCounts(const Conv2dShape &shape, const Tile &tile, index_t window)
-{
-    const index_t xo = shape.outX();
-    const index_t yo = shape.outY();
-    const index_t st = shape.stride;
-    const index_t rs = shape.R * shape.S;
-    const index_t vn = tile.vnSize();
-    const index_t folds = tile.folds(window);
-    const index_t nbx = blocks(xo, tile.t_x);
-    const index_t nby = blocks(yo, tile.t_y);
-
-    // Slot of input (c, ix, iy) within one (fold, x block): channel
-    // offset from the fold's first, row offset from the block's first,
-    // iy & (cols - 1). Two neighbouring y blocks read fewer than cols
-    // columns, so their distinct columns take distinct slots.
-    const index_t rows = (tile.t_x - 1) * st + shape.R;
-    index_t cols = 1;
-    while (cols < (2 * tile.t_y - 1) * st + shape.S)
-        cols <<= 1;
-    const index_t channels = std::min(shape.cPerGroup(), (vn - 1) / rs + 2);
-    // Stamps grow by 2 per block and per x block (one value per "was
-    // in the previous block" answer), so they wrap only past 2^30
-    // blocks, where the counts table alone would take 8 GiB.
-    std::vector<std::uint32_t> slot(
-        static_cast<std::size_t>(channels * rows * cols), 0);
-    std::uint32_t epoch = 0;
-
-    std::vector<StepCounts> counts(
-        static_cast<std::size_t>(folds * nbx * nby));
-    std::vector<index_t> coff, rpad, spad;
-    coff.reserve(static_cast<std::size_t>(vn));
-    rpad.reserve(static_cast<std::size_t>(vn));
-    spad.reserve(static_cast<std::size_t>(vn));
-    for (index_t f = 0; f < folds; ++f) {
-        // The e -> (c, r, s) decomposition is the same for every
-        // position of a fold, so it is tabulated once per fold.
-        const index_t e0 = f * vn;
-        const index_t len = std::min(vn, window - e0);
-        coff.clear();
-        rpad.clear();
-        spad.clear();
-        for (index_t e = e0; e < e0 + len; ++e) {
-            coff.push_back((e / rs - e0 / rs) * rows * cols);
-            rpad.push_back(e % rs / shape.S - shape.padding);
-            spad.push_back(e % shape.S - shape.padding);
-        }
-        for (index_t xb = 0; xb < nbx; ++xb) {
-            const index_t x0p = xb * tile.t_x;
-            const index_t tx = std::min(tile.t_x, xo - x0p);
-            // A new x block: nothing holds the "previous block" stamp.
-            epoch += 2;
-            for (index_t yb = 0; yb < nby; ++yb) {
-                const index_t y0p = yb * tile.t_y;
-                const index_t ty = std::min(tile.t_y, yo - y0p);
-                epoch += 2;
-                const std::uint32_t prev = epoch - 2;
-                std::int32_t delivered = 0;
-                std::int32_t fresh = 0;
-                for (index_t x = x0p; x < x0p + tx; ++x) {
-                    const index_t x_st = x * st;
-                    for (index_t y = y0p; y < y0p + ty; ++y) {
-                        const index_t y_st = y * st;
-                        for (index_t j = 0; j < len; ++j) {
-                            const index_t ix = x_st + rpad[j];
-                            const index_t iy = y_st + spad[j];
-                            if (ix < 0 || ix >= shape.X || iy < 0 ||
-                                iy >= shape.Y)
-                                continue;
-                            ++delivered;
-                            std::uint32_t &m = slot[static_cast<std::size_t>(
-                                coff[j] + (ix - x0p * st + shape.padding) *
-                                    cols + (iy & (cols - 1)))];
-                            // epoch: first seen in this block, fresh;
-                            // epoch + 1: first seen here, forwarded.
-                            if (m < epoch)
-                                m = epoch + (m == prev || m == prev + 1);
-                            fresh += m == epoch;
-                        }
-                    }
-                }
-                counts[static_cast<std::size_t>((f * nbx + xb) * nby +
-                                                yb)] = {delivered, fresh};
-            }
-        }
-    }
-    return counts;
 }
 
 } // namespace

@@ -59,8 +59,7 @@ struct ExploreOptions {
     /** Cache file of the owned ResultCache ("" = in-memory). */
     std::string cache_file;
     /** Axes spec of exploreLayer()'s design space (axes.hpp grammar). */
-    std::string axes =
-        "ms_size,dn_bandwidth,rn_bandwidth,accumulator_size";
+    std::string axes = kDefaultExploreAxes;
     /** Weight sparsity of the synthetic operands. */
     double sparsity = 0.0;
     /** Operand generation seed. */

@@ -189,6 +189,38 @@ TEST(Archive, RejectsEveryCorruptionModeByName)
                      "smaller than the minimal frame");
 }
 
+/** CRC-32 one byte at a time, straight from the polynomial. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Archive, Crc32MatchesTheBytewiseDefinition)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(check.data()),
+                    check.size()),
+              0xCBF43926u);
+
+    // Every length 0..64 at every alignment within an 8-byte word.
+    Mt19937_64 rng(7);
+    std::vector<std::uint8_t> buf(64 + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    for (std::size_t align = 0; align < 8; ++align)
+        for (std::size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(crc32(buf.data() + align, len),
+                      bytewiseCrc32(buf.data() + align, len))
+                << "length " << len << " at offset " << align;
+}
+
 TEST(Archive, EnforcesSectionDiscipline)
 {
     ArchiveWriter w;

@@ -146,6 +146,35 @@ TEST(ExploreAxes, ParsesNamesAndRanges)
     EXPECT_EQ(axes[2].name, "fabric");
 }
 
+TEST(ExploreAxes, DefaultSpecParses)
+{
+    // HardwareConfig::validate() skips the default spec, so it is
+    // parsed here.
+    const std::vector<AxisSpec> axes = parseAxesSpec(kDefaultExploreAxes);
+    ASSERT_EQ(axes.size(), 4u);
+    EXPECT_EQ(axes[0].name, "ms_size");
+    EXPECT_EQ(axes[1].name, "dn_bandwidth");
+    EXPECT_EQ(axes[2].name, "rn_bandwidth");
+    EXPECT_EQ(axes[3].name, "accumulator_size");
+    for (const AxisSpec &a : axes)
+        EXPECT_FALSE(a.has_range);
+    EXPECT_EQ(HardwareConfig{}.explore_axes, kDefaultExploreAxes);
+    EXPECT_EQ(ExploreOptions{}.axes, kDefaultExploreAxes);
+}
+
+TEST(ExploreAxes, ValidateParsesEveryOtherSpec)
+{
+    HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    cfg.name = "X";
+    cfg.explore_axes = "ms_size,bogus";
+    const std::string msg = fatalMessage([&] { cfg.validate(); });
+    EXPECT_NE(msg.find("config 'X': "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown axis 'bogus'"), std::string::npos) << msg;
+
+    cfg.explore_axes = "ms_size=16:64,fabric";
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ExploreAxes, RejectsMalformedSpecs)
 {
     EXPECT_THROW(parseAxesSpec(""), FatalError);
