@@ -20,9 +20,17 @@
  *
  * The workload points run concurrently over the SweepRunner thread
  * pool (each point owns its Stonne instances).
+ *
+ * A last, serial block times weight synthesis: each bulk normal-fill
+ * kernel (common/rng_kernels.hpp) this CPU runs, over as many normals as
+ * one cold build of the seven Bench-scale models draws. It records which
+ * kernel Rng dispatches to and whether every kernel produced the same
+ * bits and engine state as the portable one; the CI sim-speed job gates
+ * on that flag, not on the timings.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -32,6 +40,7 @@
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
+#include "common/rng_kernels.hpp"
 #include "engine/output_module.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
@@ -217,6 +226,80 @@ runBatchPoint()
     return p;
 }
 
+/** Normals drawn by one cold buildModel of each Bench-scale model. */
+constexpr std::size_t kSynthNormals = 11'148'380;
+constexpr int kSynthReps = 5;
+
+/** Times every normal-fill kernel this CPU runs; the `synthesis` block. */
+JsonValue
+runSynthesis()
+{
+    using Fill = void (*)(Mt19937_64 &, float *, std::size_t, float, float);
+    struct Kernel {
+        const char *name;
+        Fill fill;
+        std::vector<double> walls;
+    };
+    std::vector<Kernel> kernels = {
+        {"portable", rng_kernels::fillNormalPortable, {}}};
+#if STONNE_RNG_AVX512
+    if (rng_kernels::avx512())
+        kernels.push_back({"avx512", rng_kernels::fillNormalAvx512, {}});
+#endif
+
+    std::vector<float> want(kSynthNormals), got(kSynthNormals);
+    bool identical = true;
+    for (int rep = 0; rep < kSynthReps; ++rep) {
+        Mt19937_64 first; // the portable kernel's final engine state
+        for (Kernel &k : kernels) {
+            Rng rng(0x570AA1u);
+            float *out = &k == &kernels.front() ? want.data() : got.data();
+            const auto t0 = std::chrono::steady_clock::now();
+            k.fill(rng.engine(), out, kSynthNormals, 0.0f, 0.05f);
+            k.walls.push_back(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+            if (&k == &kernels.front())
+                first = rng.engine();
+            else
+                identical = identical && rng.engine() == first &&
+                    std::memcmp(want.data(), got.data(),
+                                kSynthNormals * sizeof(float)) == 0;
+        }
+    }
+
+    const char *dispatched = rng_kernels::avx512() ? "avx512" : "portable";
+    banner("Weight synthesis — " + std::to_string(kSynthNormals) +
+           " normals, " + std::to_string(kSynthReps) + " reps");
+    TablePrinter t({"kernel", "median [s]", "min [s]", "max [s]"});
+    JsonValue arr = JsonValue::makeArray();
+    for (Kernel &k : kernels) {
+        std::sort(k.walls.begin(), k.walls.end());
+        const double median = k.walls[k.walls.size() / 2];
+        t.addRow({k.name, TablePrinter::num(median, 4),
+                  TablePrinter::num(k.walls.front(), 4),
+                  TablePrinter::num(k.walls.back(), 4)});
+        JsonValue o = JsonValue::makeObject();
+        o.set("kernel", k.name);
+        o.set("median_seconds", median);
+        o.set("min_seconds", k.walls.front());
+        o.set("max_seconds", k.walls.back());
+        arr.append(std::move(o));
+    }
+    t.print();
+    std::printf("\ndispatched: %s; %zu kernel(s) %s\n", dispatched,
+                kernels.size(),
+                identical ? "bit-identical" : "DIFFER");
+
+    JsonValue j = JsonValue::makeObject();
+    j.set("normals", static_cast<std::uint64_t>(kSynthNormals));
+    j.set("reps", static_cast<std::int64_t>(kSynthReps));
+    j.set("dispatched", dispatched);
+    j.set("identical", identical);
+    j["kernels"] = arr;
+    return j;
+}
+
 } // namespace
 
 int
@@ -337,6 +420,7 @@ main()
     j["model_points"] = marr;
 
     j["recovery"] = RecoveringSweepRunner::summary(outcomes);
+    j["synthesis"] = runSynthesis();
     OutputModule::writeFile("BENCH_sim_speed.json", j.dump() + "\n");
     std::printf("wrote BENCH_sim_speed.json\n");
     return 0;

@@ -17,6 +17,29 @@
  * branch-free and produce the identical bit patterns; the parity tests
  * in tests/test_common.cpp hold them to the library over millions of
  * draws.
+ *
+ * Bulk fills (Rng::fillNormal, Rng::fillUniform) have two kernels,
+ * picked once per process from what the CPU supports (common/rng.cpp):
+ *
+ *  - the portable one, the per-draw code below run in a loop, and
+ *  - on x86-64 CPUs with AVX-512F/DQ/VL, one that works a whole
+ *    Mersenne-Twister block at a time. Mt19937_64 lends it the tempered
+ *    block not yet drawn (block(), available(), consume()); it twists
+ *    and tempers 8 words per instruction, converts words to floats with
+ *    vcvtuqq2ps (the one exact vector uint64 -> float conversion; SSE2
+ *    and AVX2 have none), and runs the polar method's candidates and
+ *    rejection 8 pairs at a time, compacting the accepted ones. It takes
+ *    whole (x, y) pairs from the block, so the engine never rewinds
+ *    across a twist; a pair straddling two blocks goes through the
+ *    scalar polarTrial.
+ *
+ * Both kernels call the C library's scalar logf on every accepted
+ * candidate. A vector log would be faster but is not bit-identical to
+ * logf (glibc's logf is not correctly rounded on every input, so even a
+ * correctly rounded log would differ), and the goldens pin logf's
+ * values. sqrt, division and the scaling are IEEE operations, exact in
+ * any width. Both kernels give identical values and leave the engine in
+ * the identical state; the tests run both (common/rng_kernels.hpp).
  */
 
 #ifndef STONNE_COMMON_RNG_HPP
@@ -44,7 +67,20 @@ class Mt19937_64
   public:
     using result_type = std::uint64_t;
 
+    // std::mt19937_64's parameters (the library's state_size,
+    // shift_size, mask_bits, xor_mask and tempering_* members).
     static constexpr std::size_t kStateSize = 312;
+    static constexpr std::size_t kShift = 156;
+    static constexpr result_type kUpper = ~result_type{0} << 31;
+    static constexpr result_type kLower = ~kUpper;
+    static constexpr result_type kMatrixA = 0xb5026f5aa96619e9ull;
+    static constexpr unsigned kTemperU = 29;
+    static constexpr result_type kTemperD = 0x5555555555555555ull;
+    static constexpr unsigned kTemperS = 17;
+    static constexpr result_type kTemperB = 0x71d67fffeda60000ull;
+    static constexpr unsigned kTemperT = 37;
+    static constexpr result_type kTemperC = 0xfff7eee000000000ull;
+    static constexpr unsigned kTemperL = 43;
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
@@ -69,6 +105,31 @@ class Mt19937_64
         if (p_ >= kStateSize)
             twist();
         return out_[p_++];
+    }
+
+    /**
+     * Block access for bulk fillers: the next available() draws are
+     * block()[0, available()), in order, and consume(k) marks the first
+     * k of them drawn (k <= available()). Once available() is 0,
+     * refill(kernel) twists to the next block with a kernel that must
+     * compute what the scalar twist does: the new state words in x and
+     * their tempered values in out, both kStateSize long.
+     */
+    const result_type *block() const { return out_ + p_; }
+
+    std::size_t
+    available() const
+    {
+        return p_ < kStateSize ? kStateSize - p_ : 0;
+    }
+
+    void consume(std::size_t k) { p_ += k; }
+
+    void
+    refill(void (*twist_kernel)(result_type *x, result_type *out))
+    {
+        twist_kernel(x_, out_);
+        p_ = 0;
     }
 
     bool
@@ -114,18 +175,14 @@ class Mt19937_64
 
   private:
     static constexpr result_type kInitMult = 6364136223846793005ull;
-    static constexpr result_type kMatrixA = 0xb5026f5aa96619e9ull;
-    static constexpr result_type kUpper = ~result_type{0} << 31;
-    static constexpr result_type kLower = ~kUpper;
-    static constexpr std::size_t kShift = 156;
 
     static result_type
     temper(result_type z)
     {
-        z ^= (z >> 29) & 0x5555555555555555ull;
-        z ^= (z << 17) & 0x71d67fffeda60000ull;
-        z ^= (z << 37) & 0xfff7eee000000000ull;
-        return z ^ (z >> 43);
+        z ^= (z >> kTemperU) & kTemperD;
+        z ^= (z << kTemperS) & kTemperB;
+        z ^= (z << kTemperT) & kTemperC;
+        return z ^ (z >> kTemperL);
     }
 
     static result_type
@@ -188,6 +245,43 @@ canonicalFloat(std::uint64_t v)
     return f < kBelowOne ? f : kBelowOne;
 }
 
+/**
+ * One trial of libstdc++'s Marsaglia polar method on the engine words
+ * (wx, wy), expression for expression: candidates float(2u - 1.0) (the
+ * subtraction is in double) and r2 = x^2 + y^2 in float. Returns whether
+ * the pair is accepted, i.e. neither r2 > 1 nor r2 == 0; y and r2 are set
+ * either way.
+ */
+inline bool
+polarTrial(std::uint64_t wx, std::uint64_t wy, float &y, float &r2)
+{
+    const float x = static_cast<float>(2.0f * canonicalFloat(wx) - 1.0);
+    y = static_cast<float>(2.0f * canonicalFloat(wy) - 1.0);
+    r2 = x * x + y * y;
+    return !(r2 > 1.0 || r2 == 0.0);
+}
+
+/** The first accepted polar candidate drawn from g: its y and r2. */
+inline void
+polarCandidate(Mt19937_64 &g, float &y, float &r2)
+{
+    for (;;) {
+        const std::uint64_t wx = g();
+        const std::uint64_t wy = g();
+        if (polarTrial(wx, wy, y, r2))
+            return;
+    }
+}
+
+/** The standard normal value of an accepted candidate:
+ *  y * sqrt(-2 log(r2) / r2) in float. */
+inline float
+polarValue(float y, float r2)
+{
+    const float mult = std::sqrt(-2 * std::log(r2) / r2);
+    return y * mult;
+}
+
 /** Deterministic random source: Mt19937_64 plus the draws the
  *  simulator uses. */
 class Rng
@@ -200,51 +294,44 @@ class Rng
     float
     uniform(float lo = -1.0f, float hi = 1.0f)
     {
-        return canonical() * (hi - lo) + lo;
+        return canonicalFloat(gen_()) * (hi - lo) + lo;
     }
+
+    /**
+     * n consecutive uniform(lo, hi) draws into out, bit-identical to
+     * calling uniform() n times; consumes exactly n engine outputs.
+     */
+    void fillUniform(float *out, std::size_t n, float lo = -1.0f,
+                     float hi = 1.0f);
 
     /**
      * Gaussian float: std::normal_distribution<float>'s value for the
      * same engine state, as if a fresh distribution made every draw.
      *
-     * This is libstdc++'s Marsaglia polar method, expression for
-     * expression: candidates float(2u - 1.0) (the subtraction is in
-     * double), rejection while r2 > 1 or r2 == 0, and the multiplier
-     * sqrt(-2 log(r2) / r2) in float. The method makes values in pairs;
-     * the x-side value is dropped, as a distribution constructed per
-     * draw drops it, so every draw consumes its own engine outputs. The
-     * model-zoo goldens pin these values: keeping the second value, or
-     * any other generator, changes every synthetic weight and, through
-     * the pruned layouts, the sparse cycle counts.
+     * This is libstdc++'s polar method (polarTrial), rejecting while
+     * r2 > 1 or r2 == 0, with the multiplier sqrt(-2 log(r2) / r2) in
+     * float. The method makes values in pairs; the x-side value is
+     * dropped, as a distribution constructed per draw drops it, so every
+     * draw consumes its own engine outputs. The model-zoo goldens pin
+     * these values: keeping the second value, or any other generator,
+     * changes every synthetic weight and, through the pruned layouts,
+     * the sparse cycle counts.
      */
     float
     normal(float mean = 0.0f, float stddev = 1.0f)
     {
         float y, r2;
-        polarCandidate(y, r2);
+        polarCandidate(gen_, y, r2);
         return polarValue(y, r2) * stddev + mean;
     }
 
     /**
      * n consecutive normal(mean, stddev) draws into out, bit-identical
-     * to calling normal() n times. A chunk of candidates runs the
-     * rejection loop first and the log/sqrt math after, so the branchy
-     * part and the libm calls do not interleave.
+     * to calling normal() n times, and leaving the engine where those
+     * calls leave it.
      */
-    void
-    fillNormal(float *out, std::size_t n, float mean = 0.0f,
-               float stddev = 1.0f)
-    {
-        constexpr std::size_t kChunk = 256;
-        float ys[kChunk], r2s[kChunk];
-        for (std::size_t base = 0; base < n; base += kChunk) {
-            const std::size_t m = std::min(kChunk, n - base);
-            for (std::size_t i = 0; i < m; ++i)
-                polarCandidate(ys[i], r2s[i]);
-            for (std::size_t i = 0; i < m; ++i)
-                out[base + i] = polarValue(ys[i], r2s[i]) * stddev + mean;
-        }
-    }
+    void fillNormal(float *out, std::size_t n, float mean = 0.0f,
+                    float stddev = 1.0f);
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t
@@ -266,27 +353,6 @@ class Rng
     const Mt19937_64 &engine() const { return gen_; }
 
   private:
-    float canonical() { return canonicalFloat(gen_()); }
-
-    /** One accepted polar-method candidate: y and r2 = x^2 + y^2. */
-    void
-    polarCandidate(float &y, float &r2)
-    {
-        float x;
-        do {
-            x = static_cast<float>(2.0f * canonical() - 1.0);
-            y = static_cast<float>(2.0f * canonical() - 1.0);
-            r2 = x * x + y * y;
-        } while (r2 > 1.0 || r2 == 0.0);
-    }
-
-    static float
-    polarValue(float y, float r2)
-    {
-        const float mult = std::sqrt(-2 * std::log(r2) / r2);
-        return y * mult;
-    }
-
     Mt19937_64 gen_;
 };
 

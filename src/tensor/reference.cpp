@@ -127,18 +127,17 @@ maxPool2d(const Tensor &input, index_t window, index_t stride)
     fatalIf(xo <= 0 || yo <= 0, "pool window larger than input");
 
     Tensor out({n, c, xo, yo});
-    for (index_t in = 0; in < n; ++in) {
-        for (index_t ic = 0; ic < c; ++ic) {
-            for (index_t ox = 0; ox < xo; ++ox) {
-                for (index_t oy = 0; oy < yo; ++oy) {
-                    float best = input.at(in, ic, ox * stride, oy * stride);
-                    for (index_t r = 0; r < window; ++r)
-                        for (index_t s = 0; s < window; ++s)
-                            best = std::max(best,
-                                input.at(in, ic, ox * stride + r,
-                                         oy * stride + s));
-                    out.at(in, ic, ox, oy) = best;
-                }
+    const float *plane = input.data();
+    float *dst = out.data();
+    for (index_t p = 0; p < n * c; ++p, plane += x * y) {
+        for (index_t ox = 0; ox < xo; ++ox) {
+            for (index_t oy = 0; oy < yo; ++oy) {
+                const float *win = plane + ox * stride * y + oy * stride;
+                float best = win[0];
+                for (index_t r = 0; r < window; ++r)
+                    for (index_t s = 0; s < window; ++s)
+                        best = std::max(best, win[r * y + s]);
+                *dst++ = best;
             }
         }
     }
@@ -152,14 +151,13 @@ globalAvgPool(const Tensor &input)
     const index_t n = input.dim(0), c = input.dim(1);
     const index_t x = input.dim(2), y = input.dim(3);
     Tensor out({n, c, 1, 1});
-    for (index_t in = 0; in < n; ++in) {
-        for (index_t ic = 0; ic < c; ++ic) {
-            float acc = 0.0f;
-            for (index_t ix = 0; ix < x; ++ix)
-                for (index_t iy = 0; iy < y; ++iy)
-                    acc += input.at(in, ic, ix, iy);
-            out.at(in, ic, 0, 0) = acc / static_cast<float>(x * y);
-        }
+    const float *plane = input.data();
+    float *dst = out.data();
+    for (index_t p = 0; p < n * c; ++p, plane += x * y) {
+        float acc = 0.0f;
+        for (index_t i = 0; i < x * y; ++i)
+            acc += plane[i];
+        dst[p] = acc / static_cast<float>(x * y);
     }
     return out;
 }
@@ -168,8 +166,9 @@ Tensor
 relu(const Tensor &input)
 {
     Tensor out = input;
+    float *d = out.data();
     for (index_t i = 0; i < out.size(); ++i)
-        out.at(i) = std::max(0.0f, out.at(i));
+        d[i] = std::max(0.0f, d[i]);
     return out;
 }
 
@@ -178,8 +177,10 @@ add(const Tensor &a, const Tensor &b)
 {
     fatalIf(a.shape() != b.shape(), "elementwise add shape mismatch");
     Tensor out = a;
+    float *d = out.data();
+    const float *e = b.data();
     for (index_t i = 0; i < out.size(); ++i)
-        out.at(i) += b.at(i);
+        d[i] += e[i];
     return out;
 }
 

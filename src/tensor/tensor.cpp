@@ -132,8 +132,7 @@ Tensor::fill(float v)
 void
 Tensor::fillUniform(Rng &rng, float lo, float hi)
 {
-    for (auto &x : data_)
-        x = rng.uniform(lo, hi);
+    rng.fillUniform(data_.data(), data_.size(), lo, hi);
 }
 
 void

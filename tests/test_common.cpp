@@ -9,6 +9,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <random>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/rng_kernels.hpp"
 #include "common/stats.hpp"
 
 namespace stonne {
@@ -470,25 +473,178 @@ TEST(Rng, DrawsMatchStdDistributionsBitForBit)
     }
 }
 
-TEST(Rng, BulkFillNormalMatchesPerDrawNormal)
+// --- Bulk fills against per-draw draws --------------------------------
+// Rng::fillNormal and Rng::fillUniform dispatch to one of two kernels
+// (common/rng_kernels.hpp). Each kernel is held to the per-draw values
+// here, the one this CPU does not dispatch to included.
+
+using Fill = std::function<void(Rng &, float *, std::size_t)>;
+
+/** Raw draws made before a fill: odd and even positions, and fills that
+ *  start one word before, at and just after a block boundary. */
+constexpr int kSkips[] = {0, 1, 2, 155, 156, 311, 312, 313};
+
+/**
+ * For every seed and every skip in kSkips: makes `skip` raw draws, then
+ * runs fill for each n in ns in turn, checking every value against
+ * next() on a twin engine and that both engines end each fill in the
+ * same state.
+ */
+void
+expectFillMatchesPerDraw(const Fill &fill,
+                         const std::function<float(Rng &)> &next,
+                         std::initializer_list<std::size_t> ns)
 {
     for (const std::uint64_t seed : kParitySeeds) {
-        Rng bulk(seed), single(seed);
-        for (const std::size_t n :
-             {std::size_t{0}, std::size_t{1}, std::size_t{255},
-              std::size_t{256}, std::size_t{257}, std::size_t{100'003}}) {
-            std::vector<float> got(n);
-            bulk.fillNormal(got.data(), n, 0.5f, 0.03f);
-            for (std::size_t i = 0; i < n; ++i)
-                ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                          std::bit_cast<std::uint32_t>(
-                              single.normal(0.5f, 0.03f)))
-                    << "seed " << seed << " n " << n << " i " << i;
-            // Both consumed the same engine outputs.
-            ASSERT_TRUE(bulk.engine() == single.engine());
+        for (const int skip : kSkips) {
+            Rng bulk(seed), single(seed);
+            for (int i = 0; i < skip; ++i) {
+                bulk.engine()();
+                single.engine()();
+            }
+            for (const std::size_t n : ns) {
+                std::vector<float> got(n);
+                fill(bulk, got.data(), n);
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                              std::bit_cast<std::uint32_t>(next(single)))
+                        << "seed " << seed << " skip " << skip << " n " << n
+                        << " i " << i;
+                ASSERT_TRUE(bulk.engine() == single.engine())
+                    << "seed " << seed << " skip " << skip << " n " << n;
+            }
         }
     }
 }
+
+/** Lengths around a block's 156 pairs and the portable kernel's
+ *  256-value chunk. */
+void
+expectFillNormalMatchesPerDraw(const Fill &fill)
+{
+    expectFillMatchesPerDraw(
+        fill, [](Rng &r) { return r.normal(0.5f, 0.03f); },
+        {0, 1, 155, 156, 157, 255, 256, 257, 100'003});
+}
+
+/** Lengths around one 8-lane step and one 312-word block. */
+void
+expectFillUniformMatchesPerDraw(const Fill &fill)
+{
+    expectFillMatchesPerDraw(
+        fill, [](Rng &r) { return r.uniform(-0.45f, 0.05f); },
+        {0, 1, 7, 8, 9, 311, 312, 313, 100'003});
+}
+
+TEST(Rng, BulkFillNormalMatchesPerDrawNormal)
+{
+    expectFillNormalMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        rng_kernels::fillNormalPortable(r.engine(), out, n, 0.5f, 0.03f);
+    });
+    // The kernel this CPU dispatches to.
+    expectFillNormalMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        r.fillNormal(out, n, 0.5f, 0.03f);
+    });
+}
+
+TEST(Rng, BulkFillUniformMatchesPerDrawUniform)
+{
+    expectFillUniformMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        rng_kernels::fillUniformPortable(r.engine(), out, n, -0.45f, 0.05f);
+    });
+    expectFillUniformMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        r.fillUniform(out, n, -0.45f, 0.05f);
+    });
+}
+
+#if STONNE_RNG_AVX512
+
+/** Skips the calling test on CPUs that do not run the AVX-512 kernels. */
+#define SKIP_WITHOUT_AVX512()                                          \
+    if (!rng_kernels::avx512())                                        \
+    GTEST_SKIP() << "this CPU lacks AVX-512F/DQ/VL, so only the "      \
+                    "portable kernel runs here"
+
+TEST(Rng, Avx512FillNormalMatchesPerDrawNormal)
+{
+    SKIP_WITHOUT_AVX512();
+    expectFillNormalMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        rng_kernels::fillNormalAvx512(r.engine(), out, n, 0.5f, 0.03f);
+    });
+}
+
+TEST(Rng, Avx512FillUniformMatchesPerDrawUniform)
+{
+    SKIP_WITHOUT_AVX512();
+    expectFillUniformMatchesPerDraw([](Rng &r, float *out, std::size_t n) {
+        rng_kernels::fillUniformAvx512(r.engine(), out, n, -0.45f, 0.05f);
+    });
+}
+
+TEST(Rng, CandidateKernelsAgreeOnEdgeWords)
+{
+    SKIP_WITHOUT_AVX512();
+    constexpr std::uint64_t kTop = 1ull << 63;
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    // Both conversion paths' ends, and words whose float rounds to 2^64
+    // or lands on 1 - 2^-24, so canonicalFloat clamps or meets the clamp.
+    const std::vector<std::uint64_t> edge = {
+        0, 1, kTop - 1, kTop, kTop + 1, kAll, kAll - (1ull << 39) + 1,
+        kAll - (1ull << 39), kAll - (1ull << 40) + 1, kAll - (1ull << 40),
+        3ull << 62, 1ull << 62};
+    ASSERT_EQ(canonicalFloat(kAll), 0x1.fffffep-1f);
+    ASSERT_EQ(canonicalFloat(kAll - (1ull << 40)), 0x1.fffffep-1f);
+
+    // Every ordered pair of edge words, then random pairs.
+    std::vector<std::uint64_t> w;
+    for (const std::uint64_t a : edge)
+        for (const std::uint64_t b : edge) {
+            w.push_back(a);
+            w.push_back(b);
+        }
+    std::mt19937_64 bits(5);
+    for (int i = 0; i < 4000; ++i)
+        w.push_back(bits());
+    const std::size_t pairs = w.size() / 2;
+
+    // r2 exactly 0 (rejected) and exactly 1 (accepted) are among them.
+    float y, r2;
+    EXPECT_FALSE(polarTrial(kTop, kTop, y, r2));
+    EXPECT_EQ(r2, 0.0f);
+    EXPECT_TRUE(polarTrial(0, kTop, y, r2));
+    EXPECT_EQ(r2, 1.0f);
+    EXPECT_TRUE(polarTrial(kTop, 0, y, r2));
+    EXPECT_EQ(r2, 1.0f);
+
+    std::vector<float> want_y, want_r2;
+    for (std::size_t i = 0; i < pairs; ++i)
+        if (polarTrial(w[2 * i], w[2 * i + 1], y, r2)) {
+            want_y.push_back(y);
+            want_r2.push_back(r2);
+        }
+
+    // Every prefix length up to 40 pairs covers each tail width, then
+    // the whole array.
+    const auto bitsOf = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    for (std::size_t len = 0; len <= pairs; len = len < 40 ? len + 1 : pairs) {
+        std::vector<float> ys(len + 8), r2s(len + 8);
+        const std::size_t m =
+            rng_kernels::polarCandidatesAvx512(w.data(), len, ys.data(),
+                                               r2s.data());
+        std::size_t expect_m = 0;
+        for (std::size_t i = 0; i < len; ++i)
+            expect_m += polarTrial(w[2 * i], w[2 * i + 1], y, r2);
+        ASSERT_EQ(m, expect_m) << len << " pairs";
+        for (std::size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(bitsOf(ys[i]), bitsOf(want_y[i])) << len << " " << i;
+            ASSERT_EQ(bitsOf(r2s[i]), bitsOf(want_r2[i])) << len << " " << i;
+        }
+        if (len == pairs)
+            break;
+    }
+}
+
+#endif // STONNE_RNG_AVX512
 
 TEST(Rng, StateTextMatchesStdEngine)
 {

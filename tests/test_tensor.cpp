@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -503,6 +504,78 @@ TEST(Reference, GlobalAvgPoolAverages)
     const Tensor out = ref::globalAvgPool(in);
     EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 1.5f);
     EXPECT_FLOAT_EQ(out.at(0, 1, 0, 0), 5.5f);
+}
+
+// The native ops read and write data() directly; the checked, indexed
+// loops they replaced are the oracle. Bit patterns must match, NaN, signed
+// zeros and infinities included (std::max keeps its first argument on a
+// tie or a NaN, so order matters).
+TEST(Reference, NativeOpsMatchIndexedFormsOnSpecialValues)
+{
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    Rng rng(31);
+    Tensor a({2, 3, 7, 6}), b({2, 3, 7, 6});
+    a.fillUniform(rng, -2.0f, 2.0f);
+    b.fillUniform(rng, -2.0f, 2.0f);
+    for (index_t i = 0; i < a.size(); i += 3) {
+        a.at(i) = kSpecial[(i / 3) % 6];
+        b.at(i + 1) = kSpecial[(i / 3 + 2) % 6];
+    }
+    const auto same = [](const Tensor &got, const Tensor &want) {
+        ASSERT_EQ(got.shape(), want.shape());
+        for (index_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(i)),
+                      std::bit_cast<std::uint32_t>(want.at(i)))
+                << "element " << i;
+    };
+
+    Tensor relu = a;
+    for (index_t i = 0; i < relu.size(); ++i)
+        relu.at(i) = std::max(0.0f, relu.at(i));
+    same(ref::relu(a), relu);
+
+    Tensor sum = a;
+    for (index_t i = 0; i < sum.size(); ++i)
+        sum.at(i) += b.at(i);
+    same(ref::add(a, b), sum);
+
+    const index_t n = a.dim(0), c = a.dim(1), x = a.dim(2), y = a.dim(3);
+    Tensor avg({n, c, 1, 1});
+    for (index_t in = 0; in < n; ++in)
+        for (index_t ic = 0; ic < c; ++ic) {
+            float acc = 0.0f;
+            for (index_t ix = 0; ix < x; ++ix)
+                for (index_t iy = 0; iy < y; ++iy)
+                    acc += b.at(in, ic, ix, iy);
+            avg.at(in, ic, 0, 0) = acc / static_cast<float>(x * y);
+        }
+    same(ref::globalAvgPool(b), avg);
+
+    for (const auto &[window, stride] :
+         {std::pair<index_t, index_t>{2, 2}, {3, 2}, {3, 1}, {2, 3}}) {
+        const index_t xo = (x - window) / stride + 1;
+        const index_t yo = (y - window) / stride + 1;
+        Tensor pool({n, c, xo, yo});
+        for (index_t in = 0; in < n; ++in)
+            for (index_t ic = 0; ic < c; ++ic)
+                for (index_t ox = 0; ox < xo; ++ox)
+                    for (index_t oy = 0; oy < yo; ++oy) {
+                        float best =
+                            a.at(in, ic, ox * stride, oy * stride);
+                        for (index_t r = 0; r < window; ++r)
+                            for (index_t s = 0; s < window; ++s)
+                                best = std::max(best,
+                                                a.at(in, ic, ox * stride + r,
+                                                     oy * stride + s));
+                        pool.at(in, ic, ox, oy) = best;
+                    }
+        same(ref::maxPool2d(a, window, stride), pool);
+    }
 }
 
 TEST(Reference, ConvStrideAndPaddingShapes)
