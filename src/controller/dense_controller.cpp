@@ -15,6 +15,7 @@
 #include "network/rn_linear.hpp"
 #include "network/systolic.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/reference.hpp"
 
 namespace stonne {
@@ -63,6 +64,7 @@ class FilterTerms
                                                   r * shape.Y + s),
                         0.0f, static_cast<std::int16_t>(r),
                         static_cast<std::int16_t>(s)};
+        terms_.resize(layout_.size());
     }
 
     /** List one filter's terms (its weights w in (c, r, s) order); zero
@@ -73,22 +75,23 @@ class FilterTerms
         // Pruned weights are zero at random, so the list is compacted
         // without a branch: every term is written, and the length only
         // advances past the kept ones.
-        terms_.resize(layout_.size());
         std::size_t len = 0;
         for (std::size_t e = 0; e < layout_.size(); ++e) {
             terms_[len] = layout_[e];
             terms_[len].w = w[e];
             len += !skip_zeros || w[e] != 0.0f;
         }
-        terms_.resize(len);
+        len_ = len;
     }
 
     const ReduceTerm *begin() const { return terms_.data(); }
-    const ReduceTerm *end() const { return terms_.data() + terms_.size(); }
+    const ReduceTerm *end() const { return terms_.data() + len_; }
 
   private:
     std::vector<ReduceTerm> layout_; //!< every window element, w = 0
+    /** Sized to the layout once; the first len_ terms are the list. */
     std::vector<ReduceTerm> terms_;
+    std::size_t len_ = 0;
 };
 
 /** The in-bounds filter rows [r_lo, r_hi) and columns [s_lo, s_hi) of
@@ -656,11 +659,8 @@ DenseController::runConvSystolic(const Conv2dShape &shape,
         ControllerResult r = runGemmSystolic(a, cols, b, finite, c);
         if (!bias.empty()) {
             const float *bg = bias.data() + g * kg;
-            for (index_t k = 0; k < kg; ++k) {
-                float *row = c.data() + k * cols;
-                for (index_t j = 0; j < cols; ++j)
-                    row[j] += bg[k];
-            }
+            for (index_t k = 0; k < kg; ++k)
+                kernels::addScalar(c.data() + k * cols, bg[k], cols);
         }
         col2im(c, shape, g, output);
         res.merge(r);

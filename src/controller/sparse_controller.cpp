@@ -6,6 +6,7 @@
 #include "common/logging.hpp"
 #include "engine/event_engine.hpp"
 #include "network/dn_benes.hpp"
+#include "tensor/kernels.hpp"
 
 namespace stonne {
 
@@ -173,13 +174,10 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
         const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
         float *crow = cd + r * n;
         std::fill(crow, crow + n, 0.0f);
-        for (index_t p = p0; p < p1; ++p) {
-            const float av = a.values[static_cast<std::size_t>(p)];
-            const float *brow =
-                bd + a.col_idx[static_cast<std::size_t>(p)] * n;
-            for (index_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
+        for (index_t p = p0; p < p1; ++p)
+            kernels::axpy(crow, a.values[static_cast<std::size_t>(p)],
+                          bd + a.col_idx[static_cast<std::size_t>(p)] * n,
+                          n);
     }
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;

@@ -8,6 +8,7 @@
 #include "engine/output_module.hpp"
 #include "faults/fault_injector.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/kernels.hpp"
 
 namespace stonne {
 
@@ -332,11 +333,8 @@ Stonne::runOperationImpl()
                 fatalIf(bias_.size() != c.K, "convolution bias of ",
                         bias_.size(), " values for ", c.K, " filters");
                 const float *bd = bias_.data();
-                for (index_t k = 0; k < c.K; ++k) {
-                    float *row = out.data() + k * gd.n;
-                    for (index_t j = 0; j < gd.n; ++j)
-                        row[j] += bd[k];
-                }
+                for (index_t k = 0; k < c.K; ++k)
+                    kernels::addScalar(out.data() + k * gd.n, bd[k], gd.n);
             }
             // Scatter back per group (col2im consumes per-group rows).
             for (index_t g = 0; g < c.G; ++g)

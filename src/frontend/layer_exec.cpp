@@ -1,5 +1,6 @@
 #include "frontend/layer_exec.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -17,15 +18,13 @@ concatChannels(const Tensor &a, const Tensor &b)
             a.dim(2) != b.dim(2) || a.dim(3) != b.dim(3),
             "concat shape mismatch");
     Tensor out({a.dim(0), a.dim(1) + b.dim(1), a.dim(2), a.dim(3)});
+    // Per sample, a's channels then b's: two contiguous blocks.
+    const index_t a_block = a.dim(1) * a.dim(2) * a.dim(3);
+    const index_t b_block = b.dim(1) * b.dim(2) * b.dim(3);
+    float *o = out.data();
     for (index_t n = 0; n < a.dim(0); ++n) {
-        for (index_t c = 0; c < a.dim(1); ++c)
-            for (index_t x = 0; x < a.dim(2); ++x)
-                for (index_t y = 0; y < a.dim(3); ++y)
-                    out.at(n, c, x, y) = a.at(n, c, x, y);
-        for (index_t c = 0; c < b.dim(1); ++c)
-            for (index_t x = 0; x < a.dim(2); ++x)
-                for (index_t y = 0; y < a.dim(3); ++y)
-                    out.at(n, a.dim(1) + c, x, y) = b.at(n, c, x, y);
+        o = std::copy_n(a.data() + n * a_block, a_block, o);
+        o = std::copy_n(b.data() + n * b_block, b_block, o);
     }
     return out;
 }
@@ -34,10 +33,12 @@ concatChannels(const Tensor &a, const Tensor &b)
 Tensor
 sliceCols(const Tensor &t, index_t c0, index_t w)
 {
-    Tensor out({t.dim(0), w});
-    for (index_t i = 0; i < t.dim(0); ++i)
-        for (index_t j = 0; j < w; ++j)
-            out.at(i, j) = t.at(i, c0 + j);
+    panicIf(t.rank() != 2 || c0 < 0 || w < 0 || c0 + w > t.dim(1),
+            "column slice out of range");
+    const index_t rows = t.dim(0), cols = t.dim(1);
+    Tensor out({rows, w});
+    for (index_t i = 0; i < rows; ++i)
+        std::copy_n(t.data() + i * cols + c0, w, out.data() + i * w);
     return out;
 }
 
@@ -45,10 +46,15 @@ sliceCols(const Tensor &t, index_t c0, index_t w)
 Tensor
 sliceColsT(const Tensor &t, index_t c0, index_t w)
 {
-    Tensor out({w, t.dim(0)});
-    for (index_t i = 0; i < t.dim(0); ++i)
+    panicIf(t.rank() != 2 || c0 < 0 || w < 0 || c0 + w > t.dim(1),
+            "column slice out of range");
+    const index_t rows = t.dim(0), cols = t.dim(1);
+    Tensor out({w, rows});
+    const float *td = t.data();
+    float *od = out.data();
+    for (index_t i = 0; i < rows; ++i)
         for (index_t j = 0; j < w; ++j)
-            out.at(j, i) = t.at(i, c0 + j);
+            od[j * rows + i] = td[i * cols + c0 + j];
     return out;
 }
 
@@ -233,15 +239,19 @@ LayerExecutor::runLayer(std::size_t i, const Tensor &cur,
             const Tensor kht = sliceColsT(k, h * dk, dk);
             Tensor scores = runGemm(
                 qh, kht, l.name + ".scores.h" + std::to_string(h));
+            float *sd = scores.data();
             for (index_t e = 0; e < scores.size(); ++e)
-                scores.at(e) *= scale;
+                sd[e] *= scale;
             const Tensor probs = ref::softmax(scores);
             const Tensor vh = sliceCols(v, h * dk, dk);
             const Tensor ctx_h = runGemm(
                 probs, vh, l.name + ".ctx.h" + std::to_string(h));
+            panicIf(ctx_h.rank() != 2 || ctx_h.dim(0) != a.seq_len ||
+                        ctx_h.dim(1) != dk,
+                    "attention head output shape mismatch");
             for (index_t s = 0; s < a.seq_len; ++s)
-                for (index_t d = 0; d < dk; ++d)
-                    ctx.at(s, h * dk + d) = ctx_h.at(s, d);
+                std::copy_n(ctx_h.data() + s * dk, dk,
+                            ctx.data() + s * a.d_model + h * dk);
         }
         return runLinear(ctx, l.extra_weights[2], l.extra_bias[2],
                          l.name + ".out");

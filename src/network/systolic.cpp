@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "tensor/kernels.hpp"
 
 namespace stonne {
 
@@ -48,9 +49,7 @@ orderedGemm(MatrixView a, index_t n, const PanelSource &b,
                     const float av = a.data[i * k + kk];
                     if (skip_zero_a && av == 0.0f)
                         continue;
-                    float *crow = c + i * n + j0;
-                    for (index_t j = 0; j < nj; ++j)
-                        crow[j] += av * brow[j];
+                    kernels::axpy(c + i * n + j0, av, brow, nj);
                 }
             }
         }

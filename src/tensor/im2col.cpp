@@ -55,27 +55,53 @@ im2colInto(const Tensor &input, const Conv2dShape &shape, index_t group,
     panicIf(j0 < 0 || nj < 0 || j0 + nj > shape.N * xo * yo,
             "im2col column range out of bounds");
 
-    // Row (c, r, s) of the patch matrix, column (n, ox, oy).
+    // Row (c, r, s) of the patch matrix, column (n, ox, oy), oy fastest.
+    // Columns go one output row (n, ox) at a time: its input row ix is
+    // either out of bounds (all zeros) or a run of input row ix at stride
+    // st, with zeros where iy = oy st + s - pad leaves [0, Y).
+    const index_t st = shape.stride;
+    const index_t pad = shape.padding;
+    const float *in = input.data();
     for (index_t c = 0; c < cg; ++c) {
         for (index_t r = 0; r < shape.R; ++r) {
             for (index_t s = 0; s < shape.S; ++s) {
                 float *out = dst + ((c * shape.R + r) * shape.S + s) * ld;
+                // The oy whose iy lies in [0, Y): [oy_in_lo, oy_in_hi).
+                const index_t oy_in_lo = (std::max<index_t>(0, pad - s) +
+                                          st - 1) / st;
+                const index_t last = shape.Y - 1 + pad - s;
+                const index_t oy_in_hi = last >= 0 ? last / st + 1 : 0;
                 index_t n = j0 / (xo * yo), ox = j0 / yo % xo,
-                        oy = j0 % yo;
-                for (index_t j = 0; j < nj; ++j) {
-                    const index_t ix = ox * shape.stride + r - shape.padding;
-                    const index_t iy = oy * shape.stride + s - shape.padding;
-                    out[j] = ix >= 0 && ix < shape.X && iy >= 0 &&
-                            iy < shape.Y
-                        ? input.data()[((n * in_c + group * cg + c) * in_x +
-                                        ix) * in_y + iy]
-                        : 0.0f;
-                    if (++oy == yo) {
-                        oy = 0;
-                        if (++ox == xo) {
-                            ox = 0;
-                            ++n;
+                        oy0 = j0 % yo;
+                for (index_t j = 0; j < nj;) {
+                    const index_t oy1 = std::min(yo, oy0 + nj - j);
+                    const index_t ix = ox * st + r - pad;
+                    index_t lo = oy0, hi = oy0;
+                    if (ix >= 0 && ix < shape.X) {
+                        lo = std::min(std::max(oy_in_lo, oy0), oy1);
+                        hi = std::max(lo, std::min(oy_in_hi, oy1));
+                    }
+                    // o[k] is column (n, ox, oy0 + k).
+                    float *o = out + j;
+                    std::fill(o, o + (lo - oy0), 0.0f);
+                    if (hi > lo) {
+                        const float *src =
+                            in + ((n * in_c + group * cg + c) * in_x + ix) *
+                                     in_y + (lo * st + s - pad);
+                        float *run = o + (lo - oy0);
+                        if (st == 1) {
+                            std::copy(src, src + (hi - lo), run);
+                        } else {
+                            for (index_t k = 0; k < hi - lo; ++k)
+                                run[k] = src[k * st];
                         }
+                    }
+                    std::fill(o + (hi - oy0), o + (oy1 - oy0), 0.0f);
+                    j += oy1 - oy0;
+                    oy0 = 0;
+                    if (++ox == xo) {
+                        ox = 0;
+                        ++n;
                     }
                 }
             }

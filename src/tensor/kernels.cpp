@@ -1,0 +1,98 @@
+#include "tensor/kernels.hpp"
+
+#include <cstdint>
+#include <cstring>
+
+namespace stonne::kernels {
+
+namespace {
+
+/** Four float lanes in one SIMD register (a GCC/Clang vector
+ *  extension); its arithmetic is plain IEEE single precision per lane. */
+using Float4 = float __attribute__((vector_size(16)));
+/** What a Float4 comparison yields: -1 in a true lane, 0 otherwise. */
+using Int4 = std::int32_t __attribute__((vector_size(16)));
+
+inline Float4
+load(const float *p)
+{
+    Float4 x;
+    std::memcpy(&x, p, sizeof x);
+    return x;
+}
+
+inline void
+store(float *p, Float4 x)
+{
+    std::memcpy(p, &x, sizeof x);
+}
+
+} // namespace
+
+void
+axpy(float *c, float a, const float *b, index_t n)
+{
+    index_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        store(c + j, load(c + j) + a * load(b + j));
+        store(c + j + 4, load(c + j + 4) + a * load(b + j + 4));
+    }
+    if (j + 4 <= n) {
+        store(c + j, load(c + j) + a * load(b + j));
+        j += 4;
+    }
+    for (; j < n; ++j)
+        c[j] += a * b[j];
+}
+
+void
+addScalar(float *c, float a, index_t n)
+{
+    index_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        store(c + j, load(c + j) + a);
+        store(c + j + 4, load(c + j + 4) + a);
+    }
+    if (j + 4 <= n) {
+        store(c + j, load(c + j) + a);
+        j += 4;
+    }
+    for (; j < n; ++j)
+        c[j] += a;
+}
+
+index_t
+countNonZeros(const float *v, index_t n)
+{
+    // Each lane subtracts its -1 per non-zero; a lane sees at most n / 4
+    // values, so 32 bits hold any row.
+    Int4 acc = {};
+    index_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        acc -= load(v + i) != Float4{};
+    index_t count = static_cast<index_t>(acc[0]) + acc[1] + acc[2] + acc[3];
+    for (; i < n; ++i)
+        count += v[i] != 0.0f;
+    return count;
+}
+
+index_t
+compressNonZeros(const float *v, index_t n, index_t base, index_t *cols,
+                 float *vals)
+{
+    // Every element is written and the length only advances past the
+    // kept ones, so the loop has no branch to mispredict. With the
+    // trailing zeros cut off first, each write lands at or before the
+    // last kept slot.
+    while (n > 0 && !(v[n - 1] != 0.0f))
+        --n;
+    index_t len = 0;
+    for (index_t i = 0; i < n; ++i) {
+        cols[len] = base + i;
+        vals[len] = v[i];
+        len += v[i] != 0.0f;
+    }
+    return len;
+}
+
+} // namespace stonne::kernels

@@ -1,0 +1,44 @@
+/**
+ * @file
+ * SIMD kernels of the functional fast path: the systolic GEMM, the SpMM
+ * reduce, the bias adds and the CSR lowering (internal: the library and
+ * its tests include it).
+ *
+ * Every kernel is bit-identical to its scalar form. Each output lane
+ * gets one rounded multiply and one rounded add, as the scalar
+ * statement does (the library builds with -ffp-contract=off, so they
+ * are never fused), and no lane reads another's value: vectorising
+ * across outputs leaves every output's summation order unchanged.
+ *
+ * They use the GCC/Clang vector extension, so one source serves every
+ * x86-64 level (SSE2 and up) and other targets alike, with no build
+ * flag and no run-time dispatch.
+ */
+
+#ifndef STONNE_TENSOR_KERNELS_HPP
+#define STONNE_TENSOR_KERNELS_HPP
+
+#include "common/types.hpp"
+
+namespace stonne::kernels {
+
+/** c[j] += a * b[j] for j < n; c and b do not overlap. */
+void axpy(float *c, float a, const float *b, index_t n);
+
+/** c[j] += a for j < n. */
+void addScalar(float *c, float a, index_t n);
+
+/** How many of v[0, n) satisfy v != 0.0f: NaN counts, -0.0f does not. */
+index_t countNonZeros(const float *v, index_t n);
+
+/**
+ * The v[i] != 0.0f of v[0, n), in order, into vals, with base + i into
+ * cols; returns how many. cols and vals need room for exactly that many
+ * (countNonZeros).
+ */
+index_t compressNonZeros(const float *v, index_t n, index_t base,
+                         index_t *cols, float *vals);
+
+} // namespace stonne::kernels
+
+#endif // STONNE_TENSOR_KERNELS_HPP

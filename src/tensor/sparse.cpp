@@ -1,6 +1,7 @@
 #include "tensor/sparse.hpp"
 
 #include "common/logging.hpp"
+#include "tensor/kernels.hpp"
 
 namespace stonne {
 
@@ -50,21 +51,23 @@ CsrMatrix::fromBlockDiagonal(MatrixView blocks, index_t groups)
     CsrMatrix m;
     m.rows = blocks.rows;
     m.cols = groups * blocks.cols;
-    m.row_ptr.reserve(static_cast<std::size_t>(m.rows + 1));
-    m.row_ptr.push_back(0);
-    // Raw row-major scan: this conversion runs on every SpMM lowering,
-    // so the per-element bounds checks of at() are pure overhead here.
+    // Count every row first, then fill arrays of the exact size: no
+    // push_back, no regrowth. This conversion runs on every SpMM
+    // lowering.
+    m.row_ptr.resize(static_cast<std::size_t>(m.rows + 1));
+    index_t nnz = 0;
     for (index_t r = 0; r < m.rows; ++r) {
-        const float *row = blocks.data + r * blocks.cols;
-        const index_t col0 = r / band * blocks.cols;
-        for (index_t c = 0; c < blocks.cols; ++c) {
-            const float v = row[c];
-            if (v != 0.0f) {
-                m.col_idx.push_back(col0 + c);
-                m.values.push_back(v);
-            }
-        }
-        m.row_ptr.push_back(static_cast<index_t>(m.values.size()));
+        nnz += kernels::countNonZeros(blocks.data + r * blocks.cols,
+                                      blocks.cols);
+        m.row_ptr[static_cast<std::size_t>(r + 1)] = nnz;
+    }
+    m.col_idx.resize(static_cast<std::size_t>(nnz));
+    m.values.resize(static_cast<std::size_t>(nnz));
+    for (index_t r = 0; r < m.rows; ++r) {
+        const index_t p = m.row_ptr[static_cast<std::size_t>(r)];
+        kernels::compressNonZeros(blocks.data + r * blocks.cols,
+                                  blocks.cols, r / band * blocks.cols,
+                                  m.col_idx.data() + p, m.values.data() + p);
     }
     return m;
 }

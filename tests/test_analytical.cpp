@@ -224,9 +224,10 @@ TEST(MaeriAm, CyclesNonIncreasingAsBandwidthGrows)
         for (const index_t bw : {8, 16, 32, 64, 128, 256}) {
             const cycle_t c = analytical::maeriCycles(
                 nl.spec, tile, HardwareConfig::maeriLike(256, bw));
-            if (prev > 0)
+            if (prev > 0) {
                 EXPECT_LE(c, prev)
                     << nl.tag << " regressed at bw=" << bw;
+            }
             prev = c;
         }
     }
@@ -242,9 +243,10 @@ TEST(ScaleSimAm, CyclesNonIncreasingAsArrayGrows)
         for (const index_t d : {4, 8, 16, 32, 64}) {
             const cycle_t c =
                 analytical::scaleSimOsCycles(nl.spec, d, d);
-            if (prev > 0)
+            if (prev > 0) {
                 EXPECT_LE(c, prev)
                     << nl.tag << " regressed at " << d << "x" << d;
+            }
             prev = c;
         }
     }
@@ -259,9 +261,10 @@ TEST(SigmaAm, CyclesNonIncreasingAsBandwidthGrows)
         for (const index_t bw : {8, 16, 32, 64, 128, 256}) {
             const cycle_t c = analytical::sigmaCycles(
                 g.m, g.n, g.k, nnz, HardwareConfig::sigmaLike(256, bw));
-            if (prev > 0)
+            if (prev > 0) {
                 EXPECT_LE(c, prev)
                     << nl.tag << " regressed at bw=" << bw;
+            }
             prev = c;
         }
     }

@@ -255,10 +255,12 @@ TEST(Partition, ShardabilityFollowsTheLayerKind)
     const DnnModel model =
         loadModelFromFile("models/resnet_block.model");
     for (const DnnLayer &l : model.layers) {
-        if (l.op == OpType::Conv2d || l.op == OpType::Linear)
+        if (l.op == OpType::Conv2d || l.op == OpType::Linear) {
             EXPECT_TRUE(kSplitShardable(l)) << l.name;
-        if (l.op == OpType::ReLU || l.op == OpType::AddResidual)
+        }
+        if (l.op == OpType::ReLU || l.op == OpType::AddResidual) {
             EXPECT_FALSE(kSplitShardable(l)) << l.name;
+        }
     }
 }
 

@@ -1042,9 +1042,11 @@ TEST(ServiceDaemon, RunModelQuarantinesTheSickCoreAndMatchesHealthyCrc)
 
     // The lifetime counters saw the bench.
     EXPECT_GE(daemon.counters().quarantines, 1u);
-    for (const JsonValue &r : responses)
-        if (r.find("type") && r.find("type")->asString() == "stats")
+    for (const JsonValue &r : responses) {
+        if (r.find("type") && r.find("type")->asString() == "stats") {
             ASSERT_NE(r.find("quarantines"), nullptr);
+        }
+    }
 }
 
 } // namespace
