@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/sim_context.hpp"
@@ -332,7 +333,7 @@ Stonne::runOperationImpl()
             if (!bias_.empty()) {
                 fatalIf(bias_.size() != c.K, "convolution bias of ",
                         bias_.size(), " values for ", c.K, " filters");
-                const float *bd = bias_.data();
+                const float *bd = std::as_const(bias_).data();
                 for (index_t k = 0; k < c.K; ++k)
                     kernels::addScalar(out.data() + k * gd.n, bd[k], gd.n);
             }

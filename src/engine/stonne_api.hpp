@@ -118,6 +118,8 @@ class Stonne
      * weights (K,C/G,R,S), bias (K) or empty. For Linear: input (N,C),
      * weights (K,C), bias. For DMM/SpMM: input = B (K,N),
      * weights = A (M,K), bias empty. For MaxPool: input only.
+     * Binding shares the tensors' storage (copy-on-write); fault
+     * injection corrupts a detached copy, never the caller's tensors.
      */
     void configureData(Tensor input, Tensor weights, Tensor bias = Tensor());
 

@@ -68,11 +68,15 @@ FaultInjector::corruptTensor(Tensor &t, FaultSite site)
     if (!active() || rate <= 0.0 || t.empty())
         return 0;
 
+    // The first flip detaches `t` from the caller's storage it may
+    // share; a run with no flip copies nothing.
     count_t flips = 0;
-    float *data = t.data();
+    float *data = nullptr;
     for (index_t i = 0; i < t.size(); ++i) {
         if (!rng_.chance(rate))
             continue;
+        if (data == nullptr)
+            data = t.data();
         std::uint32_t bits;
         std::memcpy(&bits, &data[i], sizeof bits);
         bits ^= std::uint32_t{1} << rng_.integer(0, 31);

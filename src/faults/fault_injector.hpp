@@ -72,7 +72,9 @@ class FaultInjector : public Checkpointable
 
     /**
      * Flip one random bit of some elements of `t` (probability per
-     * element from the site's rate). @return flips applied (counted).
+     * element from the site's rate). `t` detaches from any tensor it
+     * shares storage with before its first flip, so the flips never
+     * reach another copy. @return flips applied (counted).
      */
     count_t corruptTensor(Tensor &t, FaultSite site);
 

@@ -1,10 +1,10 @@
 #include "frontend/model_zoo.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <tuple>
 
 #include "common/logging.hpp"
 #include "frontend/model_builder.hpp"
@@ -324,142 +324,22 @@ synthesize(ModelId id, const ScaleParams &p, std::uint64_t seed)
 // Memoised synthesis.
 // ---------------------------------------------------------------------
 
-/** What a zoo model depends on. */
-struct ZooKey {
-    ModelId id;
-    ModelScale scale;
-    std::uint64_t seed;
-    index_t batch;
-
-    bool operator==(const ZooKey &) const = default;
-};
-
-/**
- * A built model with its pruned weight tensors held compactly: per
- * tensor, a bitmap of the elements whose bit pattern is not +0.0f, plus
- * those elements' values in order. Biases and everything else stay in a
- * skeleton copy of the model. Expanding it rebuilds the model bit for
- * bit.
- */
-class CompactModel
-{
-  public:
-    /** Packs `model`, which is left as it was. */
-    CompactModel(const ZooKey &key, DnnModel &model) : key_(key)
-    {
-        // The skeleton copies each layer with its weight tensors moved
-        // aside, so no dense copy of them is ever made.
-        std::vector<DnnLayer> layers = std::move(model.layers);
-        skeleton_ = model;
-        model.layers = std::move(layers);
-        std::size_t words = 0;
-        for (DnnLayer &layer : model.layers) {
-            Tensor weights = std::move(layer.weights);
-            std::vector<Tensor> extra = std::move(layer.extra_weights);
-            const std::size_t l = skeleton_.layers.size();
-            skeleton_.layers.push_back(layer);
-            skeleton_.layers.back().extra_weights.resize(extra.size());
-            const auto slot = [&](const Tensor &t, int e) {
-                if (t.empty() && t.shape().empty())
-                    return; // default-constructed, as in the skeleton
-                slots_.push_back({l, e, t.shape(), words});
-                words += (static_cast<std::size_t>(t.size()) + 63) / 64;
-            };
-            slot(weights, -1);
-            for (std::size_t e = 0; e < extra.size(); ++e)
-                slot(extra[e], static_cast<int>(e));
-            layer.weights = std::move(weights);
-            layer.extra_weights = std::move(extra);
-        }
-
-        // Mark the stored elements, then copy them into a buffer of
-        // exactly their size.
-        nonzero_.assign(words, 0);
-        std::size_t count = 0;
-        for (const Slot &slot : slots_) {
-            const Tensor &t = tensorOf(model, slot);
-            std::uint64_t *w = nonzero_.data() + slot.word0;
-            for (index_t i = 0; i < t.size(); ++i) {
-                const bool set = std::bit_cast<std::uint32_t>(t.data()[i]);
-                w[i / 64] |= std::uint64_t{set} << (i % 64);
-                count += set;
-            }
-        }
-        values_.reserve(count);
-        for (const Slot &slot : slots_) {
-            const float *d = tensorOf(model, slot).data();
-            forEachStored(slot, [&](std::size_t i) {
-                values_.push_back(d[i]);
-            });
-        }
-    }
-
-    const ZooKey &key() const { return key_; }
-
-    DnnModel
-    expand() const
-    {
-        DnnModel model = skeleton_;
-        std::size_t value = 0;
-        for (const Slot &slot : slots_) {
-            Tensor &t = tensorOf(model, slot);
-            t = Tensor(slot.shape); // +0.0f everywhere else
-            float *d = t.data();
-            forEachStored(slot,
-                          [&](std::size_t i) { d[i] = values_[value++]; });
-        }
-        return model;
-    }
-
-  private:
-    /** A packed tensor: a layer's weights (extra < 0) or one of its
-     *  extra weights, and where its bitmap starts. */
-    struct Slot {
-        std::size_t layer;
-        int extra;
-        std::vector<index_t> shape;
-        std::size_t word0;
-    };
-
-    static Tensor &
-    tensorOf(DnnModel &model, const Slot &slot)
-    {
-        DnnLayer &layer = model.layers[slot.layer];
-        return slot.extra < 0
-            ? layer.weights
-            : layer.extra_weights[static_cast<std::size_t>(slot.extra)];
-    }
-
-    /** Calls f(i) for each stored element i of the slot, in order. */
-    template <typename F>
-    void
-    forEachStored(const Slot &slot, F f) const
-    {
-        index_t size = 1;
-        for (const index_t d : slot.shape)
-            size *= d;
-        const std::size_t words = (static_cast<std::size_t>(size) + 63) / 64;
-        for (std::size_t wi = 0; wi < words; ++wi)
-            for (std::uint64_t w = nonzero_[slot.word0 + wi]; w != 0;
-                 w &= w - 1)
-                f(wi * 64 + static_cast<std::size_t>(std::countr_zero(w)));
-    }
-
-    ZooKey key_;
-    DnnModel skeleton_;
-    std::vector<Slot> slots_;
-    std::vector<std::uint64_t> nonzero_;
-    std::vector<float> values_;
-};
+/** What a zoo model depends on: (id, scale, seed, batch). */
+using ZooKey = std::tuple<ModelId, ModelScale, std::uint64_t, index_t>;
 
 /**
  * The most recently built model. Callers that sweep one model over
- * several fabrics (Fig 5, Fig 9) build it once; one compact entry keeps
- * the memory cost at a few MiB.
+ * several fabrics (Fig 5, Fig 9) build it once. A hit is a copy whose
+ * tensors share the entry's storage, so the entry costs no memory
+ * beyond the model its callers hold anyway.
  */
 struct ZooMemo {
+    struct Entry {
+        ZooKey key;
+        DnnModel model;
+    };
     std::mutex mutex;
-    std::shared_ptr<const CompactModel> last;
+    std::shared_ptr<const Entry> last;
 };
 
 ZooMemo &
@@ -540,26 +420,26 @@ buildModel(ModelId id, ModelScale scale, std::uint64_t seed, index_t batch)
             "BERT's (seq, hidden) input carries no batch axis");
     const ZooKey key{id, scale, seed, batch};
     ZooMemo &memo = zooMemo();
-    std::shared_ptr<const CompactModel> hit;
+    std::shared_ptr<const ZooMemo::Entry> hit;
     {
         std::lock_guard<std::mutex> lock(memo.mutex);
-        if (memo.last && memo.last->key() == key)
+        if (memo.last && memo.last->key == key)
             hit = memo.last;
         else
             memo.last.reset(); // free it before the new model is built
     }
     if (hit)
-        return hit->expand();
+        return hit->model;
 
     ScaleParams p = scaleParams(scale);
     p.batch = batch;
-    DnnModel model = synthesize(id, p, seed);
-    auto entry = std::make_shared<const CompactModel>(key, model);
+    auto entry = std::make_shared<const ZooMemo::Entry>(
+        ZooMemo::Entry{key, synthesize(id, p, seed)});
     {
         std::lock_guard<std::mutex> lock(memo.mutex);
-        memo.last = std::move(entry);
+        memo.last = entry;
     }
-    return model;
+    return entry->model;
 }
 
 Tensor

@@ -21,18 +21,17 @@ magnitudeKey(float x)
     return std::bit_cast<std::uint32_t>(x) & 0x7fffffffu;
 }
 
-/**
- * The k-th smallest (0-based) |x| over data[0, n): the value
- * std::nth_element over the magnitudes leaves at position k.
- *
- * One pass writes the magnitude keys and histograms their top 11 bits
+} // namespace
+
+/*
+ * One pass writes the magnitude keys, histograms their top 11 bits
  * (exponent plus three mantissa bits, so a bucket spans an eighth of an
- * octave); the bucket holding rank k is compacted to the front and
- * nth_element runs on that bracket only. For synthetic weights the
- * bracket is a few percent of the span. The selected key is exact, so
- * the result equals the full selection's. NaN has no magnitude order
- * (it breaks nth_element's strict weak ordering), so a span holding one
- * is rejected.
+ * octave) and notes the smallest key; the walk to the bucket holding
+ * rank k starts at the smallest key's bucket, not at bucket 0 (weights
+ * near 0.05 would otherwise walk ~1,000 empty buckets per span). That
+ * bucket is compacted to the front and nth_element runs on that bracket
+ * only. For synthetic weights the bracket is a few percent of the span.
+ * The selected key is exact, so the result equals the full selection's.
  */
 float
 kthSmallestMagnitude(const float *data, index_t n, index_t k)
@@ -43,6 +42,8 @@ kthSmallestMagnitude(const float *data, index_t n, index_t k)
     // nth_element over the keys.
     constexpr index_t kDirect = 64;
 
+    fatalIf(k < 0 || k >= n, "rank ", k, " out of range for ", n,
+            " values");
     // Scratch reused across calls: a model prunes one span per filter.
     thread_local std::vector<std::uint32_t> keys;
     keys.resize(static_cast<std::size_t>(n));
@@ -57,12 +58,14 @@ kthSmallestMagnitude(const float *data, index_t n, index_t k)
         }
     } else {
         std::array<std::uint32_t, (1u << (31 - kBucketShift))> hist{};
+        std::uint32_t min_key = ~0u;
         for (index_t i = 0; i < n; ++i) {
             key[i] = magnitudeKey(data[i]);
             nans += key[i] > kNanKeys;
+            min_key = std::min(min_key, key[i]);
             ++hist[key[i] >> kBucketShift];
         }
-        std::uint32_t b = 0;
+        std::uint32_t b = min_key >> kBucketShift;
         while (lo + hist[b] <= k)
             lo += hist[b++];
         // Branch-free compaction of bucket b's keys to the front.
@@ -77,6 +80,8 @@ kthSmallestMagnitude(const float *data, index_t n, index_t k)
     std::nth_element(key, key + (k - lo), key + len);
     return std::bit_cast<float>(key[k - lo]);
 }
+
+namespace {
 
 /** Prune a contiguous span in place to the given sparsity. */
 void
@@ -128,12 +133,13 @@ pruneFiltersWithJitter(Tensor &t, double sparsity, double jitter, Rng &rng)
     fatalIf(t.rank() < 1, "filter pruning needs at least rank 1");
     const index_t filters = t.dim(0);
     const index_t per_filter = filters > 0 ? t.size() / filters : 0;
+    float *data = t.data();
     for (index_t k = 0; k < filters; ++k) {
         double s = sparsity +
             rng.uniform(static_cast<float>(-jitter),
                         static_cast<float>(jitter));
         s = std::clamp(s, 0.0, 0.98);
-        pruneSpan(t.data() + k * per_filter, per_filter, s);
+        pruneSpan(data + k * per_filter, per_filter, s);
     }
 }
 
@@ -142,9 +148,10 @@ pruneRandom(Tensor &t, double sparsity, Rng &rng)
 {
     fatalIf(sparsity < 0.0 || sparsity >= 1.0,
             "sparsity must lie in [0, 1), got ", sparsity);
+    float *data = t.data();
     for (index_t i = 0; i < t.size(); ++i)
         if (rng.chance(sparsity))
-            t.at(i) = 0.0f;
+            data[i] = 0.0f;
 }
 
 } // namespace stonne

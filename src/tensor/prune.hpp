@@ -20,6 +20,14 @@
 namespace stonne {
 
 /**
+ * The k-th smallest (0-based) |x| over data[0, n), k in [0, n): the
+ * value std::nth_element over the magnitudes leaves at position k, bit
+ * for bit. The magnitude pruners select their thresholds with it. NaN
+ * has no magnitude order, so a span holding one is rejected.
+ */
+float kthSmallestMagnitude(const float *data, index_t n, index_t k);
+
+/**
  * Zero the smallest-magnitude fraction of all elements (unstructured
  * magnitude pruning, Zhu & Gupta style).
  *

@@ -1,6 +1,8 @@
 #include "tensor/reference.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hpp"
 
@@ -13,13 +15,16 @@ gemm(const Tensor &a, const Tensor &b)
     const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     fatalIf(b.dim(0) != k, "gemm inner dimensions mismatch: ", k, " vs ",
             b.dim(0));
+    // Row i of c accumulates a(i, p) * b(p, :) for p = 0, 1, ...: each
+    // output still sums its products in ascending p from +0.0f.
     Tensor c({m, n});
-    for (index_t i = 0; i < m; ++i) {
-        for (index_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (index_t p = 0; p < k; ++p)
-                acc += a.at(i, p) * b.at(p, j);
-            c.at(i, j) = acc;
+    float *crow = c.data();
+    for (index_t i = 0; i < m; ++i, crow += n) {
+        for (index_t p = 0; p < k; ++p) {
+            const float av = a.data()[i * k + p];
+            const float *brow = b.data() + p * n;
+            for (index_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
         }
     }
     return c;
@@ -32,15 +37,17 @@ spmm(const CsrMatrix &a, const Tensor &b)
     fatalIf(b.dim(0) != a.cols, "spmm inner dimensions mismatch");
     const index_t n = b.dim(1);
     Tensor c({a.rows, n});
-    for (index_t i = 0; i < a.rows; ++i) {
-        for (index_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (index_t p = a.row_ptr[static_cast<std::size_t>(i)];
-                 p < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++p) {
-                acc += a.values[static_cast<std::size_t>(p)] *
-                       b.at(a.col_idx[static_cast<std::size_t>(p)], j);
-            }
-            c.at(i, j) = acc;
+    float *crow = c.data();
+    for (index_t i = 0; i < a.rows; ++i, crow += n) {
+        for (index_t p = a.row_ptr[static_cast<std::size_t>(i)];
+             p < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++p) {
+            const float v = a.values[static_cast<std::size_t>(p)];
+            const index_t col = a.col_idx[static_cast<std::size_t>(p)];
+            fatalIf(col < 0 || col >= a.cols, "spmm: column index ", col,
+                    " out of range for ", a.cols, " columns");
+            const float *brow = b.data() + col * n;
+            for (index_t j = 0; j < n; ++j)
+                crow[j] += v * brow[j];
         }
     }
     return c;
@@ -51,43 +58,63 @@ conv2d(const Tensor &input, const Tensor &weights, const Tensor &bias,
        const Conv2dShape &shape)
 {
     shape.validate();
-    fatalIf(input.rank() != 4, "conv2d expects rank-4 input");
-    fatalIf(weights.rank() != 4, "conv2d expects rank-4 weights");
+    const index_t cg = shape.cPerGroup(), kg = shape.kPerGroup();
+    fatalIf(input.shape() !=
+                std::vector<index_t>{shape.N, shape.C, shape.X, shape.Y},
+            "conv2d input shape does not match the layer shape");
+    fatalIf(weights.shape() !=
+                std::vector<index_t>{shape.K, cg, shape.R, shape.S},
+            "conv2d weights shape does not match the layer shape");
     fatalIf(!bias.empty() && bias.size() != shape.K,
             "conv2d bias size mismatch");
 
     const index_t xo = shape.outX(), yo = shape.outY();
-    const index_t cg = shape.cPerGroup(), kg = shape.kPerGroup();
+    const index_t stride = shape.stride, pad = shape.padding;
+    const index_t window = cg * shape.R * shape.S;
     Tensor out({shape.N, shape.K, xo, yo});
+    float *o = out.data();
 
+    // One output row (n, ko, ox, :) at a time: each tap (c, r, s) adds
+    // its product to every output it reaches, so each output sums its
+    // in-range taps in the same (c, r, s) order as the direct form, and
+    // out-of-range (padding) taps are skipped, not added as zeros.
+    std::vector<float> acc(static_cast<std::size_t>(yo));
     for (index_t n = 0; n < shape.N; ++n) {
-        for (index_t g = 0; g < shape.G; ++g) {
-            for (index_t k = 0; k < kg; ++k) {
-                const index_t ko = g * kg + k;
-                for (index_t ox = 0; ox < xo; ++ox) {
-                    for (index_t oy = 0; oy < yo; ++oy) {
-                        float acc = 0.0f;
-                        for (index_t c = 0; c < cg; ++c) {
-                            for (index_t r = 0; r < shape.R; ++r) {
-                                for (index_t s = 0; s < shape.S; ++s) {
-                                    const index_t ix = ox * shape.stride +
-                                        r - shape.padding;
-                                    const index_t iy = oy * shape.stride +
-                                        s - shape.padding;
-                                    if (ix < 0 || ix >= shape.X || iy < 0 ||
-                                        iy >= shape.Y)
-                                        continue;
-                                    acc += input.at(n, g * cg + c, ix, iy) *
-                                           weights.at(ko, c, r, s);
-                                }
-                            }
+        for (index_t ko = 0; ko < shape.K; ++ko) {
+            const float *wk = weights.data() + ko * window;
+            const float *in_g = input.data() +
+                (n * shape.C + (ko / kg) * cg) * shape.X * shape.Y;
+            // Bias applies after the reduction, matching the
+            // accelerator's collection-point addition order.
+            const float b = bias.empty() ? 0.0f : bias.data()[ko];
+            for (index_t ox = 0; ox < xo; ++ox) {
+                std::fill(acc.begin(), acc.end(), 0.0f);
+                for (index_t c = 0; c < cg; ++c) {
+                    for (index_t r = 0; r < shape.R; ++r) {
+                        const index_t ix = ox * stride + r - pad;
+                        if (ix < 0 || ix >= shape.X)
+                            continue;
+                        const float *row =
+                            in_g + (c * shape.X + ix) * shape.Y;
+                        for (index_t s = 0; s < shape.S; ++s) {
+                            // Outputs oy whose column oy*stride + s - pad
+                            // lies in [0, Y).
+                            const index_t off = s - pad;
+                            const index_t lo = std::max<index_t>(
+                                0, (stride - 1 - off) / stride);
+                            const index_t hi = std::min(
+                                yo, (shape.Y - 1 - off + stride) / stride);
+                            const float wv =
+                                wk[(c * shape.R + r) * shape.S + s];
+                            for (index_t oy = lo; oy < hi; ++oy)
+                                acc[static_cast<std::size_t>(oy)] +=
+                                    row[oy * stride + off] * wv;
                         }
-                        // Bias applies after the reduction, matching the
-                        // accelerator's collection-point addition order.
-                        out.at(n, ko, ox, oy) =
-                            acc + (bias.empty() ? 0.0f : bias.at(ko));
                     }
                 }
+                float *orow = o + ((n * shape.K + ko) * xo + ox) * yo;
+                for (index_t oy = 0; oy < yo; ++oy)
+                    orow[oy] = acc[static_cast<std::size_t>(oy)] + b;
             }
         }
     }
@@ -104,12 +131,15 @@ linear(const Tensor &input, const Tensor &weights, const Tensor &bias)
     fatalIf(!bias.empty() && bias.size() != k, "linear bias size mismatch");
 
     Tensor out({n, k});
+    float *o = out.data();
     for (index_t i = 0; i < n; ++i) {
+        const float *x = input.data() + i * c;
         for (index_t j = 0; j < k; ++j) {
+            const float *wj = weights.data() + j * c;
             float acc = 0.0f;
             for (index_t p = 0; p < c; ++p)
-                acc += input.at(i, p) * weights.at(j, p);
-            out.at(i, j) = acc + (bias.empty() ? 0.0f : bias.at(j));
+                acc += x[p] * wj[p];
+            o[i * k + j] = acc + (bias.empty() ? 0.0f : bias.data()[j]);
         }
     }
     return out;
@@ -189,19 +219,22 @@ softmax(const Tensor &input)
 {
     fatalIf(input.rank() != 2, "softmax expects rank-2 input");
     const index_t n = input.dim(0), c = input.dim(1);
+    fatalIf(n > 0 && c == 0, "softmax over empty rows");
     Tensor out({n, c});
     for (index_t i = 0; i < n; ++i) {
-        float mx = input.at(i, 0);
+        const float *x = input.data() + i * c;
+        float *y = out.data() + i * c;
+        float mx = x[0];
         for (index_t j = 1; j < c; ++j)
-            mx = std::max(mx, input.at(i, j));
+            mx = std::max(mx, x[j]);
         float sum = 0.0f;
         for (index_t j = 0; j < c; ++j) {
-            float e = std::exp(input.at(i, j) - mx);
-            out.at(i, j) = e;
+            const float e = std::exp(x[j] - mx);
+            y[j] = e;
             sum += e;
         }
         for (index_t j = 0; j < c; ++j)
-            out.at(i, j) /= sum;
+            y[j] /= sum;
     }
     return out;
 }
@@ -210,8 +243,9 @@ Tensor
 logSoftmax(const Tensor &input)
 {
     Tensor sm = softmax(input);
+    float *d = sm.data();
     for (index_t i = 0; i < sm.size(); ++i)
-        sm.at(i) = std::log(sm.at(i));
+        d[i] = std::log(d[i]);
     return sm;
 }
 
@@ -222,19 +256,21 @@ layerNorm(const Tensor &input, float eps)
     const index_t n = input.dim(0), c = input.dim(1);
     Tensor out({n, c});
     for (index_t i = 0; i < n; ++i) {
+        const float *x = input.data() + i * c;
+        float *y = out.data() + i * c;
         float mean = 0.0f;
         for (index_t j = 0; j < c; ++j)
-            mean += input.at(i, j);
+            mean += x[j];
         mean /= static_cast<float>(c);
         float var = 0.0f;
         for (index_t j = 0; j < c; ++j) {
-            float d = input.at(i, j) - mean;
+            const float d = x[j] - mean;
             var += d * d;
         }
         var /= static_cast<float>(c);
         const float inv = 1.0f / std::sqrt(var + eps);
         for (index_t j = 0; j < c; ++j)
-            out.at(i, j) = (input.at(i, j) - mean) * inv;
+            y[j] = (x[j] - mean) * inv;
     }
     return out;
 }

@@ -1,5 +1,6 @@
 #include "tensor/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -14,7 +15,18 @@ Tensor::Tensor(std::vector<index_t> shape)
         fatalIf(d < 0, "tensor dimension must be non-negative, got ", d);
         total *= d;
     }
-    data_.assign(static_cast<std::size_t>(total), 0.0f);
+    size_ = total;
+    if (total > 0)
+        data_ = std::make_shared<float[]>(static_cast<std::size_t>(total));
+}
+
+void
+Tensor::detach()
+{
+    auto copy = std::make_shared_for_overwrite<float[]>(
+        static_cast<std::size_t>(size_));
+    std::copy_n(data_.get(), size_, copy.get());
+    data_ = std::move(copy);
 }
 
 index_t
@@ -30,6 +42,7 @@ Tensor::at(index_t flat)
 {
     panicIf(flat < 0 || flat >= size(), "flat index ", flat,
             " out of range for size ", size());
+    own();
     return data_[static_cast<std::size_t>(flat)];
 }
 
@@ -54,6 +67,7 @@ Tensor::flatIndex2(index_t r, index_t c) const
 float &
 Tensor::at(index_t r, index_t c)
 {
+    own();
     return data_[static_cast<std::size_t>(flatIndex2(r, c))];
 }
 
@@ -76,6 +90,7 @@ Tensor::flatIndex4(index_t a, index_t b, index_t c, index_t d) const
 float &
 Tensor::at(index_t a, index_t b, index_t c, index_t d)
 {
+    own();
     return data_[static_cast<std::size_t>(flatIndex4(a, b, c, d))];
 }
 
@@ -92,8 +107,8 @@ Tensor::transposed() const
     const index_t rows = shape_[0];
     const index_t cols = shape_[1];
     Tensor t({cols, rows});
-    const float *src = data_.data();
-    float *dst = t.data_.data();
+    const float *src = data_.get();
+    float *dst = t.data_.get();
     for (index_t i = 0; i < rows; ++i)
         for (index_t j = 0; j < cols; ++j)
             dst[j * rows + i] = src[i * cols + j];
@@ -108,9 +123,8 @@ Tensor::reshaped(std::vector<index_t> new_shape) const
         total *= d;
     fatalIf(total != size(), "reshape from ", size(), " elements to ",
             total, " elements");
-    Tensor t;
+    Tensor t = *this;
     t.shape_ = std::move(new_shape);
-    t.data_ = data_;
     return t;
 }
 
@@ -125,26 +139,25 @@ Tensor::asMatrix(index_t rows, index_t cols) const
 void
 Tensor::fill(float v)
 {
-    for (auto &x : data_)
-        x = v;
+    std::fill_n(data(), size_, v);
 }
 
 void
 Tensor::fillUniform(Rng &rng, float lo, float hi)
 {
-    rng.fillUniform(data_.data(), data_.size(), lo, hi);
+    rng.fillUniform(data(), static_cast<std::size_t>(size_), lo, hi);
 }
 
 void
 Tensor::fillNormal(Rng &rng, float mean, float stddev)
 {
-    rng.fillNormal(data_.data(), data_.size(), mean, stddev);
+    rng.fillNormal(data(), static_cast<std::size_t>(size_), mean, stddev);
 }
 
 double
 Tensor::sparsity() const
 {
-    if (data_.empty())
+    if (empty())
         return 0.0;
     return 1.0 - static_cast<double>(nnz()) / static_cast<double>(size());
 }
@@ -153,35 +166,36 @@ index_t
 Tensor::nnz() const
 {
     index_t n = 0;
-    for (float x : data_)
-        if (x != 0.0f)
-            ++n;
+    for (index_t i = 0; i < size_; ++i)
+        n += data_[static_cast<std::size_t>(i)] != 0.0f;
     return n;
 }
 
 bool
 Tensor::allFinite() const
 {
-    for (float x : data_)
-        if (!std::isfinite(x))
-            return false;
-    return true;
+    const float *d = data();
+    return std::all_of(d, d + size_,
+                       [](float x) { return std::isfinite(x); });
 }
 
 bool
 Tensor::equals(const Tensor &other) const
 {
-    return shape_ == other.shape_ && data_ == other.data_;
+    return shape_ == other.shape_ &&
+        std::equal(data(), data() + size_, other.data());
 }
 
 double
 Tensor::maxAbsDiff(const Tensor &other) const
 {
     fatalIf(shape_ != other.shape_, "maxAbsDiff on mismatched shapes");
+    const float *a = data();
+    const float *b = other.data();
     double m = 0.0;
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        m = std::max(m, std::abs(static_cast<double>(data_[i]) -
-                                 static_cast<double>(other.data_[i])));
+    for (index_t i = 0; i < size_; ++i)
+        m = std::max(m, std::abs(static_cast<double>(a[i]) -
+                                 static_cast<double>(b[i])));
     return m;
 }
 

@@ -6,12 +6,16 @@
  * simulated accelerator share. Values stay float end-to-end so that the
  * simulator's functional output can be bit-compared against the CPU
  * reference kernels, reproducing the paper's functional validation.
+ * Storage is copy-on-write (DESIGN.md, "Tensor storage").
  */
 
 #ifndef STONNE_TENSOR_TENSOR_HPP
 #define STONNE_TENSOR_TENSOR_HPP
 
+#include <atomic>
 #include <initializer_list>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,7 +30,12 @@ struct MatrixView {
     index_t cols = 0;
 };
 
-/** Dense row-major float tensor with up to any number of dimensions. */
+/**
+ * Dense row-major float tensor with up to any number of dimensions.
+ * Copies share storage until one is written: non-const data() and at()
+ * and the fills detach first. Read through the const overloads, and
+ * write through a pointer from data() only until the next copy.
+ */
 class Tensor
 {
   public:
@@ -39,6 +48,21 @@ class Tensor
     Tensor(std::initializer_list<index_t> shape)
         : Tensor(std::vector<index_t>(shape)) {}
 
+    Tensor(const Tensor &) = default;
+    Tensor &operator=(const Tensor &) = default;
+
+    /** A moved-from tensor is empty, as a moved-from vector is. */
+    Tensor(Tensor &&other) noexcept { *this = std::move(other); }
+    Tensor &operator=(Tensor &&other) noexcept
+    {
+        if (this != &other) {
+            shape_ = std::move(other.shape_);
+            size_ = std::exchange(other.size_, 0);
+            data_ = std::move(other.data_);
+        }
+        return *this;
+    }
+
     /** Number of dimensions. */
     index_t rank() const { return static_cast<index_t>(shape_.size()); }
 
@@ -48,12 +72,17 @@ class Tensor
     const std::vector<index_t> &shape() const { return shape_; }
 
     /** Total number of elements. */
-    index_t size() const { return static_cast<index_t>(data_.size()); }
+    index_t size() const { return size_; }
 
-    bool empty() const { return data_.empty(); }
+    bool empty() const { return size_ == 0; }
 
-    float *data() { return data_.data(); }
-    const float *data() const { return data_.data(); }
+    /** Writable elements; detaches from any tensor sharing them. */
+    float *data()
+    {
+        own();
+        return data_.get();
+    }
+    const float *data() const { return data_.get(); }
 
     /** Flat element access. */
     float &at(index_t flat);
@@ -101,11 +130,26 @@ class Tensor
     double maxAbsDiff(const Tensor &other) const;
 
   private:
+    /** Become the sole owner of the storage, copying it if shared. On
+     *  a use count of 1 the acquire fence orders the in-place writes
+     *  after every access the last other owner made before letting go. */
+    void own()
+    {
+        if (data_.use_count() > 1)
+            detach();
+        else
+            std::atomic_thread_fence(std::memory_order_acquire);
+    }
+
+    /** Replace shared storage by a private copy of it. */
+    void detach();
+
     index_t flatIndex2(index_t r, index_t c) const;
     index_t flatIndex4(index_t a, index_t b, index_t c, index_t d) const;
 
     std::vector<index_t> shape_;
-    std::vector<float> data_;
+    index_t size_ = 0;
+    std::shared_ptr<float[]> data_;
 };
 
 } // namespace stonne

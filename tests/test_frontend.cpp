@@ -131,6 +131,38 @@ TEST(ModelZoo, SynthesisMatchesPinnedGoldens)
     }
 }
 
+TEST(ModelZoo, FaultyRunLeavesModelAndMemoIntact)
+{
+    // The memo, the caller's model and the simulated cores' operands all
+    // share the weight storage. A faulty run flips bits in the operands
+    // it stages; those writes must stay in the run's own copies.
+    const std::uint32_t golden = 0xEA4313D2u; // BERT, Tiny, seed 7
+    const DnnModel model = buildModel(ModelId::Bert, ModelScale::Tiny);
+    ASSERT_EQ(parameterCrc(model), golden);
+    const Tensor input = makeModelInput(ModelId::Bert, ModelScale::Tiny);
+
+    HardwareConfig cfg = HardwareConfig::sigmaLike(64, 32);
+    ModelRunner clean(model, cfg);
+    const Tensor want = clean.run(input);
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 3;
+    cfg.faults.dram_bitflip_rate = 0.01;
+    cfg.faults.flit_corrupt_rate = 0.01;
+    ModelRunner faulty(model, cfg);
+    const Tensor got = faulty.run(input);
+    EXPECT_GT(faulty.core(0).stats().value("faults.dram_bitflips"), 0u);
+    EXPECT_FALSE(got.equals(want));
+
+    EXPECT_EQ(parameterCrc(model), golden);
+    EXPECT_EQ(parameterCrc(buildModel(ModelId::Bert, ModelScale::Tiny)),
+              golden);
+    EXPECT_TRUE(input.equals(
+        makeModelInput(ModelId::Bert, ModelScale::Tiny)));
+    EXPECT_TRUE(ModelRunner(model, HardwareConfig::sigmaLike(64, 32))
+                    .run(input)
+                    .equals(want));
+}
+
 TEST(ModelZoo, MemoisedBuildsAreIdenticalUnderInterleavedKeys)
 {
     // Every key differs from its neighbours in one component, so each

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,6 +77,208 @@ TEST(Tensor, TransposeSwapsRowsAndColumns)
         for (index_t j = 0; j < 3; ++j)
             EXPECT_EQ(tt.at(j, i), t.at(i, j));
     EXPECT_THROW(Tensor({2, 2, 2}).transposed(), PanicError);
+}
+
+// --- Copy-on-write storage -------------------------------------------
+
+/** A (2, 3, 4, 5) tensor holding 0, 1, 2, ... */
+Tensor
+iota4()
+{
+    Tensor t({2, 3, 4, 5});
+    float *d = t.data();
+    for (index_t i = 0; i < t.size(); ++i)
+        d[i] = static_cast<float>(i);
+    return t;
+}
+
+/** Whether t holds 0, 1, 2, ... (read through the const path). */
+bool
+holdsIota(const Tensor &t)
+{
+    for (index_t i = 0; i < t.size(); ++i)
+        if (t.data()[i] != static_cast<float>(i))
+            return false;
+    return true;
+}
+
+TEST(Tensor, CopySharesStorage)
+{
+    const Tensor a = iota4();
+    const Tensor b = a;
+    Tensor c;
+    c = b;
+    EXPECT_EQ(b.data(), a.data());
+    EXPECT_EQ(std::as_const(c).data(), a.data());
+    EXPECT_EQ(c.shape(), a.shape());
+    EXPECT_TRUE(c.equals(a));
+}
+
+TEST(Tensor, SoleOwnerWritesInPlace)
+{
+    Tensor a = iota4();
+    const float *before = std::as_const(a).data();
+    EXPECT_EQ(a.data(), before);
+    {
+        const Tensor b = a;
+        EXPECT_EQ(b.data(), before);
+    }
+    // The copy is gone: writing needs no copy of its own.
+    a.at(static_cast<index_t>(0)) = 7.0f;
+    EXPECT_EQ(std::as_const(a).data(), before);
+}
+
+TEST(Tensor, EachMutatorLeavesTheOtherCopyUnchanged)
+{
+    Rng rng(3);
+    const std::pair<const char *, void (*)(Tensor &, Rng &)> mutators[] = {
+        {"data", [](Tensor &t, Rng &) { t.data()[5] = -1.0f; }},
+        {"at(flat)", [](Tensor &t, Rng &) { t.at(index_t{5}) = -1.0f; }},
+        {"at(r, c)",
+         [](Tensor &t, Rng &) {
+             Tensor m = t.reshaped({6, 20});
+             m.at(1, 2) = -1.0f;
+             t = m.reshaped({2, 3, 4, 5});
+         }},
+        {"at(a, b, c, d)",
+         [](Tensor &t, Rng &) { t.at(1, 2, 3, 4) = -1.0f; }},
+        {"fill", [](Tensor &t, Rng &) { t.fill(-1.0f); }},
+        {"fillUniform",
+         [](Tensor &t, Rng &r) { t.fillUniform(r, -2.0f, -1.0f); }},
+        {"fillNormal",
+         [](Tensor &t, Rng &r) { t.fillNormal(r, -10.0f, 0.1f); }},
+    };
+    for (const auto &[name, mutate] : mutators) {
+        SCOPED_TRACE(name);
+        // Mutate the copy, then the original.
+        for (int which = 0; which < 2; ++which) {
+            Tensor a = iota4();
+            Tensor b = a;
+            Tensor &written = which == 0 ? b : a;
+            const Tensor &kept = which == 0 ? a : b;
+            mutate(written, rng);
+            EXPECT_TRUE(holdsIota(kept));
+            EXPECT_FALSE(holdsIota(written));
+            EXPECT_NE(std::as_const(written).data(), kept.data());
+        }
+    }
+}
+
+TEST(Tensor, ConstReadsDoNotDetach)
+{
+    const Tensor a = iota4();
+    Tensor b = a;
+    // Const accessors on a non-const tensor read the shared storage.
+    const Tensor &cb = b;
+    EXPECT_EQ(cb.at(1, 2, 3, 4), 119.0f);
+    EXPECT_EQ(cb.reshaped({6, 20}).at(5, 19), 119.0f);
+    EXPECT_EQ(b.asMatrix(6, 20).data, a.data());
+    EXPECT_EQ(b.nnz(), 119);
+    EXPECT_TRUE(b.equals(a));
+    EXPECT_EQ(cb.data(), a.data());
+}
+
+TEST(Tensor, ReshapedSharesStorageUntilWritten)
+{
+    Tensor a = iota4();
+    Tensor r = a.reshaped({6, 20});
+    EXPECT_EQ(std::as_const(r).data(), std::as_const(a).data());
+    r.at(0, 0) = 42.0f;
+    EXPECT_TRUE(holdsIota(a));
+    EXPECT_EQ(std::as_const(r).at(0, 0), 42.0f);
+    EXPECT_NE(std::as_const(r).data(), std::as_const(a).data());
+
+    // Writing the original leaves the reshaped view as it was.
+    Tensor v = a.reshaped({120});
+    a.fill(0.0f);
+    EXPECT_TRUE(holdsIota(v));
+}
+
+TEST(Tensor, EmptyTensorsAndSelfAssignment)
+{
+    Tensor e;
+    Tensor f = e;
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.data(), nullptr);
+    f.fill(1.0f); // no elements to write
+    EXPECT_EQ(f.nnz(), 0);
+    EXPECT_TRUE(f.equals(e));
+
+    Tensor z({0, 3});
+    const Tensor zc = z;
+    EXPECT_TRUE(zc.empty());
+    EXPECT_EQ(zc.shape(), (std::vector<index_t>{0, 3}));
+    EXPECT_EQ(z.data(), nullptr);
+
+    Tensor a = iota4();
+    const float *storage = std::as_const(a).data();
+    const Tensor &alias = a;
+    a = alias;
+    EXPECT_TRUE(holdsIota(a));
+    EXPECT_EQ(a.data(), storage); // still the sole owner
+
+    // A moved-from tensor is empty; the storage moves along unshared.
+    Tensor b = std::move(a);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.size(), 0);
+    EXPECT_EQ(b.data(), storage);
+    a = std::move(b);
+    EXPECT_TRUE(b.empty());
+    EXPECT_TRUE(holdsIota(a));
+}
+
+TEST(Tensor, ConcurrentCopiesWriteTheirOwnValues)
+{
+    // Eight threads copy one shared tensor at once and each writes its
+    // own values into its copy; no write may reach another copy.
+    const Tensor shared = iota4();
+    constexpr int kThreads = 8;
+    std::latch start(kThreads);
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (int round = 0; round < 50; ++round) {
+                Tensor mine = shared;
+                float *d = mine.data();
+                for (index_t i = 0; i < mine.size(); ++i)
+                    d[i] = static_cast<float>(t * 1000 + round);
+                for (index_t i = 0; i < mine.size(); ++i)
+                    if (std::as_const(mine).data()[i] !=
+                        static_cast<float>(t * 1000 + round))
+                        ++wrong;
+                if (!holdsIota(shared))
+                    ++wrong;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_TRUE(holdsIota(shared));
+}
+
+TEST(Tensor, WriteRacingTheLastReadersRelease)
+{
+    // Reader threads check and then drop their copies while the owner
+    // writes: the write detaches while a copy is alive and lands in
+    // place once none is (the fence path), never under a reader.
+    std::atomic<int> wrong{0};
+    for (int round = 0; round < 100; ++round) {
+        Tensor a = iota4();
+        std::vector<std::thread> readers;
+        for (int t = 0; t < 4; ++t)
+            readers.emplace_back([&wrong, copy = std::as_const(a)] {
+                if (!holdsIota(copy))
+                    ++wrong;
+            });
+        a.data()[0] = -1.0f;
+        for (std::thread &th : readers)
+            th.join();
+        EXPECT_EQ(std::as_const(a).at(index_t{0}), -1.0f);
+    }
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(Im2col, LinearFromGemmTransposesAndAddsBias)
@@ -343,11 +548,11 @@ TEST(Prune, SelectionMatchesFullNthElement)
     Rng rng(23);
     const index_t sizes[] = {1, 2, 3, 7, 64, 255, 256, 257, 1000, 4608};
     const float denorm = std::numeric_limits<float>::denorm_min();
-    for (int trial = 0; trial < 480; ++trial) {
+    for (int trial = 0; trial < 720; ++trial) {
         // Every (size, kind, cut) combination, twice.
         const index_t n = sizes[trial % 10];
         Tensor t({n});
-        const int kind = (trial / 10) % 6;
+        const int kind = (trial / 10) % 9;
         for (index_t i = 0; i < n; ++i) {
             float v = 0.0f;
             switch (kind) {
@@ -364,7 +569,7 @@ TEST(Prune, SelectionMatchesFullNthElement)
               case 4: // one exponent band, so one histogram bucket
                 v = 1.0f + rng.uniform(0.0f, 0.1f);
                 break;
-              default: // mixed scales, infinities, signed zeros
+              case 5: // mixed scales, infinities, signed zeros
                 v = rng.normal(0.0f, 1.0f) *
                     std::ldexp(1.0f, static_cast<int>(rng.integer(-140, 100)));
                 if (rng.chance(0.05))
@@ -372,15 +577,43 @@ TEST(Prune, SelectionMatchesFullNthElement)
                 if (rng.chance(0.01))
                     v = std::numeric_limits<float>::infinity();
                 break;
+              case 6: // distinct keys in one bucket near 0.05, both signs
+                v = std::ldexp(1.0f + rng.uniform(0.0f, 0.12f), -5);
+                v = rng.chance(0.5) ? -v : v;
+                break;
+              case 7: // the top finite bucket, up to the largest float
+                v = std::ldexp(1.875f + rng.uniform(0.0f, 0.125f), 127);
+                if (rng.chance(0.1))
+                    v = std::numeric_limits<float>::max();
+                v = rng.chance(0.5) ? -v : v;
+                break;
+              default: // denormals only, no zeros, over eight buckets
+                v = static_cast<float>(rng.integer(1, (1 << 23) - 1)) *
+                    denorm;
+                v = rng.chance(0.5) ? -v : v;
+                break;
             }
             t.at(i) = v;
         }
         // Zero counts 0, 1, n - 1 and one in between.
         const index_t cuts[] = {0, 1, n - 1,
                                 static_cast<index_t>(rng.integer(0, n - 1))};
-        const index_t cut = cuts[(trial / 60) % 4];
+        const index_t cut = cuts[(trial / 90) % 4];
         const double sparsity =
             static_cast<double>(cut) / static_cast<double>(n);
+        // The selection itself at its extreme ranks, k = 0 and k = n - 1
+        // (the pruners never ask for k = 0).
+        std::vector<float> mags(static_cast<std::size_t>(n));
+        for (index_t i = 0; i < n; ++i)
+            mags[static_cast<std::size_t>(i)] = std::abs(t.data()[i]);
+        for (const index_t k : {index_t{0}, n - 1}) {
+            std::nth_element(mags.begin(), mags.begin() + k, mags.end());
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                          kthSmallestMagnitude(t.data(), n, k)),
+                      std::bit_cast<std::uint32_t>(
+                          mags[static_cast<std::size_t>(k)]))
+                << "trial " << trial << " n " << n << " k " << k;
+        }
         if (sparsity >= 1.0)
             continue;
         Tensor want = t;
@@ -848,6 +1081,290 @@ TEST(Sparse, BlockDiagonalMatchesPushBackForm)
         EXPECT_EQ(got.col_idx, want.col_idx);
         EXPECT_TRUE(sameBits(got.values, want.values));
     }
+}
+
+// --- Reference kernels against their indexed forms --------------------
+
+/**
+ * The reference kernels read and write through raw pointers. The
+ * indexed, bounds-checked loops they replaced are kept here as oracles;
+ * every output must match bit for bit (any NaN matching any NaN, see
+ * sameFloat).
+ */
+namespace indexed {
+
+Tensor
+gemm(const Tensor &a, const Tensor &b)
+{
+    const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Tensor c({m, n});
+    for (index_t i = 0; i < m; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (index_t p = 0; p < k; ++p)
+                acc += a.at(i, p) * b.at(p, j);
+            c.at(i, j) = acc;
+        }
+    }
+    return c;
+}
+
+Tensor
+spmm(const CsrMatrix &a, const Tensor &b)
+{
+    const index_t n = b.dim(1);
+    Tensor c({a.rows, n});
+    for (index_t i = 0; i < a.rows; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (index_t p = a.row_ptr[static_cast<std::size_t>(i)];
+                 p < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++p) {
+                acc += a.values[static_cast<std::size_t>(p)] *
+                       b.at(a.col_idx[static_cast<std::size_t>(p)], j);
+            }
+            c.at(i, j) = acc;
+        }
+    }
+    return c;
+}
+
+Tensor
+conv2d(const Tensor &input, const Tensor &weights, const Tensor &bias,
+       const Conv2dShape &shape)
+{
+    const index_t xo = shape.outX(), yo = shape.outY();
+    const index_t cg = shape.cPerGroup(), kg = shape.kPerGroup();
+    Tensor out({shape.N, shape.K, xo, yo});
+    for (index_t n = 0; n < shape.N; ++n) {
+        for (index_t g = 0; g < shape.G; ++g) {
+            for (index_t k = 0; k < kg; ++k) {
+                const index_t ko = g * kg + k;
+                for (index_t ox = 0; ox < xo; ++ox) {
+                    for (index_t oy = 0; oy < yo; ++oy) {
+                        float acc = 0.0f;
+                        for (index_t c = 0; c < cg; ++c) {
+                            for (index_t r = 0; r < shape.R; ++r) {
+                                for (index_t s = 0; s < shape.S; ++s) {
+                                    const index_t ix = ox * shape.stride +
+                                        r - shape.padding;
+                                    const index_t iy = oy * shape.stride +
+                                        s - shape.padding;
+                                    if (ix < 0 || ix >= shape.X || iy < 0 ||
+                                        iy >= shape.Y)
+                                        continue;
+                                    acc += input.at(n, g * cg + c, ix, iy) *
+                                           weights.at(ko, c, r, s);
+                                }
+                            }
+                        }
+                        out.at(n, ko, ox, oy) =
+                            acc + (bias.empty() ? 0.0f : bias.at(ko));
+                    }
+                }
+            }
+        }
+    }
+    return out;
+}
+
+Tensor
+linear(const Tensor &input, const Tensor &weights, const Tensor &bias)
+{
+    const index_t n = input.dim(0), c = input.dim(1), k = weights.dim(0);
+    Tensor out({n, k});
+    for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < k; ++j) {
+            float acc = 0.0f;
+            for (index_t p = 0; p < c; ++p)
+                acc += input.at(i, p) * weights.at(j, p);
+            out.at(i, j) = acc + (bias.empty() ? 0.0f : bias.at(j));
+        }
+    }
+    return out;
+}
+
+Tensor
+softmax(const Tensor &input)
+{
+    const index_t n = input.dim(0), c = input.dim(1);
+    Tensor out({n, c});
+    for (index_t i = 0; i < n; ++i) {
+        float mx = input.at(i, 0);
+        for (index_t j = 1; j < c; ++j)
+            mx = std::max(mx, input.at(i, j));
+        float sum = 0.0f;
+        for (index_t j = 0; j < c; ++j) {
+            float e = std::exp(input.at(i, j) - mx);
+            out.at(i, j) = e;
+            sum += e;
+        }
+        for (index_t j = 0; j < c; ++j)
+            out.at(i, j) /= sum;
+    }
+    return out;
+}
+
+Tensor
+logSoftmax(const Tensor &input)
+{
+    Tensor sm = softmax(input);
+    for (index_t i = 0; i < sm.size(); ++i)
+        sm.at(i) = std::log(sm.at(i));
+    return sm;
+}
+
+Tensor
+layerNorm(const Tensor &input, float eps)
+{
+    const index_t n = input.dim(0), c = input.dim(1);
+    Tensor out({n, c});
+    for (index_t i = 0; i < n; ++i) {
+        float mean = 0.0f;
+        for (index_t j = 0; j < c; ++j)
+            mean += input.at(i, j);
+        mean /= static_cast<float>(c);
+        float var = 0.0f;
+        for (index_t j = 0; j < c; ++j) {
+            float d = input.at(i, j) - mean;
+            var += d * d;
+        }
+        var /= static_cast<float>(c);
+        const float inv = 1.0f / std::sqrt(var + eps);
+        for (index_t j = 0; j < c; ++j)
+            out.at(i, j) = (input.at(i, j) - mean) * inv;
+    }
+    return out;
+}
+
+} // namespace indexed
+
+/** A tensor of finite values spanning many binades, with a fraction
+ *  `special` of NaN, +-inf, +-0 and denormals among them. */
+Tensor
+specialTensor(Rng &rng, std::vector<index_t> shape, double special)
+{
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              0.0f,
+                              -0.0f,
+                              denorm,
+                              -37.0f * denorm,
+                              std::numeric_limits<float>::min() / 3.0f};
+    Tensor t(std::move(shape));
+    float *d = t.data();
+    for (index_t i = 0; i < t.size(); ++i)
+        d[i] = rng.chance(special)
+            ? kSpecial[rng.integer(0, std::size(kSpecial) - 1)]
+            : rng.normal(0.0f, 1.0f) *
+                std::ldexp(1.0f, static_cast<int>(rng.integer(-12, 12)));
+    return t;
+}
+
+/** Same shape, and every element the same bits (or both NaN). */
+::testing::AssertionResult
+sameTensor(const Tensor &got, const Tensor &want)
+{
+    if (got.shape() != want.shape())
+        return ::testing::AssertionFailure() << "shapes differ";
+    for (index_t i = 0; i < want.size(); ++i)
+        if (!sameFloat(got.data()[i], want.data()[i]))
+            return ::testing::AssertionFailure()
+                << "element " << i << ": " << got.data()[i] << " vs "
+                << want.data()[i];
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Reference, ConvMatchesIndexedFormOnRandomShapes)
+{
+    Rng rng(41);
+    for (int trial = 0; trial < 300; ++trial) {
+        Conv2dShape s;
+        s.G = rng.integer(1, 3);
+        s.C = s.G * rng.integer(1, 4);
+        s.K = s.G * rng.integer(1, 4);
+        s.N = rng.integer(1, 2);
+        s.R = rng.integer(1, 5);
+        s.S = rng.integer(1, 5);
+        s.stride = rng.integer(1, 3);
+        s.padding = rng.integer(0, 3);
+        s.X = std::max<index_t>(rng.integer(1, 9), s.R - 2 * s.padding);
+        s.Y = std::max<index_t>(rng.integer(1, 9), s.S - 2 * s.padding);
+        // A third of the trials carry NaN, infinities, signed zeros and
+        // denormals; the rest are finite but span many binades.
+        const double special = trial % 3 == 0 ? 0.05 : 0.0;
+        const Tensor in = specialTensor(rng, {s.N, s.C, s.X, s.Y}, special);
+        const Tensor w = specialTensor(
+            rng, {s.K, s.cPerGroup(), s.R, s.S}, special);
+        const Tensor bias = trial % 2 == 0
+            ? Tensor() : specialTensor(rng, {s.K}, special);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        ASSERT_TRUE(sameTensor(ref::conv2d(in, w, bias, s),
+                               indexed::conv2d(in, w, bias, s)));
+    }
+
+    // Operands of the wrong shape are refused up front.
+    Conv2dShape s;
+    s.C = 2;
+    s.K = 2;
+    s.X = 4;
+    s.Y = 4;
+    EXPECT_THROW(ref::conv2d(Tensor({1, 2, 4, 5}), Tensor({2, 2, 1, 1}),
+                             Tensor(), s),
+                 FatalError);
+    EXPECT_THROW(ref::conv2d(Tensor({1, 2, 4, 4}), Tensor({2, 1, 1, 1}),
+                             Tensor(), s),
+                 FatalError);
+}
+
+TEST(Reference, MatrixKernelsMatchIndexedForms)
+{
+    Rng rng(43);
+    for (int trial = 0; trial < 200; ++trial) {
+        const index_t m = rng.integer(1, 9), k = rng.integer(1, 40);
+        const index_t n = rng.integer(1, 37);
+        const double special = trial % 3 == 0 ? 0.05 : 0.0;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        const Tensor a = specialTensor(rng, {m, k}, special);
+        const Tensor b = specialTensor(rng, {k, n}, special);
+        ASSERT_TRUE(sameTensor(ref::gemm(a, b), indexed::gemm(a, b)));
+
+        Tensor sparse = specialTensor(rng, {m, k}, special);
+        float *sd = sparse.data();
+        for (index_t i = 0; i < sparse.size(); ++i)
+            if (rng.chance(0.6))
+                sd[i] = 0.0f;
+        const CsrMatrix csr = CsrMatrix::fromDense(sparse);
+        ASSERT_TRUE(sameTensor(ref::spmm(csr, b), indexed::spmm(csr, b)));
+
+        const Tensor in = specialTensor(rng, {n, k}, special);
+        const Tensor bias = trial % 2 == 0
+            ? Tensor() : specialTensor(rng, {m}, special);
+        ASSERT_TRUE(sameTensor(ref::linear(in, a, bias),
+                               indexed::linear(in, a, bias)));
+    }
+    EXPECT_THROW(ref::gemm(Tensor({2, 3}), Tensor({4, 2})), FatalError);
+    EXPECT_THROW(ref::linear(Tensor({2, 3}), Tensor({4, 3}), Tensor({3})),
+                 FatalError);
+}
+
+TEST(Reference, RowKernelsMatchIndexedForms)
+{
+    Rng rng(47);
+    for (int trial = 0; trial < 200; ++trial) {
+        const index_t n = rng.integer(1, 6), c = rng.integer(1, 70);
+        const double special = trial % 3 == 0 ? 0.05 : 0.0;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const Tensor x = specialTensor(rng, {n, c}, special);
+        ASSERT_TRUE(sameTensor(ref::softmax(x), indexed::softmax(x)));
+        ASSERT_TRUE(sameTensor(ref::logSoftmax(x), indexed::logSoftmax(x)));
+        ASSERT_TRUE(sameTensor(ref::layerNorm(x, 1e-5f),
+                               indexed::layerNorm(x, 1e-5f)));
+    }
+    EXPECT_THROW(ref::softmax(Tensor({2, 0})), FatalError);
 }
 
 } // namespace
