@@ -1,10 +1,6 @@
 #include "controller/dense_controller.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdint>
-#include <cstring>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -28,262 +24,50 @@ blocks(index_t total, index_t t)
     return (total + t - 1) / t;
 }
 
-/** One filter weight of the functional reduce: its input offset
- *  c*X*Y + r*Y + s relative to the window origin, and its (r, s). Kept
- *  to 12 bytes: a layer's list is live beside its tensors. */
-struct ReduceTerm
-{
-    std::int32_t off;
-    float w;
-    std::int16_t r;
-    std::int16_t s;
-};
-
 /**
- * One filter's reduce terms in ascending (c, r, s) order. The (offset,
- * r, s) of every window element are tabulated once per layer; each
- * filter then only copies its weights in.
+ * A convolution lowered to GEMM (Section IV-B): per group, the (Kg x
+ * R*S*Cg) filter matrix, read in place, times the im2col patch matrix,
+ * lowered one column panel at a time, plus the bias, scattered back by
+ * col2im. `gemm(a, n, b, b_finite, c)` writes one group's row-major (Kg
+ * x n) product into c; with one image that is the group's slice of the
+ * output itself, so no result matrix is staged.
  */
-class FilterTerms
-{
-  public:
-    explicit FilterTerms(const Conv2dShape &shape)
-    {
-        const index_t cg = shape.cPerGroup();
-        const index_t in_c_stride = shape.X * shape.Y;
-        fatalIf(shape.R > INT16_MAX || shape.S > INT16_MAX ||
-                    cg * in_c_stride + shape.R * shape.Y > INT32_MAX,
-                "convolution window too large for the functional reduce");
-        layout_.resize(static_cast<std::size_t>(cg * shape.R * shape.S));
-        std::size_t e = 0;
-        for (index_t c = 0; c < cg; ++c)
-            for (index_t r = 0; r < shape.R; ++r)
-                for (index_t s = 0; s < shape.S; ++s)
-                    layout_[e++] = {
-                        static_cast<std::int32_t>(c * in_c_stride +
-                                                  r * shape.Y + s),
-                        0.0f, static_cast<std::int16_t>(r),
-                        static_cast<std::int16_t>(s)};
-        terms_.resize(layout_.size());
-    }
-
-    /** List one filter's terms (its weights w in (c, r, s) order); zero
-     *  weights are left out when skip_zeros is set. */
-    void
-    reset(const float *w, bool skip_zeros)
-    {
-        // Pruned weights are zero at random, so the list is compacted
-        // without a branch: every term is written, and the length only
-        // advances past the kept ones.
-        std::size_t len = 0;
-        for (std::size_t e = 0; e < layout_.size(); ++e) {
-            terms_[len] = layout_[e];
-            terms_[len].w = w[e];
-            len += !skip_zeros || w[e] != 0.0f;
-        }
-        len_ = len;
-    }
-
-    const ReduceTerm *begin() const { return terms_.data(); }
-    const ReduceTerm *end() const { return terms_.data() + len_; }
-
-  private:
-    std::vector<ReduceTerm> layout_; //!< every window element, w = 0
-    /** Sized to the layout once; the first len_ terms are the list. */
-    std::vector<ReduceTerm> terms_;
-    std::size_t len_ = 0;
-};
-
-/** The in-bounds filter rows [r_lo, r_hi) and columns [s_lo, s_hi) of
- *  an output position. */
-struct WindowBounds
-{
-    index_t r_lo, r_hi, s_lo, s_hi;
-};
-
-/** Lanes reduced per kernel call, at most. */
-constexpr index_t kBlock = 16;
-
-/** Four float lanes in one SIMD register (a GCC/Clang vector
- *  extension). Its arithmetic is plain IEEE single precision per lane,
- *  so it rounds exactly as the scalar form does. */
-using Float4 = float __attribute__((vector_size(16)));
-
-/** What a term outside the window bounds reads instead of the input. */
-alignas(16) constexpr float kZeros[kBlock] = {};
-
-/**
- * Reduce kLanes outputs that share their window bounds: out[i *
- * out_step] = the sum, from +0 in list order, of w * in[base + off +
- * i * step] over the terms inside the bounds, plus the bias. Each lane
- * is its own chain, kept four to a Float4 register (with kUnit, step 1,
- * the four inputs are one load).
- *
- * kMasked marks outputs at the edge of the input. There a term outside
- * the bounds multiplies a zero weight by zeros (kZeros, read with step
- * 0) and adds +0. The sum starts at +0 and a float sum is -0 only when
- * both addends are, so it is never -0 and adding +0 leaves it
- * unchanged: the loop needs no branch and no per-bounds copy of the
- * list.
- */
-template <index_t kLanes, bool kUnit, bool kMasked>
+template <class Gemm>
 void
-reduceLanes(const ReduceTerm *t0, const ReduceTerm *t1, const float *in,
-            index_t base, index_t step, const WindowBounds &b, float bias,
-            float *out, index_t out_step)
+lowerConv(const Conv2dShape &shape, const Tensor &input,
+          const Tensor &weights, const Tensor &bias, Tensor &output,
+          Gemm &&gemm)
 {
-    constexpr index_t kVecs = kLanes / 4;
-    constexpr index_t kTail = kLanes % 4;
-    Float4 vacc[kVecs + 1] = {};
-    float acc[kTail + 1] = {};
-    for (const ReduceTerm *t = t0; t != t1; ++t) {
-        float ws = t->w;
-        index_t sp = kUnit ? 1 : step;
-        const float *ir;
-        if constexpr (kMasked) {
-            const bool keep = t->r >= b.r_lo && t->r < b.r_hi &&
-                t->s >= b.s_lo && t->s < b.s_hi;
-            ws = keep ? ws : 0.0f;
-            sp = keep ? sp : 0;
-            ir = keep ? in + (base + t->off) : kZeros;
-        } else {
-            ir = in + (base + t->off);
+    const index_t kg = shape.kPerGroup();
+    const index_t window = shape.R * shape.S * shape.cPerGroup();
+    const index_t cols = shape.N * shape.outX() * shape.outY();
+    const MatrixView filters = weights.asMatrix(shape.K, window);
+    fatalIf(!bias.empty() && bias.size() != shape.K, "convolution bias of ",
+            bias.size(), " values for ", shape.K, " filters");
+    // Patch-matrix entries are input values or padding zeros.
+    const bool finite = input.allFinite();
+    const bool in_place = shape.N == 1;
+    std::vector<float> panel;
+    std::vector<float> result(
+        static_cast<std::size_t>(in_place ? 0 : kg * cols));
+    for (index_t g = 0; g < shape.G; ++g) {
+        // The filters are stored flattened: group g's filter matrix is
+        // rows [g Kg, (g+1) Kg) of the (K x R*S*C/G) weights.
+        const MatrixView a{filters.data + g * kg * window, kg, window};
+        const PanelSource b = [&](index_t j0, index_t nj) {
+            panel.resize(static_cast<std::size_t>(window * nj));
+            im2colInto(input, shape, g, j0, nj, panel.data(), nj);
+            return ColumnPanel{panel.data(), nj};
+        };
+        float *c = in_place ? output.data() + g * kg * cols : result.data();
+        gemm(a, cols, b, finite, c);
+        if (!bias.empty()) {
+            const float *bg = bias.data() + g * kg;
+            for (index_t k = 0; k < kg; ++k)
+                kernels::addScalar(c + k * cols, bg[k], cols);
         }
-        // Fully unrolled, or the compiler keeps the accumulators on the
-        // stack and every term waits on a store-to-load round trip.
-#pragma GCC unroll 4
-        for (index_t v = 0; v < kVecs; ++v) {
-            const float *iv = ir + 4 * v * sp;
-            Float4 x;
-            if constexpr (kUnit && !kMasked)
-                std::memcpy(&x, iv, sizeof x);
-            else
-                x = Float4{iv[0], iv[sp], iv[2 * sp], iv[3 * sp]};
-            vacc[v] += ws * x;
-        }
-#pragma GCC unroll 4
-        for (index_t i = 0; i < kTail; ++i)
-            acc[i] += ws * ir[(4 * kVecs + i) * sp];
-    }
-    for (index_t v = 0; v < kVecs; ++v)
-        for (index_t j = 0; j < 4; ++j)
-            out[(4 * v + j) * out_step] = vacc[v][j] + bias;
-    for (index_t i = 0; i < kTail; ++i)
-        out[(4 * kVecs + i) * out_step] = acc[i] + bias;
-}
-
-using LanesKernel = void (*)(const ReduceTerm *, const ReduceTerm *,
-                             const float *, index_t, index_t,
-                             const WindowBounds &, float, float *, index_t);
-
-template <bool kUnit, bool kMasked, std::size_t... I>
-constexpr std::array<LanesKernel, sizeof...(I)>
-lanesKernels(std::index_sequence<I...>)
-{
-    return {&reduceLanes<static_cast<index_t>(I) + 1, kUnit, kMasked>...};
-}
-
-/** reduceLanes for 1..kBlock lanes, indexed by count - 1, by [unit
- *  step][masked]. */
-constexpr std::array<std::array<std::array<LanesKernel, kBlock>, 2>, 2>
-    kLanesKernels = {{
-        {lanesKernels<false, false>(std::make_index_sequence<kBlock>()),
-         lanesKernels<false, true>(std::make_index_sequence<kBlock>())},
-        {lanesKernels<true, false>(std::make_index_sequence<kBlock>()),
-         lanesKernels<true, true>(std::make_index_sequence<kBlock>())},
-    }};
-
-/** The outputs [lo, hi) along one axis whose whole filter extent lies
- *  inside the input. */
-std::pair<index_t, index_t>
-interiorRange(index_t in, index_t k, index_t outs, index_t st, index_t pad)
-{
-    const index_t lo = std::min<index_t>(outs, (pad + st - 1) / st);
-    index_t hi = lo;
-    if (in - k + pad >= 0)
-        hi = std::max(lo, std::min<index_t>(outs, (in - k + pad) / st + 1));
-    return {lo, hi};
-}
-
-/**
- * Functional convolution: every output is the sum, from +0 and in
- * ascending (c, r, s) order, of w * in over the in-bounds window terms,
- * plus the bias, so the result bit-matches the CPU reference.
- *
- * With an all-finite input the term lists hold only the non-zero
- * weights: adding w * in = +-0 to a sum that is never -0 (see
- * reduceLanes) leaves it unchanged. A non-finite input keeps every
- * weight, since 0 * inf is NaN. Each output row's interior columns go
- * kBlock at a time along the row; each edge column goes kBlock interior
- * rows at a time down the column, so edge outputs also run as
- * independent chains.
- */
-void
-reduceConv(const Conv2dShape &shape, const Tensor &input,
-           const Tensor &weights, const Tensor &bias, Tensor &output)
-{
-    const index_t cg = shape.cPerGroup();
-    const index_t xo = shape.outX();
-    const index_t yo = shape.outY();
-    const index_t st = shape.stride;
-    const index_t pad = shape.padding;
-    const auto [ox_lo, ox_hi] = interiorRange(shape.X, shape.R, xo, st, pad);
-    const auto [oy_lo, oy_hi] = interiorRange(shape.Y, shape.S, yo, st, pad);
-    const index_t in_c_stride = shape.X * shape.Y;
-    const index_t in_n_stride = shape.C * in_c_stride;
-    const bool skip_zeros = input.allFinite();
-    const auto bounds = [&](index_t ox, index_t oy) {
-        const index_t x_base = ox * st - pad;
-        const index_t y_base = oy * st - pad;
-        return WindowBounds{std::max<index_t>(0, -x_base),
-                            std::min(shape.R, shape.X - x_base),
-                            std::max<index_t>(0, -y_base),
-                            std::min(shape.S, shape.Y - y_base)};
-    };
-    // Input index of output (ox, oy)'s window origin.
-    const auto origin = [&](index_t ox, index_t oy) {
-        return (ox * st - pad) * shape.Y + oy * st - pad;
-    };
-
-    FilterTerms terms(shape);
-    for (index_t ko = 0; ko < shape.K; ++ko) {
-        terms.reset(weights.data() + ko * cg * shape.R * shape.S,
-                    skip_zeros);
-        const ReduceTerm *t0 = terms.begin();
-        const ReduceTerm *t1 = terms.end();
-        const index_t g = ko / shape.kPerGroup();
-        const float bias_v = bias.empty() ? 0.0f : bias.at(ko);
-        for (index_t n = 0; n < shape.N; ++n) {
-            const float *in_n =
-                input.data() + n * in_n_stride + g * cg * in_c_stride;
-            float *out_k = output.data() + (n * shape.K + ko) * xo * yo;
-            // Interior columns of every row, along the row.
-            for (index_t ox = 0; ox < xo; ++ox) {
-                const bool edge_row = ox < ox_lo || ox >= ox_hi;
-                for (index_t oy = oy_lo; oy < oy_hi; oy += kBlock) {
-                    const index_t m = std::min(kBlock, oy_hi - oy);
-                    kLanesKernels[st == 1][edge_row][
-                        static_cast<std::size_t>(m - 1)](
-                        t0, t1, in_n, origin(ox, oy), st, bounds(ox, oy),
-                        bias_v, out_k + ox * yo + oy, 1);
-                }
-            }
-            // Edge columns, down the column.
-            for (index_t oy = 0; oy < yo; ++oy) {
-                if (oy >= oy_lo && oy < oy_hi)
-                    continue;
-                for (index_t ox = 0; ox < xo;) {
-                    const bool edge_row = ox < ox_lo || ox >= ox_hi;
-                    const index_t m =
-                        edge_row ? 1 : std::min(kBlock, ox_hi - ox);
-                    kLanesKernels[false][true][
-                        static_cast<std::size_t>(m - 1)](
-                        t0, t1, in_n, origin(ox, oy), st * shape.Y,
-                        bounds(ox, oy), bias_v, out_k + ox * yo + oy, yo);
-                    ox += m;
-                }
-            }
-        }
+        if (!in_place)
+            col2imFrom(c, cols, shape, g, output);
     }
 }
 
@@ -564,8 +348,20 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
         }
     }
 
+    // Every output is the sum, from +0 in ascending (c, r, s) order, of
+    // w * in over its in-bounds window terms, plus the bias: the lowered
+    // GEMM computes exactly that, since a padding zero adds w * 0 = +-0
+    // to a sum that is never -0. An inf or NaN weight would make that
+    // term NaN, so then the direct reference, which skips padding taps,
+    // computes the same sums instead.
     setPhase("functional reduce");
-    reduceConv(shape, input, weights, bias, output);
+    if (weights.allFinite()) {
+        lowerConv(shape, input, weights, bias, output, orderedGemm);
+    } else {
+        output = ref::conv2d(
+            input.reshaped({shape.N, shape.C, shape.X, shape.Y}),
+            weights.reshaped({shape.K, cg, shape.R, shape.S}), bias, shape);
+    }
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0
@@ -580,7 +376,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 ControllerResult
 DenseController::runGemmSystolic(MatrixView a, index_t n,
                                  const PanelSource &b, bool b_finite,
-                                 Tensor &c)
+                                 float *c)
 {
     setPhase("systolic gemm");
     auto *popn = dynamic_cast<PointToPointNetwork *>(&dn_);
@@ -636,35 +432,11 @@ DenseController::runConvSystolic(const Conv2dShape &shape,
                                  const Tensor &bias, Tensor &output)
 {
     ControllerResult res;
-    const index_t kg = shape.kPerGroup();
-    const index_t window = shape.R * shape.S * shape.cPerGroup();
-    const index_t cols = shape.N * shape.outX() * shape.outY();
-    const MatrixView filters = weights.asMatrix(shape.K, window);
-    fatalIf(!bias.empty() && bias.size() != shape.K, "convolution bias of ",
-            bias.size(), " values for ", shape.K, " filters");
-    // Patch-matrix entries are input values or padding zeros.
-    const bool finite = input.allFinite();
-    std::vector<float> panel;
-    for (index_t g = 0; g < shape.G; ++g) {
-        // The filters are stored flattened: group g's filter matrix is
-        // rows [g Kg, (g+1) Kg) of the (K x R*S*C/G) weights, in place.
-        const MatrixView a{filters.data + g * kg * window, kg, window};
-        // The patch matrix is lowered one column panel at a time.
-        const PanelSource b = [&](index_t j0, index_t nj) {
-            panel.resize(static_cast<std::size_t>(window * nj));
-            im2colInto(input, shape, g, j0, nj, panel.data(), nj);
-            return ColumnPanel{panel.data(), nj};
-        };
-        Tensor c({kg, cols});
-        ControllerResult r = runGemmSystolic(a, cols, b, finite, c);
-        if (!bias.empty()) {
-            const float *bg = bias.data() + g * kg;
-            for (index_t k = 0; k < kg; ++k)
-                kernels::addScalar(c.data() + k * cols, bg[k], cols);
-        }
-        col2im(c, shape, g, output);
-        res.merge(r);
-    }
+    lowerConv(shape, input, weights, bias, output,
+              [&](MatrixView a, index_t n, const PanelSource &b,
+                  bool b_finite, float *c) {
+                  res.merge(runGemmSystolic(a, n, b, b_finite, c));
+              });
     return res;
 }
 
@@ -705,7 +477,7 @@ DenseController::runGemm(const LayerSpec &layer, const Tile &tile,
     if (cfg_.dn_type == DnType::PointToPoint)
         return runGemmSystolic(a.asMatrix(g.m, g.k), g.n,
                                SystolicArray::panelsOf(b), b.allFinite(),
-                               c);
+                               c.data());
 
     // Map the GEMM onto the convolution pipeline: M filters of a
     // 1x1x(K)-element window over an input of K channels and N output

@@ -127,10 +127,11 @@ class DenseController : public Checkpointable
                                      const Tensor &bias, Tensor &output);
 
     /** Systolic GEMM with stats plumbing: A is read in place, the
-     *  (A.cols x n) B by column panels (see SystolicArray::run). */
+     *  (A.cols x n) B by column panels, into the row-major (A.rows x n)
+     *  c (see SystolicArray::run). */
     ControllerResult runGemmSystolic(MatrixView a, index_t n,
                                      const PanelSource &b, bool b_finite,
-                                     Tensor &c);
+                                     float *c);
 
     /** Change phase: watchdog reports see it, the tracer spans it. */
     void setPhase(const char *phase);

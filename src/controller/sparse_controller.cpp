@@ -163,21 +163,22 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     }
 
     // Functional results in canonical CSR order (bit-exact against the
-    // reference SpMM); fully pruned rows emit zeros directly. Row r of
-    // C accumulates one contiguous row of B per non-zero, so every
-    // (r, j) sum still runs from 0 over the row's non-zeros in order.
+    // reference SpMM): every (r, j) sum runs from +0 over row r's
+    // non-zeros in order; fully pruned rows emit zeros. Columns go one
+    // register block at a time, so the block's strip of B stays in
+    // cache across all rows.
     setPhase("functional reduce");
     const float *bd = b.data();
     float *cd = c.data();
-    for (index_t r = 0; r < a.rows; ++r) {
-        const index_t p0 = a.row_ptr[static_cast<std::size_t>(r)];
-        const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
-        float *crow = cd + r * n;
-        std::fill(crow, crow + n, 0.0f);
-        for (index_t p = p0; p < p1; ++p)
-            kernels::axpy(crow, a.values[static_cast<std::size_t>(p)],
-                          bd + a.col_idx[static_cast<std::size_t>(p)] * n,
-                          n);
+    for (index_t j0 = 0; j0 < n; j0 += kernels::kRowBlockCols) {
+        const index_t nj = std::min(kernels::kRowBlockCols, n - j0);
+        for (index_t r = 0; r < a.rows; ++r) {
+            const index_t p0 = a.row_ptr[static_cast<std::size_t>(r)];
+            const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
+            kernels::sparseRowTimesPanel(
+                cd + r * n + j0, nj, a.col_idx.data() + p0,
+                a.values.data() + p0, p1 - p0, bd + j0, n);
+        }
     }
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;

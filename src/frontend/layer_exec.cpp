@@ -237,11 +237,15 @@ LayerExecutor::runLayer(std::size_t i, const Tensor &cur,
         for (index_t h = 0; h < a.heads; ++h) {
             const Tensor qh = sliceCols(q, h * dk, dk);
             const Tensor kht = sliceColsT(k, h * dk, dk);
-            Tensor scores = runGemm(
+            const Tensor raw = runGemm(
                 qh, kht, l.name + ".scores.h" + std::to_string(h));
+            // Scaled into a fresh tensor: the result shares the core's
+            // output storage, so scaling it in place would copy it first.
+            Tensor scores(raw.shape());
+            const float *rd = raw.data();
             float *sd = scores.data();
             for (index_t e = 0; e < scores.size(); ++e)
-                sd[e] *= scale;
+                sd[e] = rd[e] * scale;
             const Tensor probs = ref::softmax(scores);
             const Tensor vh = sliceCols(v, h * dk, dk);
             const Tensor ctx_h = runGemm(

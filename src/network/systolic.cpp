@@ -1,6 +1,8 @@
 #include "network/systolic.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "tensor/kernels.hpp"
@@ -20,43 +22,39 @@ edgeInjections(cycle_t t, index_t len, index_t k)
     return std::max<index_t>(0, hi - lo + 1);
 }
 
-/**
- * c = a * b with every c(i,j) accumulated from +0.0f in ascending k, the
- * order the PE at (i,j) accumulates it in: bit-identical to the array.
- * B comes one column panel at a time; within a panel, rows of A go
- * kRowBlock at a time, so each panel row is read once per row block
- * while the block's output strips stay in cache.
- *
- * With skip_zero_a, zero A entries (the pruned weights) are skipped:
- * each sum starts at +0 and so is never -0, and adding 0 * (finite b),
- * which is +-0, to it is the identity.
- */
+} // namespace
+
 void
-orderedGemm(MatrixView a, index_t n, const PanelSource &b,
-            bool skip_zero_a, float *c)
+orderedGemm(MatrixView a, index_t n, const PanelSource &b, bool b_finite,
+            float *c)
 {
-    constexpr index_t kRowBlock = 4;
     const index_t m = a.rows, k = a.cols;
-    std::fill(c, c + m * n, 0.0f);
+    // One row of A as (row of B, weight) terms. With B all-finite the
+    // zero entries (the pruned weights) are left out: each sum starts at
+    // +0 and so is never -0, and adding 0 * (finite b), which is +-0, to
+    // it is the identity. 0 * inf and 0 * NaN are NaN, so otherwise
+    // every entry stays, read in place.
+    std::vector<index_t> cols(static_cast<std::size_t>(k));
+    std::vector<float> vals;
+    if (b_finite)
+        vals.resize(static_cast<std::size_t>(k));
+    else
+        std::iota(cols.begin(), cols.end(), index_t{0});
     for (index_t j0 = 0; j0 < n; j0 += SystolicArray::kPanelCols) {
         const index_t nj = std::min(SystolicArray::kPanelCols, n - j0);
         const ColumnPanel panel = b(j0, nj);
-        for (index_t i0 = 0; i0 < m; i0 += kRowBlock) {
-            const index_t i1 = std::min(m, i0 + kRowBlock);
-            for (index_t kk = 0; kk < k; ++kk) {
-                const float *brow = panel.data + kk * panel.ld;
-                for (index_t i = i0; i < i1; ++i) {
-                    const float av = a.data[i * k + kk];
-                    if (skip_zero_a && av == 0.0f)
-                        continue;
-                    kernels::axpy(c + i * n + j0, av, brow, nj);
-                }
-            }
+        for (index_t i = 0; i < m; ++i) {
+            const float *arow = a.data + i * k;
+            const index_t nnz = b_finite
+                ? kernels::compressNonZeros(arow, k, 0, cols.data(),
+                                            vals.data())
+                : k;
+            kernels::sparseRowTimesPanel(c + i * n + j0, nj, cols.data(),
+                                         b_finite ? vals.data() : arow,
+                                         nnz, panel.data, panel.ld);
         }
     }
 }
-
-} // namespace
 
 SystolicArray::SystolicArray(index_t rows, index_t cols,
                              PointToPointNetwork &dn, MultiplierArray &mn,
@@ -131,18 +129,17 @@ SystolicArray::run(const Tensor &a, const Tensor &b, Tensor &c)
     fatalIf(a.rank() != 2 || b.rank() != 2,
             "systolic GEMM expects rank-2 operands");
     fatalIf(b.dim(0) != a.dim(1), "systolic GEMM inner dimension mismatch");
+    fatalIf(c.rank() != 2 || c.dim(0) != a.dim(0) || c.dim(1) != b.dim(1),
+            "systolic GEMM output shape mismatch");
     return run(a.asMatrix(a.dim(0), a.dim(1)), b.dim(1), panelsOf(b),
-               b.allFinite(), c);
+               b.allFinite(), c.data());
 }
 
 SystolicResult
 SystolicArray::run(MatrixView a, index_t n, const PanelSource &b,
-                   bool b_finite, Tensor &c)
+                   bool b_finite, float *c)
 {
-    fatalIf(c.rank() != 2, "systolic GEMM expects rank-2 operands");
     const index_t m = a.rows, k = a.cols;
-    fatalIf(c.dim(0) != m || c.dim(1) != n,
-            "systolic GEMM output shape mismatch");
 
     SystolicResult res;
     for (index_t m0 = 0; m0 < m; m0 += rows_) {
@@ -153,9 +150,7 @@ SystolicArray::run(MatrixView a, index_t n, const PanelSource &b,
             ++res.tiles;
         }
     }
-    // 0 * inf and 0 * NaN are NaN, so zero A entries are only free
-    // when B is all-finite.
-    orderedGemm(a, n, b, b_finite, c.data());
+    orderedGemm(a, n, b, b_finite, c);
     return res;
 }
 

@@ -52,6 +52,18 @@ struct ColumnPanel {
  */
 using PanelSource = std::function<ColumnPanel(index_t j0, index_t nj)>;
 
+/**
+ * The functional product c = a * b of every fabric's lowered GEMM, into
+ * the row-major (a.rows x n) c: each c(i,j) accumulated from +0.0f in
+ * ascending k, the order the PE at (i,j) accumulates it in, so it is
+ * bit-identical to the array. B comes SystolicArray::kPanelCols columns
+ * at a time; each row of A is listed once per panel and run over it by
+ * kernels::sparseRowTimesPanel. `b_finite` says B holds no inf or NaN,
+ * which lets the zero (pruned) entries of A be skipped.
+ */
+void orderedGemm(MatrixView a, index_t n, const PanelSource &b,
+                 bool b_finite, float *c);
+
 /** Result of one systolic GEMM execution. */
 struct SystolicResult {
     cycle_t cycles = 0;
@@ -82,12 +94,12 @@ class SystolicArray
     SystolicResult run(const Tensor &a, const Tensor &b, Tensor &c);
 
     /**
-     * Run C = A * B with A read in place and the (K x n) B taken
-     * kPanelCols columns at a time. `b_finite` says B holds no inf or
-     * NaN, which lets the pruned (zero) entries of A be skipped.
+     * Run C = A * B with A read in place, the (K x n) B taken
+     * kPanelCols columns at a time and C the row-major (M x n) c (see
+     * orderedGemm).
      */
     SystolicResult run(MatrixView a, index_t n, const PanelSource &b,
-                       bool b_finite, Tensor &c);
+                       bool b_finite, float *c);
 
     /** Column panels of a stored (K x N) matrix, read in place; `b`
      *  must outlive the source. */

@@ -27,22 +27,58 @@ store(float *p, Float4 x)
     std::memcpy(p, &x, sizeof x);
 }
 
+/**
+ * Columns [0, 4 kVecs) of sparseRowTimesPanel, one Float4 accumulator per
+ * four columns. Each lane is its own chain from +0 in list order, so the
+ * block changes no output's rounding; kept in registers, the chains
+ * cost one B load per term and one store per output at the end.
+ */
+template <index_t kVecs>
+inline void
+rowBlock(float *crow, const index_t *cols, const float *vals, index_t nnz,
+         const float *b, index_t ld)
+{
+    Float4 acc[kVecs] = {};
+    for (index_t p = 0; p < nnz; ++p) {
+        const float a = vals[p];
+        const float *brow = b + cols[p] * ld;
+#pragma GCC unroll 8
+        for (index_t v = 0; v < kVecs; ++v)
+            acc[v] += a * load(brow + 4 * v);
+    }
+#pragma GCC unroll 8
+    for (index_t v = 0; v < kVecs; ++v)
+        store(crow + 4 * v, acc[v]);
+}
+
 } // namespace
 
 void
-axpy(float *c, float a, const float *b, index_t n)
+sparseRowTimesPanel(float *crow, index_t nj, const index_t *cols,
+                    const float *vals, index_t nnz, const float *b,
+                    index_t ld)
 {
     index_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        store(c + j, load(c + j) + a * load(b + j));
-        store(c + j + 4, load(c + j + 4) + a * load(b + j + 4));
+    for (; j + kRowBlockCols <= nj; j += kRowBlockCols)
+        rowBlock<kRowBlockCols / 4>(crow + j, cols, vals, nnz, b + j, ld);
+    if (j + 16 <= nj) {
+        rowBlock<4>(crow + j, cols, vals, nnz, b + j, ld);
+        j += 16;
     }
-    if (j + 4 <= n) {
-        store(c + j, load(c + j) + a * load(b + j));
+    if (j + 8 <= nj) {
+        rowBlock<2>(crow + j, cols, vals, nnz, b + j, ld);
+        j += 8;
+    }
+    if (j + 4 <= nj) {
+        rowBlock<1>(crow + j, cols, vals, nnz, b + j, ld);
         j += 4;
     }
-    for (; j < n; ++j)
-        c[j] += a * b[j];
+    for (; j < nj; ++j) {
+        float acc = 0.0f;
+        for (index_t p = 0; p < nnz; ++p)
+            acc += vals[p] * b[cols[p] * ld + j];
+        crow[j] = acc;
+    }
 }
 
 void

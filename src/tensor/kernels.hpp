@@ -1,8 +1,8 @@
 /**
  * @file
- * SIMD kernels of the functional fast path: the systolic GEMM, the SpMM
- * reduce, the bias adds and the CSR lowering (internal: the library and
- * its tests include it).
+ * SIMD kernels of the functional fast path: the sparse-row GEMM every
+ * fabric's functional convolution and GEMM runs on, the bias adds and
+ * the CSR lowering (internal: the library and its tests include it).
  *
  * Every kernel is bit-identical to its scalar form. Each output lane
  * gets one rounded multiply and one rounded add, as the scalar
@@ -22,8 +22,18 @@
 
 namespace stonne::kernels {
 
-/** c[j] += a * b[j] for j < n; c and b do not overlap. */
-void axpy(float *c, float a, const float *b, index_t n);
+/** The widest column block sparseRowTimesPanel keeps in registers. */
+constexpr index_t kRowBlockCols = 32;
+
+/**
+ * crow[j] = the sum, from +0 in list order, of vals[p] * b[cols[p] * ld +
+ * j] over p < nnz, for j < nj: one row of a sparse matrix times a (rows
+ * x nj) panel of B with row stride ld. crow does not overlap the
+ * operands; every crow[j] is written once.
+ */
+void sparseRowTimesPanel(float *crow, index_t nj, const index_t *cols,
+                         const float *vals, index_t nnz, const float *b,
+                         index_t ld);
 
 /** c[j] += a for j < n. */
 void addScalar(float *c, float a, index_t n);

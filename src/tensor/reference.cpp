@@ -192,13 +192,18 @@ globalAvgPool(const Tensor &input)
     return out;
 }
 
+// The elementwise ops write a fresh tensor in one read pass: a copy of
+// the input would share its storage, so rewriting it in place would
+// first copy every element.
+
 Tensor
 relu(const Tensor &input)
 {
-    Tensor out = input;
+    Tensor out(input.shape());
+    const float *x = input.data();
     float *d = out.data();
     for (index_t i = 0; i < out.size(); ++i)
-        d[i] = std::max(0.0f, d[i]);
+        d[i] = std::max(0.0f, x[i]);
     return out;
 }
 
@@ -206,11 +211,12 @@ Tensor
 add(const Tensor &a, const Tensor &b)
 {
     fatalIf(a.shape() != b.shape(), "elementwise add shape mismatch");
-    Tensor out = a;
-    float *d = out.data();
+    Tensor out(a.shape());
+    const float *x = a.data();
     const float *e = b.data();
+    float *d = out.data();
     for (index_t i = 0; i < out.size(); ++i)
-        d[i] += e[i];
+        d[i] = x[i] + e[i];
     return out;
 }
 

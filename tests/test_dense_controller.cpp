@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/reference.hpp"
 
 namespace stonne {
@@ -163,7 +165,12 @@ TEST(DenseFlexible, ReduceMatchesDenseOracleOnRandomShapes)
 {
     Rng rng(31);
     const float inf = std::numeric_limits<float>::infinity();
-    for (int trial = 0; trial < 150; ++trial) {
+    for (int trial = 0; trial < 160; ++trial) {
+        // The last ten trials are wide: two images of more than 256
+        // positions, padded, and with an inf
+        // weight on the (0, 0) tap, which the first output reads from
+        // the padding.
+        const bool wide = trial >= 150;
         Conv2dShape s;
         const index_t strides[] = {1, 2, 4};
         s.stride = strides[trial % 3];
@@ -187,6 +194,13 @@ TEST(DenseFlexible, ReduceMatchesDenseOracleOnRandomShapes)
         if (s.X == s.Y)
             ++s.X;
         s.N = rng.integer(1, 2);
+        if (wide) {
+            s.stride = 1;
+            s.padding = rng.integer(1, 2);
+            s.X = rng.integer(14, 18);
+            s.Y = rng.integer(18, 24);
+            s.N = 2;
+        }
         switch (trial % 4) {
           case 1: // grouped
             s.G = 2;
@@ -229,6 +243,10 @@ TEST(DenseFlexible, ReduceMatchesDenseOracleOnRandomShapes)
         } else if (special == 5 || special == 6) {
             d.weights.at(rng.integer(0, d.weights.size() - 1)) =
                 special == 5 ? std::nanf("") : inf;
+        }
+        if (wide) {
+            ASSERT_GT(s.N * s.outX() * s.outY(), 256) << "trial " << trial;
+            d.weights.at(rng.integer(0, s.K - 1), 0, 0, 0) = inf;
         }
 
         // The same layer with every zero weight made non-zero: MAERI's
@@ -384,6 +402,122 @@ TEST(DenseSystolic, ConvolutionBitMatchesReference)
                                          d.bias, d.output);
     EXPECT_TRUE(d.output.equals(
         ref::conv2d(d.input, d.weights, d.bias, layer.conv)));
+}
+
+/**
+ * The systolic functional GEMM as it was before the sparse-row kernel:
+ * one rounded multiply-add per non-skipped entry of A, row blocks of
+ * four over 256-column panels of B, every c(i, j) summed from +0 in
+ * ascending k. Zero A entries are skipped only when B is all-finite.
+ */
+void
+axpyGemmOracle(const Tensor &a, const Tensor &b, Tensor &c)
+{
+    const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    const bool skip_zero_a = b.allFinite();
+    c.fill(0.0f);
+    for (index_t j0 = 0; j0 < n; j0 += 256) {
+        const index_t nj = std::min<index_t>(256, n - j0);
+        for (index_t i0 = 0; i0 < m; i0 += 4)
+            for (index_t kk = 0; kk < k; ++kk)
+                for (index_t i = i0; i < std::min(m, i0 + 4); ++i) {
+                    const float av = a.at(i, kk);
+                    if (skip_zero_a && av == 0.0f)
+                        continue;
+                    for (index_t j = j0; j < j0 + nj; ++j)
+                        c.at(i, j) += av * b.at(kk, j);
+                }
+    }
+}
+
+TEST(DenseSystolic, MatchesAxpyGemmOracleOnRandomShapes)
+{
+    // Random GEMMs and convolutions on the TPU composition against the
+    // old per-term GEMM: widths around the kernel's 32-column blocks and
+    // the old 256-column panels, pruned weights with zeros of both
+    // signs, and an inf or a NaN in B (one kind per operation) so the
+    // dense keep-every-entry path runs. Convolutions with one image
+    // write the output in place, with two through col2im.
+    const index_t widths[] = {1,  3,  4,   5,   17,  31,  32,  33, 63,
+                              64, 65, 255, 256, 257, 287, 288, 289, 600};
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(4242);
+    int dense_paths = 0, convs = 0;
+    for (int trial = 0; trial < 80; ++trial) {
+        const std::string where = "trial " + std::to_string(trial);
+        const bool conv = trial % 2 == 1;
+        Tensor a, b;
+        Conv2dShape shape;
+        if (conv) {
+            shape.R = rng.integer(1, 3);
+            shape.S = rng.integer(1, 3);
+            shape.G = rng.integer(1, 2);
+            shape.C = shape.G * rng.integer(1, 3);
+            shape.K = shape.G * rng.integer(1, 5);
+            shape.N = rng.integer(1, 2);
+            shape.stride = rng.integer(1, 2);
+            shape.padding = rng.integer(0, 1);
+            shape.X = rng.integer(shape.R, 12);
+            shape.Y = rng.integer(shape.S, 30);
+            a = Tensor({shape.K, shape.cPerGroup(), shape.R, shape.S});
+            b = Tensor({shape.N, shape.C, shape.X, shape.Y});
+            ++convs;
+        } else {
+            const index_t n = widths[rng.integer(0, std::size(widths) - 1)];
+            a = Tensor({rng.integer(1, 20), rng.integer(1, 40)});
+            b = Tensor({a.dim(1), n});
+        }
+        a.fillUniform(rng);
+        b.fillUniform(rng);
+        for (index_t i = 0; i < a.size(); ++i)
+            if (rng.chance(0.6))
+                a.at(i) = rng.chance(0.3) ? -0.0f : 0.0f;
+        if (rng.chance(0.3)) {
+            b.at(rng.integer(0, b.size() - 1)) =
+                rng.chance(0.5) ? -inf : std::nanf("");
+            ++dense_paths;
+        }
+
+        Accelerator acc(HardwareConfig::tpuLike(64));
+        Tensor got, want;
+        if (conv) {
+            const LayerSpec layer = LayerSpec::convolution("conv", shape);
+            Tensor bias({shape.K});
+            bias.fillUniform(rng, -0.1f, 0.1f);
+            got = Tensor({shape.N, shape.K, shape.outX(), shape.outY()});
+            acc.denseController().runConvolution(layer, Tile(), b, a, bias,
+                                                 got);
+            want = Tensor(got.shape());
+            const index_t kg = shape.kPerGroup();
+            const index_t window = a.size() / shape.K;
+            for (index_t g = 0; g < shape.G; ++g) {
+                Tensor filters({kg, window});
+                for (index_t i = 0; i < filters.size(); ++i)
+                    filters.at(i) = a.at(g * kg * window + i);
+                const Tensor patches = im2col(b, shape, g);
+                Tensor c({kg, patches.dim(1)});
+                axpyGemmOracle(filters, patches, c);
+                for (index_t k = 0; k < kg; ++k)
+                    for (index_t j = 0; j < c.dim(1); ++j)
+                        c.at(k, j) += bias.at(g * kg + k);
+                col2im(c, shape, g, want);
+            }
+        } else {
+            const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+            const LayerSpec layer = LayerSpec::gemmLayer("g", m, n, k);
+            got = Tensor({m, n});
+            acc.denseController().runGemm(layer, Tile(), a, b, got);
+            want = Tensor({m, n});
+            axpyGemmOracle(a, b, want);
+        }
+        ASSERT_EQ(got.shape(), want.shape()) << where;
+        for (index_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(sameBits(got.at(i), want.at(i)))
+                << where << " output " << i << ": " << got.at(i) << " vs "
+                << want.at(i);
+    }
+    EXPECT_GT(dense_paths, 15);
+    EXPECT_EQ(convs, 40);
 }
 
 TEST(DenseSystolic, MaxPoolIsRejected)

@@ -697,6 +697,51 @@ TEST(Reference, ReluClampsNegatives)
     EXPECT_EQ(r.at(static_cast<index_t>(2)), 2.0f);
 }
 
+TEST(Reference, ElementwiseOpsLeaveTheirInputsAlone)
+{
+    // relu and add read their inputs once and write a fresh tensor: the
+    // inputs keep their storage and their bits, the result shares
+    // neither, and the values are the in-place forms' (NaN and -0 relu
+    // to +0; a sum's sign of zero follows IEEE).
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Tensor a({2, 4}), b({2, 4});
+    const float av[] = {-1.0f, 0.0f, -0.0f, nan, inf, -inf, 2.5f, -0.0f};
+    const float bv[] = {1.0f, -0.0f, -0.0f, 1.0f, -inf, 1.0f, 0.5f, 0.0f};
+    for (index_t i = 0; i < 8; ++i) {
+        a.at(i) = av[i];
+        b.at(i) = bv[i];
+    }
+    const Tensor a_view = a.reshaped({8});
+    const float *a_data = std::as_const(a).data();
+    const float *b_data = std::as_const(b).data();
+    const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+
+    const Tensor r = ref::relu(a);
+    const Tensor s = ref::add(a, b);
+    EXPECT_EQ(std::as_const(a).data(), a_data);
+    EXPECT_EQ(a_view.data(), a_data);
+    EXPECT_EQ(std::as_const(b).data(), b_data);
+    EXPECT_NE(r.data(), a_data);
+    EXPECT_NE(s.data(), a_data);
+    EXPECT_NE(s.data(), b_data);
+    EXPECT_EQ(r.shape(), a.shape());
+    EXPECT_EQ(s.shape(), a.shape());
+    for (index_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(bits(a_view.at(i)), bits(av[i])) << i;
+        EXPECT_EQ(bits(std::as_const(b).at(i)), bits(bv[i])) << i;
+        EXPECT_EQ(bits(r.at(i)), bits(std::max(0.0f, av[i]))) << i;
+        const float sum = av[i] + bv[i];
+        EXPECT_TRUE(bits(s.at(i)) == bits(sum) ||
+                    (std::isnan(s.at(i)) && std::isnan(sum)))
+            << i;
+    }
+    EXPECT_EQ(bits(r.at(index_t{3})), bits(0.0f));
+    EXPECT_EQ(bits(r.at(index_t{2})), bits(0.0f));
+    EXPECT_EQ(bits(s.at(index_t{2})), bits(-0.0f));
+    EXPECT_EQ(bits(s.at(index_t{1})), bits(0.0f));
+}
+
 TEST(Reference, SoftmaxRowsSumToOne)
 {
     Rng rng(23);
@@ -903,21 +948,10 @@ TEST(TensorKernels, MatchScalarForms)
     Rng rng(0x5EED);
     for (const index_t n : kKernelLengths) {
         SCOPED_TRACE("n = " + std::to_string(n));
-        const std::vector<float> b = specialMix(rng, n + 1);
         const std::vector<float> c0 = specialMix(rng, n + 2);
         for (const float a : kScalars) {
             SCOPED_TRACE("a = " + std::to_string(a));
             std::vector<float> want = c0, got = c0;
-            for (index_t j = 0; j < n; ++j)
-                want[j + 1] += a * b[j + 1];
-            kernels::axpy(got.data() + 1, a, b.data() + 1, n);
-            for (std::size_t j = 0; j < want.size(); ++j)
-                ASSERT_TRUE(sameFloat(got[j], want[j]))
-                    << "axpy at " << j << ": " << got[j] << " vs "
-                    << want[j];
-
-            want = c0;
-            got = c0;
             for (index_t j = 0; j < n; ++j)
                 want[j + 1] += a;
             kernels::addScalar(got.data() + 1, a, n);
@@ -957,6 +991,49 @@ TEST(TensorKernels, MatchScalarForms)
             for (std::size_t i = 0; i < want_vals.size(); ++i)
                 EXPECT_EQ(std::bit_cast<std::uint32_t>(vals[i]),
                           std::bit_cast<std::uint32_t>(want_vals[i]));
+        }
+    }
+}
+
+/**
+ * The sparse-row kernel against its scalar loop: every width around its
+ * 4-, 8-, 16- and 32-column blocks, empty, single and full term lists
+ * (with repeated rows), NaN, +-0, +-inf and denormals in the values and
+ * in B, B rows wider than the panel, unaligned pointers, and outputs
+ * that start as garbage (each must be set from +0, not added to). The
+ * slots before and after the row must stay untouched.
+ */
+TEST(TensorKernels, SparseRowTimesPanelMatchesScalarLoop)
+{
+    const index_t kWidths[] = {0,  1,  3,  4,   5,   15,  16,
+                               17, 31, 32, 33, 255, 256, 257};
+    constexpr index_t kRows = 9;
+    Rng rng(0x5A7E);
+    for (const index_t nj : kWidths) {
+        const index_t ld = nj + rng.integer(0, 3);
+        // One float in, so the rows start unaligned.
+        const std::vector<float> b = specialMix(rng, 1 + kRows * ld);
+        for (const index_t nnz : {index_t{0}, index_t{1}, kRows}) {
+            SCOPED_TRACE("nj = " + std::to_string(nj) +
+                         ", nnz = " + std::to_string(nnz));
+            std::vector<index_t> cols(static_cast<std::size_t>(nnz));
+            for (index_t &col : cols)
+                col = rng.integer(0, kRows - 1);
+            const std::vector<float> vals = specialMix(rng, nnz + 1);
+            const std::vector<float> c0 = specialMix(rng, nj + 2);
+            std::vector<float> want = c0, got = c0;
+            for (index_t j = 0; j < nj; ++j) {
+                float acc = 0.0f;
+                for (index_t p = 0; p < nnz; ++p)
+                    acc += vals[p + 1] * b[1 + cols[p] * ld + j];
+                want[j + 1] = acc;
+            }
+            kernels::sparseRowTimesPanel(got.data() + 1, nj, cols.data(),
+                                         vals.data() + 1, nnz,
+                                         b.data() + 1, ld);
+            for (std::size_t j = 0; j < want.size(); ++j)
+                ASSERT_TRUE(sameFloat(got[j], want[j]))
+                    << "slot " << j << ": " << got[j] << " vs " << want[j];
         }
     }
 }
