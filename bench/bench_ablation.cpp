@@ -13,140 +13,24 @@
  *  E. Mapper cluster-size search vs the naive full-window tile.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <functional>
 
 #include "bench_common.hpp"
-#include "energy/area_model.hpp"
-#include "energy/energy_model.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-LayerSpec
-deepConv()
+int
+main()
 {
-    Conv2dShape s;
-    s.R = 3;
-    s.S = 3;
-    s.C = 64;
-    s.K = 64;
-    s.X = 10;
-    s.Y = 10;
-    s.padding = 1;
-    return LayerSpec::convolution("deep_conv", s);
-}
-
-struct AblationRow {
-    std::string knob;
-    std::string value;
-    cycle_t cycles = 0;
-    count_t gb_reads = 0;
-    count_t gb_writes = 0;
-    double energy_uj = 0.0;
-    double area_mm2 = 0.0;
-};
-
-std::vector<AblationRow> g_rows;
-
-AblationRow
-runOne(const std::string &knob, const std::string &value,
-       HardwareConfig cfg, const LayerSpec &layer,
-       std::optional<Tile> tile = std::nullopt)
-{
-    Stonne st(cfg);
-    const LayerData data = makeLayerData(layer, 0.0, 42);
-    st.configureConv(layer, tile);
-    st.configureData(data.input, data.weights, data.bias);
-    const SimulationResult r = st.runOperation();
-
-    AblationRow row;
-    row.knob = knob;
-    row.value = value;
-    row.cycles = r.cycles;
-    row.gb_reads = st.stats().value("gb.reads");
-    row.gb_writes = st.stats().value("gb.writes");
-    row.energy_uj = r.energy.total();
-    row.area_mm2 = r.area.total() / 1e6;
-    return row;
-}
-
-void
-runAll(benchmark::State &state)
-{
-    for (auto _ : state) {
-        g_rows.clear();
-        const LayerSpec layer = deepConv();
-
-        // A. Dataflows.
-        for (const auto &[df, name] :
-             {std::pair{Dataflow::OutputStationary, "OS"},
-              std::pair{Dataflow::WeightStationary, "WS"},
-              std::pair{Dataflow::InputStationary, "IS"}}) {
-            HardwareConfig cfg = HardwareConfig::maeriLike(128, 64);
-            cfg.dataflow = df;
-            cfg.accumulator_size = 64;
-            g_rows.push_back(runOne("dataflow", name, cfg, layer));
-        }
-
-        // B. Reduction network variant.
-        for (const auto &[rn, name] :
-             {std::pair{RnType::ArtAcc, "ART+ACC"},
-              std::pair{RnType::Art, "ART+DIST"},
-              std::pair{RnType::Fan, "FAN"}}) {
-            HardwareConfig cfg = HardwareConfig::maeriLike(128, 64);
-            cfg.rn_type = rn;
-            g_rows.push_back(runOne("rn_type", name, cfg, layer));
-        }
-
-        // C. Accumulator size (OS dataflow).
-        for (const index_t acc : {16, 64, 256, 1024}) {
-            HardwareConfig cfg = HardwareConfig::maeriLike(128, 64);
-            cfg.accumulator_size = acc;
-            g_rows.push_back(runOne("accumulator", std::to_string(acc),
-                                    cfg, layer));
-        }
-
-        // D. Distribution network on the same dense pipeline.
-        for (const auto &[dn, name] : {std::pair{DnType::Tree, "Tree"},
-                                       std::pair{DnType::Benes, "Benes"}}) {
-            HardwareConfig cfg = HardwareConfig::maeriLike(128, 64);
-            cfg.dn_type = dn;
-            g_rows.push_back(runOne("dn_type", name, cfg, layer));
-        }
-
-        // E. Mapper search vs the naive full-window tile. On a 256-MS
-        // array the 576-element window quantizes badly (252-wide
-        // cluster, 3 folds at 76 % average occupancy) — the search
-        // finds a better fold/parallelism split.
-        {
-            const HardwareConfig cfg =
-                HardwareConfig::maeriLike(256, 128);
-            g_rows.push_back(
-                runOne("mapper", "search", cfg, layer));
-            Tile naive;
-            naive.t_r = 3;
-            naive.t_s = 3;
-            naive.t_c = 256 / 9; // largest cluster that fits
-            g_rows.push_back(
-                runOne("mapper", "full-window", cfg, layer, naive));
-        }
-    }
-    state.counters["configs"] = static_cast<double>(g_rows.size());
-}
-
-void
-printTable()
-{
+    const std::vector<experiments::AblationRow> rows =
+        experiments::ablation();
     banner("Design-choice ablations (3x3x64 conv, K=16, 14x14, "
            "MAERI-like 128 MS, bw 64)");
     TablePrinter t({"knob", "value", "cycles", "GB reads", "GB writes",
                     "energy uJ", "area mm^2"});
-    for (const AblationRow &r : g_rows)
+    for (const experiments::AblationRow &r : rows)
         t.addRow({r.knob, r.value, TablePrinter::num(r.cycles),
                   TablePrinter::num(r.gb_reads),
                   TablePrinter::num(r.gb_writes),
@@ -159,18 +43,5 @@ printTable()
         "\ndropping the accumulation buffer; the Benes fabric changes"
         "\nenergy/area, not cycles; the mapper search beats the naive"
         "\nfull-window tile on folded layers.\n");
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    benchmark::RegisterBenchmark("ablation/all", runAll)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
     return 0;
 }

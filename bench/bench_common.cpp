@@ -1,28 +1,12 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
 #include "common/logging.hpp"
 
 namespace stonne::bench {
-
-ModelRunOutput
-runModel(ModelId id, const HardwareConfig &cfg, const ModelRunOptions &opts)
-{
-    const DnnModel model = buildModel(id, ModelScale::Bench);
-    const Tensor input = makeModelInput(id, ModelScale::Bench);
-    ModelRunner runner(model, cfg);
-    if (opts.policy)
-        runner.setSchedulingPolicy(*opts.policy, opts.policy_seed);
-    if (opts.snapea_early_exit)
-        runner.setSnapeaEarlyExit(*opts.snapea_early_exit);
-    runner.run(input);
-    ModelRunOutput out;
-    out.total = runner.total();
-    out.records = runner.records();
-    return out;
-}
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers))

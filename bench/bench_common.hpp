@@ -1,36 +1,28 @@
 /**
  * @file
- * Shared infrastructure for the per-figure benchmark binaries.
+ * Shared infrastructure for the bench binaries.
  *
- * Each binary in bench/ regenerates one table or figure of the paper
- * (see DESIGN.md section 4): it runs the relevant simulations through
- * google-benchmark (one iteration per configuration — the metric is the
- * simulated cycle count, not wall time) and then prints the
- * paper-formatted rows/series.
+ * The per-figure binaries print the rows the functions of
+ * experiments.hpp return (one function per table or figure of the
+ * paper, see DESIGN.md section 4); the harnesses (bench_sim_speed,
+ * bench_service, bench_explore) time the simulator itself.
  *
  * Workload construction (the Figure 1 layer set, synthetic operands,
  * one-call layer execution) lives in the library (src/engine/workload)
  * so the two-fidelity search (explore::Explorer: `tune` and `explore`)
  * evaluates candidates through exactly the construction path the
- * benchmarks time; this header re-exports it and adds the bench-only
- * pieces: a one-call full-model runner and the paper-style table
- * printer.
+ * benchmarks time; this header re-exports it and adds the paper-style
+ * table printer.
  */
 
 #ifndef STONNE_BENCH_BENCH_COMMON_HPP
 #define STONNE_BENCH_BENCH_COMMON_HPP
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "controller/layer.hpp"
-#include "controller/scheduler.hpp"
-#include "engine/stonne_api.hpp"
+#include "common/types.hpp"
 #include "engine/workload.hpp"
-#include "frontend/model_zoo.hpp"
-#include "frontend/runner.hpp"
-#include "tensor/tensor.hpp"
 
 namespace stonne::bench {
 
@@ -41,30 +33,6 @@ using stonne::LayerData;
 using stonne::fig1Layers;
 using stonne::makeLayerData;
 using stonne::runLayer;
-
-/** Per-run knobs of runModel() beyond the hardware configuration. */
-struct ModelRunOptions {
-    /** Sparse-controller filter scheduling (use case 3). */
-    std::optional<SchedulingPolicy> policy;
-    std::uint64_t policy_seed = 1;
-    /** SNAPEA early negative cut-off (use case 2). */
-    std::optional<bool> snapea_early_exit;
-};
-
-/** Everything a figure needs from one full-model inference. */
-struct ModelRunOutput {
-    SimulationResult total;
-    std::vector<LayerRunRecord> records;
-};
-
-/**
- * Build a zoo model at Bench scale, run one inference on a fresh
- * accelerator instance and return the aggregated result plus the
- * per-layer records — the construction boilerplate every full-model
- * figure (5, 6, 9) repeats.
- */
-ModelRunOutput runModel(ModelId id, const HardwareConfig &cfg,
-                        const ModelRunOptions &opts = {});
 
 /** Simple fixed-width table printer for the paper-style output. */
 class TablePrinter

@@ -9,79 +9,25 @@
  * computation appears (Figs 1b / 1c).
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
-
-#include "analytical/scalesim_model.hpp"
 #include "bench_common.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-struct Row {
-    cycle_t st = 0;
-    cycle_t am = 0;
-};
-
-std::map<std::pair<index_t, std::string>, Row> g_rows;
-
-void
-runConfig(benchmark::State &state, const Fig1Layer &layer, index_t dim)
+int
+main()
 {
-    Row row;
-    for (auto _ : state) {
-        Stonne st(HardwareConfig::tpuLike(dim * dim));
-        const LayerData data = makeLayerData(layer.spec, 0.0, 42);
-        const SimulationResult r = runLayer(st, layer.spec, data);
-        row.st = r.cycles;
-        row.am = analytical::scaleSimOsCycles(layer.spec, dim, dim);
-    }
-    state.counters["st_cycles"] = static_cast<double>(row.st);
-    state.counters["am_cycles"] = static_cast<double>(row.am);
-    g_rows[{dim, layer.tag}] = row;
-}
-
-void
-printFigure()
-{
-    for (const index_t dim : {16, 32, 64}) {
-        banner("Figure 1a — OS systolic " + std::to_string(dim) + "x" +
-               std::to_string(dim) + " (ST vs AM cycles)");
+    for (const experiments::StAmPanel &panel : experiments::fig1a()) {
+        const std::string dim = std::to_string(panel.knob);
+        banner("Figure 1a — OS systolic " + dim + "x" + dim +
+               " (ST vs AM cycles)");
         TablePrinter t({"layer", "ST cycles", "AM cycles", "ST/AM"});
-        for (const auto &layer : fig1Layers()) {
-            const Row &r = g_rows[{dim, layer.tag}];
-            t.addRow({layer.tag, TablePrinter::num(r.st),
-                      TablePrinter::num(r.am),
-                      TablePrinter::num(static_cast<double>(r.st) /
-                                        static_cast<double>(r.am))});
-        }
+        for (const experiments::StAmPoint &p : panel.points)
+            t.addRow({p.layer, TablePrinter::num(p.st),
+                      TablePrinter::num(p.am),
+                      TablePrinter::num(p.ratio())});
         t.print();
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const index_t dim : {16, 32, 64}) {
-        for (const auto &layer : stonne::bench::fig1Layers()) {
-            benchmark::RegisterBenchmark(
-                ("fig1a/" + std::to_string(dim) + "x" +
-                 std::to_string(dim) + "/" + layer.tag)
-                    .c_str(),
-                [layer, dim](benchmark::State &s) {
-                    runConfig(s, layer, dim);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigure();
     return 0;
 }

@@ -11,90 +11,26 @@
  * reduction networks.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
-
-#include "analytical/maeri_model.hpp"
 #include "bench_common.hpp"
-#include "controller/mapper.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-constexpr index_t kMs = 128;
-
-struct Row {
-    cycle_t st = 0;
-    cycle_t am = 0;
-};
-
-std::map<std::pair<index_t, std::string>, Row> g_rows;
-
-void
-runConfig(benchmark::State &state, const Fig1Layer &layer, index_t bw)
+int
+main()
 {
-    Row row;
-    for (auto _ : state) {
-        const HardwareConfig cfg = HardwareConfig::maeriLike(kMs, bw);
-        Stonne st(cfg);
-        const LayerData data = makeLayerData(layer.spec, 0.0, 42);
-        const SimulationResult r = runLayer(st, layer.spec, data);
-        row.st = r.cycles;
-        const Tile tile = Mapper(kMs).generateTile(layer.spec);
-        row.am = analytical::maeriCycles(layer.spec, tile, cfg);
-    }
-    state.counters["st_cycles"] = static_cast<double>(row.st);
-    state.counters["am_cycles"] = static_cast<double>(row.am);
-    g_rows[{bw, layer.tag}] = row;
-}
-
-void
-printFigure()
-{
-    for (const index_t bw : {128, 64, 32}) {
+    for (const experiments::StAmPanel &panel : experiments::fig1b()) {
         banner("Figure 1b — MAERI-like 128 MS, bandwidth " +
-               std::to_string(bw) + " elems/cycle (ST vs AM cycles)");
+               std::to_string(panel.knob) +
+               " elems/cycle (ST vs AM cycles)");
         TablePrinter t({"layer", "ST cycles", "AM cycles", "ST/AM"});
-        double sum_ratio = 0.0;
-        for (const auto &layer : fig1Layers()) {
-            const Row &r = g_rows[{bw, layer.tag}];
-            const double ratio = static_cast<double>(r.st) /
-                static_cast<double>(r.am);
-            sum_ratio += ratio;
-            t.addRow({layer.tag, TablePrinter::num(r.st),
-                      TablePrinter::num(r.am),
-                      TablePrinter::num(ratio)});
-        }
-        t.addRow({"avg", "", "",
-                  TablePrinter::num(sum_ratio /
-                                    static_cast<double>(
-                                        fig1Layers().size()))});
+        for (const experiments::StAmPoint &p : panel.points)
+            t.addRow({p.layer, TablePrinter::num(p.st),
+                      TablePrinter::num(p.am),
+                      TablePrinter::num(p.ratio())});
+        t.addRow({"avg", "", "", TablePrinter::num(panel.meanRatio())});
         t.print();
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const index_t bw : {128, 64, 32}) {
-        for (const auto &layer : stonne::bench::fig1Layers()) {
-            benchmark::RegisterBenchmark(
-                ("fig1b/bw" + std::to_string(bw) + "/" + layer.tag)
-                    .c_str(),
-                [layer, bw](benchmark::State &s) {
-                    runConfig(s, layer, bw);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigure();
     return 0;
 }

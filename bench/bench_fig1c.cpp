@@ -10,108 +10,26 @@
  * by an average-based formula.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
-
-#include "analytical/sigma_model.hpp"
 #include "bench_common.hpp"
-#include "tensor/sparse.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-constexpr index_t kMs = 128;
-
-struct Row {
-    cycle_t st = 0;
-    cycle_t am = 0;
-};
-
-std::map<std::pair<int, std::string>, Row> g_rows;
-
-void
-runConfig(benchmark::State &state, const Fig1Layer &layer, int sparsity_pct)
+int
+main()
 {
-    Row row;
-    for (auto _ : state) {
-        const HardwareConfig cfg = HardwareConfig::sigmaLike(kMs, kMs);
-        Stonne st(cfg);
-        const double sparsity = sparsity_pct / 100.0;
-        // Strong per-filter density spread, as in real pruned models.
-        const LayerData data =
-            makeLayerData(layer.spec, sparsity, 42, 0.3);
-        const SimulationResult r = runLayer(st, layer.spec, data);
-        row.st = r.cycles;
-        // The analytical model only knows the *nominal* pruning ratio —
-        // it cannot see how the zeros actually distribute across
-        // filters, which is exactly why the paper argues full-model
-        // evaluation with real weight values is needed.
-        // Grouped convolutions lower to one block-diagonal SpMM: M is
-        // the total filter count, K spans all groups, and each row
-        // holds one group's window of non-zeros.
-        const GemmDims g = layer.spec.gemmView();
-        const index_t groups = layer.spec.kind == LayerKind::Convolution
-            ? layer.spec.conv.G : 1;
-        const index_t m_total = g.m * groups;
-        const auto nominal_nnz = std::max<index_t>(
-            1, static_cast<index_t>(static_cast<double>(m_total * g.k) *
-                                    (1.0 - sparsity)));
-        row.am = analytical::sigmaCycles(m_total, g.n, g.k * groups,
-                                         nominal_nnz, cfg);
-    }
-    state.counters["st_cycles"] = static_cast<double>(row.st);
-    state.counters["am_cycles"] = static_cast<double>(row.am);
-    g_rows[{sparsity_pct, layer.tag}] = row;
-}
-
-void
-printFigure()
-{
-    for (const int sp : {0, 30, 60, 90}) {
+    for (const experiments::StAmPanel &panel : experiments::fig1c()) {
         banner("Figure 1c — SIGMA-like 128 MS, full bandwidth, " +
-               std::to_string(sp) + " % weight sparsity (ST vs AM)");
+               std::to_string(panel.knob) +
+               " % weight sparsity (ST vs AM)");
         TablePrinter t({"layer", "ST cycles", "AM cycles", "ST/AM"});
-        double sum_ratio = 0.0;
-        for (const auto &layer : fig1Layers()) {
-            const Row &r = g_rows[{sp, layer.tag}];
-            const double ratio = static_cast<double>(r.st) /
-                static_cast<double>(r.am);
-            sum_ratio += ratio;
-            t.addRow({layer.tag, TablePrinter::num(r.st),
-                      TablePrinter::num(r.am),
-                      TablePrinter::num(ratio)});
-        }
-        t.addRow({"avg", "", "",
-                  TablePrinter::num(sum_ratio /
-                                    static_cast<double>(
-                                        fig1Layers().size()))});
+        for (const experiments::StAmPoint &p : panel.points)
+            t.addRow({p.layer, TablePrinter::num(p.st),
+                      TablePrinter::num(p.am),
+                      TablePrinter::num(p.ratio())});
+        t.addRow({"avg", "", "", TablePrinter::num(panel.meanRatio())});
         t.print();
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const int sp : {0, 30, 60, 90}) {
-        for (const auto &layer : stonne::bench::fig1Layers()) {
-            benchmark::RegisterBenchmark(
-                ("fig1c/sparsity" + std::to_string(sp) + "/" +
-                 layer.tag)
-                    .c_str(),
-                [layer, sp](benchmark::State &s) {
-                    runConfig(s, layer, sp);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigure();
     return 0;
 }

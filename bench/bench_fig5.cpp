@@ -11,61 +11,34 @@
  * with TPU < SIGMA < MAERI totals.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <cstdio>
 
 #include "bench_common.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
+using experiments::kFig5Archs;
 
-const char *kArchNames[3] = {"TPU", "MAERI", "SIGMA"};
-
-HardwareConfig
-archConfig(int arch)
+int
+main()
 {
-    switch (arch) {
-      case 0: return HardwareConfig::tpuLike(256);
-      case 1: return HardwareConfig::maeriLike(256, 128);
-      default: return HardwareConfig::sigmaLike(256, 128);
-    }
-}
+    const std::vector<experiments::Fig5Row> rows = experiments::fig5();
 
-std::map<std::pair<int, ModelId>, SimulationResult> g_results;
-
-void
-runConfig(benchmark::State &state, ModelId id, int arch)
-{
-    SimulationResult total;
-    for (auto _ : state)
-        total = runModel(id, archConfig(arch)).total;
-    state.counters["cycles"] = static_cast<double>(total.cycles);
-    state.counters["energy_uJ"] = total.energy.total();
-    g_results[{arch, id}] = total;
-}
-
-void
-printFigures()
-{
     banner("Figure 5a — inference cycles (7 models x 3 architectures)");
     {
         TablePrinter t({"model", "TPU", "MAERI", "SIGMA",
                         "TPU/MAERI", "MAERI/SIGMA"});
         double sum_tpu_maeri = 0.0, sum_maeri_sigma = 0.0;
-        for (const ModelId id : allModels()) {
-            const auto &tpu = g_results[{0, id}];
-            const auto &maeri = g_results[{1, id}];
-            const auto &sigma = g_results[{2, id}];
+        for (const experiments::Fig5Row &row : rows) {
+            const auto &[tpu, maeri, sigma] = row.runs;
             const double tm = static_cast<double>(tpu.cycles) /
                 static_cast<double>(maeri.cycles);
             const double ms = static_cast<double>(maeri.cycles) /
                 static_cast<double>(sigma.cycles);
             sum_tpu_maeri += tm;
             sum_maeri_sigma += ms;
-            t.addRow({modelShortName(id),
+            t.addRow({modelShortName(row.model),
                       TablePrinter::num(tpu.cycles),
                       TablePrinter::num(maeri.cycles),
                       TablePrinter::num(sigma.cycles),
@@ -81,12 +54,12 @@ printFigures()
     {
         TablePrinter t({"model", "arch", "GB", "DN", "MN", "RN",
                         "static", "total", "RN share %"});
-        for (const ModelId id : allModels()) {
-            for (int arch = 0; arch < 3; ++arch) {
-                const EnergyBreakdown &e = g_results[{arch, id}].energy;
+        for (const experiments::Fig5Row &row : rows) {
+            for (std::size_t arch = 0; arch < kFig5Archs.size(); ++arch) {
+                const EnergyBreakdown &e = row.runs[arch].energy;
                 const double on_chip =
                     e.gb_uj + e.dn_uj + e.mn_uj + e.rn_uj;
-                t.addRow({modelShortName(id), kArchNames[arch],
+                t.addRow({modelShortName(row.model), kFig5Archs[arch],
                           TablePrinter::num(e.gb_uj),
                           TablePrinter::num(e.dn_uj),
                           TablePrinter::num(e.mn_uj),
@@ -100,9 +73,9 @@ printFigures()
         t.print();
         // Cross-model averages the paper quotes.
         double totals[3] = {0, 0, 0}, rn_share[3] = {0, 0, 0};
-        for (const ModelId id : allModels()) {
-            for (int arch = 0; arch < 3; ++arch) {
-                const EnergyBreakdown &e = g_results[{arch, id}].energy;
+        for (const experiments::Fig5Row &row : rows) {
+            for (std::size_t arch = 0; arch < kFig5Archs.size(); ++arch) {
+                const EnergyBreakdown &e = row.runs[arch].energy;
                 totals[arch] += e.total();
                 rn_share[arch] += e.rn_uj /
                     (e.gb_uj + e.dn_uj + e.mn_uj + e.rn_uj);
@@ -122,11 +95,10 @@ printFigures()
         TablePrinter t({"arch", "GB", "DN", "MN", "RN", "total",
                         "GB share %"});
         double totals[3];
-        for (int arch = 0; arch < 3; ++arch) {
-            const AreaBreakdown a =
-                g_results[{arch, allModels()[0]}].area;
+        for (std::size_t arch = 0; arch < kFig5Archs.size(); ++arch) {
+            const AreaBreakdown &a = rows.front().runs[arch].area;
             totals[arch] = a.total();
-            t.addRow({kArchNames[arch], TablePrinter::num(a.gb_um2, 0),
+            t.addRow({kFig5Archs[arch], TablePrinter::num(a.gb_um2, 0),
                       TablePrinter::num(a.dn_um2, 0),
                       TablePrinter::num(a.mn_um2, 0),
                       TablePrinter::num(a.rn_um2, 0),
@@ -140,30 +112,5 @@ printFigures()
                     totals[2] / totals[1], totals[0] / totals[1],
                     totals[0] / totals[2]);
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // Model-major, so each model is synthesised once and its other two
-    // fabrics reuse it (buildModel keeps the last model built).
-    for (const ModelId id : allModels()) {
-        for (int arch = 0; arch < 3; ++arch) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig5/") + kArchNames[arch] + "/" +
-                 modelShortName(id))
-                    .c_str(),
-                [id, arch](benchmark::State &s) {
-                    runConfig(s, id, arch);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigures();
     return 0;
 }

@@ -9,63 +9,37 @@
  * shows the largest reductions.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <cstdio>
 
 #include "bench_common.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-std::map<std::pair<ModelId, bool>, SimulationResult> g_results;
-
-void
-runConfig(benchmark::State &state, ModelId id, bool early_exit)
+int
+main()
 {
-    SimulationResult total;
-    ModelRunOptions opts;
-    opts.snapea_early_exit = early_exit;
-    for (auto _ : state)
-        total = runModel(id, HardwareConfig::snapeaLike(64, 64),
-                         opts).total;
-    state.counters["cycles"] = static_cast<double>(total.cycles);
-    state.counters["ops"] = static_cast<double>(total.macs);
-    g_results[{id, early_exit}] = total;
-}
-
-void
-printFigures()
-{
+    const std::vector<experiments::Fig6Row> rows = experiments::fig6();
     banner("Figures 6a-6d — SNAPEA vs baseline (A, S, V, R)");
     TablePrinter t({"model", "speedup (6a)", "norm energy (6b)",
                     "ops ratio (6c)", "mem ratio (6d)",
                     "skipped MACs"});
     double sum_speedup = 0.0, sum_energy = 0.0, sum_ops = 0.0,
         sum_mem = 0.0;
-    const auto models = cnnModels();
-    for (const ModelId id : models) {
-        const SimulationResult &base = g_results[{id, false}];
-        const SimulationResult &snap = g_results[{id, true}];
-        const double speedup = static_cast<double>(base.cycles) /
-            static_cast<double>(snap.cycles);
-        const double energy = snap.energy.total() / base.energy.total();
-        const double ops = static_cast<double>(snap.macs) /
-            static_cast<double>(base.macs);
-        const double mem = static_cast<double>(snap.mem_accesses) /
-            static_cast<double>(base.mem_accesses);
-        sum_speedup += speedup;
-        sum_energy += energy;
-        sum_ops += ops;
-        sum_mem += mem;
-        t.addRow({modelShortName(id), TablePrinter::num(speedup),
-                  TablePrinter::num(energy), TablePrinter::num(ops),
-                  TablePrinter::num(mem),
-                  TablePrinter::num(snap.skipped_macs)});
+    for (const experiments::Fig6Row &row : rows) {
+        sum_speedup += row.speedup();
+        sum_energy += row.energyRatio();
+        sum_ops += row.opsRatio();
+        sum_mem += row.memRatio();
+        t.addRow({modelShortName(row.model),
+                  TablePrinter::num(row.speedup()),
+                  TablePrinter::num(row.energyRatio()),
+                  TablePrinter::num(row.opsRatio()),
+                  TablePrinter::num(row.memRatio()),
+                  TablePrinter::num(row.snapea.skipped_macs)});
     }
-    const auto n = static_cast<double>(models.size());
+    const auto n = static_cast<double>(rows.size());
     t.addRow({"avg", TablePrinter::num(sum_speedup / n),
               TablePrinter::num(sum_energy / n),
               TablePrinter::num(sum_ops / n),
@@ -73,28 +47,5 @@ printFigures()
     t.print();
     std::printf("\npaper: ~1.35x speedup, ~0.79x energy, ~0.70x ops, "
                 "~0.84x memory accesses on average\n");
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const ModelId id : stonne::cnnModels()) {
-        for (const bool early : {false, true}) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig6/") + modelShortName(id) + "/" +
-                 (early ? "snapea" : "baseline"))
-                    .c_str(),
-                [id, early](benchmark::State &s) {
-                    runConfig(s, id, early);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigures();
     return 0;
 }

@@ -12,97 +12,26 @@
  * by design; first-layer filter sizes vary wildly.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <map>
 
 #include "bench_common.hpp"
-#include "controller/scheduler.hpp"
-#include "frontend/model_zoo.hpp"
-#include "tensor/sparse.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-constexpr index_t kMs = 256;
-
-/** Per-filter nnz sizes of every offloadable weight matrix. */
-std::vector<std::vector<index_t>>
-modelFilterSizes(const DnnModel &model)
+int
+main()
 {
-    std::vector<std::vector<index_t>> per_layer;
-    auto add_matrix = [&](const Tensor &w, index_t filters) {
-        const index_t per_filter = w.size() / filters;
-        std::vector<index_t> sizes;
-        sizes.reserve(static_cast<std::size_t>(filters));
-        for (index_t f = 0; f < filters; ++f) {
-            index_t nnz = 0;
-            for (index_t i = 0; i < per_filter; ++i)
-                if (w.data()[f * per_filter + i] != 0.0f)
-                    ++nnz;
-            sizes.push_back(nnz);
-        }
-        per_layer.push_back(std::move(sizes));
-    };
-    for (const DnnLayer &l : model.layers) {
-        if (l.op == OpType::Conv2d || l.op == OpType::Linear)
-            add_matrix(l.weights, l.weights.dim(0));
-        else if (l.op == OpType::SelfAttention) {
-            add_matrix(l.weights, l.weights.dim(0));
-            for (const Tensor &w : l.extra_weights)
-                add_matrix(w, w.dim(0));
-        }
-    }
-    return per_layer;
-}
+    const std::vector<experiments::Fig7Row> rows = experiments::fig7();
 
-struct ModelStats {
-    double avg_filters_per_round = 0.0;
-    std::vector<index_t> first_layer_sizes;
-};
-
-std::map<ModelId, ModelStats> g_stats;
-
-void
-runConfig(benchmark::State &state, ModelId id)
-{
-    ModelStats stats;
-    for (auto _ : state) {
-        const DnnModel model = buildModel(id, ModelScale::Bench);
-        const auto layers = modelFilterSizes(model);
-        double sum = 0.0;
-        for (const auto &sizes : layers) {
-            const auto rounds =
-                packRounds(sizes, kMs, SchedulingPolicy::None);
-            sum += averageFiltersPerRound(rounds);
-        }
-        stats.avg_filters_per_round =
-            sum / static_cast<double>(layers.size());
-        stats.first_layer_sizes = layers.front();
-        // The mapping size is capped by the array (folded filters count
-        // as 256-wide chunks), as in the paper's Figure 7b.
-        for (auto &s : stats.first_layer_sizes)
-            s = std::min(s, kMs);
-    }
-    state.counters["avg_filters"] = stats.avg_filters_per_round;
-    g_stats[id] = stats;
-}
-
-void
-printFigures()
-{
     banner("Figure 7a — avg whole filters mapped simultaneously "
            "(256 MS)");
     {
         TablePrinter t({"model", "avg filters/round"});
-        for (const ModelId id : allModels())
-            t.addRow({modelShortName(id),
-                      TablePrinter::num(
-                          g_stats[id].avg_filters_per_round, 1)});
+        for (const experiments::Fig7Row &row : rows)
+            t.addRow({modelShortName(row.model),
+                      TablePrinter::num(row.avg_filters_per_round, 1)});
         t.print();
     }
 
@@ -111,14 +40,14 @@ printFigures()
     {
         TablePrinter t({"model", "filters", "min", "median", "max",
                         "mean"});
-        for (const ModelId id : allModels()) {
-            std::vector<index_t> sizes = g_stats[id].first_layer_sizes;
+        for (const experiments::Fig7Row &row : rows) {
+            std::vector<index_t> sizes = row.first_layer_sizes;
             std::sort(sizes.begin(), sizes.end());
             double mean = 0.0;
             for (const index_t s : sizes)
                 mean += static_cast<double>(s);
             mean /= static_cast<double>(sizes.size());
-            t.addRow({modelShortName(id),
+            t.addRow({modelShortName(row.model),
                       TablePrinter::num(count_t(sizes.size())),
                       TablePrinter::num(count_t(sizes.front())),
                       TablePrinter::num(
@@ -128,22 +57,5 @@ printFigures()
         }
         t.print();
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const ModelId id : stonne::allModels()) {
-        benchmark::RegisterBenchmark(
-            (std::string("fig7/") + modelShortName(id)).c_str(),
-            [id](benchmark::State &s) { runConfig(s, id); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigures();
     return 0;
 }

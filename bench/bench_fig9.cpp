@@ -9,77 +9,37 @@
  * split into low/medium/high sensitivity classes.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <map>
+#include <cstdio>
 
 #include "bench_common.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-const SchedulingPolicy kPolicies[3] = {
-    SchedulingPolicy::None, SchedulingPolicy::Random,
-    SchedulingPolicy::LargestFirst};
-
-struct ModelRun {
-    SimulationResult total;
-    std::vector<LayerRunRecord> records;
-};
-
-std::map<std::pair<ModelId, SchedulingPolicy>, ModelRun> g_runs;
-
-void
-runConfig(benchmark::State &state, ModelId id, SchedulingPolicy policy)
+int
+main()
 {
-    ModelRun run;
-    ModelRunOptions opts;
-    opts.policy = policy;
-    opts.policy_seed = 21;
-    for (auto _ : state) {
-        ModelRunOutput out =
-            runModel(id, HardwareConfig::sigmaLike(256, 128), opts);
-        run.total = out.total;
-        run.records = std::move(out.records);
-    }
-    state.counters["cycles"] = static_cast<double>(run.total.cycles);
-    state.counters["utilization"] = run.total.ms_utilization;
-    g_runs[{id, policy}] = run;
-}
+    const experiments::Fig9 fig = experiments::fig9();
+    constexpr std::size_t kNs = 0, kRdm = 1, kLff = 2;
 
-void
-printFigures()
-{
     banner("Figures 9a/9b — normalized runtime and energy vs NS");
     {
         TablePrinter t({"model", "RDM runtime", "LFF runtime",
                         "RDM energy", "LFF energy", "NS util",
                         "LFF util"});
         double sum_lff_rt = 0.0, sum_lff_e = 0.0;
-        for (const ModelId id : allModels()) {
-            const ModelRun &ns = g_runs[{id, SchedulingPolicy::None}];
-            const ModelRun &rdm = g_runs[{id, SchedulingPolicy::Random}];
-            const ModelRun &lff =
-                g_runs[{id, SchedulingPolicy::LargestFirst}];
-            const double rdm_rt = static_cast<double>(rdm.total.cycles) /
-                static_cast<double>(ns.total.cycles);
-            const double lff_rt = static_cast<double>(lff.total.cycles) /
-                static_cast<double>(ns.total.cycles);
-            const double rdm_e =
-                rdm.total.energy.total() / ns.total.energy.total();
-            const double lff_e =
-                lff.total.energy.total() / ns.total.energy.total();
-            sum_lff_rt += lff_rt;
-            sum_lff_e += lff_e;
-            t.addRow({modelShortName(id), TablePrinter::num(rdm_rt),
-                      TablePrinter::num(lff_rt),
-                      TablePrinter::num(rdm_e),
-                      TablePrinter::num(lff_e),
-                      TablePrinter::num(ns.total.ms_utilization, 3),
-                      TablePrinter::num(lff.total.ms_utilization, 3)});
+        for (const experiments::Fig9Row &row : fig.models) {
+            sum_lff_rt += row.runtime(kLff);
+            sum_lff_e += row.energy(kLff);
+            t.addRow({modelShortName(row.model),
+                      TablePrinter::num(row.runtime(kRdm)),
+                      TablePrinter::num(row.runtime(kLff)),
+                      TablePrinter::num(row.energy(kRdm)),
+                      TablePrinter::num(row.energy(kLff)),
+                      TablePrinter::num(row.runs[kNs].ms_utilization, 3),
+                      TablePrinter::num(row.runs[kLff].ms_utilization,
+                                        3)});
         }
         t.addRow({"avg", "", TablePrinter::num(sum_lff_rt / 7.0), "",
                   TablePrinter::num(sum_lff_e / 7.0), "", ""});
@@ -91,76 +51,11 @@ printFigures()
     banner("Figure 9c — per-layer LFF sensitivity, 14 Resnets-50 "
            "layers");
     {
-        const ModelRun &ns =
-            g_runs[{ModelId::ResNet50, SchedulingPolicy::None}];
-        const ModelRun &lff =
-            g_runs[{ModelId::ResNet50, SchedulingPolicy::LargestFirst}];
-
-        struct LayerGain {
-            std::string name;
-            double runtime;
-            double energy;
-        };
-        std::vector<LayerGain> gains;
-        for (std::size_t i = 0; i < ns.records.size() &&
-             i < lff.records.size(); ++i) {
-            const LayerRunRecord &a = ns.records[i];
-            const LayerRunRecord &b = lff.records[i];
-            if (!a.offloaded || a.op != OpType::Conv2d ||
-                a.sim.cycles == 0)
-                continue;
-            gains.push_back({a.name,
-                             static_cast<double>(b.sim.cycles) /
-                                 static_cast<double>(a.sim.cycles),
-                             b.sim.energy.total() /
-                                 a.sim.energy.total()});
-        }
-        // Representative selection: sort by runtime gain and show the
-        // extremes and the middle, as the paper's sensitivity classes.
-        std::sort(gains.begin(), gains.end(),
-                  [](const LayerGain &a, const LayerGain &b) {
-                      return a.runtime < b.runtime;
-                  });
-        std::vector<LayerGain> chosen;
-        const std::size_t n = gains.size();
-        for (std::size_t i = 0; i < 5 && i < n; ++i)
-            chosen.push_back(gains[i]); // high-sensitivity
-        for (std::size_t i = 0; i < 4 && n > 9; ++i)
-            chosen.push_back(gains[n / 2 - 2 + i]); // medium
-        for (std::size_t i = 0; i < 5 && i < n; ++i)
-            chosen.push_back(gains[n - 5 + i]); // low
-
         TablePrinter t({"layer", "LFF runtime", "LFF energy", "class"});
-        for (std::size_t i = 0; i < chosen.size(); ++i) {
-            const char *cls = i < 5 ? "high" : i < 9 ? "medium" : "low";
-            t.addRow({chosen[i].name,
-                      TablePrinter::num(chosen[i].runtime),
-                      TablePrinter::num(chosen[i].energy), cls});
-        }
+        for (const experiments::LayerGain &g : fig.resnet_layers)
+            t.addRow({g.name, TablePrinter::num(g.runtime),
+                      TablePrinter::num(g.energy), g.sensitivity});
         t.print();
     }
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (const ModelId id : stonne::allModels()) {
-        for (const SchedulingPolicy policy : kPolicies) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig9/") + modelShortName(id) + "/" +
-                 schedulingPolicyName(policy))
-                    .c_str(),
-                [id, policy](benchmark::State &s) {
-                    runConfig(s, id, policy);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFigures();
     return 0;
 }

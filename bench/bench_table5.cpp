@@ -11,165 +11,35 @@
  * against both.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <cmath>
-#include <vector>
-
 #include "bench_common.hpp"
-
-namespace {
+#include "experiments.hpp"
 
 using namespace stonne;
 using namespace stonne::bench;
 
-struct ValidationRow {
-    std::string design;
-    std::string layer;
-    index_t m, n, k;
-    cycle_t rtl;          //!< published RTL cycles
-    cycle_t paper_stonne; //!< published STONNE cycles
-    cycle_t ours = 0;     //!< this reproduction
-};
-
-std::vector<ValidationRow> g_rows = {
-    {"MAERI", "MAERI-1", 6, 25, 54, 1338, 1381, 0},
-    {"MAERI", "MAERI-2", 20, 25, 180, 16120, 16081, 0},
-    {"MAERI", "MAERI-3", 6, 400, 54, 26178, 26581, 0},
-    {"SIGMA", "SIGMA-1", 64, 128, 32, 2321, 2304, 0},
-    {"SIGMA", "SIGMA-2", 256, 64, 64, 8594, 8448, 0},
-    {"SIGMA", "SIGMA-3", 256, 128, 64, 17192, 16896, 0},
-    {"SIGMA", "SIGMA-4", 128, 1, 64, 139, 138, 0},
-    {"TPU", "TPU-1", 16, 16, 32, 66, 67, 0},
-    {"TPU", "TPU-2", 16, 16, 16, 50, 51, 0},
-    {"TPU", "TPU-3", 32, 32, 16, 200, 204, 0},
-    {"TPU", "TPU-4", 64, 64, 32, 1056, 1072, 0},
-};
-
-void
-runMaeri(benchmark::State &state, ValidationRow &row)
+int
+main()
 {
-    // The MAERI BSV microbenchmarks are convolutions with the tile
-    // Tile(T_R=3, T_S=3, T_C=1, T_G=1, T_K=1, T_N=1, T_X'=3, T_Y'=1):
-    // M filters of a 3x3x(K/9)-channel window over N output positions.
-    const index_t channels = row.k / 9;
-    const index_t out_dim = static_cast<index_t>(
-        std::llround(std::sqrt(static_cast<double>(row.n))));
-    Conv2dShape s;
-    s.R = 3;
-    s.S = 3;
-    s.C = channels;
-    s.K = row.m;
-    s.X = out_dim + 2;
-    s.Y = out_dim + 2;
-    const LayerSpec layer = LayerSpec::convolution(row.layer, s);
-
-    Tile tile;
-    tile.t_r = 3;
-    tile.t_s = 3;
-    tile.t_c = 1;
-    tile.t_x = 3;
-
-    for (auto _ : state) {
-        const HardwareConfig cfg = HardwareConfig::maeriLike(32, 4);
-        Stonne st(cfg);
-        const LayerData data = makeLayerData(layer, 0.0, 42);
-        st.configureConv(layer, tile);
-        st.configureData(data.input, data.weights, data.bias);
-        const SimulationResult r = st.runOperation();
-        row.ours = r.cycles;
-        (void)cfg;
-    }
-    state.counters["cycles"] = static_cast<double>(row.ours);
-}
-
-void
-runSigma(benchmark::State &state, ValidationRow &row)
-{
-    const LayerSpec layer =
-        LayerSpec::sparseGemm(row.layer, row.m, row.n, row.k);
-    for (auto _ : state) {
-        const HardwareConfig cfg = HardwareConfig::sigmaLike(128, 128);
-        Stonne st(cfg);
-        const LayerData data = makeLayerData(layer, 0.0, 42);
-        st.configureSpmm(layer);
-        st.configureData(data.input, data.weights);
-        const SimulationResult r = st.runOperation();
-        row.ours = r.cycles;
-        (void)cfg;
-    }
-    state.counters["cycles"] = static_cast<double>(row.ours);
-}
-
-void
-runTpu(benchmark::State &state, ValidationRow &row)
-{
-    const LayerSpec layer =
-        LayerSpec::gemmLayer(row.layer, row.m, row.n, row.k);
-    for (auto _ : state) {
-        const HardwareConfig cfg = HardwareConfig::tpuLike(256);
-        Stonne st(cfg);
-        const LayerData data = makeLayerData(layer, 0.0, 42);
-        st.configureDmm(layer);
-        st.configureData(data.input, data.weights);
-        const SimulationResult r = st.runOperation();
-        row.ours = r.cycles;
-        (void)cfg;
-    }
-    state.counters["cycles"] = static_cast<double>(row.ours);
-}
-
-void
-printTable()
-{
+    const std::vector<experiments::Table5Row> rows = experiments::table5();
     banner("Table V — timing validation vs published RTL / STONNE "
            "cycle counts");
     TablePrinter t({"design", "layer", "M", "N", "K", "RTL", "paper-ST",
                     "ours", "err vs RTL %", "err vs ST %"});
     double sum_err = 0.0;
-    for (const auto &r : g_rows) {
-        const double err_rtl = 100.0 *
-            std::abs(static_cast<double>(r.ours) -
-                     static_cast<double>(r.rtl)) /
-            static_cast<double>(r.rtl);
-        const double err_st = 100.0 *
-            std::abs(static_cast<double>(r.ours) -
-                     static_cast<double>(r.paper_stonne)) /
-            static_cast<double>(r.paper_stonne);
-        sum_err += err_rtl;
+    for (const experiments::Table5Row &r : rows) {
+        sum_err += r.errVsRtlPct();
         t.addRow({r.design, r.layer, TablePrinter::num(count_t(r.m)),
                   TablePrinter::num(count_t(r.n)),
                   TablePrinter::num(count_t(r.k)),
                   TablePrinter::num(r.rtl),
                   TablePrinter::num(r.paper_stonne),
                   TablePrinter::num(r.ours),
-                  TablePrinter::num(err_rtl),
-                  TablePrinter::num(err_st)});
+                  TablePrinter::num(r.errVsRtlPct()),
+                  TablePrinter::num(r.errVsPaperPct())});
     }
     t.addRow({"avg", "", "", "", "", "", "", "",
-              TablePrinter::num(sum_err /
-                                static_cast<double>(g_rows.size())),
+              TablePrinter::num(sum_err / static_cast<double>(rows.size())),
               ""});
     t.print();
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    for (auto &row : g_rows) {
-        auto *fn = row.design == "MAERI" ? runMaeri
-                 : row.design == "SIGMA" ? runSigma
-                                         : runTpu;
-        benchmark::RegisterBenchmark(
-            ("table5/" + row.layer).c_str(),
-            [fn, &row](benchmark::State &s) { fn(s, row); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
     return 0;
 }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "analytical/maeri_model.hpp"
 #include "common/logging.hpp"
@@ -15,6 +17,7 @@
 #include "analytical/sigma_model.hpp"
 #include "controller/mapper.hpp"
 #include "engine/accelerator.hpp"
+#include "engine/stonne_api.hpp"
 #include "engine/workload.hpp"
 #include "tensor/prune.hpp"
 
@@ -33,28 +36,44 @@ TEST(ScaleSimAm, TilesMultiply)
               4u * (16 + 16 + 16 + 2));
 }
 
-TEST(ScaleSimAm, MatchesCycleLevelSystolicWithinPercent)
+TEST(ScaleSimAm, MatchesCycleLevelSystolicExactly)
 {
-    // Figure 1a: analytical ~= cycle-level for rigid systolic arrays.
-    Rng rng(1);
-    for (const index_t k : {16, 48, 96}) {
-        Tensor a({64, k}), b({k, 64});
-        a.fillUniform(rng);
-        b.fillUniform(rng);
-        Tensor c({64, 64});
-
-        Accelerator acc(HardwareConfig::tpuLike(64));
-        const LayerSpec layer = LayerSpec::gemmLayer("g", 64, 64, k);
-        const cycle_t sim = acc.denseController()
-            .runGemm(layer, Tile(), a, b, c).cycles;
-        const cycle_t am = analytical::scaleSimOsCycles(
-            GemmDims{64, 64, k}, 8, 8);
-        // The simulator additionally charges the cold-start DRAM
-        // staging, which amortizes over real layers (Figure 1a).
-        EXPECT_GE(sim, am);
-        EXPECT_LT(static_cast<double>(sim - am) /
-                  static_cast<double>(am), 0.15)
-            << "K=" << k;
+    // Figure 1a: on a rigid OS systolic array the analytical model and
+    // the cycle-level simulation agree cycle for cycle, through the
+    // public API, on seeded random GEMM and convolution shapes.
+    Rng rng(7);
+    const index_t sides[] = {4, 8, 16, 32};
+    auto check = [&](const LayerSpec &layer, std::uint64_t seed) {
+        const index_t side = sides[rng.integer(0, 3)];
+        Stonne st(HardwareConfig::tpuLike(side * side));
+        const LayerData data = makeLayerData(layer, 0.0, seed);
+        EXPECT_EQ(runLayer(st, layer, data).cycles,
+                  analytical::scaleSimOsCycles(layer, side, side))
+            << layer.name << " on " << side << "x" << side;
+    };
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        const index_t m = rng.integer(1, 200);
+        const index_t n = rng.integer(1, 200);
+        const index_t k = rng.integer(1, 200);
+        check(LayerSpec::gemmLayer("gemm_" + std::to_string(m) + "x" +
+                                       std::to_string(n) + "x" +
+                                       std::to_string(k),
+                                   m, n, k),
+              i);
+    }
+    const index_t filter_sides[] = {1, 3, 5};
+    for (std::uint64_t i = 0; i < 100; ++i) {
+        Conv2dShape s;
+        s.R = s.S = filter_sides[rng.integer(0, 2)];
+        s.C = rng.integer(1, 32);
+        s.K = rng.integer(1, 64);
+        s.X = s.Y = rng.integer(s.R, 16);
+        s.padding = rng.integer(0, s.R / 2);
+        check(LayerSpec::convolution(
+                  "conv_" + std::to_string(s.R) + "x" + std::to_string(s.C) +
+                      "x" + std::to_string(s.K) + "@" + std::to_string(s.X),
+                  s),
+              i);
     }
 }
 
