@@ -59,9 +59,11 @@ class ArchiveWriter
      *  section liveness flag; version 4 dropped the per-span counter
      *  deltas of trace events (only fast-forward spans carried them);
      *  version 5 added the in-flight pipeline stage's clock to the
-     *  model run's cursor. Older archives are rejected with a version
-     *  diagnostic rather than misparsed. */
-    static constexpr std::uint32_t kVersion = 5;
+     *  model run's cursor; version 6 dropped the search summary from
+     *  every simulation result and stores a tuned layer's report as
+     *  text on its model-run record. Older archives are rejected with
+     *  a version diagnostic rather than misparsed. */
+    static constexpr std::uint32_t kVersion = 6;
 
     void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);

@@ -53,16 +53,6 @@ saveSimulationResult(ArchiveWriter &ar, const SimulationResult &r)
     ar.putString(r.trace_path);
     ar.putString(r.checkpoint_path);
     ar.putU64(r.restored_from_cycle);
-    ar.putBool(r.dse.enabled);
-    ar.putU64(r.dse.space_size);
-    ar.putU64(r.dse.evaluated);
-    ar.putU64(r.dse.cache_hits);
-    ar.putU64(r.dse.simulations_run);
-    ar.putDouble(r.dse.rank_correlation);
-    ar.putString(r.dse.chosen_tile);
-    ar.putU64(r.dse.chosen_cycles);
-    ar.putU64(r.dse.greedy_cycles);
-    ar.putI64(r.dse.cycles_saved_vs_greedy);
 }
 
 SimulationResult
@@ -92,16 +82,6 @@ loadSimulationResult(ArchiveReader &ar)
     r.trace_path = ar.getString();
     r.checkpoint_path = ar.getString();
     r.restored_from_cycle = ar.getU64();
-    r.dse.enabled = ar.getBool();
-    r.dse.space_size = ar.getU64();
-    r.dse.evaluated = ar.getU64();
-    r.dse.cache_hits = ar.getU64();
-    r.dse.simulations_run = ar.getU64();
-    r.dse.rank_correlation = ar.getDouble();
-    r.dse.chosen_tile = ar.getString();
-    r.dse.chosen_cycles = ar.getU64();
-    r.dse.greedy_cycles = ar.getU64();
-    r.dse.cycles_saved_vs_greedy = ar.getI64();
     return r;
 }
 

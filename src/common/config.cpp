@@ -191,17 +191,6 @@ HardwareConfig::validate() const
             "tile; it requires controller = DENSE");
     fatalIf(explore_top_k <= 0, "explore_top_k must be positive, got ",
             explore_top_k);
-    // The co-search enumerates the dense controller's tile space as
-    // its mapping dimension (the fabric axis *derives* sparse variants
-    // from a dense base; a sparse or SNAPEA base has no tile space to
-    // cross with the hardware axes).
-    fatalIf(explore && controller_type != ControllerType::Dense,
-            "config '", name, "': explore crosses hardware axes with "
-            "the dense controller's tile space; it requires controller "
-            "= DENSE");
-    fatalIf(explore && cores > 1,
-            "config '", name, "': explore evaluates single-accelerator "
-            "variants; it requires cores = 1");
     // The axes string is validated wherever the config comes from
     // (file keys get a file:line diagnostic at parse; programmatic
     // configs are caught here). Every component validates its config
@@ -488,8 +477,6 @@ HardwareConfig::parse(const std::string &text, const std::string &origin)
             c.dse_top_k = as_int();
         } else if (key == "DSE_CACHE_FILE") {
             c.dse_cache_file = val;
-        } else if (key == "EXPLORE") {
-            c.explore = as_flag();
         } else if (key == "EXPLORE_AXES") {
             // Full syntax check at the defining line, so a malformed
             // axis list names its file:line, not a later explore run.
@@ -587,11 +574,9 @@ HardwareConfig::toConfigText() const
         os << "dse_top_k = " << dse_top_k << "\n";
     if (autotune || dse_cache_file != defaults.dse_cache_file)
         os << "dse_cache_file = " << dse_cache_file << "\n";
-    if (explore)
-        os << "explore = ON\n";
-    if (explore || explore_axes != defaults.explore_axes)
+    if (explore_axes != defaults.explore_axes)
         os << "explore_axes = " << explore_axes << "\n";
-    if (explore || explore_top_k != defaults.explore_top_k)
+    if (explore_top_k != defaults.explore_top_k)
         os << "explore_top_k = " << explore_top_k << "\n";
     // Multi-core composition keys are structural but emitted only when
     // they differ from the single-core defaults, keeping pre-existing
@@ -635,7 +620,6 @@ HardwareConfig::structuralText() const
     c.autotune = false;
     c.dse_top_k = defaults.dse_top_k;
     c.dse_cache_file = defaults.dse_cache_file;
-    c.explore = false;
     c.explore_axes = defaults.explore_axes;
     c.explore_top_k = defaults.explore_top_k;
     c.service_queue_depth = defaults.service_queue_depth;

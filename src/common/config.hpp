@@ -219,7 +219,7 @@ struct HardwareConfig {
     FaultConfig faults;
 
     /**
-     * Design-space auto-tuning (src/dse): when on, the ModelRunner
+     * Design-space auto-tuning (src/explore): when on, the ModelRunner
      * tunes every dense-controller operation's tile before running it
      * — enumerate the legal tile space, rank it with the analytical
      * model, simulate the top `dse_top_k` candidates (results served
@@ -238,22 +238,15 @@ struct HardwareConfig {
     std::string dse_cache_file = "stonne_dse.cache";
 
     /**
-     * Hardware x mapping co-search (src/explore): marks a saved
-     * config as an exploration setup, so toConfigText() round-trips
-     * the search (the `explore` CLI command / service request sweeps
-     * the structural axes in `explore_axes` crossed with the mapping
-     * tile space, ranks the full space with the analytical
-     * cycle/energy/area models, and cycle-simulates only the
-     * predicted Pareto frontier — top `explore_top_k` per objective
-     * plus the predicted non-dominated set). All three keys are
-     * execution policy, normalized away by structuralText() — the
-     * result cache keys each *variant's* own structural text, never
-     * the search knobs.
-     */
-    bool explore = false;
-
-    /**
-     * Comma-separated structural axes of the co-search. Each axis is a
+     * Comma-separated structural axes of the hardware x mapping
+     * co-search (src/explore): the `explore` CLI command and service
+     * request sweep these axes crossed with the mapping tile space,
+     * rank the full space with the analytical cycle/energy/area models
+     * and cycle-simulate only the predicted Pareto frontier (top
+     * `explore_top_k` per objective plus the predicted non-dominated
+     * set). Both keys are execution policy, normalized away by
+     * structuralText(): the result cache keys each *variant's* own
+     * structural text, never the search knobs. Each axis is a
      * name (`ms_size`, `dn_bandwidth`, `rn_bandwidth`,
      * `accumulator_size`, `fabric`) with an optional power-of-two
      * range `name=lo:hi`; `fabric` toggles the dense tree fabric
@@ -353,13 +346,13 @@ struct HardwareConfig {
     /**
      * Configuration text with the execution-policy knobs normalized
      * away: engine, watchdog budget, trace/checkpoint destinations
-     * and the dse tuning knobs may all legitimately differ between two
+     * and the search knobs may all legitimately differ between two
      * runs of the *same* simulated hardware (both engines are
-     * bit-identical; the retry ladder's degraded attempts and the dse
+     * bit-identical; the retry ladder's degraded attempts and the
      * result cache rely on exactly that), but everything
      * architectural must
      * match exactly. Checkpoint restores compare snapshots with this,
-     * and the dse cache keys simulation outcomes on it.
+     * and the result cache keys simulation outcomes on it.
      */
     std::string structuralText() const;
 };

@@ -22,7 +22,7 @@
  *    first failure (lowest job index) after the pool drains.
  *
  * Lives in the library (not bench/) because the design-space explorer
- * (src/dse) evaluates its top-K mapping candidates over the same pool
+ * (src/explore) evaluates its top-K mapping candidates over the same pool
  * the benchmark sweeps use.
  */
 

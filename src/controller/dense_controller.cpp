@@ -30,7 +30,10 @@ blocks(index_t total, index_t t)
  * lowered one column panel at a time, plus the bias, scattered back by
  * col2im. `gemm(a, n, b, b_finite, c)` writes one group's row-major (Kg
  * x n) product into c; with one image that is the group's slice of the
- * output itself, so no result matrix is staged.
+ * output itself, so no result matrix is staged. A 1x1, stride-1,
+ * unpadded convolution of one image (MAERI's GEMMs and linear layers
+ * among them) has the group's input channels as its patch matrix, so
+ * its panels are read in place too.
  */
 template <class Gemm>
 void
@@ -47,6 +50,10 @@ lowerConv(const Conv2dShape &shape, const Tensor &input,
     // Patch-matrix entries are input values or padding zeros.
     const bool finite = input.allFinite();
     const bool in_place = shape.N == 1;
+    const bool patches_are_input = in_place && shape.R == 1 &&
+        shape.S == 1 && shape.stride == 1 && shape.padding == 0 &&
+        input.shape() ==
+            std::vector<index_t>{shape.N, shape.C, shape.X, shape.Y};
     std::vector<float> panel;
     std::vector<float> result(
         static_cast<std::size_t>(in_place ? 0 : kg * cols));
@@ -54,7 +61,12 @@ lowerConv(const Conv2dShape &shape, const Tensor &input,
         // The filters are stored flattened: group g's filter matrix is
         // rows [g Kg, (g+1) Kg) of the (K x R*S*C/G) weights.
         const MatrixView a{filters.data + g * kg * window, kg, window};
+        // Group g's patch matrix: its Cg input channels, X*Y apart.
+        const float *patches =
+            patches_are_input ? input.data() + g * window * cols : nullptr;
         const PanelSource b = [&](index_t j0, index_t nj) {
+            if (patches)
+                return ColumnPanel{patches + j0, cols};
             panel.resize(static_cast<std::size_t>(window * nj));
             im2colInto(input, shape, g, j0, nj, panel.data(), nj);
             return ColumnPanel{panel.data(), nj};

@@ -59,7 +59,7 @@ struct Tile {
      * 'x'-separated ("1x1x64x1x4x1x1x1"). Stable across builds and
      * platforms — two tiles compare equal iff their canonical forms are
      * byte-identical, which makes this the tile component of
-     * content-addressed cache keys (src/dse).
+     * content-addressed cache keys (src/explore).
      */
     std::string canonical() const;
 

@@ -247,8 +247,8 @@ Accelerator::restore(ArchiveReader &ar)
     const HardwareConfig snap_cfg =
         HardwareConfig::parse(snap_text, "<checkpoint>");
     // Snapshots restore across differing execution-policy knobs
-    // (engine, watchdog, trace/checkpoint destinations, dse
-    // tuning) but never across architectural changes.
+    // (engine, watchdog, trace/checkpoint destinations, search
+    // knobs) but never across architectural changes.
     if (snap_cfg.structuralText() != cfg_.structuralText())
         ar.fail("the snapshot was taken on accelerator '" +
                 snap_cfg.name + "' whose hardware configuration differs "

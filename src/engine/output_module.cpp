@@ -65,21 +65,6 @@ OutputModule::summary(const HardwareConfig &cfg,
     area.set("total_um2", result.area.total());
     j["area"] = area;
 
-    if (result.dse.enabled) {
-        JsonValue dse = JsonValue::makeObject();
-        dse.set("space_size", result.dse.space_size);
-        dse.set("candidates_evaluated", result.dse.evaluated);
-        dse.set("cache_hits", result.dse.cache_hits);
-        dse.set("simulations_run", result.dse.simulations_run);
-        dse.set("rank_correlation", result.dse.rank_correlation);
-        dse.set("chosen_tile", result.dse.chosen_tile);
-        dse.set("chosen_cycles", result.dse.chosen_cycles);
-        dse.set("greedy_cycles", result.dse.greedy_cycles);
-        dse.set("cycles_saved_vs_greedy",
-                static_cast<double>(result.dse.cycles_saved_vs_greedy));
-        j["dse"] = dse;
-    }
-
     return j;
 }
 
@@ -105,6 +90,8 @@ OutputModule::modelReport(const std::string &model_name,
             l.set("ms_utilization", r.sim.ms_utilization);
             l.set("energy_uj", r.sim.energy.total());
             l.set("area_um2", r.sim.area.total());
+            if (!r.tune.isNull())
+                l["tune"] = r.tune;
         }
         layers.append(std::move(l));
     }

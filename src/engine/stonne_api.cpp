@@ -45,7 +45,6 @@ SimulationResult::merge(const SimulationResult &o)
         checkpoint_path = o.checkpoint_path;
     restored_from_cycle = std::max(restored_from_cycle,
                                    o.restored_from_cycle);
-    dse.merge(o.dse);
 }
 
 Stonne::Stonne(const HardwareConfig &cfg)

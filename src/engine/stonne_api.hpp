@@ -31,7 +31,6 @@
 #include "checkpoint/checkpoint.hpp"
 #include "controller/scheduler.hpp"
 #include "controller/tile.hpp"
-#include "dse/dse_stats.hpp"
 #include "energy/area_model.hpp"
 #include "energy/energy_model.hpp"
 #include "engine/accelerator.hpp"
@@ -67,13 +66,6 @@ struct SimulationResult {
      * snapshot; 0 for an uninterrupted run.
      */
     cycle_t restored_from_cycle = 0;
-
-    /**
-     * Design-space exploration summary when the operation's tile was
-     * auto-tuned (`autotune = ON` or the CLI `tune` command);
-     * `dse.enabled` is false for untuned operations.
-     */
-    DseSummary dse;
 
     /** Sum another layer's result (whole-model aggregation). */
     void merge(const SimulationResult &o);

@@ -4,7 +4,7 @@
  * generation and one-call layer execution through the STONNE API.
  *
  * Lives in the library so the benchmark binaries (bench/), the
- * design-space explorer (src/dse) and the tests all build their
+ * design-space search (src/explore) and the tests all build their
  * workloads through one construction path: the tuner's candidate
  * evaluations run exactly the simulation the benchmarks time.
  *

@@ -182,7 +182,6 @@ DesignSpace::enumerate(const HardwareConfig &base,
     plain.autotune = false;
     plain.dse_top_k = defaults.dse_top_k;
     plain.dse_cache_file = defaults.dse_cache_file;
-    plain.explore = false;
     plain.explore_axes = defaults.explore_axes;
     plain.explore_top_k = defaults.explore_top_k;
 

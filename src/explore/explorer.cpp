@@ -12,10 +12,10 @@
 #include "common/logging.hpp"
 #include "common/sweep_pool.hpp"
 #include "controller/mapper.hpp"
-#include "dse/tile_space.hpp"
 #include "energy/area_model.hpp"
 #include "energy/energy_model.hpp"
 #include "engine/workload.hpp"
+#include "explore/tile_space.hpp"
 
 namespace stonne::explore {
 
@@ -123,7 +123,7 @@ struct RankedTile {
 std::vector<RankedTile>
 rankTiles(const LayerSpec &layer, const HardwareConfig &cfg)
 {
-    const std::vector<Tile> space = dse::TileSpace::enumerate(layer, cfg);
+    const std::vector<Tile> space = TileSpace::enumerate(layer, cfg);
     std::vector<RankedTile> ranked;
     ranked.reserve(space.size());
     for (const Tile &t : space)
@@ -184,7 +184,6 @@ evalConfig(HardwareConfig cfg)
     cfg.trace = false;
     cfg.checkpoint = false;
     cfg.autotune = false;
-    cfg.explore = false;
     return cfg;
 }
 
@@ -215,24 +214,6 @@ spearmanCorrelation(const std::vector<double> &a,
     if (va == 0.0 || vb == 0.0)
         return 0.0; // one side carries no ordering information
     return cov / std::sqrt(va * vb);
-}
-
-DseSummary
-TuneReport::summary() const
-{
-    DseSummary s;
-    s.enabled = true;
-    s.space_size = space_size;
-    s.evaluated = ranked.size();
-    s.cache_hits = cache_hits;
-    s.simulations_run = simulations_run;
-    s.rank_correlation = rank_correlation;
-    s.chosen_tile = best.canonical();
-    s.chosen_cycles = best_cycles;
-    s.greedy_cycles = greedy_cycles;
-    s.cycles_saved_vs_greedy = static_cast<std::int64_t>(greedy_cycles) -
-                               static_cast<std::int64_t>(best_cycles);
-    return s;
 }
 
 JsonValue
@@ -296,7 +277,7 @@ ExploreReport::json() const
 
 Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts)
     : base_(evalConfig(base)), opts_(std::move(opts)),
-      own_cache_(std::make_unique<dse::ResultCache>(opts_.cache_file)),
+      own_cache_(std::make_unique<ResultCache>(opts_.cache_file)),
       cache_(own_cache_.get())
 {
     fatalIf(opts_.top_k <= 0, "Explorer: top_k must be positive, got ",
@@ -305,7 +286,7 @@ Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts)
 }
 
 Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts,
-                   dse::ResultCache &shared_cache)
+                   ResultCache &shared_cache)
     : base_(evalConfig(base)), opts_(std::move(opts)),
       cache_(&shared_cache)
 {
@@ -319,12 +300,12 @@ Explorer::evaluate(const LayerSpec &layer,
                    const std::vector<Candidate> &cands)
 {
     const std::string policy =
-        dse::ResultCache::policyText(opts_.seed, opts_.sparsity);
+        ResultCache::policyText(opts_.seed, opts_.sparsity);
     std::vector<Evaluation> evals(cands.size());
     std::vector<std::string> keys(cands.size());
     std::vector<std::size_t> jobs;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        keys[i] = dse::ResultCache::keyText(cands[i].point.cfg,
+        keys[i] = ResultCache::keyText(cands[i].point.cfg,
                                             cands[i].layer, cands[i].tile,
                                             policy);
         if (const auto hit = cache_->lookup(keys[i]))
@@ -405,7 +386,7 @@ Explorer::tuneLayer(const LayerSpec &layer)
     rep.space_size = space.size();
     std::vector<double> analytical_v, simulated_v;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        const dse::CachedOutcome &o = evals[i].outcome;
+        const CachedOutcome &o = evals[i].outcome;
         rep.ranked.push_back({cands[i].tile, cands[i].analytical_cycles,
                               o.cycles, o.energy_uj, o.area_um2,
                               o.ms_utilization, evals[i].from_cache});

@@ -9,7 +9,7 @@
  * thread pool. The exact numbers they report therefore come purely from
  * cycle-level simulation; the analytical fidelity only decides *which*
  * points earn a simulation. Every cycle-level evaluation goes through
- * one cache-first path: it is memoized in the dse::ResultCache (keyed
+ * one cache-first path: it is memoized in the ResultCache (keyed
  * on structural config text), so a repeated search answers entirely
  * from the cache, and tune and explore jobs share entries.
  *
@@ -39,8 +39,7 @@
 #include "common/json_writer.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
-#include "dse/cache.hpp"
-#include "dse/dse_stats.hpp"
+#include "explore/cache.hpp"
 #include "explore/design_space.hpp"
 #include "explore/pareto.hpp"
 
@@ -98,10 +97,10 @@ struct TuneReport {
     /** Every evaluated candidate, fastest simulated first. */
     std::vector<EvaluatedTile> ranked;
 
-    /** The summary block a SimulationResult carries for this run. */
-    DseSummary summary() const;
-
-    /** JSON block of a service `tune` reply (`summary` object). */
+    /**
+     * JSON block of a service `tune` reply (`summary` object); a tuned
+     * model run reports the same block per layer (`tune`).
+     */
     JsonValue json() const;
 };
 
@@ -156,7 +155,7 @@ class Explorer
      * cache is never saved here; its owner persists it.
      */
     Explorer(const HardwareConfig &base, ExploreOptions opts,
-             dse::ResultCache &shared_cache);
+             ResultCache &shared_cache);
 
     /**
      * Tune one dense-controller layer's tile (Convolution / Linear /
@@ -171,12 +170,12 @@ class Explorer
     /** Cycle-level simulations run by this instance so far. */
     std::uint64_t totalSimulations() const { return total_simulations_; }
 
-    const dse::ResultCache &cache() const { return *cache_; }
+    const ResultCache &cache() const { return *cache_; }
 
   private:
     /** Cycle-level outcome of one candidate. */
     struct Evaluation {
-        dse::CachedOutcome outcome;
+        CachedOutcome outcome;
         bool from_cache = false;
     };
 
@@ -192,8 +191,8 @@ class Explorer
 
     HardwareConfig base_;
     ExploreOptions opts_;
-    std::unique_ptr<dse::ResultCache> own_cache_;
-    dse::ResultCache *cache_;
+    std::unique_ptr<ResultCache> own_cache_;
+    ResultCache *cache_;
     std::uint64_t total_simulations_ = 0;
 };
 

@@ -78,18 +78,21 @@ LayerExecutor::resolve(int idx, const Tensor &model_input,
     return saved.at(idx);
 }
 
-void
-LayerExecutor::recordSim(const std::string &name, OpType op,
-                         const SimulationResult &sim)
+Tensor
+LayerExecutor::runRecorded(const std::string &name, OpType op,
+                           JsonValue tune)
 {
+    const SimulationResult sim = stonne_.runOperation();
     if (records_) {
         LayerRunRecord r;
         r.name = name;
         r.op = op;
         r.offloaded = true;
         r.sim = sim;
+        r.tune = std::move(tune);
         records_->push_back(std::move(r));
     }
+    return stonne_.output();
 }
 
 void
@@ -104,26 +107,32 @@ LayerExecutor::recordNative(const std::string &name, OpType op)
 }
 
 // With `autotune = ON`, every dense operation's tile is searched before
-// the operation runs; the tuning summary is stamped onto the operation's
-// own SimulationResult so aggregation picks it up.
+// the operation runs; the search's report rides on the operation's
+// record.
 std::optional<Tile>
-LayerExecutor::tuneTile(const LayerSpec &spec)
+LayerExecutor::tuneTile(const LayerSpec &spec, JsonValue &tune)
 {
     if (!tuner_)
         return std::nullopt;
     const explore::TuneReport rep = tuner_->tuneLayer(spec);
-    pending_dse_ = rep.summary();
+    tune = rep.json();
     return rep.best;
 }
 
-SimulationResult
-LayerExecutor::stampDse(SimulationResult sim)
+Tensor
+LayerExecutor::runConv(std::size_t i, const LayerSpec &spec,
+                       const Tensor &in, const Tensor &w,
+                       const Tensor &bias)
 {
-    if (pending_dse_) {
-        sim.dse = *pending_dse_;
-        pending_dse_.reset();
-    }
-    return sim;
+    if (!opts_.simulate)
+        return ref::conv2d(in, w, bias, spec.conv);
+    const bool relu_next = i + 1 < model_.layers.size() &&
+        model_.layers[i + 1].op == OpType::ReLU;
+    stonne_.setSnapeaEarlyExit(opts_.snapea_early_exit && relu_next);
+    JsonValue tune;
+    stonne_.configureConv(spec, tuneTile(spec, tune));
+    stonne_.configureData(in, w, bias);
+    return runRecorded(spec.name, OpType::Conv2d, std::move(tune));
 }
 
 Tensor
@@ -134,11 +143,10 @@ LayerExecutor::runLinear(const Tensor &in, const Tensor &w,
         return ref::linear(in, w, bias);
     const LayerSpec spec =
         LayerSpec::linear(name, in.dim(0), in.dim(1), w.dim(0));
-    stonne_.configureLinear(spec, tuneTile(spec));
+    JsonValue tune;
+    stonne_.configureLinear(spec, tuneTile(spec, tune));
     stonne_.configureData(in, w, bias);
-    const SimulationResult sim = stampDse(stonne_.runOperation());
-    recordSim(name, OpType::Linear, sim);
-    return stonne_.output();
+    return runRecorded(name, OpType::Linear, std::move(tune));
 }
 
 Tensor
@@ -149,11 +157,10 @@ LayerExecutor::runGemm(const Tensor &a, const Tensor &b,
         return ref::gemm(a, b);
     const LayerSpec spec =
         LayerSpec::gemmLayer(name, a.dim(0), b.dim(1), a.dim(1));
-    stonne_.configureDmm(spec, tuneTile(spec));
+    JsonValue tune;
+    stonne_.configureDmm(spec, tuneTile(spec, tune));
     stonne_.configureData(b, a);
-    const SimulationResult sim = stampDse(stonne_.runOperation());
-    recordSim(name, OpType::SelfAttention, sim);
-    return stonne_.output();
+    return runRecorded(name, OpType::SelfAttention, std::move(tune));
 }
 
 Tensor
@@ -167,22 +174,8 @@ LayerExecutor::runLayer(std::size_t i, const Tensor &cur,
         : resolve(l.input_from, model_input, saved);
 
     switch (l.op) {
-      case OpType::Conv2d: {
-        if (opts_.simulate) {
-            const bool relu_next =
-                i + 1 < model_.layers.size() &&
-                model_.layers[i + 1].op == OpType::ReLU;
-            stonne_.setSnapeaEarlyExit(opts_.snapea_early_exit &&
-                                       relu_next);
-            stonne_.configureConv(l.spec, tuneTile(l.spec));
-            stonne_.configureData(in, l.weights, l.bias);
-            const SimulationResult sim =
-                stampDse(stonne_.runOperation());
-            recordSim(l.name, l.op, sim);
-            return stonne_.output();
-        }
-        return ref::conv2d(in, l.weights, l.bias, l.spec.conv);
-      }
+      case OpType::Conv2d:
+        return runConv(i, l.spec, in, l.weights, l.bias);
       case OpType::Linear:
         return runLinear(in, l.weights, l.bias, l.name);
       case OpType::MaxPool2d: {
@@ -191,9 +184,7 @@ LayerExecutor::runLayer(std::size_t i, const Tensor &cur,
         if (offload) {
             stonne_.configureMaxPool(l.spec);
             stonne_.configureData(in, Tensor());
-            const SimulationResult sim = stonne_.runOperation();
-            recordSim(l.name, l.op, sim);
-            return stonne_.output();
+            return runRecorded(l.name, l.op, JsonValue());
         }
         recordNative(l.name, l.op);
         return ref::maxPool2d(in, l.spec.pool_window, l.spec.pool_stride);

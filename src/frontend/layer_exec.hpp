@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/json_writer.hpp"
 #include "engine/stonne_api.hpp"
 #include "explore/explorer.hpp"
 #include "frontend/dnn_layer.hpp"
@@ -28,6 +29,9 @@ struct LayerRunRecord {
     OpType op;
     bool offloaded = false;
     SimulationResult sim; //!< valid when offloaded
+    /** The tuner's TuneReport::json() when the tile was auto-tuned
+     *  (`autotune = ON`); null otherwise. */
+    JsonValue tune;
 };
 
 /** How the executor lowers layers (mirrors the ModelRunner knobs). */
@@ -40,9 +44,8 @@ struct LayerExecOptions {
 /**
  * Executes individual layers of one model on one Stonne instance.
  *
- * Stateless across layers except for the pending auto-tuner summary
- * (stamped onto the next operation's SimulationResult), so a fresh
- * executor per forward pass behaves identically to a shared one.
+ * Stateless across layers, so a fresh executor per forward pass (or per
+ * K-split shard) behaves identically to a shared one.
  */
 class LayerExecutor
 {
@@ -69,19 +72,30 @@ class LayerExecutor
                     const Tensor &model_input,
                     const std::map<int, Tensor> &saved);
 
+    /**
+     * Convolution `spec` (layer `i` of the model, or a K-split shard of
+     * it) over `in` with filters `w` and bias `bias`. The SNAPEA cut-off
+     * applies when layer `i + 1` is a ReLU.
+     */
+    Tensor runConv(std::size_t i, const LayerSpec &spec, const Tensor &in,
+                   const Tensor &w, const Tensor &bias);
+
+    /** Linear layer `name`: in (batch x in) times w^T (out x in). */
+    Tensor runLinear(const Tensor &in, const Tensor &w, const Tensor &bias,
+                     const std::string &name);
+
   private:
     const Tensor &resolve(int idx, const Tensor &model_input,
                           const std::map<int, Tensor> &saved) const;
 
-    void recordSim(const std::string &name, OpType op,
-                   const SimulationResult &sim);
+    /** Run the configured operation and record it; returns its output. */
+    Tensor runRecorded(const std::string &name, OpType op, JsonValue tune);
     void recordNative(const std::string &name, OpType op);
 
-    std::optional<Tile> tuneTile(const LayerSpec &spec);
-    SimulationResult stampDse(SimulationResult sim);
+    /** The tuned tile of `spec` (none without a tuner); its report goes
+     *  to `tune`. */
+    std::optional<Tile> tuneTile(const LayerSpec &spec, JsonValue &tune);
 
-    Tensor runLinear(const Tensor &in, const Tensor &w, const Tensor &bias,
-                     const std::string &name);
     Tensor runGemm(const Tensor &a, const Tensor &b,
                    const std::string &name);
 
@@ -90,8 +104,6 @@ class LayerExecutor
     explore::Explorer *tuner_;
     LayerExecOptions opts_;
     std::vector<LayerRunRecord> *records_;
-    /** Tuning summary awaiting its operation's SimulationResult. */
-    std::optional<DseSummary> pending_dse_;
 };
 
 } // namespace stonne

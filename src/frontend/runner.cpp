@@ -614,8 +614,6 @@ ModelRunner::runKSplitLayer(std::size_t b, std::size_t i)
         }
     } else {
         const Tensor &in = resolveRef(st, l.input_from);
-        const bool relu_next = i + 1 < model_.layers.size() &&
-            model_.layers[i + 1].op == OpType::ReLU;
         const index_t k_total = l.op == OpType::Conv2d
             ? l.spec.conv.K
             : l.weights.dim(0);
@@ -630,52 +628,27 @@ ModelRunner::runKSplitLayer(std::size_t b, std::size_t i)
                 continue;
             const index_t c = healthy[static_cast<std::size_t>(j)];
             Stonne &core = *cores_[static_cast<std::size_t>(c)];
+            LayerExecutor exec(model_, core, tuner_.get(), execOptions(),
+                               &core_records_[static_cast<std::size_t>(c)]);
 
-            LayerSpec spec = l.spec;
-            spec.name = l.name + ".k" + std::to_string(j);
-            Tensor w = sliceOuterDim(l.weights, k0, len);
-            Tensor bias = l.bias.empty()
+            const std::string name = l.name + ".k" + std::to_string(j);
+            const Tensor w = sliceOuterDim(l.weights, k0, len);
+            const Tensor bias = l.bias.empty()
                 ? Tensor()
                 : sliceOuterDim(l.bias, k0, len);
-            if (l.op == OpType::Conv2d) {
-                spec.conv.K = len;
-            } else {
-                spec = LayerSpec::linear(spec.name, in.dim(0), in.dim(1),
-                                         len);
-            }
-
-            std::optional<Tile> tile;
-            std::optional<DseSummary> dse;
-            if (tuner_) {
-                const explore::TuneReport rep = tuner_->tuneLayer(spec);
-                tile = rep.best;
-                dse = rep.summary();
-            }
 
             const cycle_t cyc0 = core.totalCycles();
             const count_t bytes0 = dramBytes(c);
-            SimulationResult sim;
             onCore(c, i, [&] {
                 if (l.op == OpType::Conv2d) {
-                    core.setSnapeaEarlyExit(snapea_early_exit_ &&
-                                            relu_next);
-                    core.configureConv(spec, tile);
+                    LayerSpec spec = l.spec;
+                    spec.name = name;
+                    spec.conv.K = len;
+                    exec.runConv(i, spec, in, w, bias);
                 } else {
-                    core.configureLinear(spec, tile);
+                    exec.runLinear(in, w, bias, name);
                 }
-                core.configureData(in, std::move(w), std::move(bias));
-                sim = core.runOperation();
             });
-            if (dse)
-                sim.dse = *dse;
-
-            LayerRunRecord r;
-            r.name = spec.name;
-            r.op = l.op;
-            r.offloaded = true;
-            r.sim = sim;
-            core_records_[static_cast<std::size_t>(c)].push_back(
-                std::move(r));
 
             const cycle_t d = core.totalCycles() - cyc0;
             const count_t nb = dramBytes(c) - bytes0;
@@ -765,6 +738,7 @@ ModelRunner::writeSnapshot()
             ar.putU32(static_cast<std::uint32_t>(r.op));
             ar.putBool(r.offloaded);
             saveSimulationResult(ar, r.sim);
+            ar.putString(r.tune.isNull() ? "" : r.tune.dumpLine());
         }
     }
     ar.endSection();
@@ -870,6 +844,9 @@ ModelRunner::resumeBatch(const std::string &path)
             r.op = static_cast<OpType>(ar.getU32());
             r.offloaded = ar.getBool();
             r.sim = loadSimulationResult(ar);
+            const std::string tune = ar.getString();
+            if (!tune.empty())
+                r.tune = JsonValue::parse(tune);
             records.push_back(std::move(r));
         }
     }

@@ -141,7 +141,7 @@ ServiceDaemon::snapshotPathFor(const std::string &id) const
     // The id hash keeps sanitized collisions ("a/b" vs "a_b") apart.
     std::ostringstream os;
     os << opts_.snapshot_dir << "/service_" << sanitized << "_" << std::hex
-       << (dse::ResultCache::hashKey(id) & 0xffffffffu) << ".ckpt";
+       << (explore::ResultCache::hashKey(id) & 0xffffffffu) << ".ckpt";
     return os.str();
 }
 

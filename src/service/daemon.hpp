@@ -44,7 +44,7 @@
 #include "common/json_writer.hpp"
 #include "common/recovery.hpp"
 #include "common/sweep_pool.hpp"
-#include "dse/cache.hpp"
+#include "explore/cache.hpp"
 #include "service/protocol.hpp"
 
 namespace stonne::service {
@@ -128,7 +128,7 @@ class ServiceDaemon
     /** Block until no job is queued or running (workers keep serving). */
     void drain();
 
-    const dse::ResultCache &cache() const { return cache_; }
+    const explore::ResultCache &cache() const { return cache_; }
     ServiceCounters counters() const;
     std::size_t queueDepth() const { return queue_depth_; }
     std::size_t workerCount() const { return pool_.threadCount(); }
@@ -168,7 +168,7 @@ class ServiceDaemon
     std::mutex out_mu_;
 
     std::size_t queue_depth_;
-    dse::ResultCache cache_;
+    explore::ResultCache cache_;
     WorkerPool pool_;
 
     mutable std::mutex mu_; //!< guards everything below

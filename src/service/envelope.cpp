@@ -65,9 +65,9 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
     if (may_cache) {
         const Tile key_tile =
             tile ? *tile : Mapper(job_cfg.ms_size).generateTile(layer);
-        cache_key = dse::ResultCache::keyText(
+        cache_key = explore::ResultCache::keyText(
             job_cfg, layer, key_tile,
-            dse::ResultCache::policyText(seed, sparsity));
+            explore::ResultCache::policyText(seed, sparsity));
         if (const auto hit = opts.cache->lookup(cache_key)) {
             out.status = "done";
             out.cache_hit = true;
@@ -122,7 +122,7 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
 
     if (out.status == "done" && may_cache)
         opts.cache->insert(cache_key,
-                           dse::CachedOutcome{out.result.cycles,
+                           explore::CachedOutcome{out.result.cycles,
                                               out.result.energy.total(),
                                               out.result.area.total(),
                                               out.result.ms_utilization});

@@ -43,8 +43,8 @@
 #include "common/recovery.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
-#include "dse/cache.hpp"
 #include "engine/stonne_api.hpp"
+#include "explore/cache.hpp"
 #include "frontend/runner.hpp"
 
 namespace stonne::service {
@@ -52,7 +52,7 @@ namespace stonne::service {
 /** Envelope policy for one `run` job: the retry policy plus the cache. */
 struct EnvelopeOptions : RecoveryPolicy {
     /** Shared result cache (nullptr = no caching). */
-    dse::ResultCache *cache = nullptr;
+    explore::ResultCache *cache = nullptr;
     bool use_cache = true;
 };
 
@@ -65,7 +65,7 @@ struct JobOutcome : RecoveryOutcome {
     SimulationResult result;
 
     /** Reduced result for cache hits. */
-    std::optional<dse::CachedOutcome> cached;
+    std::optional<explore::CachedOutcome> cached;
 
     /** CRC-32 of the final operation's output tensor (0 on hits). */
     std::uint32_t output_crc32 = 0;

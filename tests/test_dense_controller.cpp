@@ -283,6 +283,45 @@ TEST(DenseFlexible, ReduceMatchesDenseOracleOnRandomShapes)
     }
 }
 
+TEST(DenseFlexible, PointwiseConvolutionMatchesDenseOracle)
+{
+    // A 1x1, stride-1, unpadded convolution of one image reads its
+    // patch matrix (the input itself) in place: more than one 256-column
+    // panel per group, grouped and not, with pruned weights and with a
+    // NaN input, on the flexible and the systolic fabric.
+    const HardwareConfig cfgs[] = {HardwareConfig::maeriLike(64, 16),
+                                   HardwareConfig::tpuLike(64)};
+    for (const HardwareConfig &cfg : cfgs) {
+        for (int trial = 0; trial < 4; ++trial) {
+            Conv2dShape s;
+            s.R = s.S = 1;
+            s.G = trial % 2 == 0 ? 1 : 2;
+            s.C = 4;
+            s.K = 6;
+            s.X = 17;
+            s.Y = 19;
+            ConvData d(s, 300 + static_cast<std::uint64_t>(trial));
+            for (index_t i = 0; i < d.weights.size(); i += 3)
+                d.weights.at(i) = 0.0f;
+            if (trial >= 2)
+                d.input.at(s.X * s.Y + 5) = std::nanf("");
+            const LayerSpec layer = LayerSpec::convolution("pw", s);
+            Accelerator acc(cfg);
+            const Tile tile =
+                acc.denseController().mapper().generateTile(layer);
+            acc.denseController().runConvolution(layer, tile, d.input,
+                                                 d.weights, d.bias,
+                                                 d.output);
+            const Tensor want =
+                denseReduceOracle(s, d.input, d.weights, d.bias);
+            for (index_t i = 0; i < want.size(); ++i)
+                ASSERT_TRUE(sameBits(d.output.at(i), want.at(i)))
+                    << cfg.name << " trial " << trial << " output " << i
+                    << ": " << d.output.at(i) << " vs " << want.at(i);
+        }
+    }
+}
+
 TEST(DenseFlexible, LowerBandwidthCostsMoreCycles)
 {
     // A 1x1 convolution has no sliding-window reuse, so every step

@@ -17,23 +17,23 @@
 #include "analytical/maeri_model.hpp"
 #include "common/logging.hpp"
 #include "controller/mapper.hpp"
-#include "dse/cache.hpp"
-#include "dse/tile_space.hpp"
 #include "engine/output_module.hpp"
+#include "explore/cache.hpp"
 #include "explore/explorer.hpp"
+#include "explore/tile_space.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
 
 namespace stonne {
 namespace {
 
-using dse::CachedOutcome;
-using dse::ResultCache;
-using dse::TileSpace;
+using explore::CachedOutcome;
 using explore::EvaluatedTile;
 using explore::ExploreOptions;
 using explore::Explorer;
+using explore::ResultCache;
 using explore::spearmanCorrelation;
+using explore::TileSpace;
 using explore::TuneReport;
 
 /** Self-deleting cache file (covers the .tmp sibling too). */
@@ -315,14 +315,12 @@ TEST(AutoTuner, ReportIsConsistentAndDeterministic)
     EXPECT_EQ(rep.best, rep2.best);
     EXPECT_EQ(rep.best_cycles, rep2.best_cycles);
 
-    const DseSummary s = rep.summary();
-    EXPECT_TRUE(s.enabled);
-    EXPECT_EQ(s.space_size, rep.space_size);
-    EXPECT_EQ(s.evaluated, rep.ranked.size());
-    EXPECT_EQ(s.chosen_tile, rep.best.canonical());
-    EXPECT_EQ(s.cycles_saved_vs_greedy,
-              static_cast<std::int64_t>(rep.greedy_cycles) -
-                  static_cast<std::int64_t>(rep.best_cycles));
+    const JsonValue j = rep.json();
+    EXPECT_EQ(j.find("space_size")->asUint64(), rep.space_size);
+    EXPECT_EQ(j.find("evaluated")->asUint64(), rep.ranked.size());
+    EXPECT_EQ(j.find("chosen_tile")->asString(), rep.best.canonical());
+    EXPECT_EQ(j.find("chosen_cycles")->asUint64(), rep.best_cycles);
+    EXPECT_EQ(j.find("greedy_cycles")->asUint64(), rep.greedy_cycles);
 }
 
 TEST(AutoTuner, WarmCacheRunsZeroSimulations)
@@ -393,17 +391,99 @@ TEST(Autotune, ModelRunnerStaysExactAndNeverSlower)
     EXPECT_TRUE(sim.equals(native))
         << "max diff " << sim.maxAbsDiff(native);
 
-    const SimulationResult total = runner.total();
-    EXPECT_TRUE(total.dse.enabled);
-    EXPECT_GT(total.dse.evaluated, 0u);
-    EXPECT_GE(total.dse.cycles_saved_vs_greedy, 0);
+    // Every tuned operation's record carries its own search report.
+    std::size_t tuned_ops = 0;
+    for (const LayerRunRecord &r : runner.records()) {
+        if (r.tune.isNull())
+            continue;
+        ++tuned_ops;
+        EXPECT_TRUE(r.offloaded) << r.name;
+        EXPECT_GT(r.tune.find("evaluated")->asUint64(), 0u) << r.name;
+        EXPECT_LE(r.tune.find("chosen_cycles")->asUint64(),
+                  r.tune.find("greedy_cycles")->asUint64())
+            << r.name;
+    }
+    EXPECT_GT(tuned_ops, 0u);
 
     HardwareConfig untuned = tuned;
     untuned.autotune = false;
     ModelRunner baseline(model, untuned);
     baseline.run(input);
-    EXPECT_FALSE(baseline.total().dse.enabled);
-    EXPECT_LE(total.cycles, baseline.total().cycles);
+    for (const LayerRunRecord &r : baseline.records())
+        EXPECT_TRUE(r.tune.isNull()) << r.name;
+    EXPECT_LE(runner.total().cycles, baseline.total().cycles);
+}
+
+/** Two dense cores sharding every conv and linear layer (KSPLIT). */
+HardwareConfig
+kSplitConfig(bool autotune)
+{
+    HardwareConfig cfg = HardwareConfig::maeriLike(64, 64);
+    cfg.cores = 2;
+    cfg.partition = PartitionStrategy::KSplit;
+    cfg.autotune = autotune;
+    cfg.dse_top_k = 2;
+    cfg.dse_cache_file.clear(); // in-memory: tests must not litter
+    return cfg;
+}
+
+TEST(Autotune, KSplitShardsCarryTheirTuneReports)
+{
+    const DnnModel model =
+        buildModel(ModelId::SqueezeNet, ModelScale::Tiny);
+    const Tensor input =
+        makeModelInput(ModelId::SqueezeNet, ModelScale::Tiny);
+
+    ModelRunner tuned(model, kSplitConfig(true));
+    const Tensor out = tuned.run(input);
+    const Tensor native = tuned.runNative(input);
+    EXPECT_TRUE(out.equals(native)) << "max diff " << out.maxAbsDiff(native);
+
+    std::size_t shards = 0;
+    for (const LayerRunRecord &r : tuned.records()) {
+        if (r.name.find(".k") == std::string::npos)
+            continue;
+        ++shards;
+        ASSERT_TRUE(r.tune.isObject()) << r.name;
+        EXPECT_LE(r.tune.find("chosen_cycles")->asUint64(),
+                  r.tune.find("greedy_cycles")->asUint64())
+            << r.name;
+    }
+    EXPECT_GT(shards, 0u);
+
+    ModelRunner untuned(model, kSplitConfig(false));
+    EXPECT_TRUE(untuned.run(input).equals(native));
+    for (const LayerRunRecord &r : untuned.records())
+        EXPECT_TRUE(r.tune.isNull()) << r.name;
+}
+
+TEST(Autotune, TuneReportsSurviveAModelRunSnapshot)
+{
+    TempFile ckpt("test_dse_tuned_run.ckpt");
+    const DnnModel model =
+        buildModel(ModelId::SqueezeNet, ModelScale::Tiny);
+    const Tensor input =
+        makeModelInput(ModelId::SqueezeNet, ModelScale::Tiny);
+
+    // A snapshot after every committed layer: the last one holds the
+    // finished run, every record included.
+    HardwareConfig cfg = kSplitConfig(true);
+    cfg.checkpoint = true;
+    cfg.checkpoint_file = ckpt.path;
+    cfg.checkpoint_interval_cycles = 1;
+    ModelRunner straight(model, cfg);
+    const Tensor out = straight.run(input);
+    ASSERT_EQ(straight.lastCheckpointPath(), ckpt.path);
+
+    ModelRunner resumed(model, cfg);
+    EXPECT_TRUE(resumed.resume(ckpt.path).equals(out));
+    const auto recs = resumed.records();
+    ASSERT_EQ(recs.size(), straight.records().size());
+    EXPECT_TRUE(std::any_of(recs.begin(), recs.end(),
+                            [](const LayerRunRecord &r) {
+                                return r.tune.isObject();
+                            }));
+    EXPECT_EQ(resumed.reportJson().dump(), straight.reportJson().dump());
 }
 
 TEST(Autotune, ConfigKeysParseValidateAndRoundTrip)
@@ -458,62 +538,40 @@ TEST(Autotune, StructuralTextIgnoresTuningKnobs)
     EXPECT_NE(a.structuralText(), c.structuralText());
 }
 
-TEST(Autotune, SummaryJsonCarriesTheDseBlockOnlyWhenTuned)
+TEST(Autotune, ModelReportCarriesATuneEntryOnlyOnTunedLayers)
 {
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 64);
-    SimulationResult r;
-    r.layer_name = "layer";
-    r.accelerator = cfg.name;
-    r.cycles = 100;
+    LayerRunRecord plain;
+    plain.name = "plain";
+    plain.op = OpType::Conv2d;
+    plain.offloaded = true;
+    plain.sim.cycles = 100;
 
-    const std::string plain = OutputModule::summary(cfg, r).dump();
-    EXPECT_EQ(plain.find("\"dse\""), std::string::npos);
+    TuneReport rep;
+    rep.best_cycles = 90;
+    rep.greedy_cycles = 100;
+    rep.space_size = 42;
+    rep.cache_hits = 4;
+    rep.simulations_run = 5;
+    rep.rank_correlation = 0.75;
+    LayerRunRecord tuned = plain;
+    tuned.name = "tuned";
+    tuned.tune = rep.json();
 
-    r.dse.enabled = true;
-    r.dse.space_size = 42;
-    r.dse.evaluated = 9;
-    r.dse.cache_hits = 4;
-    r.dse.simulations_run = 5;
-    r.dse.rank_correlation = 0.75;
-    r.dse.chosen_tile = "1x1x16x1x16x1x1x1";
-    r.dse.chosen_cycles = 90;
-    r.dse.greedy_cycles = 100;
-    r.dse.cycles_saved_vs_greedy = 10;
-    const std::string tuned = OutputModule::summary(cfg, r).dump();
-    EXPECT_NE(tuned.find("\"dse\""), std::string::npos);
-    EXPECT_NE(tuned.find("\"chosen_tile\""), std::string::npos);
-    EXPECT_NE(tuned.find("1x1x16x1x16x1x1x1"), std::string::npos);
-    EXPECT_NE(tuned.find("\"cache_hits\""), std::string::npos);
-    EXPECT_NE(tuned.find("\"rank_correlation\""), std::string::npos);
-}
-
-TEST(Autotune, MergedSummariesAggregateAcrossLayers)
-{
-    DseSummary a;
-    a.enabled = true;
-    a.space_size = 10;
-    a.evaluated = 4;
-    a.cache_hits = 1;
-    a.simulations_run = 3;
-    a.rank_correlation = 1.0;
-    a.chosen_cycles = 100;
-    a.greedy_cycles = 120;
-    a.cycles_saved_vs_greedy = 20;
-
-    DseSummary b = a;
-    b.evaluated = 4;
-    b.rank_correlation = 0.5;
-
-    DseSummary sum;
-    sum.merge(a);
-    sum.merge(b);
-    sum.merge(DseSummary{}); // disabled: must be a no-op
-    EXPECT_TRUE(sum.enabled);
-    EXPECT_EQ(sum.space_size, 20u);
-    EXPECT_EQ(sum.evaluated, 8u);
-    EXPECT_EQ(sum.simulations_run, 6u);
-    EXPECT_DOUBLE_EQ(sum.rank_correlation, 0.75);
-    EXPECT_EQ(sum.cycles_saved_vs_greedy, 40);
+    const JsonValue report = OutputModule::modelReport(
+        "m", cfg, {plain, tuned}, plain.sim);
+    const std::vector<JsonValue> &layers = report.find("layers")->items();
+    ASSERT_EQ(layers.size(), 2u);
+    EXPECT_EQ(layers[0].find("tune"), nullptr);
+    const JsonValue *tune = layers[1].find("tune");
+    ASSERT_NE(tune, nullptr);
+    // The very block a service `tune` reply sends.
+    EXPECT_EQ(tune->dumpLine(), rep.json().dumpLine());
+    EXPECT_EQ(tune->find("chosen_cycles")->asUint64(), 90u);
+    EXPECT_EQ(tune->find("space_size")->asUint64(), 42u);
+    // The operation summary itself carries no search state.
+    EXPECT_EQ(report.find("total")->find("tune"), nullptr);
+    EXPECT_EQ(report.find("total")->find("dse"), nullptr);
 }
 
 TEST(ResultCacheTest, ConcurrentHammerStaysConsistent)

@@ -15,9 +15,9 @@
 #include <sstream>
 
 #include "common/logging.hpp"
-#include "dse/cache.hpp"
 #include "engine/workload.hpp"
 #include "explore/axes.hpp"
+#include "explore/cache.hpp"
 #include "explore/design_space.hpp"
 #include "explore/explorer.hpp"
 #include "explore/pareto.hpp"
@@ -208,20 +208,31 @@ TEST(ExploreAxes, DiagnosticsCarryOriginAndLine)
 TEST(ExploreConfig, KeysParseAndRoundTrip)
 {
     HardwareConfig cfg = HardwareConfig::parse(
-        "explore = ON\n"
         "explore_axes = ms_size,fabric\n"
         "explore_top_k = 3\n",
         "<test>");
-    EXPECT_TRUE(cfg.explore);
     EXPECT_EQ(cfg.explore_axes, "ms_size,fabric");
     EXPECT_EQ(cfg.explore_top_k, 3);
 
     // The emitted text re-parses to the same knobs.
     const HardwareConfig back =
         HardwareConfig::parse(cfg.toConfigText(), "<roundtrip>");
-    EXPECT_TRUE(back.explore);
     EXPECT_EQ(back.explore_axes, cfg.explore_axes);
     EXPECT_EQ(back.explore_top_k, cfg.explore_top_k);
+}
+
+TEST(ExploreConfig, ExploreFlagIsAnUnknownKey)
+{
+    // The search runs on request (CLI `explore`, service `explore`); no
+    // config key switches it on.
+    const std::string msg = fatalMessage([] {
+        HardwareConfig::parse("ms_size = 64\n"
+                              "explore = ON\n",
+                              "old.cfg");
+    });
+    EXPECT_NE(msg.find("old.cfg:2: unknown config key 'EXPLORE'"),
+              std::string::npos)
+        << msg;
 }
 
 TEST(ExploreConfig, BadAxesKeyFailsAtItsFileLine)
@@ -236,22 +247,17 @@ TEST(ExploreConfig, BadAxesKeyFailsAtItsFileLine)
 
 TEST(ExploreConfig, CrossKeyValidation)
 {
-    HardwareConfig sparse = HardwareConfig::sigmaLike(64, 16);
-    sparse.explore = true;
-    EXPECT_THROW(sparse.validate(), FatalError);
-
-    HardwareConfig multi = HardwareConfig::maeriLike(64, 16);
-    multi.explore = true;
-    multi.cores = 2;
-    multi.dram_channels = 1;
-    EXPECT_THROW(multi.validate(), FatalError);
-
     HardwareConfig bad_k = HardwareConfig::maeriLike(64, 16);
     bad_k.explore_top_k = 0;
     EXPECT_THROW(bad_k.validate(), FatalError);
 
+    HardwareConfig bad_axes = HardwareConfig::maeriLike(64, 16);
+    bad_axes.explore_axes = "nonsense";
+    EXPECT_THROW(bad_axes.validate(), FatalError);
+
     HardwareConfig ok = HardwareConfig::maeriLike(64, 16);
-    ok.explore = true;
+    ok.explore_axes = "ms_size,fabric";
+    ok.explore_top_k = 2;
     EXPECT_NO_THROW(ok.validate());
 }
 
@@ -261,13 +267,14 @@ TEST(ExploreConfig, KnobsAreNormalizedOutOfStructuralText)
     // not split result-cache keys or checkpoint config matches.
     const HardwareConfig plain = HardwareConfig::maeriLike(64, 16);
     HardwareConfig searched = plain;
-    searched.explore = true;
     searched.explore_axes = "ms_size";
     searched.explore_top_k = 11;
     EXPECT_EQ(plain.structuralText(), searched.structuralText());
     // But they do show up in the full config text (divergence-only).
     EXPECT_EQ(plain.toConfigText().find("explore"), std::string::npos);
-    EXPECT_NE(searched.toConfigText().find("explore = ON"),
+    EXPECT_NE(searched.toConfigText().find("explore_axes = ms_size"),
+              std::string::npos);
+    EXPECT_NE(searched.toConfigText().find("explore_top_k = 11"),
               std::string::npos);
 }
 
@@ -285,8 +292,7 @@ TEST(DesignSpaceTest, SingleAxisSweepsAroundTheBase)
     for (const DesignPoint &p : pts) {
         EXPECT_EQ(p.cfg.ms_size, base.ms_size);     // unlisted: pinned
         EXPECT_EQ(p.cfg.rn_bandwidth, base.rn_bandwidth);
-        EXPECT_FALSE(p.cfg.explore); // variants are plain instances
-        EXPECT_FALSE(p.cfg.autotune);
+        EXPECT_FALSE(p.cfg.autotune); // variants are plain instances
         EXPECT_NO_THROW(p.cfg.validate());
     }
 }
@@ -423,7 +429,7 @@ TEST(ExplorerTest, FrontierConfigTextsReRunToTheSameCycles)
     const HardwareConfig cfg =
         HardwareConfig::parse(p.config_text, "<frontier>");
     // A frontier config is a plain runnable instance.
-    EXPECT_FALSE(cfg.explore);
+    EXPECT_FALSE(cfg.autotune);
     Stonne st(cfg);
     const LayerData data = makeLayerData(layer, opts.sparsity, opts.seed);
     const SimulationResult r = runLayer(st, layer, data, p.tile);
@@ -479,7 +485,7 @@ TEST(ExplorerTest, TuneAndExploreShareOneKeyPath)
     opts.top_k = base.dse_top_k;
     opts.threads = 1;
     opts.axes = "ms_size=256:256";
-    dse::ResultCache shared;
+    explore::ResultCache shared;
 
     Explorer explorer(base, opts, shared);
     const ExploreReport explored = explorer.exploreLayer(layer);

@@ -28,8 +28,8 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
-#include "dse/cache.hpp"
 #include "engine/workload.hpp"
+#include "explore/cache.hpp"
 #include "explore/explorer.hpp"
 #include "service/daemon.hpp"
 
@@ -39,7 +39,7 @@ using explore::EvaluatedTile;
 using explore::TuneReport;
 inline TuneReport
 tune(const HardwareConfig &cfg, const SearchOptions &opts,
-     dse::ResultCache &cache, const LayerSpec &layer)
+     explore::ResultCache &cache, const LayerSpec &layer)
 {
     explore::Explorer tuner(cfg, opts, cache);
     return tuner.tuneLayer(layer);
@@ -980,14 +980,14 @@ mixRanked(Fnv &f, const TuneReport &rep)
 std::string
 keyDigest(const HardwareConfig &cfg, const LayerSpec &layer,
           const SearchOptions &opts, const TuneReport &rep,
-          const dse::ResultCache &cache)
+          const explore::ResultCache &cache)
 {
     std::vector<std::string> keys;
     const std::string policy =
-        dse::ResultCache::policyText(opts.seed, opts.sparsity);
+        explore::ResultCache::policyText(opts.seed, opts.sparsity);
     for (const golden::EvaluatedTile &et : rep.ranked) {
         keys.push_back(
-            dse::ResultCache::keyText(cfg, layer, et.tile, policy));
+            explore::ResultCache::keyText(cfg, layer, et.tile, policy));
         EXPECT_TRUE(cache.lookup(keys.back()).has_value())
             << et.tile.canonical();
     }
@@ -1025,7 +1025,7 @@ TEST_P(TuneGolden, SearchResultsArePinned)
             opts.threads = 1;
             opts.sparsity = sparsity;
             opts.seed = 1;
-            dse::ResultCache cache; // fresh and in memory
+            explore::ResultCache cache; // fresh and in memory
             const TuneReport cold = golden::tune(cfg, opts, cache,
                                                  layer.spec);
             const TuneReport warm = golden::tune(cfg, opts, cache,
@@ -1125,7 +1125,7 @@ TEST_P(ExploreGolden, SearchResultsArePinned)
                 opts.axes = axes;
             opts.top_k = top_k;
             opts.threads = 1;
-            dse::ResultCache cache;
+            explore::ResultCache cache;
             explore::Explorer cold_explorer(cfg, opts, cache);
             const explore::ExploreReport cold =
                 cold_explorer.exploreLayer(layer.spec);

@@ -742,7 +742,7 @@ TEST(ServiceDaemon, ShutdownDrainsPersistsTheCacheAndLeavesNoDebris)
     // half-written sibling is left behind.
     EXPECT_TRUE(std::filesystem::exists(cache_file.path));
     EXPECT_FALSE(std::filesystem::exists(cache_file.path + ".tmp"));
-    dse::ResultCache reloaded(cache_file.path);
+    explore::ResultCache reloaded(cache_file.path);
     EXPECT_EQ(reloaded.size(), 1u);
 }
 
