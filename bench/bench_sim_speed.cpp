@@ -21,12 +21,15 @@
  * The workload points run concurrently over the SweepRunner thread
  * pool (each point owns its Stonne instances).
  *
- * A last, serial block times weight synthesis: each bulk normal-fill
- * kernel (common/rng_kernels.hpp) this CPU runs, over as many normals as
- * one cold build of the seven Bench-scale models draws. It records which
- * kernel Rng dispatches to and whether every kernel produced the same
- * bits and engine state as the portable one; the CI sim-speed job gates
- * on that flag, not on the timings.
+ * Two last, serial blocks time the weight kernels. `synthesis` times
+ * each bulk normal-fill kernel (common/rng_kernels.hpp) this CPU runs,
+ * over as many normals as one cold build of the seven Bench-scale models
+ * draws, and pruneFiltersWithJitter over those models' weight shapes.
+ * `compress` times each kernels::compressNonZeros kernel over every
+ * filter row of those pruned weights. Each block records which kernel
+ * the library dispatches to and whether every kernel produced the same
+ * bits as the portable one; the CI sim-speed job gates on those flags,
+ * not on the timings.
  */
 
 #include <algorithm>
@@ -45,6 +48,8 @@
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
 #include "sweep.hpp"
+#include "tensor/kernels.hpp"
+#include "tensor/prune.hpp"
 
 namespace {
 
@@ -230,17 +235,189 @@ runBatchPoint()
 constexpr std::size_t kSynthNormals = 11'148'380;
 constexpr int kSynthReps = 5;
 
-/** Times every normal-fill kernel this CPU runs; the `synthesis` block. */
+/** One kernel of a timed block and its wall times over the reps. */
+template <typename Fn>
+struct Kernel {
+    const char *name;
+    Fn fn;
+    std::vector<double> walls;
+};
+
+/** Prints one table row per kernel and returns the block's `kernels`
+ *  array: median, min and max seconds of each. */
+template <typename Fn>
 JsonValue
-runSynthesis()
+reportKernels(std::vector<Kernel<Fn>> &kernels)
+{
+    TablePrinter t({"kernel", "median [s]", "min [s]", "max [s]"});
+    JsonValue arr = JsonValue::makeArray();
+    for (Kernel<Fn> &k : kernels) {
+        std::sort(k.walls.begin(), k.walls.end());
+        const double median = k.walls[k.walls.size() / 2];
+        t.addRow({k.name, TablePrinter::num(median, 4),
+                  TablePrinter::num(k.walls.front(), 4),
+                  TablePrinter::num(k.walls.back(), 4)});
+        JsonValue o = JsonValue::makeObject();
+        o.set("kernel", k.name);
+        o.set("median_seconds", median);
+        o.set("min_seconds", k.walls.front());
+        o.set("max_seconds", k.walls.back());
+        arr.append(std::move(o));
+    }
+    t.print();
+    return arr;
+}
+
+/** One pruned weight matrix of a Bench-scale model, with the model's
+ *  target sparsity. */
+struct ZooWeight {
+    Tensor w;
+    double sparsity;
+};
+
+/** Every weight matrix of one cold build of each Bench-scale model (the
+ *  zoo's default seed), as the model runs hold them: pruned. */
+std::vector<ZooWeight>
+benchZooWeights()
+{
+    std::vector<ZooWeight> out;
+    for (const ModelId id : allModels()) {
+        const DnnModel m = buildModel(id, ModelScale::Bench);
+        for (const DnnLayer &l : m.layers) {
+            if (l.weights.size() > 0)
+                out.push_back({l.weights, modelSparsity(id)});
+            for (const Tensor &w : l.extra_weights)
+                out.push_back({w, modelSparsity(id)});
+        }
+    }
+    return out;
+}
+
+/** Times pruneFiltersWithJitter over the zoo's weight shapes, each
+ *  refilled with normals (untimed) before every rep; the `prune` entry
+ *  of the `synthesis` block. */
+JsonValue
+runPrune(const std::vector<ZooWeight> &zoo)
+{
+    std::vector<double> walls;
+    index_t elements = 0;
+    for (int rep = 0; rep < kSynthReps; ++rep) {
+        Rng rng(0x9A0E);
+        double wall = 0.0;
+        elements = 0;
+        for (const ZooWeight &z : zoo) {
+            Tensor w(z.w.shape());
+            w.fillNormal(rng, 0.0f, 0.05f);
+            const auto t0 = std::chrono::steady_clock::now();
+            pruneFiltersWithJitter(w, z.sparsity, 0.15, rng);
+            wall += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+            elements += w.size();
+        }
+        walls.push_back(wall);
+    }
+    std::sort(walls.begin(), walls.end());
+    std::printf("\npruneFiltersWithJitter over %zu weight tensors "
+                "(%lld elements): median %.4f s, min %.4f s, max %.4f s\n",
+                zoo.size(), static_cast<long long>(elements),
+                walls[walls.size() / 2], walls.front(), walls.back());
+
+    JsonValue j = JsonValue::makeObject();
+    j.set("tensors", static_cast<std::uint64_t>(zoo.size()));
+    j.set("elements", static_cast<std::int64_t>(elements));
+    j.set("median_seconds", walls[walls.size() / 2]);
+    j.set("min_seconds", walls.front());
+    j.set("max_seconds", walls.back());
+    return j;
+}
+
+/** Times every compressNonZeros kernel this CPU runs over each filter
+ *  row of the zoo's pruned weights; the `compress` block. */
+JsonValue
+runCompress(const std::vector<ZooWeight> &zoo)
+{
+    using Compress =
+        index_t (*)(const float *, index_t, index_t, index_t *, float *);
+    std::vector<Kernel<Compress>> variants = {
+        {"portable", kernels::compressNonZerosPortable, {}}};
+#if STONNE_RNG_AVX512
+    if (rng_kernels::avx512())
+        variants.push_back({"avx512", kernels::compressNonZerosAvx512, {}});
+#endif
+
+    index_t widest = 0, rows = 0, elements = 0;
+    for (const ZooWeight &z : zoo) {
+        widest = std::max(widest, z.w.size() / z.w.dim(0));
+        rows += z.w.dim(0);
+        elements += z.w.size();
+    }
+    std::vector<index_t> cols(static_cast<std::size_t>(widest)),
+        want_cols(cols.size());
+    std::vector<float> vals(cols.size()), want_vals(cols.size());
+    const auto eachRow = [&](auto &&f) {
+        for (const ZooWeight &z : zoo) {
+            const index_t k = z.w.size() / z.w.dim(0);
+            for (index_t r = 0; r < z.w.dim(0); ++r)
+                f(z.w.data() + r * k, k);
+        }
+    };
+
+    for (int rep = 0; rep < kSynthReps; ++rep) {
+        for (Kernel<Compress> &v : variants) {
+            index_t kept = 0;
+            const auto t0 = std::chrono::steady_clock::now();
+            eachRow([&](const float *row, index_t k) {
+                kept += v.fn(row, k, 0, cols.data(), vals.data());
+            });
+            v.walls.push_back(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+            panicIf(kept <= 0, "the zoo's weights compressed to nothing");
+        }
+    }
+
+    // Every kernel against the portable one, row by row (untimed).
+    bool identical = true;
+    eachRow([&](const float *row, index_t k) {
+        const index_t want = kernels::compressNonZerosPortable(
+            row, k, 0, want_cols.data(), want_vals.data());
+        for (const Kernel<Compress> &v : variants) {
+            const index_t got = v.fn(row, k, 0, cols.data(), vals.data());
+            identical = identical && got == want &&
+                std::equal(cols.begin(), cols.begin() + got,
+                           want_cols.begin()) &&
+                std::memcmp(vals.data(), want_vals.data(),
+                            static_cast<std::size_t>(got) * sizeof(float)) ==
+                    0;
+        }
+    });
+
+    const char *dispatched = rng_kernels::avx512() ? "avx512" : "portable";
+    banner("Non-zero compression — " + std::to_string(rows) +
+           " filter rows, " + std::to_string(elements) + " weights, " +
+           std::to_string(kSynthReps) + " reps");
+    JsonValue arr = reportKernels(variants);
+    std::printf("\ndispatched: %s; %zu kernel(s) %s\n", dispatched,
+                variants.size(), identical ? "bit-identical" : "DIFFER");
+
+    JsonValue j = JsonValue::makeObject();
+    j.set("rows", static_cast<std::int64_t>(rows));
+    j.set("elements", static_cast<std::int64_t>(elements));
+    j.set("reps", static_cast<std::int64_t>(kSynthReps));
+    j.set("dispatched", dispatched);
+    j.set("identical", identical);
+    j["kernels"] = arr;
+    return j;
+}
+
+/** Times every normal-fill kernel this CPU runs, and the pruning; the
+ *  `synthesis` block. */
+JsonValue
+runSynthesis(const std::vector<ZooWeight> &zoo)
 {
     using Fill = void (*)(Mt19937_64 &, float *, std::size_t, float, float);
-    struct Kernel {
-        const char *name;
-        Fill fill;
-        std::vector<double> walls;
-    };
-    std::vector<Kernel> kernels = {
+    std::vector<Kernel<Fill>> kernels = {
         {"portable", rng_kernels::fillNormalPortable, {}}};
 #if STONNE_RNG_AVX512
     if (rng_kernels::avx512())
@@ -251,11 +428,11 @@ runSynthesis()
     bool identical = true;
     for (int rep = 0; rep < kSynthReps; ++rep) {
         Mt19937_64 first; // the portable kernel's final engine state
-        for (Kernel &k : kernels) {
+        for (Kernel<Fill> &k : kernels) {
             Rng rng(0x570AA1u);
             float *out = &k == &kernels.front() ? want.data() : got.data();
             const auto t0 = std::chrono::steady_clock::now();
-            k.fill(rng.engine(), out, kSynthNormals, 0.0f, 0.05f);
+            k.fn(rng.engine(), out, kSynthNormals, 0.0f, 0.05f);
             k.walls.push_back(std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - t0)
                                   .count());
@@ -271,22 +448,7 @@ runSynthesis()
     const char *dispatched = rng_kernels::avx512() ? "avx512" : "portable";
     banner("Weight synthesis — " + std::to_string(kSynthNormals) +
            " normals, " + std::to_string(kSynthReps) + " reps");
-    TablePrinter t({"kernel", "median [s]", "min [s]", "max [s]"});
-    JsonValue arr = JsonValue::makeArray();
-    for (Kernel &k : kernels) {
-        std::sort(k.walls.begin(), k.walls.end());
-        const double median = k.walls[k.walls.size() / 2];
-        t.addRow({k.name, TablePrinter::num(median, 4),
-                  TablePrinter::num(k.walls.front(), 4),
-                  TablePrinter::num(k.walls.back(), 4)});
-        JsonValue o = JsonValue::makeObject();
-        o.set("kernel", k.name);
-        o.set("median_seconds", median);
-        o.set("min_seconds", k.walls.front());
-        o.set("max_seconds", k.walls.back());
-        arr.append(std::move(o));
-    }
-    t.print();
+    JsonValue arr = reportKernels(kernels);
     std::printf("\ndispatched: %s; %zu kernel(s) %s\n", dispatched,
                 kernels.size(),
                 identical ? "bit-identical" : "DIFFER");
@@ -297,6 +459,7 @@ runSynthesis()
     j.set("dispatched", dispatched);
     j.set("identical", identical);
     j["kernels"] = arr;
+    j["prune"] = runPrune(zoo);
     return j;
 }
 
@@ -420,7 +583,9 @@ main()
     j["model_points"] = marr;
 
     j["recovery"] = RecoveringSweepRunner::summary(outcomes);
-    j["synthesis"] = runSynthesis();
+    const std::vector<ZooWeight> zoo = benchZooWeights();
+    j["synthesis"] = runSynthesis(zoo);
+    j["compress"] = runCompress(zoo);
     OutputModule::writeFile("BENCH_sim_speed.json", j.dump() + "\n");
     std::printf("wrote BENCH_sim_speed.json\n");
     return 0;

@@ -1,6 +1,7 @@
 #include "controller/sparse_controller.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -75,8 +76,17 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     // Fault injection consumes a seeded RNG stream per cycle, so any
     // attached injector forces the exact per-cycle loops.
 
+    // The union is only counted, or scanned for non-zero activations, so
+    // its order is free: a column joins it the first time a round meets
+    // it, found by a mark array stamped with the round's generation.
+    // Every column is written at slot union_len, which only advances
+    // past new ones, so the scan does not branch; union_k has room for
+    // all of a round's round.nnz columns.
     std::vector<index_t> union_k;
-    union_k.reserve(static_cast<std::size_t>(cfg_.ms_size));
+    std::vector<std::uint32_t> seen(static_cast<std::size_t>(a.cols), 0);
+    std::uint32_t generation = 0;
+    panicIf(rounds_.size() >= UINT32_MAX, "SpMM of ", rounds_.size(),
+            " rounds overflows the union's generation stamps");
     for (const SparseRound &round : rounds_) {
         // Stationary non-zeros enter through the Benes (unicast).
         setPhase("stationary nnz load");
@@ -85,32 +95,39 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
 
         // Streaming operands: the union of column indices the mapped
         // segments need; shared indices are multicast.
-        union_k.clear();
+        if (union_k.size() < static_cast<std::size_t>(round.nnz))
+            union_k.resize(static_cast<std::size_t>(round.nnz));
+        index_t union_len = 0;
+        ++generation;
         index_t completions = 0;
         for (const SparseSegment &seg : round.segments) {
             const index_t base =
                 a.row_ptr[static_cast<std::size_t>(seg.row)] + seg.begin;
-            for (index_t i = 0; i < seg.len; ++i)
-                union_k.push_back(
-                    a.col_idx[static_cast<std::size_t>(base + i)]);
+            for (index_t i = 0; i < seg.len; ++i) {
+                const index_t k =
+                    a.col_idx[static_cast<std::size_t>(base + i)];
+                std::uint32_t &stamp = seen[static_cast<std::size_t>(k)];
+                union_k[static_cast<std::size_t>(union_len)] = k;
+                union_len += stamp != generation;
+                stamp = generation;
+            }
             if (seg.last)
                 ++completions;
         }
-        std::sort(union_k.begin(), union_k.end());
-        union_k.erase(std::unique(union_k.begin(), union_k.end()),
-                      union_k.end());
 
         const auto column = [&](index_t j) {
-            index_t needed = static_cast<index_t>(union_k.size());
+            index_t needed = union_len;
             index_t fired = round.nnz;
             if (skip_zero_activations) {
                 // Column j of B, strided by n — raw access keeps the
                 // per-operand zero scan off the at() bounds checks.
                 const float *bcol = b.data() + j;
                 needed = 0;
-                for (index_t k : union_k)
+                for (index_t u = 0; u < union_len; ++u) {
+                    const index_t k = union_k[static_cast<std::size_t>(u)];
                     if (bcol[k * n] != 0.0f)
                         ++needed;
+                }
                 fired = 0;
                 for (const SparseSegment &seg : round.segments) {
                     const index_t base =

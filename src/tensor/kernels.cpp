@@ -3,6 +3,16 @@
 #include <cstdint>
 #include <cstring>
 
+#if STONNE_RNG_AVX512
+// GCC 12's AVX-512 intrinsics self-initialise their "undefined" pass-
+// through operands, which -Wall reports wherever they are inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 namespace stonne::kernels {
 
 namespace {
@@ -116,6 +126,17 @@ index_t
 compressNonZeros(const float *v, index_t n, index_t base, index_t *cols,
                  float *vals)
 {
+#if STONNE_RNG_AVX512
+    if (rng_kernels::avx512())
+        return compressNonZerosAvx512(v, n, base, cols, vals);
+#endif
+    return compressNonZerosPortable(v, n, base, cols, vals);
+}
+
+index_t
+compressNonZerosPortable(const float *v, index_t n, index_t base,
+                         index_t *cols, float *vals)
+{
     // Every element is written and the length only advances past the
     // kept ones, so the loop has no branch to mispredict. With the
     // trailing zeros cut off first, each write lands at or before the
@@ -130,5 +151,72 @@ compressNonZeros(const float *v, index_t n, index_t base, index_t *cols,
     }
     return len;
 }
+
+#if STONNE_RNG_AVX512
+
+namespace {
+
+/** The first count (<= 16) lanes. */
+inline unsigned
+lanes(int count)
+{
+    return (1u << count) - 1;
+}
+
+/**
+ * One block of compressNonZerosAvx512: the lanes of x that are != 0.0f
+ * (unordered, so NaN is kept and -0.0f dropped), with their indices lo
+ * (lanes 0-7) and hi (lanes 8-15), appended at slot len.
+ */
+__attribute__((target("avx512f,popcnt"))) inline index_t
+compressBlock(__m512 x, __m512i lo, __m512i hi, index_t len, index_t *cols,
+              float *vals)
+{
+    const __mmask16 keep =
+        _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    const auto keep_lo = static_cast<__mmask8>(keep);
+    const auto keep_hi = static_cast<__mmask8>(keep >> 8);
+    const int n_lo = __builtin_popcount(keep_lo);
+    const int n_hi = __builtin_popcount(keep_hi);
+    _mm512_mask_storeu_ps(vals + len,
+                          static_cast<__mmask16>(lanes(n_lo + n_hi)),
+                          _mm512_maskz_compress_ps(keep, x));
+    _mm512_mask_storeu_epi64(cols + len, static_cast<__mmask8>(lanes(n_lo)),
+                             _mm512_maskz_compress_epi64(keep_lo, lo));
+    _mm512_mask_storeu_epi64(cols + len + n_lo,
+                             static_cast<__mmask8>(lanes(n_hi)),
+                             _mm512_maskz_compress_epi64(keep_hi, hi));
+    return len + n_lo + n_hi;
+}
+
+} // namespace
+
+__attribute__((target("avx512f,popcnt"))) index_t
+compressNonZerosAvx512(const float *v, index_t n, index_t base,
+                       index_t *cols, float *vals)
+{
+    // Each store writes exactly the kept lanes, so nothing lands past
+    // the returned length; the tail's masked load reads nothing past n.
+    const __m512i step = _mm512_set1_epi64(16);
+    __m512i lo = _mm512_add_epi64(_mm512_set1_epi64(base),
+                                  _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+    __m512i hi = _mm512_add_epi64(lo, _mm512_set1_epi64(8));
+    index_t len = 0;
+    index_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        len = compressBlock(_mm512_loadu_ps(v + i), lo, hi, len, cols, vals);
+        lo = _mm512_add_epi64(lo, step);
+        hi = _mm512_add_epi64(hi, step);
+    }
+    if (i < n) {
+        const auto tail =
+            static_cast<__mmask16>(lanes(static_cast<int>(n - i)));
+        len = compressBlock(_mm512_maskz_loadu_ps(tail, v + i), lo, hi, len,
+                            cols, vals);
+    }
+    return len;
+}
+
+#endif
 
 } // namespace stonne::kernels

@@ -12,12 +12,17 @@
  *
  * They use the GCC/Clang vector extension, so one source serves every
  * x86-64 level (SSE2 and up) and other targets alike, with no build
- * flag and no run-time dispatch.
+ * flag. One kernel is dispatched: compressNonZeros runs an AVX-512
+ * variant on CPUs that run the AVX-512 synthesis kernels
+ * (rng_kernels::avx512(), decided once per process), since the vector
+ * extension has no compress and the portable form moves one element per
+ * step. The portable form stays the fallback and the tests' oracle.
  */
 
 #ifndef STONNE_TENSOR_KERNELS_HPP
 #define STONNE_TENSOR_KERNELS_HPP
 
+#include "common/rng_kernels.hpp"
 #include "common/types.hpp"
 
 namespace stonne::kernels {
@@ -44,10 +49,23 @@ index_t countNonZeros(const float *v, index_t n);
 /**
  * The v[i] != 0.0f of v[0, n), in order, into vals, with base + i into
  * cols; returns how many. cols and vals need room for exactly that many
- * (countNonZeros).
+ * (countNonZeros): nothing past them is written. Runs the AVX-512 kernel
+ * when rng_kernels::avx512() holds, the portable one otherwise.
  */
 index_t compressNonZeros(const float *v, index_t n, index_t base,
                          index_t *cols, float *vals);
+
+/** compressNonZeros one element per step, branch-free. */
+index_t compressNonZerosPortable(const float *v, index_t n, index_t base,
+                                 index_t *cols, float *vals);
+
+#if STONNE_RNG_AVX512
+/** compressNonZeros 16 elements per step: compress in registers, then
+ *  masked stores of the kept lanes. Call only when rng_kernels::avx512()
+ *  holds. */
+index_t compressNonZerosAvx512(const float *v, index_t n, index_t base,
+                               index_t *cols, float *vals);
+#endif
 
 } // namespace stonne::kernels
 

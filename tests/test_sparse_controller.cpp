@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <string>
+
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
 #include "tensor/prune.hpp"
@@ -216,6 +222,120 @@ TEST(SparseController, LffNeverSlowerThanNaturalOrder)
     };
     EXPECT_LE(run(SchedulingPolicy::LargestFirst),
               run(SchedulingPolicy::None));
+}
+
+/**
+ * A matrix whose rows draw most of their non-zeros from eight hot
+ * columns, so the segments a round packs share most of their input
+ * columns, plus one row too long for the array (it folds across
+ * rounds). B has zero entries for the activation-skipping path.
+ */
+Tensor
+overlappingRows(index_t rows, index_t cols)
+{
+    Rng rng(29);
+    Tensor a({rows, cols});
+    for (index_t r = 0; r < rows; ++r) {
+        for (index_t hot = 0; hot < 8; ++hot)
+            if (rng.chance(0.9))
+                a.at(r, hot) = rng.uniform(0.5f, 1.5f);
+        a.at(r, rng.integer(8, cols - 1)) = rng.uniform(-1.5f, -0.5f);
+    }
+    for (index_t j = 0; j < cols; ++j)
+        a.at(5, j) = 0.25f + static_cast<float>(j);
+    return a;
+}
+
+/** FNV-1a over every counter's name and value, in registration order:
+ *  equal digests mean equal StatsRegistry snapshots. */
+std::uint64_t
+countersDigest(const StatsRegistry &stats)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    const auto byte = [&h](std::uint64_t b) {
+        h ^= b & 0xffu;
+        h *= 1099511628211ull;
+    };
+    for (const StatCounter &c : stats.counters()) {
+        for (const char ch : c.name)
+            byte(static_cast<unsigned char>(ch));
+        byte(0);
+        for (int b = 0; b < 8; ++b)
+            byte(c.value >> (8 * b));
+    }
+    return h;
+}
+
+/**
+ * Each round streams the union of its segments' input columns. The
+ * rounds here overlap heavily, so the union is much smaller than the
+ * segments' total; cycles, MACs, skipped MACs, memory accesses and every
+ * counter must equal the values recorded before the union stopped being
+ * sorted, under all three scheduling policies, with activation skipping
+ * off (the replayed columns) and on.
+ */
+TEST(SparseController, OverlappingRoundUnionsKeepRecordedCounts)
+{
+    const index_t m = 40, k = 80, n = 7;
+    const Tensor a = overlappingRows(m, k);
+    Rng rng(31);
+    Tensor b({k, n});
+    b.fillUniform(rng);
+    pruneRandom(b, 0.4, rng);
+    const Tensor expect = ref::gemm(a, b);
+    const CsrMatrix csr = CsrMatrix::fromDense(a);
+
+    const std::map<std::string, std::string> recorded = {
+        {"NS skip0", "124 2814 0 1823 5a365cc32315c066"},
+        {"NS skip1", "113 1892 922 1405 a68d543b572b7389"},
+        {"RDM skip0", "131 2814 0 1865 000ee5d1ffe0a5d7"},
+        {"RDM skip1", "120 1892 922 1438 15710fcb6159786e"},
+        {"LFF skip0", "123 2814 0 1830 d5d4cba253dc1410"},
+        {"LFF skip1", "113 1892 922 1410 aee2182a5f4d86a2"},
+    };
+    for (const auto policy :
+         {SchedulingPolicy::None, SchedulingPolicy::Random,
+          SchedulingPolicy::LargestFirst}) {
+        for (const bool skip : {false, true}) {
+            const std::string key =
+                std::string(schedulingPolicyName(policy)) + " skip" +
+                (skip ? "1" : "0");
+            SCOPED_TRACE(key);
+            Accelerator acc(HardwareConfig::sigmaLike(64, 16));
+            Tensor c({m, n});
+            const ControllerResult r = acc.sparseController().runSpMMDense(
+                a, b, c, policy, skip);
+            EXPECT_TRUE(c.equals(expect));
+
+            // The premise: rounds share most of their columns.
+            index_t streamed = 0, distinct = 0;
+            for (const SparseRound &round :
+                 acc.sparseController().lastRounds()) {
+                std::set<index_t> cols_used;
+                for (const SparseSegment &seg : round.segments) {
+                    const index_t base =
+                        csr.row_ptr[static_cast<std::size_t>(seg.row)] +
+                        seg.begin;
+                    for (index_t i = 0; i < seg.len; ++i)
+                        cols_used.insert(csr.col_idx[
+                            static_cast<std::size_t>(base + i)]);
+                    streamed += seg.len;
+                }
+                distinct += static_cast<index_t>(cols_used.size());
+            }
+            EXPECT_GT(streamed, 2 * distinct);
+
+            char line[128];
+            std::snprintf(line, sizeof line, "%llu %llu %llu %llu %016llx",
+                          static_cast<unsigned long long>(r.cycles),
+                          static_cast<unsigned long long>(r.macs),
+                          static_cast<unsigned long long>(r.skipped_macs),
+                          static_cast<unsigned long long>(r.mem_accesses),
+                          static_cast<unsigned long long>(
+                              countersDigest(acc.stats())));
+            EXPECT_EQ(line, recorded.at(key));
+        }
+    }
 }
 
 TEST(SparseController, MismatchedShapesAreFatal)

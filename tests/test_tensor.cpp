@@ -627,6 +627,65 @@ TEST(Prune, SelectionMatchesFullNthElement)
     }
 }
 
+/**
+ * The vectorised below-threshold pass against the scalar loop
+ * (pruneSpanOracle), on spans of every length to 40 and on 576- and
+ * 4608-wide filters: values on a coarse grid, so many tie at the
+ * threshold, with -0.0f, denormals and +-inf among them. The tie loop
+ * must still leave exactly the target count of zeros (or the zeros the
+ * span already had, when they outnumber it).
+ */
+TEST(Prune, VectorZeroingMatchesScalarLoop)
+{
+    std::vector<index_t> lengths;
+    for (index_t n = 0; n <= 40; ++n)
+        lengths.push_back(n);
+    lengths.push_back(576);
+    lengths.push_back(4608);
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(41);
+    for (const index_t n : lengths) {
+        for (int trial = 0; trial < 12; ++trial) {
+            Tensor t({n});
+            float *d = t.data();
+            for (index_t i = 0; i < n; ++i) {
+                float v = static_cast<float>(rng.integer(-4, 4)) * 0.125f;
+                const double pick = rng.uniform(0.0f, 1.0f);
+                if (pick < 0.1)
+                    v = -0.0f;
+                else if (pick < 0.2)
+                    v = static_cast<float>(rng.integer(-3, 3)) * denorm;
+                else if (pick < 0.25)
+                    v = rng.chance(0.5) ? inf : -inf;
+                d[i] = v;
+            }
+            const index_t cut = n > 0 ? rng.integer(0, n - 1) : 0;
+            const double sparsity =
+                n > 0 ? static_cast<double>(cut) / static_cast<double>(n)
+                      : 0.5;
+            index_t zeros_before = 0;
+            for (index_t i = 0; i < n; ++i)
+                zeros_before += d[i] == 0.0f;
+
+            Tensor want = t;
+            pruneSpanOracle(want.data(), n, sparsity);
+            pruneMagnitude(t, sparsity);
+            index_t zeros_after = 0;
+            for (index_t i = 0; i < n; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(t.data()[i]),
+                          std::bit_cast<std::uint32_t>(want.data()[i]))
+                    << "n " << n << " trial " << trial << " i " << i;
+                zeros_after += t.data()[i] == 0.0f;
+            }
+            if (cut > 0) {
+                EXPECT_EQ(zeros_after, std::max(cut, zeros_before))
+                    << "n " << n << " trial " << trial;
+            }
+        }
+    }
+}
+
 TEST(Prune, RejectsNanWithItsCount)
 {
     for (const index_t n : {index_t{10}, index_t{1000}}) {
@@ -993,6 +1052,85 @@ TEST(TensorKernels, MatchScalarForms)
                           std::bit_cast<std::uint32_t>(want_vals[i]));
         }
     }
+}
+
+/**
+ * The AVX-512 compression against the portable one, called directly:
+ * rows of every length up to 70 and around 256, read from and written to
+ * unaligned pointers, with NaN (kept), -0.0f (dropped), +-inf,
+ * denormals, all-zero rows and trailing zeros. Both must return the same
+ * length, columns and value bits, and leave every slot past that length
+ * (and before the start) unwritten.
+ */
+TEST(TensorKernels, CompressMatchesPortable)
+{
+#if STONNE_RNG_AVX512
+    if (!rng_kernels::avx512())
+        GTEST_SKIP() << "this CPU lacks AVX-512F/DQ/VL, so only the "
+                        "portable kernel runs here";
+    std::vector<index_t> lengths;
+    for (index_t n = 0; n <= 70; ++n)
+        lengths.push_back(n);
+    for (const index_t n : {255, 256, 257})
+        lengths.push_back(n);
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    Rng rng(0xC0DE);
+    for (const index_t n : lengths) {
+        for (int kind = 0; kind < 5; ++kind) {
+            SCOPED_TRACE("n = " + std::to_string(n) + ", kind " +
+                         std::to_string(kind));
+            // One float of slack in front, so the row starts unaligned.
+            std::vector<float> buf = specialMix(rng, n + 1);
+            float *v = buf.data() + 1;
+            for (index_t i = 0; i < n; ++i) {
+                switch (kind) {
+                  case 0: break; // the special mix as drawn
+                  case 1: // sparse, with -denormals and both zeros
+                    if (rng.chance(0.6))
+                        v[i] = rng.chance(0.5) ? 0.0f : -0.0f;
+                    else if (rng.chance(0.2))
+                        v[i] = -denorm;
+                    break;
+                  case 2: v[i] = rng.chance(0.5) ? 0.0f : -0.0f; break;
+                  case 3: // trailing zeros after a dense head
+                    if (i >= n / 2)
+                        v[i] = rng.chance(0.5) ? 0.0f : -0.0f;
+                    break;
+                  default: // NaN and infinities only, among zeros
+                    v[i] = rng.chance(0.5)
+                        ? 0.0f
+                        : (rng.chance(0.5)
+                               ? std::numeric_limits<float>::quiet_NaN()
+                               : -std::numeric_limits<float>::infinity());
+                    break;
+                }
+            }
+            // Outputs one slot in, and sentinels in every other slot.
+            const std::size_t room = static_cast<std::size_t>(n) + 3;
+            std::vector<index_t> cols_p(room, -7), cols_a(room, -7);
+            std::vector<float> vals_p(room, 42.0f), vals_a(room, 42.0f);
+            const index_t len_p = kernels::compressNonZerosPortable(
+                v, n, 77, cols_p.data() + 1, vals_p.data() + 1);
+            const index_t len_a = kernels::compressNonZerosAvx512(
+                v, n, 77, cols_a.data() + 1, vals_a.data() + 1);
+            ASSERT_EQ(len_a, len_p);
+            ASSERT_EQ(len_p, kernels::countNonZeros(v, n));
+            for (std::size_t s = 0; s < room; ++s) {
+                const bool written = s >= 1 && s <= std::size_t(len_p);
+                ASSERT_EQ(cols_a[s], cols_p[s]) << "slot " << s;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(vals_a[s]),
+                          std::bit_cast<std::uint32_t>(vals_p[s]))
+                    << "slot " << s;
+                if (!written) {
+                    ASSERT_EQ(cols_a[s], -7) << "slot " << s;
+                    ASSERT_EQ(vals_a[s], 42.0f) << "slot " << s;
+                }
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "this build has no AVX-512 kernels";
+#endif
 }
 
 /**
