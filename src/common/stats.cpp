@@ -64,22 +64,6 @@ StatsRegistry::snapshot() const
     return v;
 }
 
-StatsRegistry
-StatsRegistry::delta(const std::vector<count_t> &before) const
-{
-    // A copy keeps every name, group, kind and the index, in order;
-    // only the values change.
-    StatsRegistry d(*this);
-    for (std::size_t i = 0; i < d.counters_.size() && i < before.size();
-         ++i) {
-        StatCounter &c = d.counters_[i];
-        panicIf(c.value < before[i], "stat counter ", c.name,
-                " went backwards");
-        c.value -= before[i];
-    }
-    return d;
-}
-
 void
 StatsRegistry::repeat(const std::vector<count_t> &before, count_t times)
 {

@@ -95,13 +95,6 @@ class StatsRegistry : public Checkpointable
     std::vector<count_t> snapshot() const;
 
     /**
-     * Registry holding this registry's counters minus an earlier
-     * snapshot — the activity of one operation. Counters registered
-     * after the snapshot keep their full value.
-     */
-    StatsRegistry delta(const std::vector<count_t> &before) const;
-
-    /**
      * Add `times` x (value - before) to every counter: the activity
      * since the snapshot, repeated `times` more times. `before` must
      * cover every registered counter.
@@ -122,7 +115,7 @@ class StatsRegistry : public Checkpointable
      * positionally against already-registered ones (a name mismatch is
      * an error naming both sides); archived counters beyond the
      * registered set are registered in archive order, so the
-     * registration order — which snapshot()/delta() and the tracer's
+     * registration order — which snapshot() and the tracer's
      * sample series depend on — is reproduced exactly.
      */
     void loadState(ArchiveReader &ar) override;

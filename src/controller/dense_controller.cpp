@@ -83,6 +83,31 @@ lowerConv(const Conv2dShape &shape, const Tensor &input,
     }
 }
 
+/**
+ * The flexible fabric's functional convolution. Every output is the
+ * sum, from +0 in ascending (c, r, s) order, of w * in over its
+ * in-bounds window terms, plus the bias: the lowered GEMM computes
+ * exactly that, since a padding zero adds w * 0 = +-0 to a sum that is
+ * never -0. An inf or NaN weight would make that term NaN, so then the
+ * direct reference, which skips padding taps, computes the same sums
+ * instead.
+ */
+void
+flexibleConvOutput(const Conv2dShape &shape, const Tensor &input,
+                   const Tensor &weights, const Tensor &bias,
+                   Tensor &output)
+{
+    if (weights.allFinite()) {
+        lowerConv(shape, input, weights, bias, output, orderedGemm);
+    } else {
+        output = ref::conv2d(
+            input.reshaped({shape.N, shape.C, shape.X, shape.Y}),
+            weights.reshaped({shape.K, shape.cPerGroup(), shape.R,
+                              shape.S}),
+            bias, shape);
+    }
+}
+
 } // namespace
 
 DenseController::DenseController(const HardwareConfig &cfg,
@@ -115,8 +140,7 @@ DenseController::traceAdvance(cycle_t cycles)
 
 ControllerResult
 DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
-                                 const Tensor &input, const Tensor &weights,
-                                 const Tensor &bias, Tensor &output)
+                                 index_t input_elems)
 {
     shape.validate();
     const index_t cg = shape.cPerGroup();
@@ -169,7 +193,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     // layer's execution overlaps the first tile's transfer).
     setPhase("dram staging");
     (void)dram_.transferCycles(
-        std::min(input.size(), gb_.capacityElements() / 2) * bpe);
+        std::min(input_elems, gb_.capacityElements() / 2) * bpe);
 
     // Operand counts per (fold, x block, y block), shared by every
     // group, batch and filter block.
@@ -360,21 +384,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
         }
     }
 
-    // Every output is the sum, from +0 in ascending (c, r, s) order, of
-    // w * in over its in-bounds window terms, plus the bias: the lowered
-    // GEMM computes exactly that, since a padding zero adds w * 0 = +-0
-    // to a sum that is never -0. An inf or NaN weight would make that
-    // term NaN, so then the direct reference, which skips padding taps,
-    // computes the same sums instead.
-    setPhase("functional reduce");
-    if (weights.allFinite()) {
-        lowerConv(shape, input, weights, bias, output, orderedGemm);
-    } else {
-        output = ref::conv2d(
-            input.reshaped({shape.N, shape.C, shape.X, shape.Y}),
-            weights.reshaped({shape.K, cg, shape.R, shape.S}), bias, shape);
-    }
-
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0
         ? static_cast<double>(mn_.multOps() - mult0) /
@@ -444,6 +453,15 @@ DenseController::runConvSystolic(const Conv2dShape &shape,
                                  const Tensor &bias, Tensor &output)
 {
     ControllerResult res;
+    if (output.empty()) {
+        // Statistics only: each group's GEMM runs without operands.
+        const MatrixView a{nullptr, shape.kPerGroup(),
+                           shape.R * shape.S * shape.cPerGroup()};
+        const index_t n = shape.N * shape.outX() * shape.outY();
+        for (index_t g = 0; g < shape.G; ++g)
+            res.merge(runGemmSystolic(a, n, PanelSource(), false, nullptr));
+        return res;
+    }
     lowerConv(shape, input, weights, bias, output,
               [&](MatrixView a, index_t n, const PanelSource &b,
                   bool b_finite, float *c) {
@@ -461,16 +479,22 @@ DenseController::runConvolution(const LayerSpec &layer, const Tile &tile,
             "runConvolution expects a convolution layer");
     layer.validate();
     const Conv2dShape &c = layer.conv;
-    fatalIf(output.rank() != 4 || output.dim(0) != c.N ||
-            output.dim(1) != c.K || output.dim(2) != c.outX() ||
-            output.dim(3) != c.outY(),
+    fatalIf(!output.empty() &&
+                output.shape() != std::vector<index_t>{c.N, c.K, c.outX(),
+                                                       c.outY()},
             "convolution output tensor shape mismatch");
 
     if (cfg_.dn_type == DnType::PointToPoint)
         return runConvSystolic(c, input, weights, bias, output);
 
     tile.validate(layer, cfg_.ms_size);
-    return runConvFlexible(c, tile, input, weights, bias, output);
+    const ControllerResult r = runConvFlexible(c, tile, input.size());
+    if (!output.empty()) {
+        setPhase("functional reduce");
+        flexibleConvOutput(c, input, weights, bias, output);
+        setPhase("idle");
+    }
+    return r;
 }
 
 ControllerResult
@@ -479,17 +503,20 @@ DenseController::runGemm(const LayerSpec &layer, const Tile &tile,
 {
     layer.validate();
     const GemmDims g = layer.gemmView();
+    const bool output = !c.empty();
     fatalIf(a.rank() != 2 || a.dim(0) != g.m || a.dim(1) != g.k,
             "GEMM operand A shape mismatch");
-    fatalIf(b.rank() != 2 || b.dim(0) != g.k || b.dim(1) != g.n,
+    fatalIf((output || !b.empty()) &&
+                b.shape() != std::vector<index_t>{g.k, g.n},
             "GEMM operand B shape mismatch");
-    fatalIf(c.rank() != 2 || c.dim(0) != g.m || c.dim(1) != g.n,
+    fatalIf(output && c.shape() != std::vector<index_t>{g.m, g.n},
             "GEMM output shape mismatch");
 
     if (cfg_.dn_type == DnType::PointToPoint)
-        return runGemmSystolic(a.asMatrix(g.m, g.k), g.n,
-                               SystolicArray::panelsOf(b), b.allFinite(),
-                               c.data());
+        return runGemmSystolic(
+            a.asMatrix(g.m, g.k), g.n,
+            output ? SystolicArray::panelsOf(b) : PanelSource(),
+            output && b.allFinite(), output ? c.data() : nullptr);
 
     // Map the GEMM onto the convolution pipeline: M filters of a
     // 1x1x(K)-element window over an input of K channels and N output
@@ -509,12 +536,15 @@ DenseController::runGemm(const LayerSpec &layer, const Tile &tile,
     conv_tile.t_k = tile.t_k;
     conv_tile.t_y = tile.t_y;
 
-    const Tensor input = b.reshaped({1, g.k, 1, g.n});
-    const Tensor weights = a.reshaped({g.m, g.k, 1, 1});
-    Tensor out({1, g.m, 1, g.n});
-    ControllerResult r = runConvFlexible(shape, conv_tile, input, weights,
-                                         Tensor(), out);
-    c = out.reshaped({g.m, g.n});
+    Tensor out = output ? Tensor({1, g.m, 1, g.n}) : Tensor();
+    const ControllerResult r = runConvFlexible(shape, conv_tile, g.k * g.n);
+    if (output) {
+        setPhase("functional reduce");
+        flexibleConvOutput(shape, b.reshaped({1, g.k, 1, g.n}),
+                           a.reshaped({g.m, g.k, 1, 1}), Tensor(), out);
+        c = out.reshaped({g.m, g.n});
+        setPhase("idle");
+    }
     return r;
 }
 
@@ -532,16 +562,20 @@ DenseController::runLinear(const LayerSpec &layer, const Tile &tile,
     fatalIf(weights.rank() != 2 || weights.dim(0) != g.m ||
             weights.dim(1) != g.k,
             "linear weight shape mismatch");
-    fatalIf(output.rank() != 2 || output.dim(0) != g.n ||
-            output.dim(1) != g.m,
+    fatalIf(!output.empty() &&
+                output.shape() != std::vector<index_t>{g.n, g.m},
             "linear output shape mismatch");
 
-    // B = input^T so columns are batch samples.
-    const Tensor b = input.transposed();
-
-    Tensor c({g.m, g.n});
-    LayerSpec as_gemm =
+    // B = input^T so columns are batch samples; without an output
+    // nothing reads it.
+    const LayerSpec as_gemm =
         LayerSpec::gemmLayer(layer.name + ".gemm", g.m, g.n, g.k);
+    if (output.empty()) {
+        Tensor none;
+        return runGemm(as_gemm, tile, weights, Tensor(), none);
+    }
+    const Tensor b = input.transposed();
+    Tensor c({g.m, g.n});
     ControllerResult r = runGemm(as_gemm, tile, weights, b, c);
 
     linearFromGemm(c, bias, output);
@@ -563,9 +597,8 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
     const index_t st = layer.pool_stride;
     const index_t xo = (c.X - w) / st + 1;
     const index_t yo = (c.Y - w) / st + 1;
-    fatalIf(output.rank() != 4 || output.dim(0) != c.N ||
-            output.dim(1) != c.C || output.dim(2) != xo ||
-            output.dim(3) != yo,
+    fatalIf(!output.empty() &&
+                output.shape() != std::vector<index_t>{c.N, c.C, xo, yo},
             "max pool output tensor shape mismatch");
 
     const Tile tile = mapper_.generateTile(layer);
@@ -664,7 +697,8 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
     setPhase("pipeline fill");
     traceAdvance(fill);
 
-    output = ref::maxPool2d(input, w, st);
+    if (!output.empty())
+        output = ref::maxPool2d(input, w, st);
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0

@@ -68,7 +68,10 @@ class DenseController : public Checkpointable
                     Tracer *trace = nullptr);
 
     /**
-     * Run a convolution layer.
+     * Run a convolution layer. Every run* call takes an empty output
+     * to mean statistics only: the timing and counters are the same,
+     * and the functional result, with the operand lowering that only
+     * feeds it, is skipped.
      * @param input (N, C, X, Y); @param weights (K, C/G, R, S)
      * @param bias (K) or empty; @param output out, (N, K, X', Y')
      */
@@ -77,7 +80,8 @@ class DenseController : public Checkpointable
                                     const Tensor &weights, const Tensor &bias,
                                     Tensor &output);
 
-    /** Run a dense GEMM: c(M x N) = a(M x K) * b(K x N). */
+    /** Run a dense GEMM: c(M x N) = a(M x K) * b(K x N); b may be
+     *  empty when c is. */
     ControllerResult runGemm(const LayerSpec &layer, const Tile &tile,
                              const Tensor &a, const Tensor &b, Tensor &c);
 
@@ -114,11 +118,10 @@ class DenseController : public Checkpointable
     void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   protected:
-    /** Flexible-pipeline convolution (tree / Benes DN). */
+    /** Flexible-pipeline convolution timing (tree / Benes DN): it
+     *  reads only the shape, the tile and the input's size. */
     ControllerResult runConvFlexible(const Conv2dShape &shape,
-                                     const Tile &tile, const Tensor &input,
-                                     const Tensor &weights,
-                                     const Tensor &bias, Tensor &output);
+                                     const Tile &tile, index_t input_elems);
 
     /** Rigid systolic convolution (im2col + OS array). */
     ControllerResult runConvSystolic(const Conv2dShape &shape,
@@ -128,7 +131,7 @@ class DenseController : public Checkpointable
 
     /** Systolic GEMM with stats plumbing: A is read in place, the
      *  (A.cols x n) B by column panels, into the row-major (A.rows x n)
-     *  c (see SystolicArray::run). */
+     *  c, or nowhere when c is null (see SystolicArray::run). */
     ControllerResult runGemmSystolic(MatrixView a, index_t n,
                                      const PanelSource &b, bool b_finite,
                                      float *c);

@@ -43,10 +43,25 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
 {
     fatalIf(b.rank() != 2 || b.dim(0) != a.cols,
             "SpMM operand B shape mismatch");
-    fatalIf(c.rank() != 2 || c.dim(0) != a.rows || c.dim(1) != b.dim(1),
+    fatalIf(!c.empty() &&
+                (c.rank() != 2 || c.dim(0) != a.rows ||
+                 c.dim(1) != b.dim(1)),
             "SpMM output shape mismatch");
+    return runSpMM(a, b.asMatrix(b.dim(0), b.dim(1)),
+                   c.empty() ? nullptr : c.data(), policy,
+                   skip_zero_activations, seed);
+}
 
-    const index_t n = b.dim(1);
+ControllerResult
+SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
+                          SchedulingPolicy policy,
+                          bool skip_zero_activations, std::uint64_t seed)
+{
+    panicIf(b.rows != a.cols, "SpMM operand B shape mismatch");
+    panicIf(b.data == nullptr && (c != nullptr || skip_zero_activations),
+            "SpMM operand B is read but not given");
+
+    const index_t n = b.cols;
     const index_t bpe = bytesPerElement(cfg_.data_type);
 
     ControllerResult res;
@@ -59,7 +74,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     // slice: traffic accounted, cycles hidden by the double-buffered
     // prefetch as in the paper's HBM2 configuration.
     (void)dram_.transferCycles(
-        std::min(a.storageBytes(bpe) + b.size() * bpe,
+        std::min(a.storageBytes(bpe) + b.rows * n * bpe,
                  gb_.capacityElements() * bpe));
 
     // Pipeline fill: one traversal of the DN plus the deepest reduction.
@@ -121,7 +136,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
             if (skip_zero_activations) {
                 // Column j of B, strided by n — raw access keeps the
                 // per-operand zero scan off the at() bounds checks.
-                const float *bcol = b.data() + j;
+                const float *bcol = b.data + j;
                 needed = 0;
                 for (index_t u = 0; u < union_len; ++u) {
                     const index_t k = union_k[static_cast<std::size_t>(u)];
@@ -185,16 +200,15 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     // register block at a time, so the block's strip of B stays in
     // cache across all rows.
     setPhase("functional reduce");
-    const float *bd = b.data();
-    float *cd = c.data();
-    for (index_t j0 = 0; j0 < n; j0 += kernels::kRowBlockCols) {
+    for (index_t j0 = 0; c != nullptr && j0 < n;
+         j0 += kernels::kRowBlockCols) {
         const index_t nj = std::min(kernels::kRowBlockCols, n - j0);
         for (index_t r = 0; r < a.rows; ++r) {
             const index_t p0 = a.row_ptr[static_cast<std::size_t>(r)];
             const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
             kernels::sparseRowTimesPanel(
-                cd + r * n + j0, nj, a.col_idx.data() + p0,
-                a.values.data() + p0, p1 - p0, bd + j0, n);
+                c + r * n + j0, nj, a.col_idx.data() + p0,
+                a.values.data() + p0, p1 - p0, b.data + j0, n);
         }
     }
 
@@ -225,12 +239,19 @@ SparseController::runSpMMDense(const Tensor &a, const Tensor &b, Tensor &c,
                                bool skip_zero_activations,
                                std::uint64_t seed)
 {
+    return runSpMM(stationary(a), b, c, policy, skip_zero_activations,
+                   seed);
+}
+
+CsrMatrix
+SparseController::stationary(const Tensor &a) const
+{
     fatalIf(a.rank() != 2, "SpMM dense operand must be rank-2");
+    // The bitmap format's presence bits decode into the same CSR
+    // datapath at the memory controller.
     if (cfg_.sparse_format == SparseFormat::Bitmap)
-        return runSpMM(BitmapMatrix::fromDense(a), b, c, policy,
-                       skip_zero_activations, seed);
-    return runSpMM(CsrMatrix::fromDense(a), b, c, policy,
-                   skip_zero_activations, seed);
+        return CsrMatrix::fromDense(BitmapMatrix::fromDense(a).toDense());
+    return CsrMatrix::fromDense(a);
 }
 
 } // namespace stonne

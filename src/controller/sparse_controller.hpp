@@ -56,13 +56,22 @@ class SparseController : public Checkpointable
                      Tracer *trace = nullptr);
 
     /**
-     * Run a sparse-dense GEMM: c(M x N) = a(M x K, CSR) * b(K x N).
+     * Run a sparse-dense GEMM: c(M x N) = a(M x K, CSR) * b(K x N), b
+     * and c row-major. A null `c` skips the functional reduce and leaves
+     * the timing and statistics as they are; `b.data` may then be null
+     * too, unless activation skipping reads b's zeros.
      *
      * @param policy static filter scheduling policy (use case 3)
      * @param skip_zero_activations also exploit sparsity in b (skip
      *        multiplications whose streaming operand is exactly zero)
      * @param seed RNG seed for the Random policy
      */
+    ControllerResult runSpMM(const CsrMatrix &a, MatrixView b, float *c,
+                             SchedulingPolicy policy = SchedulingPolicy::None,
+                             bool skip_zero_activations = false,
+                             std::uint64_t seed = 1);
+
+    /** Tensor front door; an empty `c` skips the functional reduce. */
     ControllerResult runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
                              SchedulingPolicy policy = SchedulingPolicy::None,
                              bool skip_zero_activations = false,
@@ -75,13 +84,17 @@ class SparseController : public Checkpointable
                              bool skip_zero_activations = false,
                              std::uint64_t seed = 1);
 
-    /** Dense front door: compresses a dense MK operand first. */
+    /** Dense front door: runs stationary(a). */
     ControllerResult runSpMMDense(const Tensor &a, const Tensor &b,
                                   Tensor &c,
                                   SchedulingPolicy policy =
                                       SchedulingPolicy::None,
                                   bool skip_zero_activations = false,
                                   std::uint64_t seed = 1);
+
+    /** A dense MK operand compressed in the configured format, as the
+     *  CSR datapath reads it. */
+    CsrMatrix stationary(const Tensor &a) const;
 
     /** Rounds the last runSpMM call executed (inspection / Fig 7). */
     const std::vector<SparseRound> &lastRounds() const { return rounds_; }

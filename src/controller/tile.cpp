@@ -1,5 +1,6 @@
 #include "controller/tile.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -38,10 +39,15 @@ Tile::validate(const LayerSpec &layer, index_t ms_size) const
 std::string
 Tile::canonical() const
 {
-    std::ostringstream os;
-    os << t_r << 'x' << t_s << 'x' << t_c << 'x' << t_g << 'x' << t_k
-       << 'x' << t_n << 'x' << t_x << 'x' << t_y;
-    return os.str();
+    // Eight decimal fields of at most 20 characters, 'x'-separated.
+    char buf[8 * 21];
+    char *p = buf;
+    for (const index_t v : {t_r, t_s, t_c, t_g, t_k, t_n, t_x, t_y}) {
+        if (p != buf)
+            *p++ = 'x';
+        p = std::to_chars(p, buf + sizeof buf, v).ptr;
+    }
+    return std::string(buf, p);
 }
 
 std::string

@@ -105,44 +105,66 @@ EnergyModel::EnergyModel(const HardwareConfig &cfg, EnergyTable table)
 {
 }
 
-EnergyBreakdown
-EnergyModel::compute(const StatsRegistry &stats, cycle_t cycles) const
+EnergyRates
+EnergyModel::rates(const StatsRegistry &stats) const
 {
-    EnergyBreakdown e;
-    const double pj_to_uj = 1e-6;
-
     const bool art = cfg_.rn_type == RnType::Art ||
                      cfg_.rn_type == RnType::ArtAcc;
     const double adder_pj = art ? table_.adder3_pj : table_.adder2_pj;
+    // Price per count of a counter name; null for package/stall
+    // counters, which carry no energy.
+    const auto price = [&](const std::string &name) -> const double * {
+        if (name == "mn.mult_ops")
+            return &table_.mult_pj;
+        if (name == "mn.forward_ops" || name == "mn.psum_forwards" ||
+            name == "rn.horizontal_hops" || name == "rn.forward_hops" ||
+            name == "dn.link_hops")
+            return &table_.link_hop_pj;
+        if (name == "rn.adder_ops")
+            return &adder_pj;
+        if (name == "rn.accumulator_ops")
+            return &table_.accumulator_pj;
+        if (name == "dn.switch_hops")
+            return &table_.switch_hop_pj;
+        if (name == "gb.reads")
+            return &table_.gb_read_pj;
+        if (name == "gb.writes")
+            return &table_.gb_write_pj;
+        if (name == "dram.bytes")
+            return &table_.dram_byte_pj;
+        return nullptr;
+    };
 
+    EnergyRates r;
     for (const StatCounter &c : stats.counters()) {
-        const auto v = static_cast<double>(c.value);
-        double pj = 0.0;
-        if (c.name == "mn.mult_ops")
-            pj = v * table_.mult_pj;
-        else if (c.name == "mn.forward_ops" || c.name == "mn.psum_forwards")
-            pj = v * table_.link_hop_pj;
-        else if (c.name == "rn.adder_ops")
-            pj = v * adder_pj;
-        else if (c.name == "rn.accumulator_ops")
-            pj = v * table_.accumulator_pj;
-        else if (c.name == "rn.horizontal_hops" ||
-                 c.name == "rn.forward_hops")
-            pj = v * table_.link_hop_pj;
-        else if (c.name == "dn.switch_hops")
-            pj = v * table_.switch_hop_pj;
-        else if (c.name == "dn.link_hops")
-            pj = v * table_.link_hop_pj;
-        else if (c.name == "gb.reads")
-            pj = v * table_.gb_read_pj;
-        else if (c.name == "gb.writes")
-            pj = v * table_.gb_write_pj;
-        else if (c.name == "dram.bytes")
-            pj = v * table_.dram_byte_pj;
-        else
-            continue; // package/stall counters carry no energy
+        if (const double *pj = price(c.name))
+            r.priced.push_back({r.covered, *pj, c.group});
+        ++r.covered;
+    }
+    return r;
+}
 
-        switch (c.group) {
+EnergyBreakdown
+EnergyModel::compute(const EnergyRates &rates, const StatsRegistry &stats,
+                     const std::vector<count_t> &before,
+                     cycle_t cycles) const
+{
+    EnergyBreakdown e;
+    const double pj_to_uj = 1e-6;
+    const std::deque<StatCounter> &counters = stats.counters();
+    panicIf(rates.covered != counters.size(), "energy rates cover ",
+            rates.covered, " counters; ", counters.size(),
+            " are registered");
+
+    for (const EnergyRates::Rate &rate : rates.priced) {
+        count_t n = counters[rate.counter].value;
+        if (rate.counter < before.size()) {
+            panicIf(n < before[rate.counter], "stat counter ",
+                    counters[rate.counter].name, " went backwards");
+            n -= before[rate.counter];
+        }
+        const double pj = static_cast<double>(n) * rate.pj;
+        switch (rate.group) {
           case StatGroup::GlobalBuffer:
             e.gb_uj += pj * pj_to_uj;
             break;

@@ -17,6 +17,7 @@
 #define STONNE_ENERGY_ENERGY_MODEL_HPP
 
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -68,6 +69,21 @@ struct EnergyBreakdown {
     }
 };
 
+/**
+ * The priced counters of a registry, in registration order: each
+ * counter's position, price per count and group. Counters that carry no
+ * energy (packages, stalls, occupancy) are left out.
+ */
+struct EnergyRates {
+    struct Rate {
+        std::size_t counter;
+        double pj;
+        StatGroup group;
+    };
+    std::vector<Rate> priced;
+    std::size_t covered = 0; //!< registered counters the rates cover
+};
+
 /** Computes energy from activity counters and the configuration. */
 class EnergyModel
 {
@@ -77,12 +93,27 @@ class EnergyModel
     explicit EnergyModel(const HardwareConfig &cfg)
         : EnergyModel(cfg, EnergyTable::forDataType(cfg.data_type)) {}
 
+    /** Price every counter registered in `stats`, matching names once. */
+    EnergyRates rates(const StatsRegistry &stats) const;
+
     /**
-     * Energy for the given activity counts over `cycles` of runtime.
-     * Static energy is leakage over the whole accelerator area.
+     * Energy of the activity since `before` (a snapshot() of `stats`;
+     * counters registered after it count in full) over `cycles` of
+     * runtime, priced by `rates` of the same registry, which must cover
+     * every counter. Static energy is leakage over the whole
+     * accelerator area.
      */
-    EnergyBreakdown compute(const StatsRegistry &stats,
+    EnergyBreakdown compute(const EnergyRates &rates,
+                            const StatsRegistry &stats,
+                            const std::vector<count_t> &before,
                             cycle_t cycles) const;
+
+    /** Energy for the given activity counts over `cycles` of runtime. */
+    EnergyBreakdown
+    compute(const StatsRegistry &stats, cycle_t cycles) const
+    {
+        return compute(rates(stats), stats, {}, cycles);
+    }
 
     const EnergyTable &table() const { return table_; }
 

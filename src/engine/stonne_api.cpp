@@ -53,6 +53,7 @@ Stonne::Stonne(const HardwareConfig &cfg)
                     cfg.energy_table_path.empty()
                         ? EnergyTable::forDataType(cfg.data_type)
                         : EnergyTable::parseFile(cfg.energy_table_path)),
+      energy_rates_(energy_model_.rates(accel_->stats())),
       area_model_(cfg,
                   cfg.area_table_path.empty()
                       ? AreaTable::forDataType(cfg.data_type)
@@ -163,8 +164,13 @@ Stonne::finishOperation(const ControllerResult &cr,
     r.skipped_macs = cr.skipped_macs;
     r.mem_accesses = cr.mem_accesses;
     r.ms_utilization = cr.ms_utilization;
-    const StatsRegistry delta = accel_->stats().delta(before);
-    r.energy = energy_model_.compute(delta, cr.cycles);
+    // Counters register at construction, where the rates were matched
+    // by name; they are matched again only if a counter registers later.
+    const StatsRegistry &stats = accel_->stats();
+    if (energy_rates_.covered != stats.counters().size())
+        energy_rates_ = energy_model_.rates(stats);
+    r.energy = energy_model_.compute(energy_rates_, stats, before,
+                                     cr.cycles);
     r.area = area_model_.compute();
     total_cycles_ += cr.cycles;
     op_pending_ = false;
@@ -290,11 +296,18 @@ Stonne::runOperationImpl()
 
     const std::vector<count_t> before = accel_->stats().snapshot();
     ControllerResult cr;
+    const bool want = compute_output_ ||
+        cfg.controller_type == ControllerType::Snapea ||
+        (faults != nullptr && faults->active());
+    // The output tensor of `shape`, or empty when none is wanted.
+    const auto outputOf = [want](std::vector<index_t> shape) {
+        return want ? Tensor(std::move(shape)) : Tensor();
+    };
 
     switch (layer_.kind) {
       case LayerKind::Convolution: {
         const Conv2dShape &c = layer_.conv;
-        output_ = Tensor({c.N, c.K, c.outX(), c.outY()});
+        output_ = outputOf({c.N, c.K, c.outX(), c.outY()});
         if (cfg.controller_type == ControllerType::Dense) {
             const Tile tile = tile_ ? *tile_ :
                 accel_->denseController().mapper().generateTile(layer_);
@@ -320,38 +333,51 @@ Stonne::runOperationImpl()
             // straight from the weights; each group's patch matrix
             // lowers straight into its row band of b. (A bitmap-format
             // stationary operand decodes to the same CSR datapath.)
+            // The patch matrix is lowered only when it is read.
             const CsrMatrix a = CsrMatrix::fromBlockDiagonal(
                 weights_.asMatrix(c.K, window), c.G);
-            Tensor b({c.G * window, gd.n});
-            for (index_t g = 0; g < c.G; ++g)
-                im2colInto(input_, c, g, 0, gd.n,
-                           b.data() + g * window * gd.n, gd.n);
-            Tensor out({c.K, gd.n});
-            cr = accel_->sparseController().runSpMM(
-                a, b, out, policy_, skip_zero_b_, policy_seed_);
-            if (!bias_.empty()) {
-                fatalIf(bias_.size() != c.K, "convolution bias of ",
-                        bias_.size(), " values for ", c.K, " filters");
-                const float *bd = std::as_const(bias_).data();
-                for (index_t k = 0; k < c.K; ++k)
-                    kernels::addScalar(out.data() + k * gd.n, bd[k], gd.n);
+            Tensor b;
+            if (want || skip_zero_b_) {
+                b = Tensor({c.G * window, gd.n});
+                for (index_t g = 0; g < c.G; ++g)
+                    im2colInto(input_, c, g, 0, gd.n,
+                               b.data() + g * window * gd.n, gd.n);
             }
-            // Scatter back per group (col2im consumes per-group rows).
-            for (index_t g = 0; g < c.G; ++g)
-                col2imFrom(out.data() + g * kg * gd.n, gd.n, c, g, output_);
+            Tensor out = outputOf({c.K, gd.n});
+            cr = accel_->sparseController().runSpMM(
+                a, MatrixView{std::as_const(b).data(), c.G * window, gd.n},
+                want ? out.data() : nullptr, policy_, skip_zero_b_,
+                policy_seed_);
+            fatalIf(!bias_.empty() && bias_.size() != c.K,
+                    "convolution bias of ", bias_.size(), " values for ",
+                    c.K, " filters");
+            if (want) {
+                const float *bd = std::as_const(bias_).data();
+                for (index_t k = 0; !bias_.empty() && k < c.K; ++k)
+                    kernels::addScalar(out.data() + k * gd.n, bd[k], gd.n);
+                // Scatter back per group (col2im reads per-group rows).
+                for (index_t g = 0; g < c.G; ++g)
+                    col2imFrom(out.data() + g * kg * gd.n, gd.n, c, g,
+                               output_);
+            }
         }
         break;
       }
       case LayerKind::Linear: {
         const GemmDims g = layer_.gemm;
-        output_ = Tensor({g.n, g.m});
+        output_ = outputOf({g.n, g.m});
         if (cfg.controller_type == ControllerType::Sparse) {
             // Stationary sparse weights, streamed transposed inputs.
-            Tensor out({g.m, g.n});
-            cr = accel_->sparseController().runSpMMDense(
-                weights_, input_.transposed(), out, policy_, skip_zero_b_,
-                policy_seed_);
-            linearFromGemm(out, bias_, output_);
+            SparseController &sc = accel_->sparseController();
+            Tensor out = outputOf({g.m, g.n});
+            const Tensor b = want || skip_zero_b_ ? input_.transposed()
+                                                  : Tensor();
+            cr = sc.runSpMM(sc.stationary(weights_),
+                            MatrixView{b.data(), g.k, g.n},
+                            want ? out.data() : nullptr, policy_,
+                            skip_zero_b_, policy_seed_);
+            if (want)
+                linearFromGemm(out, bias_, output_);
         } else if (cfg.controller_type == ControllerType::Snapea) {
             // SNAPEA applies to ReLU-gated convolutions; linear layers
             // run through the same pipeline without the cut-off, as a
@@ -382,7 +408,7 @@ Stonne::runOperationImpl()
       }
       case LayerKind::Gemm: {
         const GemmDims g = layer_.gemm;
-        output_ = Tensor({g.m, g.n});
+        output_ = outputOf({g.m, g.n});
         if (cfg.controller_type == ControllerType::Sparse) {
             cr = accel_->sparseController().runSpMMDense(
                 weights_, input_, output_, policy_, skip_zero_b_,
@@ -400,7 +426,7 @@ Stonne::runOperationImpl()
       }
       case LayerKind::SparseGemm: {
         const GemmDims g = layer_.gemm;
-        output_ = Tensor({g.m, g.n});
+        output_ = outputOf({g.m, g.n});
         cr = accel_->sparseController().runSpMMDense(
             weights_, input_, output_, policy_, skip_zero_b_,
             policy_seed_);
@@ -412,7 +438,7 @@ Stonne::runOperationImpl()
             + 1;
         const index_t yo = (c.Y - layer_.pool_window) / layer_.pool_stride
             + 1;
-        output_ = Tensor({c.N, c.C, xo, yo});
+        output_ = outputOf({c.N, c.C, xo, yo});
         cr = accel_->denseController().runMaxPool(layer_, input_, output_);
         break;
       }

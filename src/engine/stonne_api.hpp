@@ -129,9 +129,20 @@ class Stonne
     /** Exploit zero streaming operands in the sparse controller. */
     void setSkipZeroActivations(bool enabled) { skip_zero_b_ = enabled; }
 
+    /**
+     * Compute each operation's output tensor (the default). Off, an
+     * operation reports the same cycles, counters and energy, and
+     * output() is empty: a search that reads only the statistics
+     * (explore::Explorer) skips the functional GEMMs and the lowering
+     * that only feeds them. SNAPEA, whose timing reads the partial
+     * sums, and an instance with active faults, which corrupt the
+     * output, compute it anyway.
+     */
+    void setComputeOutput(bool enabled) { compute_output_ = enabled; }
+
     // --- Inspection ---------------------------------------------------
 
-    /** Output tensor of the last runOperation. */
+    /** Output tensor of the last runOperation (see setComputeOutput). */
     const Tensor &output() const { return output_; }
 
     /**
@@ -200,6 +211,7 @@ class Stonne
 
     std::unique_ptr<Accelerator> accel_;
     EnergyModel energy_model_;
+    EnergyRates energy_rates_; //!< energy_model_'s prices of stats()
     AreaModel area_model_;
 
     bool op_pending_ = false;
@@ -216,6 +228,7 @@ class Stonne
     std::uint64_t policy_seed_ = 1;
     bool snapea_early_exit_ = true;
     bool skip_zero_b_ = false;
+    bool compute_output_ = true;
     cycle_t total_cycles_ = 0;
 
     cycle_t restored_from_cycle_ = 0;

@@ -334,6 +334,9 @@ Explorer::evaluate(const LayerSpec &layer,
             work.push_back([&cands, &evals, &dense_data, &sparse_data, i] {
                 const Candidate &c = cands[i];
                 Stonne st(evalConfig(c.point.cfg));
+                // A candidate is judged by its statistics alone: its
+                // output bits do not depend on the tile.
+                st.setComputeOutput(false);
                 const SimulationResult r =
                     c.has_tile
                         ? runLayer(st, c.layer, dense_data, c.tile)

@@ -4,7 +4,9 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 
+#include "common/last_memo.hpp"
 #include "common/logging.hpp"
 #include "frontend/model_builder.hpp"
 
@@ -76,11 +78,10 @@ class Args
     int lineno_;
 };
 
-} // namespace
-
+/** Parse and synthesise a model description (loadModelFromText). */
 DnnModel
-loadModelFromText(const std::string &text, std::uint64_t default_seed,
-                  const std::string &origin)
+parseModel(const std::string &text, std::uint64_t default_seed,
+           const std::string &origin)
 {
     std::istringstream in(text);
     std::string line;
@@ -240,6 +241,21 @@ loadModelFromText(const std::string &text, std::uint64_t default_seed,
             ": model description has no input statement");
     fatalIf(b->last() < 0, origin, ": model description has no layers");
     return b->finish();
+}
+
+} // namespace
+
+DnnModel
+loadModelFromText(const std::string &text, std::uint64_t default_seed,
+                  const std::string &origin)
+{
+    // The model is a function of the text and the default seed alone:
+    // the origin only names the source in diagnostics, and a text that
+    // fails to parse leaves nothing behind.
+    static LastMemo<std::pair<std::string, std::uint64_t>, DnnModel> memo;
+    return memo.get({text, default_seed}, [&] {
+        return parseModel(text, default_seed, origin);
+    });
 }
 
 DnnModel

@@ -43,6 +43,11 @@ namespace stonne {
  * non-numeric values — are rejected with a `origin:line` diagnostic;
  * @param origin names the source in error messages (a file path, or
  * "<string>" for in-memory text).
+ *
+ * The most recently loaded model is kept, keyed by the text and the
+ * default seed: loading the same description again returns a copy whose
+ * tensors share its storage (copy-on-write), without parsing or
+ * synthesising it again. Safe to call from several threads.
  */
 DnnModel loadModelFromText(const std::string &text,
                            std::uint64_t default_seed = 7,

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <tuple>
 
+#include "common/last_memo.hpp"
 #include "common/logging.hpp"
 #include "frontend/model_builder.hpp"
 #include "tensor/prune.hpp"
@@ -327,25 +326,12 @@ synthesize(ModelId id, const ScaleParams &p, std::uint64_t seed)
 /** What a zoo model depends on: (id, scale, seed, batch). */
 using ZooKey = std::tuple<ModelId, ModelScale, std::uint64_t, index_t>;
 
-/**
- * The most recently built model. Callers that sweep one model over
- * several fabrics (Fig 5, Fig 9) build it once. A hit is a copy whose
- * tensors share the entry's storage, so the entry costs no memory
- * beyond the model its callers hold anyway.
- */
-struct ZooMemo {
-    struct Entry {
-        ZooKey key;
-        DnnModel model;
-    };
-    std::mutex mutex;
-    std::shared_ptr<const Entry> last;
-};
-
-ZooMemo &
+/** The most recently built model. Callers that sweep one model over
+ *  several fabrics (Fig 5, Fig 9) build it once. */
+LastMemo<ZooKey, DnnModel> &
 zooMemo()
 {
-    static ZooMemo memo;
+    static LastMemo<ZooKey, DnnModel> memo;
     return memo;
 }
 
@@ -418,28 +404,11 @@ buildModel(ModelId id, ModelScale scale, std::uint64_t seed, index_t batch)
     fatalIf(batch <= 0, "model batch must be positive, got ", batch);
     fatalIf(batch > 1 && id == ModelId::Bert,
             "BERT's (seq, hidden) input carries no batch axis");
-    const ZooKey key{id, scale, seed, batch};
-    ZooMemo &memo = zooMemo();
-    std::shared_ptr<const ZooMemo::Entry> hit;
-    {
-        std::lock_guard<std::mutex> lock(memo.mutex);
-        if (memo.last && memo.last->key == key)
-            hit = memo.last;
-        else
-            memo.last.reset(); // free it before the new model is built
-    }
-    if (hit)
-        return hit->model;
-
-    ScaleParams p = scaleParams(scale);
-    p.batch = batch;
-    auto entry = std::make_shared<const ZooMemo::Entry>(
-        ZooMemo::Entry{key, synthesize(id, p, seed)});
-    {
-        std::lock_guard<std::mutex> lock(memo.mutex);
-        memo.last = entry;
-    }
-    return entry->model;
+    return zooMemo().get(ZooKey{id, scale, seed, batch}, [&] {
+        ScaleParams p = scaleParams(scale);
+        p.batch = batch;
+        return synthesize(id, p, seed);
+    });
 }
 
 Tensor

@@ -66,11 +66,11 @@ double modelSparsity(ModelId id);
  * BERT's rank-2 (seq, hidden) input carries no batch axis, so batch > 1
  * is rejected there.
  *
- * The most recently built model is kept, and asking for the same (id,
- * scale, seed, batch) again returns a copy of it whose tensors share
- * its storage (copy-on-write, so writing to one never shows through the
- * other), so a sweep of one model over several fabrics synthesises it
- * once. Safe to call from several threads.
+ * The most recently built model is kept (a LastMemo), and asking for
+ * the same (id, scale, seed, batch) again returns a copy of it whose
+ * tensors share its storage (copy-on-write, so writing to one never
+ * shows through the other), so a sweep of one model over several
+ * fabrics synthesises it once. Safe to call from several threads.
  */
 DnnModel buildModel(ModelId id, ModelScale scale, std::uint64_t seed = 7,
                     index_t batch = 1);

@@ -150,7 +150,8 @@ SystolicArray::run(MatrixView a, index_t n, const PanelSource &b,
             ++res.tiles;
         }
     }
-    orderedGemm(a, n, b, b_finite, c);
+    if (c != nullptr)
+        orderedGemm(a, n, b, b_finite, c);
     return res;
 }
 

@@ -96,7 +96,8 @@ class SystolicArray
     /**
      * Run C = A * B with A read in place, the (K x n) B taken
      * kPanelCols columns at a time and C the row-major (M x n) c (see
-     * orderedGemm).
+     * orderedGemm). The timing reads only the shapes: with a null c the
+     * product is skipped, and a.data and b need not be given.
      */
     SystolicResult run(MatrixView a, index_t n, const PanelSource &b,
                        bool b_finite, float *c);

@@ -74,7 +74,7 @@ TEST(Stats, UnknownCounterReadsZero)
     EXPECT_EQ(reg.value("does.not.exist"), 0u);
 }
 
-TEST(Stats, CounterKindIsStickyAndPreservedByDelta)
+TEST(Stats, CounterKindIsSticky)
 {
     StatsRegistry reg;
     reg.counter("gb.reads", StatGroup::GlobalBuffer).value = 4;
@@ -88,13 +88,7 @@ TEST(Stats, CounterKindIsStickyAndPreservedByDelta)
                              StatGroup::GlobalBuffer,
                              StatKind::Activity),
                  PanicError);
-    const StatsRegistry d = reg.delta(std::vector<count_t>{1, 2});
-    EXPECT_EQ(d.value("gb.write_queue_occ"), 7u);
-    for (const StatCounter &c : d.counters()) {
-        if (c.name == "gb.write_queue_occ") {
-            EXPECT_EQ(c.kind, StatKind::Occupancy);
-        }
-    }
+    EXPECT_EQ(reg.counters().back().kind, StatKind::Occupancy);
 }
 
 TEST(Stats, GroupTotalsSumOnlyOwnGroup)
@@ -121,66 +115,6 @@ TEST(Stats, ReRegisteringInDifferentGroupPanics)
     StatsRegistry reg;
     reg.counter("x", StatGroup::Other);
     EXPECT_THROW(reg.counter("x", StatGroup::GlobalBuffer), PanicError);
-}
-
-TEST(Stats, SnapshotDeltaIsolatesOneOperation)
-{
-    StatsRegistry reg;
-    reg.counter("gb.reads", StatGroup::GlobalBuffer).value = 10;
-    const auto before = reg.snapshot();
-    reg.counter("gb.reads", StatGroup::GlobalBuffer).value += 25;
-    reg.counter("gb.writes", StatGroup::GlobalBuffer).value = 3;
-    const StatsRegistry d = reg.delta(before);
-    EXPECT_EQ(d.value("gb.reads"), 25u);
-    EXPECT_EQ(d.value("gb.writes"), 3u);
-}
-
-TEST(Stats, DeltaKeepsOrderGroupsKindsAndLookups)
-{
-    StatsRegistry reg;
-    reg.counter("rn.adds", StatGroup::ReductionNetwork).value = 5;
-    reg.counter("gb.occ", StatGroup::GlobalBuffer, StatKind::Occupancy)
-        .value = 8;
-    reg.counter("dn.hops", StatGroup::DistributionNetwork).value = 2;
-    const auto before = reg.snapshot();
-    reg.counter("rn.adds", StatGroup::ReductionNetwork).value += 4;
-    reg.counter("gb.occ", StatGroup::GlobalBuffer, StatKind::Occupancy)
-        .value += 1;
-    reg.counter("mn.mults", StatGroup::MultiplierNetwork).value = 6;
-
-    StatsRegistry d = reg.delta(before);
-    const std::vector<std::string> names = {"rn.adds", "gb.occ", "dn.hops",
-                                            "mn.mults"};
-    const std::vector<count_t> values = {4, 1, 0, 6};
-    ASSERT_EQ(d.counters().size(), names.size());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const StatCounter &c = d.counters()[i];
-        const StatCounter &orig = reg.counters()[i];
-        EXPECT_EQ(c.name, names[i]);
-        EXPECT_EQ(c.group, orig.group);
-        EXPECT_EQ(c.kind, orig.kind);
-        EXPECT_EQ(c.value, values[i]);
-        EXPECT_EQ(d.value(names[i]), values[i]);
-    }
-    // The delta is a registry of its own: lookups and new names work.
-    EXPECT_EQ(&d.counter("gb.occ", StatGroup::GlobalBuffer,
-                         StatKind::Occupancy),
-              &d.counters()[1]);
-    d.counter("new", StatGroup::Other).value = 1;
-    EXPECT_EQ(reg.value("new"), 0u);
-    EXPECT_EQ(reg.value("rn.adds"), 9u);
-
-    // A counter below its snapshot is a modelling bug.
-    const std::vector<count_t> ahead = {5, 100};
-    try {
-        (void)reg.delta(ahead);
-        ADD_FAILURE() << "delta accepted a counter that went backwards";
-    } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "stat counter gb.occ went backwards"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 TEST(Stats, ResetZeroesButKeepsRegistrations)

@@ -17,6 +17,8 @@
 
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
+#include "engine/workload.hpp"
+#include "explore/tile_space.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/reference.hpp"
 
@@ -583,6 +585,48 @@ TEST(DenseController, UtilizationIsBounded)
         layer, tile, d.input, d.weights, d.bias, d.output);
     EXPECT_GT(r.ms_utilization, 0.0);
     EXPECT_LE(r.ms_utilization, 1.0);
+}
+
+TEST(DenseController, TilesOfOneLayerGiveIdenticalOutputBits)
+{
+    // The premise that lets a tile search skip the functional output:
+    // a tile changes the timing, never the bits. Every MAERI tile of a
+    // layer, and the TPU at two array sizes (its tiles are its array
+    // shape), must give the mapper's output bit for bit.
+    Conv2dShape conv = convLayer(3, 8, 12, 9, 2, 1, 2).conv;
+    conv.N = 2;
+    const std::vector<LayerSpec> layers = {
+        LayerSpec::convolution("conv", conv),
+        LayerSpec::linear("linear", 3, 40, 24),
+        LayerSpec::gemmLayer("gemm", 12, 20, 36)};
+    const HardwareConfig maeri = HardwareConfig::maeriLike(64, 16);
+    for (const LayerSpec &layer : layers) {
+        const LayerData data = makeLayerData(layer, 0.6, 3);
+        Stonne ref(maeri);
+        runLayer(ref, layer, data);
+        const Tensor want = ref.output();
+        ASSERT_FALSE(want.empty()) << layer.name;
+
+        const std::vector<Tile> space =
+            explore::TileSpace::enumerate(layer, maeri);
+        ASSERT_GE(space.size(), 3u) << layer.name;
+        std::size_t runs = 0;
+        for (std::size_t i = 0; i < space.size();
+             i += std::max<std::size_t>(1, space.size() / 7)) {
+            Stonne st(maeri);
+            runLayer(st, layer, data, space[i]);
+            EXPECT_TRUE(st.output().equals(want))
+                << layer.name << " tile " << space[i].canonical();
+            ++runs;
+        }
+        EXPECT_GE(runs, 3u) << layer.name;
+        for (const index_t pes : {64, 256}) {
+            Stonne st(HardwareConfig::tpuLike(pes));
+            runLayer(st, layer, data);
+            EXPECT_TRUE(st.output().equals(want))
+                << layer.name << " on a " << pes << "-PE TPU";
+        }
+    }
 }
 
 TEST(DenseController, RejectsWrongOutputShape)

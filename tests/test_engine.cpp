@@ -303,6 +303,64 @@ TEST(EnergyModel, ArtAddersCostMoreThanFan)
     EXPECT_GT(art.rn_uj, fan.rn_uj);
 }
 
+TEST(EnergyModel, PricesTheActivitySinceASnapshot)
+{
+    // The energy of one operation is priced from value - before[i] of
+    // each counter, in registration order. It must equal, bit for bit,
+    // the energy of a registry holding just those differences; a
+    // counter registered after the snapshot counts in full.
+    const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    const EnergyModel m(cfg);
+    StatsRegistry reg;
+    reg.counter("gb.reads", StatGroup::GlobalBuffer).value = 10;
+    reg.counter("dn.switch_hops", StatGroup::DistributionNetwork).value = 3;
+    reg.counter("dn.packages", StatGroup::DistributionNetwork).value = 8;
+    reg.counter("rn.adder_ops", StatGroup::ReductionNetwork).value = 7;
+    const std::vector<count_t> before = reg.snapshot();
+    reg.counter("gb.reads", StatGroup::GlobalBuffer).value += 25;
+    reg.counter("dn.packages", StatGroup::DistributionNetwork).value += 5;
+    reg.counter("rn.adder_ops", StatGroup::ReductionNetwork).value += 1001;
+    reg.counter("mn.mult_ops", StatGroup::MultiplierNetwork).value = 77;
+    reg.counter("dram.bytes", StatGroup::Dram).value = 4096;
+
+    StatsRegistry diff;
+    diff.counter("gb.reads", StatGroup::GlobalBuffer).value = 25;
+    diff.counter("dn.switch_hops", StatGroup::DistributionNetwork);
+    diff.counter("dn.packages", StatGroup::DistributionNetwork).value = 5;
+    diff.counter("rn.adder_ops", StatGroup::ReductionNetwork).value = 1001;
+    diff.counter("mn.mult_ops", StatGroup::MultiplierNetwork).value = 77;
+    diff.counter("dram.bytes", StatGroup::Dram).value = 4096;
+
+    const EnergyRates rates = m.rates(reg);
+    EXPECT_EQ(rates.covered, 6u);
+    EXPECT_EQ(rates.priced.size(), 5u); // dn.packages carries no energy
+    const EnergyBreakdown got = m.compute(rates, reg, before, 900);
+    const EnergyBreakdown want = m.compute(diff, 900);
+    for (const auto f : {&EnergyBreakdown::gb_uj, &EnergyBreakdown::dn_uj,
+                         &EnergyBreakdown::mn_uj, &EnergyBreakdown::rn_uj,
+                         &EnergyBreakdown::dram_uj,
+                         &EnergyBreakdown::static_uj})
+        EXPECT_EQ(got.*f, want.*f);
+    EXPECT_GT(got.rn_uj, 0.0);
+    EXPECT_EQ(got.dn_uj, 0.0);
+
+    // Rates of a registry that has grown since are refused.
+    reg.counter("late", StatGroup::Other);
+    EXPECT_THROW(m.compute(rates, reg, before, 900), PanicError);
+
+    // A counter below its snapshot is a modelling bug.
+    const std::vector<count_t> ahead = {100};
+    try {
+        (void)m.compute(m.rates(reg), reg, ahead, 0);
+        ADD_FAILURE() << "a counter that went backwards was priced";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "stat counter gb.reads went backwards"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(EnergyModel, StaticEnergyScalesWithRuntime)
 {
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
 
 #include "frontend/model_loader.hpp"
@@ -225,6 +228,117 @@ TEST(ModelLoader, FileRoundTrip)
     }
     EXPECT_THROW(loadModelFromFile("/nonexistent/model.txt"),
                  FatalError);
+}
+
+// --- the loader's memo -----------------------------------------------
+
+/** A description without a seed statement: its weights follow the
+ *  default seed. */
+const char *kNoSeed = R"(
+model memo_net
+sparsity 0.5
+input 3 8 8
+conv name=c1 out=8 kernel=3 pad=1
+relu
+gap
+flatten
+linear name=fc out=4
+)";
+
+/** Layer names and every weight and bias bit of a model. */
+std::string
+fingerprint(const DnnModel &m)
+{
+    std::vector<std::uint8_t> bytes;
+    std::string f = m.name;
+    for (const DnnLayer &l : m.layers) {
+        f += "|" + l.name;
+        for (const Tensor *t : {&l.weights, &l.bias}) {
+            const auto *p = reinterpret_cast<const std::uint8_t *>(t->data());
+            bytes.insert(bytes.end(), p, p + t->size() * sizeof(float));
+        }
+    }
+    return f + "|" + std::to_string(bytes.size()) + ":" +
+        std::to_string(crc32(bytes.data(), bytes.size()));
+}
+
+/** The first layer's weight storage: equal only between a model and a
+ *  memo hit of it, which shares it. */
+const float *
+storage(const DnnModel &m)
+{
+    return m.layers.front().weights.data();
+}
+
+TEST(ModelLoader, MemoHitEqualsAFreshParseBitForBit)
+{
+    const DnnModel first = loadModelFromText(kFireNet);
+    const DnnModel hit = loadModelFromText(kFireNet);
+    EXPECT_EQ(storage(hit), storage(first));
+    // The origin names the source in diagnostics only: still a hit.
+    EXPECT_EQ(storage(loadModelFromText(kFireNet, 7, "fire.model")),
+              storage(first));
+
+    // Another text evicts it, so the next load parses afresh.
+    loadModelFromText(kNoSeed);
+    const DnnModel fresh = loadModelFromText(kFireNet);
+    EXPECT_NE(storage(fresh), storage(hit));
+    EXPECT_EQ(fingerprint(fresh), fingerprint(hit));
+}
+
+TEST(ModelLoader, EditedTextOrAnotherSeedMisses)
+{
+    const DnnModel base = loadModelFromText(kNoSeed, 7);
+    const std::string want = fingerprint(base);
+
+    // Another default seed: other weights.
+    const DnnModel seeded = loadModelFromText(kNoSeed, 8);
+    EXPECT_NE(storage(seeded), storage(base));
+    EXPECT_NE(fingerprint(seeded), want);
+
+    // An edit that leaves the model as it was still misses, and
+    // synthesises the same weights.
+    const DnnModel commented =
+        loadModelFromText(std::string(kNoSeed) + "# edited\n", 7);
+    EXPECT_NE(storage(commented), storage(base));
+    EXPECT_EQ(fingerprint(commented), want);
+
+    // A seed statement overrides the default seed.
+    const DnnModel reseeded =
+        loadModelFromText(std::string("seed 8\n") + kNoSeed, 7);
+    EXPECT_EQ(fingerprint(reseeded), fingerprint(seeded));
+
+    // A text that fails to parse keeps nothing.
+    EXPECT_THROW(loadModelFromText("input 3 8 8\nbogus\n"), FatalError);
+    EXPECT_EQ(fingerprint(loadModelFromText(kNoSeed, 7)), want);
+}
+
+TEST(ModelLoader, ConcurrentLoadsAgree)
+{
+    const std::vector<std::pair<std::string, std::uint64_t>> keys = {
+        {kFireNet, 7}, {kNoSeed, 7}, {kNoSeed, 9}};
+    std::vector<std::string> want;
+    for (const auto &[text, seed] : keys)
+        want.push_back(fingerprint(loadModelFromText(text, seed)));
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 6; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 18; ++i) {
+                // Runs of one key (hits) broken by the others (misses).
+                const std::size_t k =
+                    static_cast<std::size_t>((i / 3 + t) % 3);
+                if (fingerprint(loadModelFromText(keys[k].first,
+                                                  keys[k].second)) !=
+                    want[k])
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace

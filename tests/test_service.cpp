@@ -34,6 +34,7 @@
 #include "common/watchdog.hpp"
 #include "engine/stonne_api.hpp"
 #include "engine/workload.hpp"
+#include "frontend/model_loader.hpp"
 #include "service/daemon.hpp"
 #include "service/envelope.hpp"
 #include "service/protocol.hpp"
@@ -1047,6 +1048,60 @@ TEST(ServiceDaemon, RunModelQuarantinesTheSickCoreAndMatchesHealthyCrc)
             ASSERT_NE(r.find("quarantines"), nullptr);
         }
     }
+}
+
+TEST(ServiceDaemon, FaultyRunModelLeavesTheLoadedModelIntact)
+{
+    // run_model jobs of one model share its weights with the loader's
+    // memo. Bit flips in a faulty job must land in its own staged
+    // copies: a later job, and a later load, see the clean weights.
+    const std::string path = "models/resnet_block.model";
+    const auto weightCrc = [](const DnnModel &m) {
+        std::vector<std::uint8_t> bytes;
+        for (const DnnLayer &l : m.layers) {
+            const auto *p =
+                reinterpret_cast<const std::uint8_t *>(l.weights.data());
+            bytes.insert(bytes.end(), p, p + l.weights.size() * 4);
+        }
+        return crc32(bytes.data(), bytes.size());
+    };
+    const DnnModel before = loadModelFromFile(path, 42);
+    const std::uint32_t clean = weightCrc(before);
+
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    ServiceDaemon daemon(opts, out);
+    const std::string model = R"(,"model":")" + path + R"(","seed":42})";
+    EXPECT_TRUE(daemon.handleLine(
+        R"({"type":"run_model","id":"clean1","preset":"maeri","ms":64,)"
+        R"("bw":16)" + model));
+    EXPECT_TRUE(daemon.handleLine(
+        R"({"type":"run_model","id":"flipped","preset":"maeri","ms":64,)"
+        R"("bw":16,"overrides":{"faults":"ON","fault_seed":3,)"
+        R"("fault_dram_bitflip_rate":0.02})" + model));
+    EXPECT_TRUE(daemon.handleLine(
+        R"({"type":"run_model","id":"clean2","preset":"maeri","ms":64,)"
+        R"("bw":16)" + model));
+    daemon.finish();
+
+    const auto responses = parseLines(out.str());
+    const auto crcOf = [&](const char *id) {
+        const JsonValue *r = findResult(responses, id);
+        EXPECT_NE(r, nullptr) << id;
+        EXPECT_EQ(r ? r->find("status")->asString() : "", "done") << id;
+        return r ? r->find("service")->find("output_crc32")->asUint64() : 0;
+    };
+    EXPECT_NE(crcOf("flipped"), crcOf("clean1"));
+    EXPECT_EQ(crcOf("clean2"), crcOf("clean1"));
+
+    // Still the memo's model (the jobs hit it), with every bit clean.
+    const DnnModel after = loadModelFromFile(path, 42);
+    EXPECT_EQ(after.layers.front().weights.data(),
+              before.layers.front().weights.data());
+    EXPECT_EQ(weightCrc(before), clean);
+    EXPECT_EQ(weightCrc(after), clean);
 }
 
 } // namespace

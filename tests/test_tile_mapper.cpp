@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <unordered_set>
 
 #include "common/logging.hpp"
@@ -112,6 +115,43 @@ TEST(Tile, CanonicalFormIsStableAndDistinct)
     Tile b = a;
     std::swap(b.t_r, b.t_k);
     EXPECT_NE(a.canonical(), b.canonical());
+}
+
+TEST(Tile, CanonicalFormMatchesTheStreamFormOnRandomTiles)
+{
+    // The key is the eight fields streamed with 'x' between them; it is
+    // part of every persisted cache key, so any formatting of it must
+    // give the same bytes, extreme values and negatives included.
+    const auto streamed = [](const Tile &t) {
+        std::ostringstream os;
+        os << t.t_r << 'x' << t.t_s << 'x' << t.t_c << 'x' << t.t_g << 'x'
+           << t.t_k << 'x' << t.t_n << 'x' << t.t_x << 'x' << t.t_y;
+        return os.str();
+    };
+    std::mt19937_64 gen(29);
+    const index_t extremes[] = {0, 1, -1, 9, 10, 99, 100,
+                                std::numeric_limits<index_t>::max(),
+                                std::numeric_limits<index_t>::min()};
+    for (int i = 0; i < 20000; ++i) {
+        Tile t;
+        for (index_t *f : {&t.t_r, &t.t_s, &t.t_c, &t.t_g, &t.t_k, &t.t_n,
+                           &t.t_x, &t.t_y}) {
+            const std::uint64_t v = gen();
+            // Small tiles, every digit count, and the extremes.
+            switch (v % 3) {
+              case 0:
+                *f = static_cast<index_t>(1 + (v >> 8) % 512);
+                break;
+              case 1:
+                *f = static_cast<index_t>(v >> (v % 64));
+                break;
+              default:
+                *f = extremes[(v >> 8) % std::size(extremes)];
+                break;
+            }
+        }
+        ASSERT_EQ(t.canonical(), streamed(t));
+    }
 }
 
 TEST(Tile, HashMatchesEqualityAndSpreadsDistinctTiles)
