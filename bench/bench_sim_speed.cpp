@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,10 @@
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
 #include "common/rng_kernels.hpp"
+#include "common/sweep_pool.hpp"
 #include "engine/output_module.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
-#include "sweep.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/prune.hpp"
 
@@ -471,35 +472,24 @@ main()
     const std::vector<Workload> points = workloads();
     std::vector<PointResult> results(points.size());
 
-    // The recovering runner retries a failing point from its last
-    // snapshot instead of aborting the sweep; a healthy run completes
-    // every point on attempt 1 and the recovery summary records that.
-    RecoveringSweepRunner runner;
-    std::vector<RecoveringSweepRunner::Point> sweep;
+    const SweepRunner runner;
+    std::vector<std::function<void()>> sweep;
     sweep.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        sweep.push_back(
-            {points[i].name, points[i].cfg,
-             [&, i](const HardwareConfig &cfg, const SweepAttempt &) {
-                 Workload w = points[i];
-                 w.cfg = cfg;
-                 const LayerData data =
-                     makeLayerData(layerByTag(w.tag), w.sparsity, 42);
-                 PointResult &p = results[i];
-                 p.tick = runMode(w, data, EngineType::Tick);
-                 p.exact = runMode(w, data, EngineType::Event);
-                 checkParity(w, p.tick, p.exact);
-                 p.exact_speedup = p.exact.best_wall > 0.0
-                     ? p.tick.best_wall / p.exact.best_wall
-                     : 0.0;
-             }});
+        sweep.push_back([&, i] {
+            const Workload &w = points[i];
+            const LayerData data =
+                makeLayerData(layerByTag(w.tag), w.sparsity, 42);
+            PointResult &p = results[i];
+            p.tick = runMode(w, data, EngineType::Tick);
+            p.exact = runMode(w, data, EngineType::Event);
+            checkParity(w, p.tick, p.exact);
+            p.exact_speedup = p.exact.best_wall > 0.0
+                ? p.tick.best_wall / p.exact.best_wall
+                : 0.0;
+        });
     }
-    const std::vector<PointOutcome> outcomes = runner.run(sweep);
-    for (const PointOutcome &o : outcomes)
-        fatalIf(!o.completed, "sweep point '", o.name, "' failed all ",
-                o.attempts, " attempts; last cause: ",
-                o.failures.empty() ? "unknown"
-                                   : o.failures.back().cause.c_str());
+    runner.run(sweep);
 
     banner("Simulator speed — tick vs. event engine (" +
            std::to_string(runner.threadCount()) + " sweep threads)");
@@ -582,7 +572,6 @@ main()
     mt.print();
     j["model_points"] = marr;
 
-    j["recovery"] = RecoveringSweepRunner::summary(outcomes);
     const std::vector<ZooWeight> zoo = benchZooWeights();
     j["synthesis"] = runSynthesis(zoo);
     j["compress"] = runCompress(zoo);

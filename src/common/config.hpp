@@ -291,10 +291,10 @@ struct HardwareConfig {
     index_t job_budget_wall_ms = 0;
 
     /**
-     * Retries after a job's first failed attempt (DeadlockError or
-     * CheckpointError) on the shared retry ladder (common/recovery.hpp):
-     * retries start at once and the final one runs degraded (watchdog
-     * budget x4). 0 disables retrying.
+     * Whether a job's first failed attempt (DeadlockError or
+     * CheckpointError) is retried (common/recovery.hpp): any positive
+     * value grants the one retry, which starts at once and runs
+     * degraded (watchdog budget x4). 0 disables retrying.
      */
     index_t job_retries = 2;
 
@@ -348,7 +348,7 @@ struct HardwareConfig {
      * away: engine, watchdog budget, trace/checkpoint destinations
      * and the search knobs may all legitimately differ between two
      * runs of the *same* simulated hardware (both engines are
-     * bit-identical; the retry ladder's degraded attempts and the
+     * bit-identical; the degraded retry's widened watchdog and the
      * result cache rely on exactly that), but everything
      * architectural must
      * match exactly. Checkpoint restores compare snapshots with this,

@@ -1,6 +1,5 @@
 #include "common/recovery.hpp"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "checkpoint/archive.hpp"
@@ -28,57 +27,55 @@ runWithRecovery(const RecoveryPolicy &policy, const HardwareConfig &cfg,
 {
     using Clock = std::chrono::steady_clock;
     RecoveryOutcome out;
-    const int max_attempts = std::max(1, policy.max_attempts);
 
     RecoveryAttempt a;
     if (policy.budget_wall_ms > 0)
         a.deadline = Clock::now() +
                      std::chrono::milliseconds(policy.budget_wall_ms);
 
-    for (a.attempt = 1; a.attempt <= max_attempts; ++a.attempt) {
-        a.degraded = max_attempts > 1 && a.attempt == max_attempts;
-        out.attempts = a.attempt;
+    // Runs one attempt; true when its failure earns the retry.
+    const auto run = [&](const HardwareConfig &acfg) {
+        ++out.attempts;
         out.degraded = a.degraded;
+        const auto fail = [&](const std::exception &e) {
+            out.failures.push_back({out.attempts, e.what()});
+        };
         try {
             if (a.deadline && Clock::now() > *a.deadline)
                 throw BudgetExceededError(
                     BudgetExceededError::Kind::WallClock,
                     "wall-clock budget exhausted before attempt " +
-                        std::to_string(a.attempt));
-            if (a.degraded) {
-                HardwareConfig wide = cfg;
-                wide.watchdog_cycles *= 4;
-                attempt(wide, a);
-            } else {
-                attempt(cfg, a);
-            }
+                        std::to_string(out.attempts));
+            attempt(acfg, a);
             out.status = "done";
             removeSnapshot(policy.snapshot_path);
-            return out;
         } catch (const BudgetExceededError &e) {
-            out.failures.push_back({a.attempt, e.what()});
+            fail(e);
             out.status = "timeout";
-            out.error = e.what();
-            return out;
         } catch (const DeadlockError &e) {
-            out.failures.push_back({a.attempt, e.what()});
+            fail(e);
+            return true;
         } catch (const CheckpointError &e) {
-            out.failures.push_back({a.attempt, e.what()});
+            fail(e);
             removeSnapshot(policy.snapshot_path);
+            return true;
         } catch (const std::exception &e) {
-            out.failures.push_back({a.attempt, e.what()});
-            out.error = e.what();
-            return out;
+            fail(e);
         }
-        if (a.attempt == max_attempts) {
-            out.error = out.failures.back().cause;
-            return out;
-        }
+        return false;
+    };
+
+    if (run(cfg) && policy.retry) {
         if (policy.on_retry)
-            policy.on_retry(a.attempt + 1, out.failures.back().cause,
-                            a.attempt + 1 == max_attempts);
+            policy.on_retry(out.failures.back().cause);
+        HardwareConfig wide = cfg;
+        wide.watchdog_cycles *= 4;
+        a.degraded = true;
+        run(wide);
     }
-    return out; // unreachable: the last attempt returns above
+    if (out.status != "done")
+        out.error = out.failures.back().cause;
+    return out;
 }
 
 } // namespace stonne

@@ -1,26 +1,28 @@
 /**
  * @file
- * The retry ladder shared by every recovering job: benchmark sweep
- * points and the service's run, run_model, tune and explore jobs.
+ * The one recovery decision shared by the service's run, run_model,
+ * tune and explore jobs.
  *
  * The simulator is deterministic (fault-injector RNG positions are
  * checkpointed), so a retry under the same configuration replays a
  * failure exactly. Only two things can change an outcome, and the
- * ladder applies exactly those:
+ * single retry applies exactly those:
  *
- *  - the final attempt runs degraded: the watchdog window widened x4,
- *    which outwaits a slow-but-live stall (the watchdog budget is not
- *    structural, so a snapshot taken under the narrow window still
- *    restores);
- *  - a CheckpointError deletes the policy's snapshot (and its `.tmp`),
- *    so the next attempt starts clean instead of wedging on a corrupt
- *    file forever.
+ *  - it runs degraded: the watchdog window widened x4, which outwaits
+ *    a slow-but-live stall (the watchdog budget is not structural, so
+ *    a snapshot taken under the narrow window still restores). A run
+ *    that completes under window W completes bit-identically under
+ *    4W, so one widened attempt reaches every outcome more attempts
+ *    could;
+ *  - a CheckpointError first deletes the policy's snapshot (and its
+ *    `.tmp`), so the retry starts clean instead of wedging on a
+ *    corrupt file.
  *
  * Failure classes: BudgetExceededError is a terminal `timeout` (the run
  * was making progress; another attempt only burns more budget).
- * DeadlockError and CheckpointError retry. Any other exception is a
- * terminal `failed`: a deterministic error reproduces on every attempt.
- * Attempts follow each other immediately; there is nothing to wait for.
+ * DeadlockError and CheckpointError earn the retry. Any other exception
+ * is a terminal `failed`: a deterministic error reproduces on every
+ * attempt. The retry follows at once; there is nothing to wait for.
  */
 
 #ifndef STONNE_COMMON_RECOVERY_HPP
@@ -38,17 +40,17 @@ namespace stonne {
 
 /** One failed attempt of a recovering job. */
 struct AttemptFailure {
-    int attempt = 0;
+    int attempt = 0; //!< 1, or 2 for the degraded retry
     std::string cause;
 };
 
 /** How one job is retried. */
 struct RecoveryPolicy {
-    /** Total attempts (first try + retries); < 1 counts as 1. The last
-     *  one runs degraded when there is more than one. */
-    int max_attempts = 3;
+    /** Whether a DeadlockError or CheckpointError on the first attempt
+     *  earns the one degraded retry. */
+    bool retry = true;
 
-    /** Wall-clock budget in ms shared by all attempts (0 = unbounded);
+    /** Wall-clock budget in ms shared by both attempts (0 = unbounded);
      *  checked before each attempt and handed to the attempt body. */
     index_t budget_wall_ms = 0;
 
@@ -56,14 +58,13 @@ struct RecoveryPolicy {
      *  on a CheckpointError and after success. */
     std::string snapshot_path;
 
-    /** Called before each retry: (next_attempt, cause, degraded). */
-    std::function<void(int, const std::string &, bool)> on_retry;
+    /** Called before the retry with the first attempt's cause. */
+    std::function<void(const std::string &)> on_retry;
 };
 
 /** What the attempt body is told about the attempt it runs. */
 struct RecoveryAttempt {
-    int attempt = 1;       //!< 1-based
-    bool degraded = false; //!< the final attempt of a multi-attempt job
+    bool degraded = false; //!< the retry, watchdog widened x4
     /** The job's wall deadline, for the body to arm on its watchdogs. */
     std::optional<std::chrono::steady_clock::time_point> deadline;
 };
@@ -73,8 +74,8 @@ struct RecoveryOutcome {
     /** done | failed | timeout */
     std::string status = "failed";
 
-    int attempts = 0;
-    bool degraded = false; //!< the last attempt run was the degraded one
+    int attempts = 0;      //!< 1, or 2 after a retry
+    bool degraded = false; //!< the last attempt run was the retry
     std::vector<AttemptFailure> failures;
 
     /** Terminal error text (failed / timeout). */
@@ -83,14 +84,15 @@ struct RecoveryOutcome {
 
 /**
  * Attempt body: run the job under `cfg` (the job's configuration,
- * watchdog widened x4 on the degraded attempt). Returning means done;
- * throwing feeds the ladder.
+ * watchdog widened x4 on the degraded retry). Returning means done;
+ * throwing a retryable error on the first attempt earns the retry.
  */
 using AttemptFn =
     std::function<void(const HardwareConfig &cfg, const RecoveryAttempt &a)>;
 
 /**
- * Run `attempt` under the retry ladder of `policy`. Never throws for a
+ * Run `attempt` once, and once more degraded when the first attempt
+ * fails retryably and `policy.retry` holds. Never throws for a
  * std::exception out of the body: every failure lands in the outcome.
  */
 RecoveryOutcome runWithRecovery(const RecoveryPolicy &policy,

@@ -112,9 +112,8 @@ Watchdog::reset()
 }
 
 // The limit is deliberately not serialized: a restore target may run
-// with a different `watchdog_cycles` budget (the retry ladder widens
-// it on degraded attempts) and the configured value must
-// win over the snapshot's.
+// with a different `watchdog_cycles` budget (the degraded retry widens
+// it) and the configured value must win over the snapshot's.
 void
 Watchdog::saveState(ArchiveWriter &ar) const
 {

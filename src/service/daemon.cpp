@@ -330,8 +330,7 @@ ServiceDaemon::startJob(const std::string &id, Clock::time_point admitted_at)
 }
 
 void
-ServiceDaemon::emitRetry(const std::string &id, int next_attempt,
-                         const std::string &cause, bool degraded)
+ServiceDaemon::emitRetry(const std::string &id, const std::string &cause)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -341,8 +340,8 @@ ServiceDaemon::emitRetry(const std::string &id, int next_attempt,
     r.set("type", "status");
     r.set("id", id);
     r.set("state", "retrying");
-    r.set("attempt", static_cast<std::int64_t>(next_attempt));
-    r.set("degraded", degraded);
+    r.set("attempt", std::int64_t{2});
+    r.set("degraded", true);
     r.set("cause", cause);
     emit(r);
 }
@@ -352,12 +351,10 @@ ServiceDaemon::recoveryPolicy(const JobRequest &req,
                               const HardwareConfig &cfg)
 {
     RecoveryPolicy p;
-    p.max_attempts = static_cast<int>(cfg.job_retries) + 1;
+    p.retry = cfg.job_retries > 0;
     p.budget_wall_ms = cfg.job_budget_wall_ms;
-    p.on_retry = [this, id = req.id](int next_attempt,
-                                     const std::string &cause,
-                                     bool degraded) {
-        emitRetry(id, next_attempt, cause, degraded);
+    p.on_retry = [this, id = req.id](const std::string &cause) {
+        emitRetry(id, cause);
     };
     return p;
 }
@@ -500,7 +497,7 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
         out = runModelJobEnvelope(model, cfg, inputs, eo);
     } catch (const std::exception &e) {
         // The model or its inputs could not be built: one attempt,
-        // failed before the ladder started.
+        // failed before the recovery started.
         out.attempts = 1;
         out.error = e.what();
     }

@@ -142,11 +142,10 @@ class ServiceDaemon
     double startJob(const std::string &id,
                     std::chrono::steady_clock::time_point admitted_at);
     /** The retry hook of every job type: counts the retry and streams
-     *  the `retrying` status line. */
-    void emitRetry(const std::string &id, int next_attempt,
-                   const std::string &cause, bool degraded);
-    /** The job's retry ladder: `job_retries`, the wall budget and
-     *  emitRetry as the hook. */
+     *  the `retrying` status line (attempt 2, degraded). */
+    void emitRetry(const std::string &id, const std::string &cause);
+    /** The job's recovery policy: a retry when `job_retries` > 0, the
+     *  wall budget and emitRetry as the hook. */
     RecoveryPolicy recoveryPolicy(const JobRequest &req,
                                   const HardwareConfig &cfg);
     void runJob(const JobRequest &req, const HardwareConfig &cfg,

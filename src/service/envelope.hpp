@@ -3,24 +3,24 @@
  * Per-job robustness envelope of the simulation service.
  *
  * Every admitted run and run_model job executes inside this envelope,
- * on the shared retry ladder of common/recovery.hpp:
+ * under the shared recovery of common/recovery.hpp:
  *
  *  - budgets: the configuration's `job_budget_cycles` arms the
  *    progress watchdog's simulated-cycle ceiling; the policy's wall
- *    budget arms a host-clock deadline shared by all attempts of the
- *    job. Crossing either throws BudgetExceededError and reports the
- *    job as `timeout`, terminal.
+ *    budget arms a host-clock deadline shared by both attempts of
+ *    the job. Crossing either throws BudgetExceededError and reports
+ *    the job as `timeout`, terminal.
  *
- *  - retry: DeadlockError and CheckpointError are the retryable
- *    failures; the final attempt runs with the watchdog window widened
- *    x4. Any other exception (configuration conflicts, mistakes that
- *    slipped admission) is terminal.
+ *  - retry: a DeadlockError or CheckpointError earns one retry (when
+ *    `job_retries` > 0), run with the watchdog window widened x4. Any
+ *    other exception (configuration conflicts, mistakes that slipped
+ *    admission) is terminal.
  *
  *  - resume-instead-of-restart: a multi-operation job (`repeat` > 1)
  *    snapshots engine state + merged results at operation boundaries;
- *    a retry resumes from the snapshot instead of re-simulating the
- *    completed operations. A corrupt snapshot is deleted and the next
- *    attempt restarts clean: damage never fails the job by itself.
+ *    the retry resumes from the snapshot instead of re-simulating the
+ *    completed operations. A corrupt snapshot is deleted and the
+ *    retry restarts clean: damage never fails the job by itself.
  *
  *  - warm answers: cacheable jobs (dense controller, single op, no
  *    faults) are first served from the shared design-space ResultCache
@@ -117,8 +117,8 @@ struct ModelJobOutcome : RecoveryOutcome {
  * multi-core) composition. Inside every attempt the fault-tolerant
  * runner absorbs a per-core terminal fault by quarantining the core
  * and migrating its work to the survivors, with no retry consumed.
- * Only what escapes the runner climbs the retry ladder, resuming from
- * the job snapshot when one exists.
+ * Only what escapes the runner reaches the degraded retry, which
+ * resumes from the job snapshot when one exists.
  *
  * Never throws: every failure mode lands in the returned outcome.
  */

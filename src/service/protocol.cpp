@@ -278,7 +278,7 @@ parseRequest(const std::string &line)
             req.seed = v->asUint64();
         }
         // The envelope knobs apply to run_model jobs too: the retry
-        // ladder and the wall budget wrap the whole composition.
+        // and the wall budget wrap the whole composition.
         if (const JsonValue *v = root.find("budget_cycles"))
             req.budget_cycles = asIndex(*v, "budget_cycles", 0);
         if (const JsonValue *v = root.find("budget_wall_ms"))

@@ -123,6 +123,7 @@ struct JobRequest {
     // --- per-job envelope overrides (else the daemon's defaults) ------
     std::optional<index_t> budget_cycles;
     std::optional<index_t> budget_wall_ms;
+    /** job_retries: any positive value grants the one degraded retry. */
     std::optional<index_t> retries;
     std::optional<index_t> top_k; //!< tune / explore only
 

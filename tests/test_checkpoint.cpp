@@ -576,7 +576,7 @@ TEST(ResumeParity, EveryShippedConfigInBothEngineModes)
 
 TEST(ResumeParity, PolicyKnobsMayDifferAcrossTheResume)
 {
-    // The degraded sweep retry restores under a widened watchdog:
+    // The degraded retry restores under a widened watchdog:
     // execution-policy keys are not structural, and the result must
     // still be bit-identical.
     HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);

@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the simulation service (src/service): strict protocol
- * parsing, admission control, the per-job robustness envelope (retry,
- * degraded final attempt, budgets, snapshot resume, warm cache), fault
+ * parsing, admission control, the per-job robustness envelope (the
+ * degraded retry, budgets, snapshot resume, warm cache), fault
  * isolation between jobs, and graceful shutdown.
  *
  * The deadlock staging reuses the deterministic recipe proven by
- * test_sweep_recovery: heavy seeded flit drops on a single-flit
+ * test_recovery: heavy seeded flit drops on a single-flit
  * distribution link make zero-progress streak lengths bit-reproducible
  * from the fault seed, so the exact completion threshold of a watchdog
  * budget can be probed once and any smaller budget deadlocks on every
@@ -536,18 +536,23 @@ TEST(ServiceEnvelope, DeadlockRetriesThenDegradedAttemptSucceeds)
     const auto responses = parseLines(out.str());
     EXPECT_EQ(statusStates(responses, "recov"),
               (std::vector<std::string>{"queued", "admitted", "running",
-                                        "retrying", "retrying"}));
+                                        "retrying"}));
+    for (const JsonValue &l : responses)
+        if (l.find("state") && l.find("state")->asString() == "retrying") {
+            EXPECT_EQ(l.find("attempt")->asInt64(), 2);
+            EXPECT_TRUE(l.find("degraded")->asBool());
+        }
 
     const JsonValue *r = findResult(responses, "recov");
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->find("status")->asString(), "done");
     const JsonValue &svc = *r->find("service");
-    EXPECT_EQ(svc.find("attempts")->asInt64(), 3);
+    EXPECT_EQ(svc.find("attempts")->asInt64(), 2);
     EXPECT_TRUE(svc.find("degraded")->asBool());
-    ASSERT_EQ(svc.find("failures")->items().size(), 2u);
+    ASSERT_EQ(svc.find("failures")->items().size(), 1u);
     for (const JsonValue &f : svc.find("failures")->items())
         EXPECT_FALSE(f.find("cause")->asString().empty());
-    EXPECT_EQ(daemon.counters().retries, 2u);
+    EXPECT_EQ(daemon.counters().retries, 1u);
     EXPECT_EQ(daemon.counters().done, 1u);
 }
 
@@ -579,7 +584,7 @@ TEST(ServiceEnvelope, SnapshotResumeSkipsCompletedOperations)
 
     TempFile snap("test_service_resume.ckpt");
     EnvelopeOptions eo;
-    eo.max_attempts = 1; // fail fast: the snapshot must survive failure
+    eo.retry = false; // fail fast: the snapshot must survive failure
     eo.snapshot_path = snap.path;
 
     // Attempt under w: op 1 completes and snapshots, op 2 deadlocks.
@@ -677,15 +682,15 @@ TEST(ServiceDaemon, FaultyJobFailsAloneAndNeighborsStayBitIdentical)
 
     const auto responses = parseLines(out.str());
 
-    // The faulty job exhausted every attempt, degraded included, and
-    // reported each cause — without taking the daemon down.
+    // The faulty job failed its degraded retry too, and reported each
+    // cause — without taking the daemon down.
     const JsonValue *faulty = findResult(responses, "faulty");
     ASSERT_NE(faulty, nullptr);
     EXPECT_EQ(faulty->find("status")->asString(), "failed");
     const JsonValue &svc = *faulty->find("service");
-    EXPECT_EQ(svc.find("attempts")->asInt64(), 3);
+    EXPECT_EQ(svc.find("attempts")->asInt64(), 2);
     EXPECT_TRUE(svc.find("degraded")->asBool());
-    ASSERT_EQ(svc.find("failures")->items().size(), 3u);
+    ASSERT_EQ(svc.find("failures")->items().size(), 2u);
     for (const JsonValue &f : svc.find("failures")->items())
         EXPECT_FALSE(f.find("cause")->asString().empty());
 
@@ -710,7 +715,38 @@ TEST(ServiceDaemon, FaultyJobFailsAloneAndNeighborsStayBitIdentical)
     const ServiceCounters counters = daemon.counters();
     EXPECT_EQ(counters.done, 2u);
     EXPECT_EQ(counters.failed, 1u);
-    EXPECT_EQ(counters.retries, 2u);
+    EXPECT_EQ(counters.retries, 1u);
+}
+
+TEST(ServiceDaemon, AnyPositiveRetriesGrantsTheOneDegradedRetry)
+{
+    // `retries` is a flag in all but name: 2^32 and INT_MAX grant the
+    // same single degraded retry as 1 (neither may wrap to "no retry").
+    const FaultyWorld &fw = faultyWorld();
+    ASSERT_GT(fw.ok_norm, 1) << "no deterministic deadlock window";
+    const index_t w = fw.ok_norm - 1;
+    ASSERT_GE(4 * w, fw.ok_norm)
+        << "4x widening cannot rescue this fault seed";
+
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    ServiceDaemon daemon(opts, out);
+    EXPECT_TRUE(daemon.handleLine(faultyRunRequest("r2p32", w, 4294967296)));
+    EXPECT_TRUE(daemon.handleLine(faultyRunRequest("rmax", w, 2147483647)));
+    daemon.finish();
+
+    const auto responses = parseLines(out.str());
+    for (const char *id : {"r2p32", "rmax"}) {
+        const JsonValue *r = findResult(responses, id);
+        ASSERT_NE(r, nullptr) << id;
+        EXPECT_EQ(r->find("status")->asString(), "done") << id;
+        const JsonValue &svc = *r->find("service");
+        EXPECT_EQ(svc.find("attempts")->asInt64(), 2) << id;
+        EXPECT_TRUE(svc.find("degraded")->asBool()) << id;
+    }
+    EXPECT_EQ(daemon.counters().retries, 2u);
 }
 
 // --- graceful shutdown -------------------------------------------------
