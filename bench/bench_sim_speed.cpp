@@ -4,8 +4,8 @@
  *
  * Unlike the bench_fig* binaries (whose metric is the simulated cycle
  * count), this harness measures the *simulator's own* wall-clock
- * throughput. Every Figure 1 workload below runs twice on the same
- * operands:
+ * throughput. Every workload below (Figure 1 layers, and one
+ * Full-scale SNAPEA convolution) runs twice on the same operands:
  *
  *  - `engine = TICK`: every cycle through the per-cycle loops (the
  *    pre-event-engine reference),
@@ -62,10 +62,37 @@ constexpr int kReps = 3;
 
 struct Workload {
     std::string name;   //!< point label, e.g. "S-EC @ maeri-128/bw8"
-    std::string tag;    //!< Figure 1 layer tag
+    std::string tag;    //!< layer tag: a Figure 1 tag, or the layer's name
+    LayerSpec layer;
     HardwareConfig cfg; //!< base config; engine overridden per run
     double sparsity;
 };
+
+const LayerSpec &
+layerByTag(const std::string &tag)
+{
+    static const std::vector<Fig1Layer> layers = fig1Layers();
+    for (const Fig1Layer &l : layers)
+        if (l.tag == tag)
+            return l.spec;
+    fatal("no Figure 1 layer tagged '", tag, "'");
+}
+
+/** ResNet-50's 3x3 64->64 convolution at its Full-scale 56x56 input,
+ *  padding 1: the Full-scale Figure 6 layer shape. */
+LayerSpec
+resnetConv56()
+{
+    Conv2dShape s;
+    s.R = 3;
+    s.S = 3;
+    s.C = 64;
+    s.K = 64;
+    s.X = 56;
+    s.Y = 56;
+    s.padding = 1;
+    return LayerSpec::convolution("R50-conv56", s);
+}
 
 /**
  * Low-bandwidth points maximize the steady-state fraction of the
@@ -76,13 +103,17 @@ std::vector<Workload>
 workloads()
 {
     std::vector<Workload> w;
-    auto add = [&](const std::string &tag, HardwareConfig cfg,
-                   double sparsity) {
+    auto addLayer = [&](const std::string &tag, const LayerSpec &layer,
+                        HardwareConfig cfg, double sparsity) {
         char name[96];
         std::snprintf(name, sizeof(name), "%s @ %s/bw%lld", tag.c_str(),
                       cfg.name.c_str(),
                       static_cast<long long>(cfg.dn_bandwidth));
-        w.push_back({name, tag, std::move(cfg), sparsity});
+        w.push_back({name, tag, layer, std::move(cfg), sparsity});
+    };
+    auto add = [&](const std::string &tag, HardwareConfig cfg,
+                   double sparsity) {
+        addLayer(tag, layerByTag(tag), std::move(cfg), sparsity);
     };
     add("S-SC", HardwareConfig::maeriLike(128, 1), 0.0);
     add("S-EC", HardwareConfig::maeriLike(128, 1), 0.0);
@@ -90,6 +121,12 @@ workloads()
     add("M-L", HardwareConfig::sigmaLike(128, 1), 0.9);
     add("B-TR", HardwareConfig::sigmaLike(128, 1), 0.0);
     add("B-L", HardwareConfig::sigmaLike(128, 1), 0.3);
+    // SNAPEA (early exit on): the layer_points trio and a Full-scale
+    // Figure 6 layer.
+    for (const char *tag : {"S-SC", "M-FC", "M-L"})
+        add(tag, HardwareConfig::snapeaLike(64, 64), 0.0);
+    const LayerSpec conv56 = resnetConv56();
+    addLayer(conv56.name, conv56, HardwareConfig::snapeaLike(64, 64), 0.0);
     return w;
 }
 
@@ -106,16 +143,6 @@ struct PointResult {
     double exact_speedup = 0.0; //!< tick wall / event wall
 };
 
-const LayerSpec &
-layerByTag(const std::string &tag)
-{
-    static const std::vector<Fig1Layer> layers = fig1Layers();
-    for (const Fig1Layer &l : layers)
-        if (l.tag == tag)
-            return l.spec;
-    fatal("no Figure 1 layer tagged '", tag, "'");
-}
-
 ModeResult
 runMode(const Workload &w, const LayerData &data, EngineType engine)
 {
@@ -124,7 +151,7 @@ runMode(const Workload &w, const LayerData &data, EngineType engine)
         HardwareConfig cfg = w.cfg;
         cfg.engine_type = engine;
         Stonne st(cfg);
-        const SimulationResult r = runLayer(st, layerByTag(w.tag), data);
+        const SimulationResult r = runLayer(st, w.layer, data);
         if (rep == 0) {
             m.sim = r;
             m.counters = st.stats().counters();
@@ -478,8 +505,7 @@ main()
     for (std::size_t i = 0; i < points.size(); ++i) {
         sweep.push_back([&, i] {
             const Workload &w = points[i];
-            const LayerData data =
-                makeLayerData(layerByTag(w.tag), w.sparsity, 42);
+            const LayerData data = makeLayerData(w.layer, w.sparsity, 42);
             PointResult &p = results[i];
             p.tick = runMode(w, data, EngineType::Tick);
             p.exact = runMode(w, data, EngineType::Event);

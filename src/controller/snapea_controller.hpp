@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "controller/mapper.hpp"
+#include "controller/layer.hpp"
 #include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
@@ -67,8 +67,6 @@ struct SnapeaReorderTable {
 };
 
 class EventEngine;
-class Watchdog;
-class FaultInjector;
 class Tracer;
 
 /** SNAPEA-like controller with early negative cut-off (exact mode). */
@@ -78,18 +76,14 @@ class SnapeaController : public Checkpointable
     /**
      * @param engine the delivery/drain engine every streaming phase
      *        goes through (owned by the Accelerator) — the single
-     *        place components are ticked from
-     * @param watchdog optional progress watchdog ticked by the delivery
-     *        and drain loops (owned by the Accelerator)
-     * @param faults optional fault injector applied to the flit stream
+     *        place components are ticked from, with the watchdog and
+     *        fault injector it was given
      * @param trace optional cycle-level tracer (owned by the
      *        Accelerator when `trace = ON`)
      */
     SnapeaController(const HardwareConfig &cfg, EventEngine &engine,
                      DistributionNetwork &dn, MultiplierArray &mn,
                      ReductionNetwork &rn, GlobalBuffer &gb, Dram &dram,
-                     Watchdog *watchdog = nullptr,
-                     FaultInjector *faults = nullptr,
                      Tracer *trace = nullptr);
 
     /**
@@ -128,10 +122,7 @@ class SnapeaController : public Checkpointable
     ReductionNetwork &rn_;
     GlobalBuffer &gb_;
     Dram &dram_;
-    Watchdog *wd_;
-    FaultInjector *faults_;
     Tracer *trace_;
-    Mapper mapper_;
     ControllerPhase phase_;
 };
 

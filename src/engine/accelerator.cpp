@@ -93,8 +93,7 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
         break;
       case ControllerType::Snapea:
         snapea_ = std::make_unique<SnapeaController>(
-            cfg_, *engine_, *dn_, *mn_, *rn_, *gb_, *dram_,
-            watchdog_.get(), faults_.get(), trace_.get());
+            cfg_, *engine_, *dn_, *mn_, *rn_, *gb_, *dram_, trace_.get());
         break;
     }
 

@@ -29,9 +29,9 @@
  * calls per simulated cycle.
  *
  * Controllers whose units of work repeat (MAERI filter blocks and pool
- * channel blocks, SIGMA's columns of a round) run the first unit
- * exactly between mark() and replay(); replay() then commits the
- * following identical units in closed form — every counter, the
+ * channel blocks, SIGMA's columns of a round, SNAPEA's repeated steps)
+ * run the first unit exactly between mark() and replay(); replay() then
+ * commits the following identical units in closed form — every counter, the
  * watchdog, the engine clock and the wakeup records move by a multiple
  * of the first unit's delta. It declines whenever per-cycle stepping
  * could be observed: under TICK, with a fault injector or tracer
