@@ -18,18 +18,20 @@
  * stdout and to BENCH_sim_speed.json; the CI sim-speed job gates on
  * the event-engine S-EC throughput.
  *
- * The workload points run concurrently over the SweepRunner thread
- * pool (each point owns its Stonne instances).
+ * The workload points run one at a time, so no point's wall includes
+ * its neighbours' contention for cores and caches.
  *
- * Two last, serial blocks time the weight kernels. `synthesis` times
+ * Three last blocks time the weight and GEMM kernels. `synthesis` times
  * each bulk normal-fill kernel (common/rng_kernels.hpp) this CPU runs,
  * over as many normals as one cold build of the seven Bench-scale models
  * draws, and pruneFiltersWithJitter over those models' weight shapes.
  * `compress` times each kernels::compressNonZeros kernel over every
- * filter row of those pruned weights. Each block records which kernel
- * the library dispatches to and whether every kernel produced the same
- * bits as the portable one; the CI sim-speed job gates on those flags,
- * not on the timings.
+ * filter row of those pruned weights. `gemm` times the functional
+ * GEMM's two kernels over the lowered GEMMs of the Figure 1 layers, run
+ * dense: each row listed and run by the sparse-row kernel, and the dense
+ * block. Each block records which kernel the library dispatches to and
+ * whether every kernel produced the same bits as the portable one; the
+ * CI sim-speed job gates on those flags, not on the timings.
  */
 
 #include <algorithm>
@@ -37,7 +39,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,10 @@
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
 #include "common/rng_kernels.hpp"
-#include "common/sweep_pool.hpp"
 #include "engine/output_module.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/prune.hpp"
 
@@ -491,6 +492,176 @@ runSynthesis(const std::vector<ZooWeight> &zoo)
     return j;
 }
 
+/** One lowered GEMM: the (m x k) A times the (k x n) B, per group. */
+struct LoweredGemm {
+    std::string tag;
+    index_t m, k, n;
+    std::vector<Tensor> a, b; //!< one pair per group
+};
+
+/** The functional GEMMs of the Figure 1 layers with dense weights, as
+ *  the flexible fabric lowers them: filters times im2col patches per
+ *  group, weights times the transposed input for linear layers. */
+std::vector<LoweredGemm>
+fig1Gemms()
+{
+    std::vector<LoweredGemm> out;
+    for (const Fig1Layer &l : fig1Layers()) {
+        const LayerData d = makeLayerData(l.spec, 0.0, 42);
+        LoweredGemm g{l.tag, 0, 0, 0, {}, {}};
+        if (l.spec.kind == LayerKind::Convolution) {
+            const Conv2dShape &c = l.spec.conv;
+            const index_t window = c.R * c.S * c.cPerGroup();
+            const MatrixView filters = d.weights.asMatrix(c.K, window);
+            for (index_t grp = 0; grp < c.G; ++grp) {
+                Tensor a({c.kPerGroup(), window});
+                std::memcpy(a.data(),
+                            filters.data + grp * c.kPerGroup() * window,
+                            static_cast<std::size_t>(a.size()) *
+                                sizeof(float));
+                g.a.push_back(a);
+                g.b.push_back(im2col(d.input, c, grp));
+            }
+        } else {
+            g.a.push_back(d.weights);
+            g.b.push_back(l.spec.kind == LayerKind::Linear
+                              ? d.input.transposed()
+                              : d.input);
+        }
+        g.m = g.a[0].dim(0);
+        g.k = g.a[0].dim(1);
+        g.n = g.b[0].dim(1);
+        out.push_back(std::move(g));
+    }
+    return out;
+}
+
+/** c = a * b one kPanelCols panel at a time: through the dense block,
+ *  or with each row's non-zeros listed and run over the panel. */
+void
+gemmByKernel(bool dense, const Tensor &a, const Tensor &b,
+             std::vector<float> &c, std::vector<index_t> &cols,
+             std::vector<float> &vals)
+{
+    const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    for (index_t j0 = 0; j0 < n; j0 += SystolicArray::kPanelCols) {
+        const index_t nj = std::min(SystolicArray::kPanelCols, n - j0);
+        if (dense) {
+            kernels::denseBlock(c.data() + j0, n, m, nj, a.data(), k,
+                                b.data() + j0, n);
+            continue;
+        }
+        for (index_t i = 0; i < m; ++i) {
+            const index_t nnz = kernels::compressNonZeros(
+                a.data() + i * k, k, 0, cols.data(), vals.data());
+            kernels::sparseRowTimesPanel(c.data() + i * n + j0, nj,
+                                         cols.data(), vals.data(), nnz,
+                                         b.data() + j0, n);
+        }
+    }
+}
+
+constexpr int kGemmReps = 21;
+
+/** Times the functional GEMM's kernels this CPU runs over the Figure 1
+ *  layers' lowered GEMMs; the `gemm` block. */
+JsonValue
+runGemm()
+{
+    const std::vector<LoweredGemm> gemms = fig1Gemms();
+    std::vector<const char *> names = {"rows"};
+    if (kernels::denseBlocks())
+        names.push_back("dense");
+
+    index_t widest = 0;
+    for (const LoweredGemm &g : gemms)
+        widest = std::max(widest, g.k);
+    std::vector<index_t> cols(static_cast<std::size_t>(widest));
+    std::vector<float> vals(cols.size()), want, got;
+
+    // Per layer and kernel: the wall of each rep, and the whole pass.
+    std::vector<std::vector<std::vector<double>>> walls(
+        gemms.size(), std::vector<std::vector<double>>(names.size()));
+    bool identical = true;
+    for (int rep = 0; rep < kGemmReps; ++rep) {
+        for (std::size_t l = 0; l < gemms.size(); ++l) {
+            const LoweredGemm &g = gemms[l];
+            std::vector<double> wall(names.size(), 0.0);
+            for (std::size_t grp = 0; grp < g.a.size(); ++grp) {
+                for (std::size_t v = 0; v < names.size(); ++v) {
+                    std::vector<float> &c = v == 0 ? want : got;
+                    c.assign(static_cast<std::size_t>(g.m * g.n), 0.0f);
+                    const auto t0 = std::chrono::steady_clock::now();
+                    gemmByKernel(v > 0, g.a[grp], g.b[grp], c, cols, vals);
+                    wall[v] += std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+                }
+                if (rep == 0 && names.size() > 1)
+                    identical = identical &&
+                        std::memcmp(want.data(), got.data(),
+                                    want.size() * sizeof(float)) == 0;
+            }
+            for (std::size_t v = 0; v < names.size(); ++v)
+                walls[l][v].push_back(wall[v]);
+        }
+    }
+
+    const auto median = [](std::vector<double> w) {
+        std::sort(w.begin(), w.end());
+        return w[w.size() / 2];
+    };
+    banner("Functional GEMM — Figure 1 layers, dense weights, " +
+           std::to_string(kGemmReps) + " reps (median microseconds)");
+    std::vector<std::string> head = {"layer", "m x k x n", "groups"};
+    for (const char *name : names)
+        head.push_back(name);
+    TablePrinter t(head);
+    JsonValue layers = JsonValue::makeArray();
+    std::vector<double> totals(names.size(), 0.0);
+    for (std::size_t l = 0; l < gemms.size(); ++l) {
+        const LoweredGemm &g = gemms[l];
+        std::vector<std::string> row = {
+            g.tag,
+            std::to_string(g.m) + " x " + std::to_string(g.k) + " x " +
+                std::to_string(g.n),
+            std::to_string(g.a.size())};
+        JsonValue o = JsonValue::makeObject();
+        o.set("layer", g.tag);
+        o.set("m", static_cast<std::int64_t>(g.m));
+        o.set("k", static_cast<std::int64_t>(g.k));
+        o.set("n", static_cast<std::int64_t>(g.n));
+        o.set("groups", static_cast<std::uint64_t>(g.a.size()));
+        for (std::size_t v = 0; v < names.size(); ++v) {
+            const double med = median(walls[l][v]);
+            totals[v] += med;
+            row.push_back(TablePrinter::num(med * 1e6, 1));
+            o.set(std::string(names[v]) + "_median_seconds", med);
+        }
+        t.addRow(row);
+        layers.append(std::move(o));
+    }
+    t.print();
+    const char *dispatched = names.back();
+    std::printf("\ndispatched: %s; %zu kernel(s) %s\n", dispatched,
+                names.size(), identical ? "bit-identical" : "DIFFER");
+
+    JsonValue j = JsonValue::makeObject();
+    j.set("reps", static_cast<std::int64_t>(kGemmReps));
+    j.set("dispatched", dispatched);
+    j.set("identical", identical);
+    JsonValue arr = JsonValue::makeArray();
+    for (std::size_t v = 0; v < names.size(); ++v) {
+        JsonValue o = JsonValue::makeObject();
+        o.set("kernel", names[v]);
+        o.set("sum_of_medians_seconds", totals[v]);
+        arr.append(std::move(o));
+    }
+    j["kernels"] = arr;
+    j["layers"] = layers;
+    return j;
+}
+
 } // namespace
 
 int
@@ -499,26 +670,20 @@ main()
     const std::vector<Workload> points = workloads();
     std::vector<PointResult> results(points.size());
 
-    const SweepRunner runner;
-    std::vector<std::function<void()>> sweep;
-    sweep.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        sweep.push_back([&, i] {
-            const Workload &w = points[i];
-            const LayerData data = makeLayerData(w.layer, w.sparsity, 42);
-            PointResult &p = results[i];
-            p.tick = runMode(w, data, EngineType::Tick);
-            p.exact = runMode(w, data, EngineType::Event);
-            checkParity(w, p.tick, p.exact);
-            p.exact_speedup = p.exact.best_wall > 0.0
-                ? p.tick.best_wall / p.exact.best_wall
-                : 0.0;
-        });
+        const Workload &w = points[i];
+        const LayerData data = makeLayerData(w.layer, w.sparsity, 42);
+        PointResult &p = results[i];
+        p.tick = runMode(w, data, EngineType::Tick);
+        p.exact = runMode(w, data, EngineType::Event);
+        checkParity(w, p.tick, p.exact);
+        p.exact_speedup = p.exact.best_wall > 0.0
+            ? p.tick.best_wall / p.exact.best_wall
+            : 0.0;
     }
-    runner.run(sweep);
 
-    banner("Simulator speed — tick vs. event engine (" +
-           std::to_string(runner.threadCount()) + " sweep threads)");
+    banner("Simulator speed — tick vs. event engine (points run one at a "
+           "time)");
     TablePrinter t({"workload", "cycles", "tick wall [s]",
                     "event wall [s]", "exact speedup", "exact cycles/s"});
     double max_exact_speedup = 0.0;
@@ -545,8 +710,6 @@ main()
     JsonValue j = JsonValue::makeObject();
     j.set("benchmark", std::string("sim_speed"));
     j.set("reps", static_cast<std::int64_t>(kReps));
-    j.set("sweep_threads",
-          static_cast<std::uint64_t>(runner.threadCount()));
     JsonValue arr = JsonValue::makeArray();
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &p = results[i];
@@ -601,6 +764,7 @@ main()
     const std::vector<ZooWeight> zoo = benchZooWeights();
     j["synthesis"] = runSynthesis(zoo);
     j["compress"] = runCompress(zoo);
+    j["gemm"] = runGemm();
     OutputModule::writeFile("BENCH_sim_speed.json", j.dump() + "\n");
     std::printf("wrote BENCH_sim_speed.json\n");
     return 0;

@@ -676,22 +676,33 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
     // periodically; the remaining switches run more windows in
     // parallel.
     const index_t vn = std::min<index_t>(window, kVectorWidth);
-    index_t lane_budget = std::max<index_t>(1, cfg_.ms_size / vn);
-    auto take = [&lane_budget](index_t limit) {
-        const index_t v =
-            std::max<index_t>(1, std::min(lane_budget, limit));
-        lane_budget = std::max<index_t>(1, lane_budget / v);
-        return v;
+    // The tile's dims share out a budget of windows a step; their
+    // product stays within it.
+    const auto makeTile = [&](index_t lane_budget) {
+        auto take = [&lane_budget](index_t limit) {
+            const index_t v =
+                std::max<index_t>(1, std::min(lane_budget, limit));
+            lane_budget = std::max<index_t>(1, lane_budget / v);
+            return v;
+        };
+        Tile t;
+        t.t_r = 1;
+        t.t_s = 1;
+        t.t_c = vn;
+        t.t_k = take(kg);
+        t.t_y = take(yo);
+        t.t_x = take(xo);
+        t.t_n = take(shape.N);
+        t.t_g = take(shape.G);
+        return t;
     };
-    Tile tile;
-    tile.t_r = 1;
-    tile.t_s = 1;
-    tile.t_c = vn;
-    tile.t_k = take(kg);
-    tile.t_y = take(yo);
-    tile.t_x = take(xo);
-    tile.t_n = take(shape.N);
-    tile.t_g = take(shape.G);
+    const index_t lane_budget = std::max<index_t>(1, cfg_.ms_size / vn);
+    Tile tile = makeTile(lane_budget);
+    // Each window of a step accumulates into its own buffer entry. Only
+    // a tile whose windows overflow the buffer is cut down to it.
+    if (tile.t_k * tile.t_y * tile.t_x * tile.t_n * tile.t_g >
+        cfg_.accumulator_size)
+        tile = makeTile(std::min(lane_budget, cfg_.accumulator_size));
     const index_t bpe = bytesPerElement(cfg_.data_type);
 
     ControllerResult res;

@@ -11,6 +11,61 @@
 
 namespace stonne {
 
+namespace {
+
+/**
+ * c = a * b, each (r, j) sum from +0 over row r's non-zeros in order
+ * (the SpMM's functional result; fully pruned rows emit zeros).
+ */
+void
+reduceRows(const CsrMatrix &a, MatrixView b, float *c)
+{
+    const index_t n = b.cols, k = a.cols;
+    const auto ptr = [&](index_t r) {
+        return a.row_ptr[static_cast<std::size_t>(r)];
+    };
+    // A row that lists every column in order is a dense row of A, read
+    // in place from the values: its terms are the dense block's, in the
+    // same order, whatever B holds. Pruned rows never qualify.
+    const bool blocks = kernels::denseBlocks();
+    const auto full = [&](index_t r) {
+        if (!blocks || k == 0 || ptr(r + 1) - ptr(r) != k)
+            return false;
+        for (index_t p = 0; p < k; ++p)
+            if (a.col_idx[static_cast<std::size_t>(ptr(r) + p)] != p)
+                return false;
+        return true;
+    };
+    for (index_t r = 0; r < a.rows;) {
+        // The other rows one register block of columns at a time, so
+        // the block's strip of B stays in cache across all of them.
+        const index_t s0 = r;
+        while (r < a.rows && !full(r))
+            ++r;
+        for (index_t j0 = 0; r > s0 && j0 < n;
+             j0 += kernels::kRowBlockCols) {
+            const index_t nj = std::min(kernels::kRowBlockCols, n - j0);
+            for (index_t i = s0; i < r; ++i)
+                kernels::sparseRowTimesPanel(
+                    c + i * n + j0, nj, a.col_idx.data() + ptr(i),
+                    a.values.data() + ptr(i), ptr(i + 1) - ptr(i),
+                    b.data + j0, n);
+        }
+        // A run of full rows, 256 columns of B at a time, so that
+        // strip stays in cache across the run's row blocks.
+        const index_t d0 = r;
+        while (r < a.rows && full(r))
+            ++r;
+        for (index_t j0 = 0; r > d0 && j0 < n; j0 += 256)
+            kernels::denseBlock(c + d0 * n + j0, n, r - d0,
+                                std::min<index_t>(256, n - j0),
+                                a.values.data() + ptr(d0), k, b.data + j0,
+                                n);
+    }
+}
+
+} // namespace
+
 SparseController::SparseController(const HardwareConfig &cfg,
                                    EventEngine &engine,
                                    DistributionNetwork &dn,
@@ -196,21 +251,10 @@ SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
 
     // Functional results in canonical CSR order (bit-exact against the
     // reference SpMM): every (r, j) sum runs from +0 over row r's
-    // non-zeros in order; fully pruned rows emit zeros. Columns go one
-    // register block at a time, so the block's strip of B stays in
-    // cache across all rows.
+    // non-zeros in order; fully pruned rows emit zeros.
     setPhase("functional reduce");
-    for (index_t j0 = 0; c != nullptr && j0 < n;
-         j0 += kernels::kRowBlockCols) {
-        const index_t nj = std::min(kernels::kRowBlockCols, n - j0);
-        for (index_t r = 0; r < a.rows; ++r) {
-            const index_t p0 = a.row_ptr[static_cast<std::size_t>(r)];
-            const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
-            kernels::sparseRowTimesPanel(
-                c + r * n + j0, nj, a.col_idx.data() + p0,
-                a.values.data() + p0, p1 - p0, b.data + j0, n);
-        }
-    }
+    if (c != nullptr)
+        reduceRows(a, b, c);
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0

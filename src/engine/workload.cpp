@@ -44,10 +44,8 @@ fig1Layers()
 }
 
 LayerData
-makeLayerData(const LayerSpec &layer, double sparsity, std::uint64_t seed,
-              double jitter)
+layerShapes(const LayerSpec &layer)
 {
-    Rng rng(seed);
     LayerData d;
     switch (layer.kind) {
       case LayerKind::Convolution: {
@@ -77,6 +75,15 @@ makeLayerData(const LayerSpec &layer, double sparsity, std::uint64_t seed,
         break;
       }
     }
+    return d;
+}
+
+LayerData
+makeLayerData(const LayerSpec &layer, double sparsity, std::uint64_t seed,
+              double jitter)
+{
+    Rng rng(seed);
+    LayerData d = layerShapes(layer);
     d.input.fillUniform(rng, 0.0f, 1.0f);
     if (!d.weights.empty()) {
         d.weights.fillNormal(rng, 0.0f, 0.2f);

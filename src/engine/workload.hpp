@@ -43,6 +43,9 @@ struct LayerData {
     Tensor bias;
 };
 
+/** A layer's operands at their shapes, all zeros. */
+LayerData layerShapes(const LayerSpec &layer);
+
 /**
  * Deterministic synthetic operands for a layer, with the weights
  * magnitude-pruned to `sparsity` (0 keeps them dense). `jitter` spreads

@@ -318,9 +318,17 @@ Explorer::evaluate(const LayerSpec &layer,
         // One operand bundle per executed layer form (dense layers
         // share operands across candidates; sparse variants run the
         // GEMM view with pruned weights). Workers copy into their own
-        // accelerator instances, so evals are written race-free.
-        const LayerData dense_data =
-            makeLayerData(layer, opts_.sparsity, opts_.seed);
+        // accelerator instances, so evals are written race-free. With
+        // outputs off a dense candidate's timing reads only the
+        // operands' shapes, unless faults corrupt their values, so
+        // those candidates get zeros instead of synthesised operands.
+        bool dense_reads = false;
+        for (const std::size_t i : jobs)
+            dense_reads = dense_reads ||
+                (cands[i].has_tile && cands[i].point.cfg.faults.enabled);
+        const LayerData dense_data = dense_reads
+            ? makeLayerData(layer, opts_.sparsity, opts_.seed)
+            : layerShapes(layer);
         LayerData sparse_data;
         for (const std::size_t i : jobs)
             if (!cands[i].has_tile) {

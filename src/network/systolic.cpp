@@ -33,7 +33,10 @@ orderedGemm(MatrixView a, index_t n, const PanelSource &b, bool b_finite,
     // zero entries (the pruned weights) are left out: each sum starts at
     // +0 and so is never -0, and adding 0 * (finite b), which is +-0, to
     // it is the identity. 0 * inf and 0 * NaN are NaN, so otherwise
-    // every entry stays, read in place.
+    // every entry stays, read in place. For the same reason a run of
+    // rows past the crossover can go through the dense block whole,
+    // zeros and all, where this CPU runs it.
+    const bool blocks = kernels::denseBlocks();
     std::vector<index_t> cols(static_cast<std::size_t>(k));
     std::vector<float> vals;
     if (b_finite)
@@ -43,16 +46,31 @@ orderedGemm(MatrixView a, index_t n, const PanelSource &b, bool b_finite,
     for (index_t j0 = 0; j0 < n; j0 += SystolicArray::kPanelCols) {
         const index_t nj = std::min(SystolicArray::kPanelCols, n - j0);
         const ColumnPanel panel = b(j0, nj);
+        // Rows [i - run, i) wait for the dense block.
+        index_t run = 0;
+        const auto flush = [&](index_t end) {
+            if (run > 0)
+                kernels::denseBlock(c + (end - run) * n + j0, n, run, nj,
+                                    a.data + (end - run) * k, k,
+                                    panel.data, panel.ld);
+            run = 0;
+        };
         for (index_t i = 0; i < m; ++i) {
             const float *arow = a.data + i * k;
             const index_t nnz = b_finite
                 ? kernels::compressNonZeros(arow, k, 0, cols.data(),
                                             vals.data())
                 : k;
+            if (blocks && kernels::denseRowPays(nnz, k)) {
+                ++run;
+                continue;
+            }
+            flush(i);
             kernels::sparseRowTimesPanel(c + i * n + j0, nj, cols.data(),
                                          b_finite ? vals.data() : arow,
                                          nnz, panel.data, panel.ld);
         }
+        flush(m);
     }
 }
 

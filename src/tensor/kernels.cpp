@@ -1,7 +1,10 @@
 #include "tensor/kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #if STONNE_RNG_AVX512
 // GCC 12's AVX-512 intrinsics self-initialise their "undefined" pass-
@@ -107,6 +110,34 @@ addScalar(float *c, float a, index_t n)
         c[j] += a;
 }
 
+bool
+allFinite(const float *v, index_t n)
+{
+    // A float is inf or NaN when its exponent bits are all set. Each
+    // 64-element chunk ORs its lanes' verdicts, so the loop exits within
+    // one chunk of the first one.
+    const Int4 exp = {0x7f800000, 0x7f800000, 0x7f800000, 0x7f800000};
+    index_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+        Int4 bad = {};
+#pragma GCC unroll 16
+        for (index_t u = 0; u < 64; u += 4) {
+            Int4 x;
+            std::memcpy(&x, v + i + u, sizeof x);
+            bad |= (x & exp) == exp;
+        }
+        if (bad[0] | bad[1] | bad[2] | bad[3])
+            return false;
+    }
+    for (; i < n; ++i) {
+        std::uint32_t x;
+        std::memcpy(&x, v + i, sizeof x);
+        if ((x & 0x7f800000u) == 0x7f800000u)
+            return false;
+    }
+    return true;
+}
+
 index_t
 countNonZeros(const float *v, index_t n)
 {
@@ -132,6 +163,28 @@ compressNonZeros(const float *v, index_t n, index_t base, index_t *cols,
 #endif
     return compressNonZerosPortable(v, n, base, cols, vals);
 }
+
+bool
+denseBlocks()
+{
+    return rng_kernels::avx512();
+}
+
+#if STONNE_RNG_AVX512
+void
+denseBlock(float *c, index_t ldc, index_t rows, index_t nj, const float *a,
+           index_t k, const float *b, index_t ldb)
+{
+    denseBlockAvx512(c, ldc, rows, nj, a, k, b, ldb);
+}
+#else
+// denseBlocks() is false in such a build, so nothing calls this.
+void
+denseBlock(float *, index_t, index_t, index_t, const float *, index_t,
+           const float *, index_t)
+{
+}
+#endif
 
 index_t
 compressNonZerosPortable(const float *v, index_t n, index_t base,
@@ -215,6 +268,204 @@ compressNonZerosAvx512(const float *v, index_t n, index_t base,
                             cols, vals);
     }
     return len;
+}
+
+namespace {
+
+/** Rows denseBlockAvx512 keeps in registers at a time. */
+constexpr index_t kDenseRows = 8;
+/** 16-lane column vectors denseBlockAvx512 keeps per row. */
+constexpr index_t kDenseVecs = 3;
+
+/**
+ * Rows [0, R) times column vectors [0, V) of denseBlockAvx512 in R * V
+ * accumulators. Per term each B vector is loaded once and shared by all
+ * R rows, each A value is broadcast once and shared by all V vectors,
+ * and each accumulator gets one rounded multiply and one rounded add:
+ * every lane is its own output's chain from +0 in ascending kk. The last
+ * vector loads and stores only the `last` lanes.
+ */
+template <int R, int V>
+__attribute__((target("avx512f"))) inline void
+denseTile(float *c, index_t ldc, const float *a, index_t k, const float *b,
+          index_t ldb, __mmask16 last)
+{
+    __m512 acc[R][V];
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v)
+            acc[r][v] = _mm512_setzero_ps();
+    for (index_t kk = 0; kk < k; ++kk) {
+        const float *brow = b + kk * ldb;
+        __m512 bv[V];
+#pragma GCC unroll 4
+        for (int v = 0; v + 1 < V; ++v)
+            bv[v] = _mm512_loadu_ps(brow + 16 * v);
+        bv[V - 1] = _mm512_maskz_loadu_ps(last, brow + 16 * (V - 1));
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(a[r * k + kk]);
+#pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(av, bv[v]));
+        }
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (int v = 0; v + 1 < V; ++v)
+            _mm512_storeu_ps(c + r * ldc + 16 * v, acc[r][v]);
+        _mm512_mask_storeu_ps(c + r * ldc + 16 * (V - 1), last,
+                              acc[r][V - 1]);
+    }
+}
+
+/** All nj columns of R rows of denseBlockAvx512: whole kDenseVecs-vector
+ *  tiles, then one tile of the vectors left, its last one masked. */
+template <int R>
+__attribute__((target("avx512f"))) void
+denseRows(float *c, index_t ldc, index_t nj, const float *a, index_t k,
+          const float *b, index_t ldb)
+{
+    constexpr index_t kTileCols = 16 * kDenseVecs;
+    index_t j = 0;
+    for (; j + kTileCols <= nj; j += kTileCols)
+        denseTile<R, kDenseVecs>(c + j, ldc, a, k, b + j, ldb, 0xFFFF);
+    const index_t left = nj - j;
+    if (left == 0)
+        return;
+    const auto last = static_cast<__mmask16>(
+        lanes(static_cast<int>((left - 1) % 16 + 1)));
+    static_assert(kDenseVecs == 3, "one case per vector count below");
+    switch ((left + 15) / 16) {
+      case 1: denseTile<R, 1>(c + j, ldc, a, k, b + j, ldb, last); break;
+      case 2: denseTile<R, 2>(c + j, ldc, a, k, b + j, ldb, last); break;
+      default: denseTile<R, 3>(c + j, ldc, a, k, b + j, ldb, last); break;
+    }
+}
+
+/** Transposes the 16 x 16 block r in place: r[i] lane j becomes r[j]
+ *  lane i. */
+__attribute__((target("avx512f"))) inline void
+transpose16(__m512 r[16])
+{
+    __m512 t[16];
+#pragma GCC unroll 8
+    for (int i = 0; i < 16; i += 2) {
+        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    // r[4q + e], 128-bit lane l: rows 4q..4q+3 of column 4l + e.
+#pragma GCC unroll 4
+    for (int q = 0; q < 16; q += 4) {
+        r[q] = _mm512_shuffle_ps(t[q], t[q + 2], 0x44);
+        r[q + 1] = _mm512_shuffle_ps(t[q], t[q + 2], 0xEE);
+        r[q + 2] = _mm512_shuffle_ps(t[q + 1], t[q + 3], 0x44);
+        r[q + 3] = _mm512_shuffle_ps(t[q + 1], t[q + 3], 0xEE);
+    }
+#pragma GCC unroll 4
+    for (int e = 0; e < 4; ++e) {
+        t[e] = _mm512_shuffle_f32x4(r[e], r[e + 4], 0x88);
+        t[e + 4] = _mm512_shuffle_f32x4(r[e], r[e + 4], 0xDD);
+        t[e + 8] = _mm512_shuffle_f32x4(r[e + 8], r[e + 12], 0x88);
+        t[e + 12] = _mm512_shuffle_f32x4(r[e + 8], r[e + 12], 0xDD);
+    }
+#pragma GCC unroll 8
+    for (int e = 0; e < 8; ++e) {
+        r[e] = _mm512_shuffle_f32x4(t[e], t[e + 8], 0x88);
+        r[e + 8] = _mm512_shuffle_f32x4(t[e], t[e + 8], 0xDD);
+    }
+}
+
+/**
+ * Up to 16 rows of denseBlockAvx512 one per lane, for a panel of NJ < 16
+ * columns: one accumulator per column. A comes in 16 x 16 blocks,
+ * transposed in registers so that each term's A vector holds one value
+ * per row and is shared by all NJ columns. The results go out through a
+ * transposing buffer, one scalar store per output.
+ */
+template <int NJ>
+__attribute__((target("avx512f"))) void
+denseLanes(float *c, index_t ldc, index_t rows, const float *a, index_t k,
+           const float *b, index_t ldb)
+{
+    __m512 acc[NJ];
+#pragma GCC unroll 16
+    for (int j = 0; j < NJ; ++j)
+        acc[j] = _mm512_setzero_ps();
+    alignas(64) float block[16][16];
+    for (index_t k0 = 0; k0 < k; k0 += 16) {
+        const index_t kb = std::min<index_t>(16, k - k0);
+        const auto live = static_cast<__mmask16>(lanes(static_cast<int>(kb)));
+        __m512 r[16];
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            r[i] = i < rows ? _mm512_maskz_loadu_ps(live, a + i * k + k0)
+                            : _mm512_setzero_ps();
+        transpose16(r);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            _mm512_store_ps(block[i], r[i]);
+        for (index_t kk = 0; kk < kb; ++kk) {
+            const __m512 av = _mm512_load_ps(block[kk]);
+            const float *brow = b + (k0 + kk) * ldb;
+#pragma GCC unroll 16
+            for (int j = 0; j < NJ; ++j)
+                acc[j] = _mm512_add_ps(
+                    acc[j], _mm512_mul_ps(av, _mm512_set1_ps(brow[j])));
+        }
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < NJ; ++j)
+        _mm512_store_ps(block[j], acc[j]);
+    for (index_t r = 0; r < rows; ++r)
+        for (int j = 0; j < NJ; ++j)
+            c[r * ldc + j] = block[j][r];
+}
+
+/** denseRows or denseLanes: (c, ldc, nj or rows, a, k, b, ldb). */
+using DenseFn = void (*)(float *, index_t, index_t, const float *, index_t,
+                         const float *, index_t);
+
+/** denseRows<1..kDenseRows>, at [R - 1]. */
+template <std::size_t... R>
+constexpr std::array<DenseFn, sizeof...(R)>
+denseRowsTable(std::index_sequence<R...>)
+{
+    return {denseRows<int(R) + 1>...};
+}
+
+/** denseLanes<1..15>, at [NJ - 1]. */
+template <std::size_t... NJ>
+constexpr std::array<DenseFn, sizeof...(NJ)>
+denseLanesTable(std::index_sequence<NJ...>)
+{
+    return {denseLanes<int(NJ) + 1>...};
+}
+
+} // namespace
+
+__attribute__((target("avx512f"))) void
+denseBlockAvx512(float *c, index_t ldc, index_t rows, index_t nj,
+                 const float *a, index_t k, const float *b, index_t ldb)
+{
+    static constexpr auto kRows =
+        denseRowsTable(std::make_index_sequence<kDenseRows>{});
+    static constexpr auto kLanes =
+        denseLanesTable(std::make_index_sequence<15>{});
+    if (nj <= 0)
+        return;
+    if (nj < 16) {
+        for (index_t r = 0; r < rows; r += 16)
+            kLanes[static_cast<std::size_t>(nj - 1)](
+                c + r * ldc, ldc, std::min<index_t>(16, rows - r),
+                a + r * k, k, b, ldb);
+        return;
+    }
+    for (index_t r = 0; r < rows; r += kDenseRows)
+        kRows[static_cast<std::size_t>(std::min(kDenseRows, rows - r) - 1)](
+            c + r * ldc, ldc, nj, a + r * k, k, b, ldb);
 }
 
 #endif

@@ -12,11 +12,15 @@
  *
  * They use the GCC/Clang vector extension, so one source serves every
  * x86-64 level (SSE2 and up) and other targets alike, with no build
- * flag. One kernel is dispatched: compressNonZeros runs an AVX-512
- * variant on CPUs that run the AVX-512 synthesis kernels
- * (rng_kernels::avx512(), decided once per process), since the vector
- * extension has no compress and the portable form moves one element per
- * step. The portable form stays the fallback and the tests' oracle.
+ * flag. Two kernels have AVX-512 forms, run on CPUs that run the AVX-512
+ * synthesis kernels (rng_kernels::avx512(), decided once per process).
+ * compressNonZeros dispatches to one, since the vector extension has no
+ * compress and the portable form moves one element per step.
+ * denseBlockAvx512 multiplies blocks of dense rows: it shares each B
+ * load among several rows, which a row-at-a-time kernel cannot, and
+ * callers take it where denseBlocks() holds, for rows past
+ * denseRowPays. The portable forms stay the fallback and the tests'
+ * oracle.
  */
 
 #ifndef STONNE_TENSOR_KERNELS_HPP
@@ -43,6 +47,9 @@ void sparseRowTimesPanel(float *crow, index_t nj, const index_t *cols,
 /** c[j] += a for j < n. */
 void addScalar(float *c, float a, index_t n);
 
+/** Whether v[0, n) holds no inf or NaN. */
+bool allFinite(const float *v, index_t n);
+
 /** How many of v[0, n) satisfy v != 0.0f: NaN counts, -0.0f does not. */
 index_t countNonZeros(const float *v, index_t n);
 
@@ -59,7 +66,38 @@ index_t compressNonZeros(const float *v, index_t n, index_t base,
 index_t compressNonZerosPortable(const float *v, index_t n, index_t base,
                                  index_t *cols, float *vals);
 
+/**
+ * Whether a row with nnz of its k entries non-zero goes through
+ * denseBlockAvx512 rather than a sparseRowTimesPanel term list: once
+ * more than a quarter of them are non-zero. Below that the term list
+ * skips enough terms to win (DESIGN §16 has the measured crossover).
+ */
+constexpr bool
+denseRowPays(index_t nnz, index_t k)
+{
+    return 4 * nnz > k;
+}
+
+/** Whether denseBlock runs on this CPU: where rng_kernels::avx512()
+ *  holds. */
+bool denseBlocks();
+
+/** denseBlockAvx512; call it only when denseBlocks() holds. */
+void denseBlock(float *c, index_t ldc, index_t rows, index_t nj,
+                const float *a, index_t k, const float *b, index_t ldb);
+
 #if STONNE_RNG_AVX512
+/**
+ * c[r * ldc + j] = the sum, from +0 in ascending kk, of a[r * k + kk] *
+ * b[kk * ldb + j], for r < rows and j < nj: a dense (rows x k) block of
+ * A times a (k x nj) panel of B. Each term is one rounded multiply and
+ * one rounded add, as in the scalar loop. Nothing outside the block of
+ * c is written. Call only when rng_kernels::avx512() holds.
+ */
+void denseBlockAvx512(float *c, index_t ldc, index_t rows, index_t nj,
+                      const float *a, index_t k, const float *b,
+                      index_t ldb);
+
 /** compressNonZeros 16 elements per step: compress in registers, then
  *  masked stores of the kept lanes. Call only when rng_kernels::avx512()
  *  holds. */

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "tensor/kernels.hpp"
 
 namespace stonne {
 
@@ -174,9 +175,7 @@ Tensor::nnz() const
 bool
 Tensor::allFinite() const
 {
-    const float *d = data();
-    return std::all_of(d, d + size_,
-                       [](float x) { return std::isfinite(x); });
+    return kernels::allFinite(data(), size_);
 }
 
 bool

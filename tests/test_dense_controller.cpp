@@ -14,12 +14,14 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
 #include "engine/workload.hpp"
 #include "explore/tile_space.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/reference.hpp"
 
 namespace stonne {
@@ -559,6 +561,95 @@ TEST(DenseSystolic, MatchesAxpyGemmOracleOnRandomShapes)
     }
     EXPECT_GT(dense_paths, 15);
     EXPECT_EQ(convs, 40);
+}
+
+/**
+ * orderedGemm as it was before the dense block: each row of A listed
+ * per 256-column panel (its non-zeros when B is all-finite, every entry
+ * otherwise) and run over the panel by the sparse-row kernel.
+ */
+void
+perRowGemm(const Tensor &a, const Tensor &b, std::vector<float> &c)
+{
+    const index_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    const bool b_finite = b.allFinite();
+    std::vector<index_t> cols(static_cast<std::size_t>(k));
+    std::vector<float> vals(static_cast<std::size_t>(k));
+    c.assign(static_cast<std::size_t>(m * n), 0.0f);
+    for (index_t j0 = 0; j0 < n; j0 += 256) {
+        const index_t nj = std::min<index_t>(256, n - j0);
+        for (index_t i = 0; i < m; ++i) {
+            const float *arow = a.data() + i * k;
+            index_t nnz = k;
+            if (b_finite) {
+                nnz = kernels::compressNonZerosPortable(arow, k, 0,
+                                                        cols.data(),
+                                                        vals.data());
+            } else {
+                for (index_t kk = 0; kk < k; ++kk) {
+                    cols[static_cast<std::size_t>(kk)] = kk;
+                    vals[static_cast<std::size_t>(kk)] = arow[kk];
+                }
+            }
+            kernels::sparseRowTimesPanel(c.data() + i * n + j0, nj,
+                                         cols.data(), vals.data(), nnz,
+                                         b.data() + j0, n);
+        }
+    }
+}
+
+TEST(DenseSystolic, RowBlocksMatchPerRowPath)
+{
+    // Runs of 1-9 dense rows alternate with runs of 90 %-pruned ones, and
+    // rows with exactly a quarter of their entries and one more sit on
+    // both sides of the crossover, so the GEMM splits into dense blocks
+    // of every height and single sparse rows. Widths straddle the dense
+    // block's vectors and tiles and the 256-column panels; half the runs
+    // put an inf in B, where every row takes the dense block. Every bit
+    // must equal the per-row path's.
+    const index_t widths[] = {1, 7, 15, 16, 17, 47, 48, 49, 255, 256, 257, 300};
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(0xD3B1);
+    for (const index_t k : {9, 64, 300}) {
+        for (const index_t n : widths) {
+            std::vector<double> density;
+            for (index_t run = 1; density.size() < 48; ++run) {
+                density.insert(density.end(), (run - 1) % 9 + 1, 1.0);
+                density.insert(density.end(), run % 3 + 1, 0.1);
+            }
+            const auto m = static_cast<index_t>(density.size()) + 2;
+            Tensor a({m, k}), b({k, n});
+            a.fillUniform(rng);
+            b.fillUniform(rng);
+            for (index_t i = 0; i + 2 < m; ++i)
+                for (index_t kk = 0; kk < k; ++kk)
+                    if (!rng.chance(density[static_cast<std::size_t>(i)]))
+                        a.at(i, kk) = rng.chance(0.3) ? -0.0f : 0.0f;
+            // The last two rows: k / 4 non-zeros, then one more.
+            for (index_t kk = 0; kk < k; ++kk) {
+                a.at(m - 2, kk) = kk < k / 4 ? a.at(m - 2, kk) : 0.0f;
+                a.at(m - 1, kk) = kk <= k / 4 ? a.at(m - 1, kk) : 0.0f;
+            }
+            for (const bool poison : {false, true}) {
+                SCOPED_TRACE("k = " + std::to_string(k) + ", n = " +
+                             std::to_string(n) +
+                             (poison ? ", inf in B" : ""));
+                if (poison)
+                    b.at(rng.integer(0, k - 1), rng.integer(0, n - 1)) =
+                        rng.chance(0.5) ? inf : -inf;
+                std::vector<float> want;
+                perRowGemm(a, b, want);
+                std::vector<float> got(want.size(), 42.0f);
+                orderedGemm(a.asMatrix(m, k), n, SystolicArray::panelsOf(b),
+                            b.allFinite(), got.data());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                              std::bit_cast<std::uint32_t>(want[i]))
+                        << "output " << i << ": " << got[i] << " vs "
+                        << want[i];
+            }
+        }
+    }
 }
 
 TEST(DenseSystolic, MaxPoolIsRejected)

@@ -454,6 +454,45 @@ TEST(ExplorerTest, FabricAxisPutsSparseVariantsInTheRace)
     EXPECT_TRUE(saw_sparse);
 }
 
+/**
+ * Dense candidates run with outputs off on all-zero operands of the
+ * right shapes: their timing reads nothing else, so a MAERI and a TPU
+ * instance must report the same statistics as on synthesised, pruned
+ * operands for a convolution, a linear layer and a GEMM.
+ */
+TEST(ExplorerTest, DenseCandidatesTimeTheSameOnZeroOperands)
+{
+    Conv2dShape conv;
+    conv.R = 3;
+    conv.S = 3;
+    conv.C = 8;
+    conv.K = 12;
+    conv.X = 9;
+    conv.Y = 9;
+    conv.padding = 1;
+    const LayerSpec layers[] = {LayerSpec::convolution("c", conv),
+                                LayerSpec::linear("l", 4, 40, 24),
+                                LayerSpec::gemmLayer("g", 16, 20, 24)};
+    for (const HardwareConfig &cfg :
+         {HardwareConfig::maeriLike(64, 16), HardwareConfig::tpuLike(64)}) {
+        for (const LayerSpec &layer : layers) {
+            SCOPED_TRACE(cfg.name + " " + layer.name);
+            const auto run = [&](const LayerData &data) {
+                Stonne st(cfg);
+                st.setComputeOutput(false);
+                return runLayer(st, layer, data);
+            };
+            const SimulationResult real =
+                run(makeLayerData(layer, 0.5, 3));
+            const SimulationResult zeros = run(layerShapes(layer));
+            EXPECT_EQ(zeros.cycles, real.cycles);
+            EXPECT_EQ(zeros.macs, real.macs);
+            EXPECT_EQ(zeros.mem_accesses, real.mem_accesses);
+            EXPECT_EQ(zeros.energy.total(), real.energy.total());
+        }
+    }
+}
+
 TEST(ExplorerTest, RejectsNonDenseBaseAndWrongLayerKinds)
 {
     EXPECT_THROW(

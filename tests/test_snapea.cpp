@@ -302,6 +302,52 @@ TEST(SnapeaPass, BuildsOneTablePerConvolution)
     EXPECT_EQ(buildSnapeaTables(m).size(), 2u);
 }
 
+/**
+ * Wide instances map more windows a step than the accumulation buffer
+ * holds: on 4,096 multipliers a 3x3 256->64 convolution over a 7x7
+ * input would put 64 filters x 7 columns = 448 windows in each step
+ * against 256 entries, and so would a 1x1 4->64 one (a 4-term window,
+ * so 512 lanes) on 2,048. The tile is cut to the buffer instead, and
+ * the run computes the same sums as the reference, with every MAC
+ * either fired or skipped.
+ */
+TEST(Snapea, AccumulatorBufferBoundsTheTile)
+{
+    struct Case {
+        LayerSpec layer;
+        index_t ms_size, bandwidth;
+    };
+    const Case cases[] = {{convLayer(3, 256, 64, 7), 4096, 64},
+                          {convLayer(1, 4, 64, 7, 0), 2048, 512}};
+    for (const Case &c : cases) {
+        const Conv2dShape &s = c.layer.conv;
+        ConvData d(s, 11);
+        const SnapeaReorderTable table = SnapeaReorderTable::build(d.weights);
+        const Tensor expect =
+            ref::relu(ref::conv2d(d.input, d.weights, d.bias, s));
+        const auto full = static_cast<count_t>(s.K * s.outX() * s.outY() *
+                                               s.R * s.S * s.C);
+        for (const index_t buffer : {index_t{256}, index_t{32}}) {
+            HardwareConfig cfg =
+                HardwareConfig::snapeaLike(c.ms_size, c.bandwidth);
+            cfg.accumulator_size = buffer;
+            for (const bool early_exit : {false, true}) {
+                SCOPED_TRACE("C = " + std::to_string(s.C) + ", buffer " +
+                             std::to_string(buffer) +
+                             (early_exit ? ", early exit" : ", full"));
+                Accelerator acc(cfg);
+                const ControllerResult r =
+                    acc.snapeaController().runConvolution(
+                        c.layer, d.input, d.weights, d.bias, table,
+                        early_exit, d.output);
+                EXPECT_LT(ref::relu(d.output).maxAbsDiff(expect), 1e-3);
+                EXPECT_EQ(r.macs + r.skipped_macs, full);
+                EXPECT_GT(r.cycles, 0u);
+            }
+        }
+    }
+}
+
 TEST(Snapea, TableSizeMismatchIsFatal)
 {
     Accelerator acc(HardwareConfig::snapeaLike(64, 64));

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/prune.hpp"
 #include "tensor/reference.hpp"
 
@@ -157,6 +162,66 @@ TEST(SparseController, FullyPrunedRowsEmitZeros)
         EXPECT_EQ(c.at(3, j), 0.0f);
     }
     EXPECT_TRUE(c.equals(ref::gemm(a, b)));
+}
+
+/**
+ * The functional reduce against the sparse-row kernel run over each CSR
+ * row whole. Runs of 1-20 full rows (which go through the dense block)
+ * alternate with 70 %- and 10 %-dense rows, over widths past one 256-
+ * column strip, with B all-finite and with an inf in B. A full row
+ * whose columns are listed out of order must keep its list order.
+ * Every output bit must match.
+ */
+TEST(SparseController, DenseRowRunsMatchRowKernel)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(0x51CA);
+    for (const index_t k : {9, 64, 200}) {
+        for (const index_t n : {1, 15, 16, 40, 49, 300}) {
+            std::vector<double> density;
+            for (const std::size_t run : {20, 1, 3, 8}) {
+                density.insert(density.end(), run, 1.0);
+                density.insert(density.end(), {0.7, 0.1});
+            }
+            const auto m = static_cast<index_t>(density.size()) + 1;
+            Tensor dense({m, k});
+            dense.fillUniform(rng);
+            for (index_t i = 0; i + 1 < m; ++i)
+                for (index_t kk = 0; kk < k; ++kk)
+                    if (!rng.chance(density[static_cast<std::size_t>(i)]))
+                        dense.at(i, kk) = 0.0f;
+            CsrMatrix a = CsrMatrix::fromDense(dense);
+            // The last row lists every column, the first two swapped.
+            const auto last = static_cast<std::size_t>(a.row_ptr[m - 1]);
+            std::swap(a.col_idx[last], a.col_idx[last + 1]);
+            std::swap(a.values[last], a.values[last + 1]);
+            Tensor b({k, n});
+            b.fillUniform(rng);
+            for (const bool poison : {false, true}) {
+                SCOPED_TRACE("k = " + std::to_string(k) + ", n = " +
+                             std::to_string(n) +
+                             (poison ? ", inf in B" : ""));
+                if (poison)
+                    b.at(rng.integer(0, k - 1), rng.integer(0, n - 1)) =
+                        rng.chance(0.5) ? inf : -inf;
+                std::vector<float> want(static_cast<std::size_t>(m * n));
+                for (index_t i = 0; i < m; ++i) {
+                    const index_t p0 = a.row_ptr[static_cast<std::size_t>(i)];
+                    kernels::sparseRowTimesPanel(
+                        want.data() + i * n, n, a.col_idx.data() + p0,
+                        a.values.data() + p0, a.rowNnz(i), b.data(), n);
+                }
+                Accelerator acc(HardwareConfig::sigmaLike(64, 32));
+                Tensor c({m, n});
+                acc.sparseController().runSpMM(a, b, c);
+                for (index_t i = 0; i < m * n; ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(c.at(i)),
+                              std::bit_cast<std::uint32_t>(
+                                  want[static_cast<std::size_t>(i)]))
+                        << "output " << i;
+            }
+        }
+    }
 }
 
 TEST(SparseController, OversizedRowFoldsAcrossRounds)

@@ -1176,6 +1176,133 @@ TEST(TensorKernels, SparseRowTimesPanelMatchesScalarLoop)
     }
 }
 
+/**
+ * The dense block kernel against the scalar loop, called directly: 1-13
+ * rows (whole and partial register tiles), empty, single, short and
+ * long sums, every width around its 16-lane vectors and 48-column tiles
+ * (below 16 the rows-in-lanes form runs), unaligned operands, output
+ * rows wider than the block, and outputs that start as garbage (each
+ * must be set from +0, not added to). NaN, +-inf, +-0 and denormals sit
+ * in A and in B; long sums get fewer NaN and inf, so most of their
+ * outputs stay finite. Every slot outside the block must keep its bits.
+ */
+TEST(TensorKernels, DenseBlockMatchesScalarLoop)
+{
+#if STONNE_RNG_AVX512
+    if (!rng_kernels::avx512())
+        GTEST_SKIP() << "this CPU lacks AVX-512F/DQ/VL, so the dense block "
+                        "does not run here";
+    const index_t kWidths[] = {1,  2,  15, 16,  17,  31,  32,
+                               33, 63, 64, 65, 255, 256, 257};
+    Rng rng(0xB10C);
+    // Finite values of many binades, +-0 and denormals, with NaN or
+    // +-inf in about one slot in 1 / poison.
+    const auto terms = [&rng](index_t n, double poison) {
+        std::vector<float> v = specialMix(rng, n);
+        for (float &x : v) {
+            if (std::isfinite(x) || rng.chance(poison))
+                continue;
+            x = rng.chance(0.5) ? -std::numeric_limits<float>::denorm_min()
+                                : std::ldexp(rng.uniform(),
+                                             static_cast<int>(
+                                                 rng.integer(-20, 20)));
+        }
+        return v;
+    };
+    for (const index_t k : {0, 1, 9, 576}) {
+        const double poison = k > 9 ? 0.002 : 1.0;
+        for (const index_t nj : kWidths) {
+            const index_t ldb = nj + rng.integer(0, 3);
+            // One float in, so the rows start unaligned.
+            const std::vector<float> b = terms(1 + k * ldb, poison);
+            for (index_t rows = 1; rows <= 13; ++rows) {
+                SCOPED_TRACE("k = " + std::to_string(k) + ", nj = " +
+                             std::to_string(nj) + ", rows = " +
+                             std::to_string(rows));
+                const std::vector<float> a = terms(1 + rows * k, poison);
+                const index_t ldc = nj + rng.integer(0, 3);
+                const std::vector<float> c0 = specialMix(rng, 2 + rows * ldc);
+                std::vector<float> want = c0, got = c0;
+                for (index_t r = 0; r < rows; ++r)
+                    for (index_t j = 0; j < nj; ++j) {
+                        float acc = 0.0f;
+                        for (index_t kk = 0; kk < k; ++kk)
+                            acc += a[1 + r * k + kk] * b[1 + kk * ldb + j];
+                        want[1 + r * ldc + j] = acc;
+                    }
+                kernels::denseBlockAvx512(got.data() + 1, ldc, rows, nj,
+                                          a.data() + 1, k, b.data() + 1,
+                                          ldb);
+                for (std::size_t s = 0; s < want.size(); ++s) {
+                    const auto at = static_cast<index_t>(s) - 1;
+                    const bool inside = at >= 0 && at < rows * ldc &&
+                        at % ldc < nj;
+                    ASSERT_TRUE(inside ? sameFloat(got[s], want[s])
+                                       : std::bit_cast<std::uint32_t>(
+                                             got[s]) ==
+                                             std::bit_cast<std::uint32_t>(
+                                                 want[s]))
+                        << "slot " << s << ": " << got[s] << " vs "
+                        << want[s];
+                }
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "this build has no AVX-512 kernels";
+#endif
+}
+
+/**
+ * The finiteness test against the scalar loop: a NaN of either sign or
+ * an inf of either sign at every position of every length up to 70 and
+ * of 4,097 (a whole number of chunks plus one), from an unaligned
+ * start, among finite values that include denormals, -0.0f and the
+ * largest float. An inf or NaN just past the end must not count.
+ */
+TEST(TensorKernels, AllFiniteMatchesScalarLoop)
+{
+    const float kPoison[] = {std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+    const float kFinite[] = {0.0f,
+                             -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max(),
+                             1.5f};
+    std::vector<index_t> lengths;
+    for (index_t n = 0; n <= 70; ++n)
+        lengths.push_back(n);
+    lengths.push_back(4097);
+    Rng rng(0xF1E1);
+    for (const index_t n : lengths) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        std::vector<float> v(static_cast<std::size_t>(n) + 2);
+        for (float &x : v)
+            x = kFinite[rng.integer(0, std::size(kFinite) - 1)];
+        v.back() = std::numeric_limits<float>::infinity();
+        float *row = v.data() + 1;
+        const auto scalar = [&] {
+            return std::all_of(row, row + n,
+                               [](float x) { return std::isfinite(x); });
+        };
+        ASSERT_TRUE(scalar());
+        ASSERT_TRUE(kernels::allFinite(row, n));
+        for (index_t p = 0; p < n; ++p) {
+            const float keep = row[p];
+            for (const float poison : kPoison) {
+                row[p] = poison;
+                ASSERT_EQ(kernels::allFinite(row, n), scalar())
+                    << "poison at " << p;
+            }
+            row[p] = keep;
+        }
+    }
+}
+
 /** Columns [j0, j0 + nj) of im2col, one element at a time. */
 void
 im2colPerElement(const Tensor &input, const Conv2dShape &shape,
