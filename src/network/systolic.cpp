@@ -57,10 +57,21 @@ orderedGemm(MatrixView a, index_t n, const PanelSource &b, bool b_finite,
         };
         for (index_t i = 0; i < m; ++i) {
             const float *arow = a.data + i * k;
-            const index_t nnz = b_finite
-                ? kernels::compressNonZeros(arow, k, 0, cols.data(),
-                                            vals.data())
-                : k;
+            // A row is listed in two parts: its first k / 4 + 1 entries,
+            // then the rest. A first part already past the crossover
+            // sends the row to the dense block, which reads it in place,
+            // without listing the rest; otherwise the whole row is
+            // listed and decides.
+            index_t nnz = k;
+            if (b_finite) {
+                const index_t head = std::min(k, k / 4 + 1);
+                nnz = kernels::compressNonZeros(arow, head, 0, cols.data(),
+                                                vals.data());
+                if (!(blocks && kernels::denseRowPays(nnz, k)))
+                    nnz += kernels::compressNonZeros(
+                        arow + head, k - head, head, cols.data() + nnz,
+                        vals.data() + nnz);
+            }
             if (blocks && kernels::denseRowPays(nnz, k)) {
                 ++run;
                 continue;

@@ -603,10 +603,11 @@ TEST(DenseSystolic, RowBlocksMatchPerRowPath)
     // Runs of 1-9 dense rows alternate with runs of 90 %-pruned ones, and
     // rows with exactly a quarter of their entries and one more sit on
     // both sides of the crossover, so the GEMM splits into dense blocks
-    // of every height and single sparse rows. Widths straddle the dense
-    // block's vectors and tiles and the 256-column panels; half the runs
-    // put an inf in B, where every row takes the dense block. Every bit
-    // must equal the per-row path's.
+    // of every height and single sparse rows. A row whose non-zeros all
+    // lie past its first quarter is dense only once listed whole. Widths
+    // straddle the dense block's vectors and tiles and the 256-column
+    // panels; half the runs put an inf in B, where every row takes the
+    // dense block. Every bit must equal the per-row path's.
     const index_t widths[] = {1, 7, 15, 16, 17, 47, 48, 49, 255, 256, 257, 300};
     const float inf = std::numeric_limits<float>::infinity();
     Rng rng(0xD3B1);
@@ -617,18 +618,20 @@ TEST(DenseSystolic, RowBlocksMatchPerRowPath)
                 density.insert(density.end(), (run - 1) % 9 + 1, 1.0);
                 density.insert(density.end(), run % 3 + 1, 0.1);
             }
-            const auto m = static_cast<index_t>(density.size()) + 2;
+            const auto m = static_cast<index_t>(density.size()) + 3;
             Tensor a({m, k}), b({k, n});
             a.fillUniform(rng);
             b.fillUniform(rng);
-            for (index_t i = 0; i + 2 < m; ++i)
+            for (index_t i = 0; i + 3 < m; ++i)
                 for (index_t kk = 0; kk < k; ++kk)
                     if (!rng.chance(density[static_cast<std::size_t>(i)]))
                         a.at(i, kk) = rng.chance(0.3) ? -0.0f : 0.0f;
-            // The last two rows: k / 4 non-zeros, then one more.
+            // The last three rows: k / 4 non-zeros, then one more, both
+            // at the front, then only the back half non-zero.
             for (index_t kk = 0; kk < k; ++kk) {
-                a.at(m - 2, kk) = kk < k / 4 ? a.at(m - 2, kk) : 0.0f;
-                a.at(m - 1, kk) = kk <= k / 4 ? a.at(m - 1, kk) : 0.0f;
+                a.at(m - 3, kk) = kk < k / 4 ? a.at(m - 3, kk) : 0.0f;
+                a.at(m - 2, kk) = kk <= k / 4 ? a.at(m - 2, kk) : 0.0f;
+                a.at(m - 1, kk) = kk >= k / 2 ? a.at(m - 1, kk) : 0.0f;
             }
             for (const bool poison : {false, true}) {
                 SCOPED_TRACE("k = " + std::to_string(k) + ", n = " +
