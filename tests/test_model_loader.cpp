@@ -118,6 +118,25 @@ linear name=fc out=2
     EXPECT_EQ(m.layers[0].spec.conv.G, 4);
 }
 
+/** "pruned to the declared sparsity": a model that declares none (the
+ *  default, 0) or declares 0 keeps every synthesised weight, and a
+ *  declared sparsity still prunes. */
+TEST(ModelLoader, ZeroSparsityModelKeepsEveryWeight)
+{
+    const std::string body = "input 16 8 8\nconv name=c out=64 kernel=3 "
+                             "pad=1\nrelu\n";
+    for (const std::string head : {"model dense\n",
+                                   "model dense\nsparsity 0\n"}) {
+        const DnnModel m = loadModelFromText(head + body);
+        const Tensor &w = m.layers[0].weights;
+        ASSERT_EQ(w.size(), 64 * 16 * 3 * 3);
+        EXPECT_EQ(w.nnz(), w.size()) << head;
+    }
+    const DnnModel pruned =
+        loadModelFromText("model sparse\nsparsity 0.5\n" + body);
+    EXPECT_NEAR(pruned.layers[0].weights.sparsity(), 0.5, 0.05);
+}
+
 TEST(ModelLoader, ErrorsAreFatalWithLineNumbers)
 {
     EXPECT_THROW(loadModelFromText("conv out=4 kernel=3\n"), FatalError);
