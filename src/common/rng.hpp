@@ -33,13 +33,19 @@
  *    across a twist; a pair straddling two blocks goes through the
  *    scalar polarTrial.
  *
- * Both kernels call the C library's scalar logf on every accepted
- * candidate. A vector log would be faster but is not bit-identical to
- * logf (glibc's logf is not correctly rounded on every input, so even a
+ * Every value these fills return comes from the C library's scalar
+ * logf. A vector log would be faster but is not bit-identical to logf
+ * (glibc's logf is not correctly rounded on every input, so even a
  * correctly rounded log would differ), and the goldens pin logf's
  * values. sqrt, division and the scaling are IEEE operations, exact in
  * any width. Both kernels give identical values and leave the engine in
  * the identical state; the tests run both (common/rng_kernels.hpp).
+ *
+ * Weight synthesis that prunes right after the fill
+ * (synthesizePrunedWeights, tensor/prune.hpp) skips logf where it can
+ * prove pruning zeroes the value: on AVX-512 CPUs it bounds each
+ * value's magnitude with a vector approximation and calls logf only for
+ * values that may survive (fillNormalPrunableAvx512).
  */
 
 #ifndef STONNE_COMMON_RNG_HPP
