@@ -209,12 +209,7 @@ compressNonZerosPortable(const float *v, index_t n, index_t base,
 
 namespace {
 
-/** The first count (<= 16) lanes. */
-inline unsigned
-lanes(int count)
-{
-    return (1u << count) - 1;
-}
+using rng_kernels::lanes16;
 
 /**
  * One block of compressNonZerosAvx512: the lanes of x that are != 0.0f
@@ -231,13 +226,12 @@ compressBlock(__m512 x, __m512i lo, __m512i hi, index_t len, index_t *cols,
     const auto keep_hi = static_cast<__mmask8>(keep >> 8);
     const int n_lo = __builtin_popcount(keep_lo);
     const int n_hi = __builtin_popcount(keep_hi);
-    _mm512_mask_storeu_ps(vals + len,
-                          static_cast<__mmask16>(lanes(n_lo + n_hi)),
+    _mm512_mask_storeu_ps(vals + len, lanes16(n_lo + n_hi),
                           _mm512_maskz_compress_ps(keep, x));
-    _mm512_mask_storeu_epi64(cols + len, static_cast<__mmask8>(lanes(n_lo)),
+    _mm512_mask_storeu_epi64(cols + len, static_cast<__mmask8>(lanes16(n_lo)),
                              _mm512_maskz_compress_epi64(keep_lo, lo));
     _mm512_mask_storeu_epi64(cols + len + n_lo,
-                             static_cast<__mmask8>(lanes(n_hi)),
+                             static_cast<__mmask8>(lanes16(n_hi)),
                              _mm512_maskz_compress_epi64(keep_hi, hi));
     return len + n_lo + n_hi;
 }
@@ -262,8 +256,7 @@ compressNonZerosAvx512(const float *v, index_t n, index_t base,
         hi = _mm512_add_epi64(hi, step);
     }
     if (i < n) {
-        const auto tail =
-            static_cast<__mmask16>(lanes(static_cast<int>(n - i)));
+        const __mmask16 tail = lanes16(n - i);
         len = compressBlock(_mm512_maskz_loadu_ps(tail, v + i), lo, hi, len,
                             cols, vals);
     }
@@ -335,8 +328,7 @@ denseRows(float *c, index_t ldc, index_t nj, const float *a, index_t k,
     const index_t left = nj - j;
     if (left == 0)
         return;
-    const auto last = static_cast<__mmask16>(
-        lanes(static_cast<int>((left - 1) % 16 + 1)));
+    const __mmask16 last = lanes16((left - 1) % 16 + 1);
     static_assert(kDenseVecs == 3, "one case per vector count below");
     switch ((left + 15) / 16) {
       case 1: denseTile<R, 1>(c + j, ldc, a, k, b + j, ldb, last); break;
@@ -397,7 +389,7 @@ denseLanes(float *c, index_t ldc, index_t rows, const float *a, index_t k,
     alignas(64) float block[16][16];
     for (index_t k0 = 0; k0 < k; k0 += 16) {
         const index_t kb = std::min<index_t>(16, k - k0);
-        const auto live = static_cast<__mmask16>(lanes(static_cast<int>(kb)));
+        const __mmask16 live = lanes16(kb);
         __m512 r[16];
 #pragma GCC unroll 16
         for (int i = 0; i < 16; ++i)
