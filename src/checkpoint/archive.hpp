@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -61,9 +60,10 @@ class ArchiveWriter
      *  version 5 added the in-flight pipeline stage's clock to the
      *  model run's cursor; version 6 dropped the search summary from
      *  every simulation result and stores a tuned layer's report as
-     *  text on its model-run record. Older archives are rejected with
-     *  a version diagnostic rather than misparsed. */
-    static constexpr std::uint32_t kVersion = 6;
+     *  text on its model-run record; version 7 dropped the "engine"
+     *  section and the tree DN's range list. Older archives are
+     *  rejected with a version diagnostic rather than misparsed. */
+    static constexpr std::uint32_t kVersion = 7;
 
     void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);
@@ -176,43 +176,6 @@ class ArchiveReader
     std::string origin_;
     //!< (name, end offset) of each open section, innermost last.
     std::vector<std::pair<std::string, std::size_t>> open_sections_;
-};
-
-/**
- * Per-element serialization used by Fifo<T>. The primary template
- * covers arithmetic payloads; structured payloads (e.g. DataPackage)
- * provide their own specialization next to the type's definition.
- */
-template <typename T>
-struct FifoElementIo {
-    static_assert(std::is_arithmetic_v<T>,
-                  "specialize FifoElementIo<T> for this payload type");
-
-    static void
-    save(ArchiveWriter &ar, const T &v)
-    {
-        if constexpr (std::is_same_v<T, float>)
-            ar.putFloat(v);
-        else if constexpr (std::is_floating_point_v<T>)
-            ar.putDouble(static_cast<double>(v));
-        else if constexpr (std::is_signed_v<T>)
-            ar.putI64(static_cast<std::int64_t>(v));
-        else
-            ar.putU64(static_cast<std::uint64_t>(v));
-    }
-
-    static T
-    load(ArchiveReader &ar)
-    {
-        if constexpr (std::is_same_v<T, float>)
-            return ar.getFloat();
-        else if constexpr (std::is_floating_point_v<T>)
-            return static_cast<T>(ar.getDouble());
-        else if constexpr (std::is_signed_v<T>)
-            return static_cast<T>(ar.getI64());
-        else
-            return static_cast<T>(ar.getU64());
-    }
 };
 
 } // namespace stonne

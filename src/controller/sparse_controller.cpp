@@ -223,7 +223,7 @@ SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
             mn_.fireMultipliers(std::min(fired, cfg_.ms_size));
             res.macs += static_cast<count_t>(fired);
             for (const SparseSegment &seg : round.segments)
-                rn_.reduceCluster(std::max<index_t>(1, seg.len));
+                rn_.bulkReduce(1, std::max<index_t>(1, seg.len));
             rn_.accumulate(
                 static_cast<index_t>(round.segments.size()) - completions);
 

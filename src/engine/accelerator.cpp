@@ -172,26 +172,6 @@ Accelerator::supportsMaxPool() const
 }
 
 void
-Accelerator::cycle()
-{
-    dn_->cycle();
-    mn_->cycle();
-    rn_->cycle();
-    gb_->nextCycle();
-}
-
-void
-Accelerator::reset()
-{
-    dn_->reset();
-    mn_->reset();
-    rn_->reset();
-    stats_.reset();
-    watchdog_->reset();
-    engine_->reset();
-}
-
-void
 Accelerator::checkpoint(ArchiveWriter &ar) const
 {
     ar.beginSection("config");
@@ -230,10 +210,6 @@ Accelerator::checkpoint(ArchiveWriter &ar) const
     ar.putBool(trace_ != nullptr);
     if (trace_)
         trace_->saveState(ar);
-    ar.endSection();
-
-    ar.beginSection("engine");
-    engine_->saveState(ar);
     ar.endSection();
 }
 
@@ -298,10 +274,6 @@ Accelerator::restore(ArchiveReader &ar)
                       "carries no tracer state");
     if (trace_)
         trace_->loadState(ar);
-    ar.leaveSection();
-
-    ar.enterSection("engine");
-    engine_->loadState(ar);
     ar.leaveSection();
 }
 

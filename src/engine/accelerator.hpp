@@ -6,8 +6,8 @@
  * one multiplier network, one reduction network, the Global Buffer, the
  * DRAM model and the memory controller — from the hardware configuration
  * (the Configuration Unit role), owns them, and exposes them to the
- * STONNE API. Iterating every component's cycle() emulates the
- * cycle-by-cycle microarchitectural behaviour.
+ * STONNE API. The active memory controller drives the fabrics through
+ * the event engine; nothing ticks the components one by one.
  */
 
 #ifndef STONNE_ENGINE_ACCELERATOR_HPP
@@ -26,17 +26,16 @@
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
 #include "network/mn_array.hpp"
-#include "network/unit.hpp"
 #include "trace/trace.hpp"
 
 namespace stonne {
 
 /** Composes and owns one simulated accelerator instance. */
-class Accelerator : public Unit
+class Accelerator
 {
   public:
     explicit Accelerator(const HardwareConfig &cfg);
-    ~Accelerator() override;
+    ~Accelerator();
 
     Accelerator(const Accelerator &) = delete;
     Accelerator &operator=(const Accelerator &) = delete;
@@ -83,10 +82,6 @@ class Accelerator : public Unit
     /** Current memory-controller phase ("idle" between operations). */
     std::string controllerPhase() const;
 
-    void cycle() override;
-    void reset() override;
-    std::string name() const override { return "accelerator"; }
-
     /**
      * Serialize the complete persistent microarchitectural state into
      * fixed-order archive sections: the configuration text, the stats
@@ -104,10 +99,6 @@ class Accelerator : public Unit
      * a mismatch throws CheckpointError before any state is touched.
      */
     void restore(ArchiveReader &ar);
-
-    /** Unit interface: forwarded to checkpoint()/restore(). */
-    void saveState(ArchiveWriter &ar) const override { checkpoint(ar); }
-    void loadState(ArchiveReader &ar) override { restore(ar); }
 
   private:
     /** Attach the per-unit snapshot sources to the watchdog. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
 #include "controller/delivery.hpp"
 #include "network/dn_benes.hpp"
@@ -55,10 +54,8 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
     dn.accountBacklog(count, grant);
 
     if (mode_ == EngineType::Tick) {
-        const cycle_t cycles = deliverElements(dn, gb, count, fanout, kind,
-                                               watchdog_, faults_, trace_);
-        noteSpan(Delivery, cycles);
-        return cycles;
+        return deliverElements(dn, gb, count, fanout, kind, watchdog_,
+                               faults_, trace_);
     }
 
     cycle_t cycles = 0;
@@ -68,8 +65,7 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
     // dropFlits() consumes its seeded RNG stream once per cycle.
     const cycle_t total =
         static_cast<cycle_t>((remaining + grant - 1) / grant);
-    if (faults_ == nullptr && total > 1 &&
-        skipAllowed(dn.nextActiveCycle())) {
+    if (faults_ == nullptr && total > 1) {
         // Steady skip: counters and trace samples land exactly where
         // per-cycle stepping puts them, and the skip is clamped so a
         // cycle-budget abort fires on the same cycle with the same
@@ -110,7 +106,6 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
                                   faults_, trace_);
         break;
     }
-    noteSpan(Delivery, cycles);
     return cycles;
 }
 
@@ -150,9 +145,7 @@ EventEngine::drain(GlobalBuffer &gb, index_t count)
         }
     }
 
-    cycles += drainOutputs(gb, remaining, watchdog_, trace_);
-    noteSpan(Drain, cycles);
-    return cycles;
+    return cycles + drainOutputs(gb, remaining, watchdog_, trace_);
 }
 
 EventEngine::Mark
@@ -165,9 +158,6 @@ EventEngine::mark() const
         m.observed = watchdog_->cyclesObserved();
         m.stall = watchdog_->stallCycles();
     }
-    m.now = now_;
-    for (std::size_t s = 0; s < kStreams; ++s)
-        m.spans[s] = spans_[s];
     return m;
 }
 
@@ -193,42 +183,11 @@ EventEngine::replay(const Mark &m, count_t times)
     }
 
     stats_->repeat(m.counters, times);
-    const cycle_t span = times * (now_ - m.now);
-    now_ += span;
-    for (std::size_t s = 0; s < kStreams; ++s)
-        if (spans_[s] != m.spans[s])
-            next_active_[s] += span;
     // Every cycle of a stall-free unit made progress.
     replayed_ += times;
     if (watchdog_ != nullptr)
         watchdog_->bulkTick(times * unit_cycles, 1);
     return true;
-}
-
-void
-EventEngine::reset()
-{
-    now_ = 0;
-    for (std::size_t s = 0; s < kStreams; ++s) {
-        next_active_[s] = 0;
-        spans_[s] = 0;
-    }
-}
-
-void
-EventEngine::saveState(ArchiveWriter &ar) const
-{
-    ar.putU64(now_);
-    for (std::size_t s = 0; s < kStreams; ++s)
-        ar.putU64(next_active_[s]);
-}
-
-void
-EventEngine::loadState(ArchiveReader &ar)
-{
-    now_ = ar.getU64();
-    for (std::size_t s = 0; s < kStreams; ++s)
-        next_active_[s] = ar.getU64();
 }
 
 } // namespace stonne

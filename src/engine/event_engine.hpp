@@ -1,26 +1,21 @@
 /**
  * @file
- * Event/wakeup delivery engine: exact simulation without idle ticking.
+ * Event delivery engine: exact simulation without idle ticking.
  *
- * The paper's Figure-4 engine advances every configured Unit through a
- * virtual cycle() call each clock. For the streaming phases that
- * dominate simulated time — GB→DN delivery and RN→GB drain — that
- * per-cycle loop is pure overhead: in steady state every cycle moves
- * exactly min(fabric, buffer) elements and no unit does anything that
- * cannot be expressed in closed form. This engine replaces the
- * tick-everything loop with a wakeup scheduler:
- *
- *  - units report a nextActiveCycle() (kIdle when they hold no queued
- *    work, no in-flight contents and no pending injections),
- *  - the engine keeps a small per-stream wakeup record, and
- *  - cycles in which every scheduled unit is idle or retires at the
- *    next edge are skipped in one closed-form span: counters via
- *    bulkAdvance(), the watchdog via bulkTick() (clamped so a
- *    simulated-cycle budget still aborts on the same cycle with the
- *    same message), and tracer sample windows via steadyBegin()/
- *    steadyEnd() interpolation — so cycles, counters, outputs, traces
- *    and deadlock detection stay bit-identical to exact per-cycle
- *    stepping.
+ * The paper's Figure-4 engine advances every component through a
+ * cycle() call each clock. For the streaming phases that dominate
+ * simulated time — GB→DN delivery and RN→GB drain — that per-cycle loop
+ * is pure overhead: in steady state every cycle moves exactly
+ * min(fabric, buffer) elements and nothing happens that cannot be
+ * expressed in closed form. This engine skips all but the last cycle of
+ * such a stream in one closed-form span: counters via bulkAdvance(),
+ * the watchdog via bulkTick() (clamped so a simulated-cycle budget
+ * still aborts on the same cycle with the same message), and tracer
+ * sample windows via steadyBegin()/steadyEnd() interpolation — so
+ * cycles, counters, outputs, traces and deadlock detection stay
+ * bit-identical to exact per-cycle stepping. A delivery takes the skip
+ * unless a fault injector is attached (it draws once per cycle); a
+ * drain takes it always.
  *
  * The remainder of every span runs through delivery.hpp's exact loop,
  * instantiated on the concrete DN type: one switch on the DN topology
@@ -31,26 +26,24 @@
  * Controllers whose units of work repeat (MAERI filter blocks and pool
  * channel blocks, SIGMA's columns of a round, SNAPEA's repeated steps)
  * run the first unit exactly between mark() and replay(); replay() then
- * commits the following identical units in closed form — every counter, the
- * watchdog, the engine clock and the wakeup records move by a multiple
- * of the first unit's delta. It declines whenever per-cycle stepping
- * could be observed: under TICK, with a fault injector or tracer
- * attached, when a cycle budget would abort inside the span, with a
- * stall run open, or after a counter was registered.
+ * commits the following identical units in closed form — every counter
+ * and the watchdog move by a multiple of the first unit's delta. It
+ * declines whenever per-cycle stepping could be observed: under TICK,
+ * with a fault injector or tracer attached, when a cycle budget would
+ * abort inside the span, with a stall run open, or after a counter was
+ * registered.
  *
  * `engine = TICK` takes no skip and replays nothing: it runs every
  * cycle through the same loops, so the parity suite can compare the two
- * engines directly; the wakeup bookkeeping advances identically in
- * both modes, keeping checkpoints mode-independent.
+ * engines directly. The engine holds no simulated state of its own, so
+ * checkpoints are mode-independent.
  */
 
 #ifndef STONNE_ENGINE_EVENT_ENGINE_HPP
 #define STONNE_ENGINE_EVENT_ENGINE_HPP
 
-#include <cstdint>
 #include <vector>
 
-#include "checkpoint/checkpointable.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -62,17 +55,10 @@
 
 namespace stonne {
 
-/** Wakeup-scheduled delivery/drain engine (see file comment). */
-class EventEngine : public Checkpointable
+/** Closed-form delivery/drain engine (see file comment). */
+class EventEngine
 {
   public:
-    /** Streams the engine schedules independently. */
-    enum Stream : std::size_t {
-        Delivery = 0, //!< GB read ports → DN → multiplier switches
-        Drain = 1,    //!< RN collection point → GB write ports
-        kStreams = 2,
-    };
-
     /**
      * The engine-visible state at the start of a controller's unit of
      * work: what replay() scales the unit's effect against.
@@ -81,8 +67,6 @@ class EventEngine : public Checkpointable
         std::vector<count_t> counters; //!< registry snapshot
         cycle_t observed = 0;          //!< watchdog cycles observed
         cycle_t stall = 0;             //!< watchdog stall run
-        cycle_t now = 0;
-        std::uint64_t spans[kStreams] = {0, 0};
     };
 
     /**
@@ -126,16 +110,15 @@ class EventEngine : public Checkpointable
     /**
      * Commit `times` more repetitions of the unit run since `m`, as if
      * each had been stepped again: every counter gains times x its
-     * delta since the mark, the watchdog observes times x the unit's
-     * cycles (bulkTick(), so wall-clock deadlines are still checked),
-     * and the engine clock and the record of every stream the unit
-     * used advance by times x the unit's clock delta.
+     * delta since the mark, and the watchdog observes times x the
+     * unit's cycles (bulkTick(), so wall-clock deadlines are still
+     * checked).
      *
      * The caller guarantees the repetitions are identical: they start
      * from the same controller state and issue the same deliveries,
-     * drains and counts. Unit state (per-cycle issue budgets) is left
-     * as the first unit left it, which is where each repetition
-     * would leave it too.
+     * drains and counts. The DN's per-cycle issue budget is left as
+     * the first unit left it, which is where each repetition would
+     * leave it too.
      *
      * @return false, changing nothing, when per-cycle stepping could be
      *         observed: under TICK, with a fault injector or tracer
@@ -150,36 +133,7 @@ class EventEngine : public Checkpointable
     /** Units replay() has committed since construction. */
     count_t replayedUnits() const { return replayed_; }
 
-    /** Engine clock: total cycles scheduled across both streams. */
-    cycle_t now() const { return now_; }
-
-    /** Cycle the stream last completed a span at (wakeup record). */
-    cycle_t lastActive(Stream s) const { return next_active_[s]; }
-
-    void reset();
-
-    /**
-     * Serialize the wakeup bookkeeping (engine clock + per-stream
-     * last-active cycles). Advanced identically under both engine
-     * modes — span lengths are equal by the parity invariant — so a
-     * snapshot taken under one mode restores under the other.
-     */
-    void saveState(ArchiveWriter &ar) const override;
-    void loadState(ArchiveReader &ar) override;
-
   private:
-    /**
-     * Whether a closed-form skip may cover a unit reporting `wake`:
-     * kIdle (nothing in flight) and 0 (in-flight contents retire at
-     * the next clock edge, which the span's closed form models) are
-     * skippable; any other wakeup pins the engine to exact stepping.
-     */
-    static bool
-    skipAllowed(cycle_t wake)
-    {
-        return wake == Unit::kIdle || wake == 0;
-    }
-
     /**
      * Clamp a steady-state skip so an armed simulated-cycle budget
      * still aborts on the very cycle the exact loop would: the span is
@@ -189,26 +143,12 @@ class EventEngine : public Checkpointable
      */
     cycle_t clampToBudget(cycle_t skip) const;
 
-    /** Advance the engine clock and the stream's wakeup record. */
-    void
-    noteSpan(Stream s, cycle_t cycles)
-    {
-        now_ += cycles;
-        next_active_[s] = now_;
-        ++spans_[s];
-    }
-
     EngineType mode_;
     Watchdog *watchdog_;
     FaultInjector *faults_;
     Tracer *trace_;
     StatsRegistry *stats_;
 
-    cycle_t now_ = 0;
-    cycle_t next_active_[kStreams] = {0, 0};
-    //! Spans noted per stream: tells replay() which streams a unit
-    //! used. Operation-local, so not checkpointed.
-    std::uint64_t spans_[kStreams] = {0, 0};
     count_t replayed_ = 0;
 };
 

@@ -23,25 +23,6 @@ PointToPointNetwork::PointToPointNetwork(index_t ms_size, index_t bandwidth,
             "point-to-point DN bandwidth out of range");
 }
 
-bool
-PointToPointNetwork::inject(const DataPackage &pkg)
-{
-    panicIf(pkg.dest_lo < 0 || pkg.dest_hi > ms_size_ ||
-            pkg.dest_lo >= pkg.dest_hi,
-            "point-to-point DN package with invalid destination range");
-    fatalIf(pkg.fanout() != 1,
-            "point-to-point DN only supports unicast delivery");
-
-    if (issued_this_cycle_ >= bandwidth_) {
-        ++stalls_->value;
-        return false;
-    }
-    ++issued_this_cycle_;
-    ++packages_->value;
-    ++link_hops_->value;
-    return true;
-}
-
 index_t
 PointToPointNetwork::injectBulk(index_t n, index_t fanout, PackageKind kind)
 {
@@ -83,35 +64,11 @@ PointToPointNetwork::bulkAdvance(cycle_t n_cycles, index_t n_packages,
 }
 
 void
-PointToPointNetwork::cycle()
-{
-    issued_this_cycle_ = 0;
-}
-
-void
-PointToPointNetwork::reset()
-{
-    cycle();
-}
-
-void
 PointToPointNetwork::dumpState(std::ostream &os) const
 {
     os << name() << ": " << ms_size_ << " links, bandwidth " << bandwidth_
        << ", issued this cycle " << issued_this_cycle_ << ", delivered "
        << packages_->value << ", stalls " << stalls_->value << "\n";
-}
-
-void
-PointToPointNetwork::saveState(ArchiveWriter &ar) const
-{
-    ar.putI64(issued_this_cycle_);
-}
-
-void
-PointToPointNetwork::loadState(ArchiveReader &ar)
-{
-    issued_this_cycle_ = ar.getI64();
 }
 
 } // namespace stonne

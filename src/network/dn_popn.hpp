@@ -23,35 +23,20 @@ class PointToPointNetwork final : public DistributionNetwork
     PointToPointNetwork(index_t ms_size, index_t bandwidth,
                         StatsRegistry &stats);
 
-    bool inject(const DataPackage &pkg) override;
     index_t injectBulk(index_t n, index_t fanout,
                        PackageKind kind) override;
     void bulkAdvance(cycle_t n_cycles, index_t n_packages, index_t fanout,
                      PackageKind kind) override;
 
-    void cycle() override;
-    void reset() override;
     std::string name() const override { return "dn_popn"; }
-
-    /** Issued packages occupy the injection links until the next edge. */
-    cycle_t
-    nextActiveCycle() const override
-    {
-        return issued_this_cycle_ > 0 ? 0 : kIdle;
-    }
 
     /** Issue/activity state for watchdog deadlock snapshots. */
     void dumpState(std::ostream &os) const override;
-
-    /** Serialize the per-cycle issue count. */
-    void saveState(ArchiveWriter &ar) const override;
-    void loadState(ArchiveReader &ar) override;
 
     count_t packagesDelivered() const { return packages_->value; }
     count_t stalls() const { return stalls_->value; }
 
   private:
-    index_t issued_this_cycle_ = 0;
     StatCounter *packages_;
     StatCounter *link_hops_;
     StatCounter *stalls_;

@@ -5,16 +5,13 @@
  * A binary distribution tree over the multiplier switches, replicated once
  * per Global Buffer read port (so up to `bandwidth` packages issue per
  * cycle), providing single-cycle unicast / multicast / broadcast delivery
- * to contiguous leaf ranges. Within one cycle each leaf can accept at most
- * one package; a package whose range overlaps an already-issued one must
- * wait — these serialization stalls are the conflicts Figure 1b shows the
- * analytical model missing.
+ * to contiguous leaf ranges. The memory controllers stream disjoint
+ * ranges, so the bandwidth is the only per-cycle limit; a multicast
+ * activates the switches of its spanning subtree.
  */
 
 #ifndef STONNE_NETWORK_DN_TREE_HPP
 #define STONNE_NETWORK_DN_TREE_HPP
-
-#include <vector>
 
 #include "network/unit.hpp"
 
@@ -32,29 +29,15 @@ class TreeDistributionNetwork final : public DistributionNetwork
     TreeDistributionNetwork(index_t ms_size, index_t bandwidth,
                             StatsRegistry &stats);
 
-    bool inject(const DataPackage &pkg) override;
     index_t injectBulk(index_t n, index_t fanout,
                        PackageKind kind) override;
     void bulkAdvance(cycle_t n_cycles, index_t n_packages, index_t fanout,
                      PackageKind kind) override;
 
-    void cycle() override;
-    void reset() override;
     std::string name() const override { return "dn_tree"; }
-
-    /** Issued packages still occupy subtree links until the next edge. */
-    cycle_t
-    nextActiveCycle() const override
-    {
-        return issued_this_cycle_ > 0 ? 0 : kIdle;
-    }
 
     /** Issue/activity state for watchdog deadlock snapshots. */
     void dumpState(std::ostream &os) const override;
-
-    /** Serialize the per-cycle issue state (count + issued ranges). */
-    void saveState(ArchiveWriter &ar) const override;
-    void loadState(ArchiveReader &ar) override;
 
     /** Tree depth: log2(ms_size) switch levels. */
     index_t levels() const { return levels_; }
@@ -67,12 +50,6 @@ class TreeDistributionNetwork final : public DistributionNetwork
 
   private:
     index_t levels_;
-    index_t issued_this_cycle_ = 0;
-    // In-flight leaf ranges of the current cycle as a struct-of-arrays
-    // pair: the overlap scan in inject() walks a dense index_t array
-    // instead of striding over pairs.
-    std::vector<index_t> range_lo_;
-    std::vector<index_t> range_hi_;
     StatCounter *packages_;
     StatCounter *switch_hops_;
     StatCounter *link_hops_;

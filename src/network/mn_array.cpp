@@ -75,16 +75,6 @@ MultiplierArray::forwardPsums(index_t n)
 }
 
 void
-MultiplierArray::cycle()
-{
-}
-
-void
-MultiplierArray::reset()
-{
-}
-
-void
 MultiplierArray::dumpState(std::ostream &os) const
 {
     os << name() << ": " << ms_size_ << " switches ("

@@ -23,7 +23,7 @@
 namespace stonne {
 
 /** Array of multiplier switches with optional neighbour forwarding. */
-class MultiplierArray final : public Unit
+class MultiplierArray final : public Checkpointable
 {
   public:
     MultiplierArray(index_t ms_size, MnType type, StatsRegistry &stats);
@@ -58,12 +58,15 @@ class MultiplierArray final : public Unit
     count_t multOps() const { return mult_ops_->value; }
     count_t forwardOps() const { return forward_ops_->value; }
 
-    void cycle() override;
-    void reset() override;
-    std::string name() const override { return "mn_array"; }
+    /** Component instance name used in diagnostics. */
+    std::string name() const { return "mn_array"; }
 
-    /** Issue/activity state for watchdog deadlock snapshots. */
-    void dumpState(std::ostream &os) const override;
+    /** Activity state for watchdog deadlock snapshots. */
+    void dumpState(std::ostream &os) const;
+
+    /** Every counter lives in the StatsRegistry: nothing to serialize. */
+    void saveState(ArchiveWriter &) const override {}
+    void loadState(ArchiveReader &) override {}
 
   private:
     index_t ms_size_;

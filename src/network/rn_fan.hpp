@@ -22,7 +22,6 @@ class FanReductionNetwork final : public ReductionNetwork
   public:
     FanReductionNetwork(index_t ms_size, StatsRegistry &stats);
 
-    index_t reduceCluster(index_t cluster_size) override;
     void bulkReduce(index_t clusters, index_t cluster_size) override;
     index_t latency(index_t cluster_size) const override;
     bool supportsVariableClusters() const override { return true; }
@@ -36,8 +35,6 @@ class FanReductionNetwork final : public ReductionNetwork
 
     count_t adderOps() const { return adder_ops_->value; }
 
-    void cycle() override;
-    void reset() override;
     std::string name() const override { return "rn_fan"; }
 
     /** Issue/activity state for watchdog deadlock snapshots. */

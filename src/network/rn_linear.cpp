@@ -16,18 +16,6 @@ LinearReductionNetwork::LinearReductionNetwork(index_t ms_size,
     fatalIf(ms_size <= 0, "linear RN needs at least one element");
 }
 
-index_t
-LinearReductionNetwork::reduceCluster(index_t cluster_size)
-{
-    panicIf(cluster_size <= 0 || cluster_size > ms_size_,
-            "linear RN cluster size ", cluster_size, " out of range");
-    if (cluster_size == 1)
-        return 0;
-    adder_ops_->value += static_cast<count_t>(cluster_size - 1);
-    pipeline_occ_->value += static_cast<count_t>(latency(cluster_size));
-    return latency(cluster_size);
-}
-
 void
 LinearReductionNetwork::bulkReduce(index_t clusters, index_t cluster_size)
 {
@@ -53,16 +41,6 @@ LinearReductionNetwork::accumulate(index_t n)
 {
     panicIf(n < 0, "invalid accumulation count");
     adder_ops_->value += static_cast<count_t>(n);
-}
-
-void
-LinearReductionNetwork::cycle()
-{
-}
-
-void
-LinearReductionNetwork::reset()
-{
 }
 
 void

@@ -22,7 +22,6 @@ class LinearReductionNetwork final : public ReductionNetwork
   public:
     LinearReductionNetwork(index_t ms_size, StatsRegistry &stats);
 
-    index_t reduceCluster(index_t cluster_size) override;
     void bulkReduce(index_t clusters, index_t cluster_size) override;
     index_t latency(index_t cluster_size) const override;
     bool supportsVariableClusters() const override { return false; }
@@ -33,8 +32,6 @@ class LinearReductionNetwork final : public ReductionNetwork
 
     count_t adderOps() const { return adder_ops_->value; }
 
-    void cycle() override;
-    void reset() override;
     std::string name() const override { return "rn_linear"; }
 
     /** Issue/activity state for watchdog deadlock snapshots. */

@@ -113,7 +113,7 @@ SystolicArray::accountTile(index_t mt, index_t nt, index_t k,
         dn_.cycle();
         for (index_t e = 0; e < peak; ++e) {
             gb_.read();
-            panicIf(!dn_.inject(DataPackage{}),
+            panicIf(dn_.injectBulk(1, 1, PackageKind::Input) != 1,
                     "systolic edge injection rejected");
         }
     }

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -32,7 +31,6 @@
 #include "faults/fault_injector.hpp"
 #include "frontend/model_loader.hpp"
 #include "frontend/runner.hpp"
-#include "mem/fifo.hpp"
 #include "tensor/prune.hpp"
 
 namespace stonne {
@@ -348,32 +346,6 @@ TEST(UnitState, WatchdogRestoresTheStallWindowButNotTheLimit)
     EXPECT_EQ(b.stallCycles(), 2u);
 }
 
-TEST(UnitState, FifoRestoresElementsCountersAndOccupancy)
-{
-    Fifo<float> a(8, "unit_fifo");
-    a.push(1.5f);
-    a.push(-2.0f);
-    a.push(3.0f);
-    a.pop();
-    ArchiveWriter w;
-    a.saveState(w);
-
-    Fifo<float> b(8, "unit_fifo");
-    ArchiveReader r1(w.payload(), "<mem>");
-    b.loadState(r1);
-    EXPECT_EQ(b.size(), 2);
-    EXPECT_EQ(b.pushes(), 3u);
-    EXPECT_EQ(b.pops(), 1u);
-    EXPECT_EQ(b.highWater(), 3);
-    EXPECT_EQ(b.pop(), -2.0f);
-    EXPECT_EQ(b.pop(), 3.0f);
-
-    // A snapshot that doesn't fit the target fifo is a config mismatch.
-    Fifo<float> tiny(1, "unit_fifo");
-    ArchiveReader r2(w.payload(), "<mem>");
-    expectThrowsWith([&] { tiny.loadState(r2); }, "exceeds capacity");
-}
-
 TEST(UnitState, FaultInjectorResumesItsRngStreamExactly)
 {
     FaultConfig fc;
@@ -608,10 +580,10 @@ TEST(ResumeParity, PolicyKnobsMayDifferAcrossTheResume)
 TEST(ResumeParity, SnapshotRestoresAcrossTheEngineKnob)
 {
     // `engine = EVENT|TICK` is an execution policy: a snapshot taken
-    // under the wakeup scheduler must restore under the
-    // tick-everything engine (and back) bit-identically. The
-    // "engine" archive section advances identically in both modes, so
-    // nothing in the snapshot pins the mode.
+    // under the closed-form engine must restore under the
+    // tick-everything engine (and back) bit-identically. The engine
+    // holds no simulated state, so nothing in the snapshot pins the
+    // mode.
     const HardwareConfig base = HardwareConfig::maeriLike(64, 16);
 
     HardwareConfig ref_cfg = base;
@@ -646,32 +618,6 @@ TEST(ResumeParity, SnapshotRestoresAcrossTheEngineKnob)
         expectIdenticalCounters(ref.stats(), second.stats());
         expectIdenticalOutput(ref.output(), second.output());
     }
-}
-
-TEST(EngineCheckpoint, WakeupBookkeepingRoundTrips)
-{
-    // The event engine's clock and per-stream last-active cycles live
-    // in the version-2 "engine" archive section; a restored instance
-    // must resume the wakeup records exactly.
-    TempFile snap("test_ckpt_engine_state.ckpt");
-    const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
-
-    Stonne st(cfg);
-    configureParityOp(st, cfg);
-    st.runOperation();
-    const EventEngine &engine = st.accelerator().engine();
-    const cycle_t now = engine.now();
-    const cycle_t dl = engine.lastActive(EventEngine::Delivery);
-    const cycle_t dr = engine.lastActive(EventEngine::Drain);
-    EXPECT_GT(now, 0u);
-    st.saveCheckpoint(snap.path);
-
-    Stonne resumed(cfg);
-    resumed.loadCheckpoint(snap.path);
-    const EventEngine &rengine = resumed.accelerator().engine();
-    EXPECT_EQ(rengine.now(), now);
-    EXPECT_EQ(rengine.lastActive(EventEngine::Delivery), dl);
-    EXPECT_EQ(rengine.lastActive(EventEngine::Drain), dr);
 }
 
 TEST(EngineCheckpoint, RejectsAStructurallyDifferentInstance)
@@ -782,8 +728,8 @@ TEST(ModelRunCheckpoint, MidRunSnapshotResumesBitIdentically)
     EXPECT_EQ(writer.total().checkpoint_path, snap.path);
     ASSERT_TRUE(std::filesystem::exists(snap.path));
 
-    // Resume in a fresh runner — under the other engine (wakeup
-    // scheduler swapped for the tick-everything loops) — and complete
+    // Resume in a fresh runner — under the other engine (closed-form
+    // skips swapped for the tick-everything loops) — and complete
     // bit-identically.
     HardwareConfig resume_cfg = cfg;
     resume_cfg.engine_type = EngineType::Tick;

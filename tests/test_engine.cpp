@@ -50,15 +50,6 @@ TEST(Accelerator, ComposesAllThreePresets)
     EXPECT_NO_THROW(snapea.snapeaController());
 }
 
-TEST(Accelerator, CycleAndResetAreSafe)
-{
-    Accelerator acc(HardwareConfig::maeriLike(64, 16));
-    acc.cycle();
-    acc.cycle();
-    acc.reset();
-    EXPECT_EQ(acc.stats().value("gb.reads"), 0u);
-}
-
 TEST(StonneApi, ConvFlowProducesValidatedOutput)
 {
     Stonne st(HardwareConfig::maeriLike(64, 16));

@@ -2,7 +2,7 @@
  * @file
  * Tests for the simulation hardening layer: structured error context
  * (SimContext), the progress watchdog with deadlock diagnosis, named
- * FIFO/GlobalBuffer panics and the config parser diagnostics
+ * GlobalBuffer panics and the config parser diagnostics
  * (file/line, unknown and duplicate keys).
  */
 
@@ -16,7 +16,6 @@
 #include "common/watchdog.hpp"
 #include "controller/delivery.hpp"
 #include "engine/stonne_api.hpp"
-#include "mem/fifo.hpp"
 #include "mem/global_buffer.hpp"
 
 namespace stonne {
@@ -142,7 +141,6 @@ class WedgedNetwork : public DistributionNetwork
         : DistributionNetwork(DnKind::Tree, ms, bw)
     {
     }
-    bool inject(const DataPackage &) override { return false; }
     index_t
     injectBulk(index_t, index_t, PackageKind) override
     {
@@ -153,8 +151,6 @@ class WedgedNetwork : public DistributionNetwork
     {
         panic("a wedged fabric cannot skip steady spans");
     }
-    void cycle() override {}
-    void reset() override {}
     std::string name() const override { return "wedged_dn"; }
 };
 
@@ -226,33 +222,6 @@ TEST_F(WatchdogTest, HealthyOperationsNeverTriggerTheWatchdog)
     st.configureData(in, w, Tensor());
     const SimulationResult r = st.runOperation();
     EXPECT_GT(r.cycles, 0u);
-}
-
-TEST_F(NamedPanicsTest, FifoViolationsNameTheUnitAndOccupancy)
-{
-    Fifo<int> f(2, "mn_input_fifo");
-    f.push(1);
-    f.push(2);
-    try {
-        f.push(3);
-        FAIL() << "push on a full fifo must panic";
-    } catch (const PanicError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("'mn_input_fifo'"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("occupancy 2/2"), std::string::npos) << msg;
-    }
-    EXPECT_EQ(f.describe(),
-              "mn_input_fifo: occupancy 2/2, pushes 2, pops 0, "
-              "high-water 2");
-
-    Fifo<int> empty(4, "rn_psum_fifo");
-    try {
-        empty.pop();
-        FAIL() << "pop on an empty fifo must panic";
-    } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find("'rn_psum_fifo'"),
-                  std::string::npos);
-    }
 }
 
 TEST_F(NamedPanicsTest, GlobalBufferViolationsNameTheUnitAndBandwidth)

@@ -1,64 +1,17 @@
 /**
  * @file
- * Unit tests for the memory hierarchy: FIFOs, the Global Buffer's
- * per-cycle bandwidth accounting, and the DRAM staging model.
+ * Unit tests for the memory hierarchy: the Global Buffer's per-cycle
+ * bandwidth accounting and the DRAM staging model.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
 #include "mem/dram.hpp"
-#include "mem/fifo.hpp"
 #include "mem/global_buffer.hpp"
 
 namespace stonne {
 namespace {
-
-TEST(Fifo, FifoOrder)
-{
-    Fifo<int> f(4);
-    f.push(1);
-    f.push(2);
-    f.push(3);
-    EXPECT_EQ(f.pop(), 1);
-    EXPECT_EQ(f.pop(), 2);
-    EXPECT_EQ(f.pop(), 3);
-}
-
-TEST(Fifo, CapacityBoundsEnforced)
-{
-    Fifo<int> f(2);
-    f.push(1);
-    f.push(2);
-    EXPECT_TRUE(f.full());
-    EXPECT_THROW(f.push(3), PanicError);
-    f.pop();
-    EXPECT_FALSE(f.full());
-}
-
-TEST(Fifo, PopOnEmptyPanics)
-{
-    Fifo<int> f(2);
-    EXPECT_THROW(f.pop(), PanicError);
-    EXPECT_THROW(f.front(), PanicError);
-}
-
-TEST(Fifo, ActivityCountersTrack)
-{
-    Fifo<int> f(8);
-    for (int i = 0; i < 5; ++i)
-        f.push(i);
-    f.pop();
-    f.pop();
-    EXPECT_EQ(f.pushes(), 5u);
-    EXPECT_EQ(f.pops(), 2u);
-    EXPECT_EQ(f.highWater(), 5);
-}
-
-TEST(Fifo, InvalidCapacityIsFatal)
-{
-    EXPECT_THROW(Fifo<int>(0), FatalError);
-}
 
 TEST(GlobalBuffer, BandwidthBudgetPerCycle)
 {

@@ -18,36 +18,17 @@
 namespace stonne {
 namespace {
 
-DataPackage
-pkg(index_t lo, index_t hi, PackageKind kind = PackageKind::Input)
-{
-    DataPackage p;
-    p.dest_lo = lo;
-    p.dest_hi = hi;
-    p.kind = kind;
-    return p;
-}
-
 // --- Tree DN ----------------------------------------------------------
 
 TEST(TreeDn, BandwidthLimitsInjectionsPerCycle)
 {
     StatsRegistry stats;
     TreeDistributionNetwork dn(16, 2, stats);
-    EXPECT_TRUE(dn.inject(pkg(0, 1)));
-    EXPECT_TRUE(dn.inject(pkg(1, 2)));
-    EXPECT_FALSE(dn.inject(pkg(2, 3)));
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 0);
     dn.cycle();
-    EXPECT_TRUE(dn.inject(pkg(2, 3)));
-}
-
-TEST(TreeDn, OverlappingMulticastRangesConflict)
-{
-    StatsRegistry stats;
-    TreeDistributionNetwork dn(16, 4, stats);
-    EXPECT_TRUE(dn.inject(pkg(0, 8)));
-    EXPECT_FALSE(dn.inject(pkg(4, 12))); // shares leaves 4-7
-    EXPECT_TRUE(dn.inject(pkg(8, 16)));  // disjoint
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
     EXPECT_EQ(dn.stalls(), 1u);
 }
 
@@ -55,9 +36,13 @@ TEST(TreeDn, BroadcastUsesWholeFabric)
 {
     StatsRegistry stats;
     TreeDistributionNetwork dn(16, 4, stats);
-    EXPECT_TRUE(dn.inject(pkg(0, 16)));
-    EXPECT_FALSE(dn.inject(pkg(0, 1)));
+    EXPECT_EQ(dn.injectBulk(1, 16, PackageKind::Weight), 1);
     EXPECT_EQ(dn.packagesDelivered(), 1u);
+    // The spanning subtree of all 16 leaves: 4 levels plus 15 more
+    // switches, and one link into every leaf.
+    EXPECT_EQ(stats.value("dn.switch_hops"), 4u + 15u);
+    EXPECT_EQ(stats.value("dn.link_hops"), 4u + 15u + 16u);
+    EXPECT_THROW(dn.injectBulk(1, 17, PackageKind::Weight), PanicError);
 }
 
 TEST(TreeDn, TraversalCountsScaleWithFanout)
@@ -92,12 +77,11 @@ TEST(BenesDn, NonBlockingUpToBandwidth)
 {
     StatsRegistry stats;
     BenesDistributionNetwork dn(16, 4, stats);
-    // Overlapping ranges do NOT conflict: the fabric is non-blocking.
-    EXPECT_TRUE(dn.inject(pkg(0, 8)));
-    EXPECT_TRUE(dn.inject(pkg(4, 12)));
-    EXPECT_TRUE(dn.inject(pkg(0, 16)));
-    EXPECT_TRUE(dn.inject(pkg(3, 4)));
-    EXPECT_FALSE(dn.inject(pkg(5, 6)));
+    // Any mix of fanouts routes in one cycle: only the bandwidth limits.
+    EXPECT_EQ(dn.injectBulk(1, 8, PackageKind::Weight), 1);
+    EXPECT_EQ(dn.injectBulk(2, 16, PackageKind::Weight), 2);
+    EXPECT_EQ(dn.injectBulk(2, 1, PackageKind::Input), 1);
+    EXPECT_EQ(dn.stalls(), 1u);
 }
 
 TEST(BenesDn, LevelStructureMatchesPaper)
@@ -113,7 +97,7 @@ TEST(BenesDn, HopAccountingCrossesAllLevels)
 {
     StatsRegistry stats;
     BenesDistributionNetwork dn(16, 4, stats);
-    dn.inject(pkg(3, 4));
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
     EXPECT_EQ(stats.value("dn.switch_hops"),
               static_cast<count_t>(dn.levels()));
 }
@@ -124,8 +108,8 @@ TEST(PopDn, RejectsMulticastStructurally)
 {
     StatsRegistry stats;
     PointToPointNetwork dn(16, 16, stats);
-    EXPECT_TRUE(dn.inject(pkg(3, 4)));
-    EXPECT_THROW(dn.inject(pkg(0, 2)), FatalError);
+    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
+    EXPECT_THROW(dn.injectBulk(1, 2, PackageKind::Input), FatalError);
     EXPECT_THROW(dn.injectBulk(4, 2, PackageKind::Input), FatalError);
 }
 
@@ -181,9 +165,9 @@ TEST(ArtRn, ThreeToOneAdderFiringCounts)
 {
     StatsRegistry stats;
     ArtReductionNetwork rn(64, true, 64, stats);
-    rn.reduceCluster(9); // 8 additions -> 4 fused 3:1 firings
+    rn.bulkReduce(1, 9); // 8 additions -> 4 fused 3:1 firings
     EXPECT_EQ(rn.adderOps(), 4u);
-    rn.reduceCluster(1); // single product: no adders
+    rn.bulkReduce(1, 1); // single product: no adders
     EXPECT_EQ(rn.adderOps(), 4u);
 }
 
@@ -206,7 +190,7 @@ TEST(FanRn, TwoToOneAdderFiringCounts)
 {
     StatsRegistry stats;
     FanReductionNetwork rn(64, stats);
-    rn.reduceCluster(9); // 8 two-input additions
+    rn.bulkReduce(1, 9); // 8 two-input additions
     EXPECT_EQ(rn.adderOps(), 8u);
     EXPECT_TRUE(rn.supportsVariableClusters());
     EXPECT_TRUE(rn.supportsAccumulation());
@@ -216,8 +200,8 @@ TEST(FanRn, ClusterSizeBounds)
 {
     StatsRegistry stats;
     FanReductionNetwork rn(64, stats);
-    EXPECT_THROW(rn.reduceCluster(0), PanicError);
-    EXPECT_THROW(rn.reduceCluster(65), PanicError);
+    EXPECT_THROW(rn.bulkReduce(1, 0), PanicError);
+    EXPECT_THROW(rn.bulkReduce(1, 65), PanicError);
 }
 
 TEST(LinearRn, SerialLatency)
@@ -226,7 +210,7 @@ TEST(LinearRn, SerialLatency)
     LinearReductionNetwork rn(64, stats);
     EXPECT_EQ(rn.latency(8), 7);
     EXPECT_FALSE(rn.supportsVariableClusters());
-    rn.reduceCluster(8);
+    rn.bulkReduce(1, 8);
     EXPECT_EQ(rn.adderOps(), 7u);
 }
 
@@ -267,11 +251,11 @@ TEST(ArtRn, PipelineOccupancyFollowsClusterLatency)
 {
     StatsRegistry stats;
     ArtReductionNetwork rn(16, true, 128, stats);
-    rn.reduceCluster(8); // 3 pipeline stages
+    rn.bulkReduce(1, 8); // 3 pipeline stages
     EXPECT_EQ(stats.value("rn.pipeline_occ"), 3u);
-    rn.reduceCluster(1); // single products bypass the adders
+    rn.bulkReduce(1, 1); // single products bypass the adders
     EXPECT_EQ(stats.value("rn.pipeline_occ"), 3u);
-    // bulkReduce matches reduceCluster called once per cluster.
+    // A batch of clusters occupies the pipeline once per cluster.
     rn.bulkReduce(4, 8);
     EXPECT_EQ(stats.value("rn.pipeline_occ"), 15u);
 }
@@ -280,7 +264,7 @@ TEST(LinearRn, PipelineOccupancyFollowsSerialLatency)
 {
     StatsRegistry stats;
     LinearReductionNetwork rn(64, stats);
-    rn.reduceCluster(4); // 3 serial adder hops
+    rn.bulkReduce(1, 4); // 3 serial adder hops
     rn.bulkReduce(2, 4);
     EXPECT_EQ(stats.value("rn.pipeline_occ"), 9u);
 }

@@ -66,9 +66,8 @@ struct Rig {
  * match it in cycles, counters, outputs and per-cycle budget state.
  */
 cycle_t
-wavefrontTile(Rig &rig, index_t cols, const Tensor &a, const Tensor &b,
-              Tensor &c, index_t m0, index_t n0, index_t mt, index_t nt,
-              count_t &macs)
+wavefrontTile(Rig &rig, const Tensor &a, const Tensor &b, Tensor &c,
+              index_t m0, index_t n0, index_t mt, index_t nt, count_t &macs)
 {
     const index_t k = a.dim(1);
     const auto idx = [&](index_t i, index_t j) {
@@ -96,12 +95,8 @@ wavefrontTile(Rig &rig, index_t cols, const Tensor &a, const Tensor &b,
                         av = a.at(m0 + i, tt - i);
                         avalid = 1;
                         rig.gb.read();
-                        DataPackage pkg;
-                        pkg.value = av;
-                        pkg.dest_lo = i * cols;
-                        pkg.dest_hi = i * cols + 1;
-                        pkg.kind = PackageKind::Input;
-                        panicIf(!rig.dn.inject(pkg),
+                        panicIf(rig.dn.injectBulk(1, 1, PackageKind::Input)
+                                    != 1,
                                 "systolic edge injection rejected");
                     }
                 } else {
@@ -118,12 +113,8 @@ wavefrontTile(Rig &rig, index_t cols, const Tensor &a, const Tensor &b,
                         bv = b.at(tt - j, n0 + j);
                         bvalid = 1;
                         rig.gb.read();
-                        DataPackage pkg;
-                        pkg.value = bv;
-                        pkg.dest_lo = j;
-                        pkg.dest_hi = j + 1;
-                        pkg.kind = PackageKind::Weight;
-                        panicIf(!rig.dn.inject(pkg),
+                        panicIf(rig.dn.injectBulk(1, 1, PackageKind::Weight)
+                                    != 1,
                                 "systolic edge injection rejected");
                     }
                 } else {
@@ -173,7 +164,7 @@ wavefrontRun(Rig &rig, const Tensor &a, const Tensor &b, Tensor &c)
         const index_t mt = std::min(rows, m - m0);
         for (index_t n0 = 0; n0 < n; n0 += cols) {
             const index_t nt = std::min(cols, n - n0);
-            res.cycles += wavefrontTile(rig, cols, a, b, c, m0, n0, mt, nt,
+            res.cycles += wavefrontTile(rig, a, b, c, m0, n0, mt, nt,
                                         res.macs);
             ++res.tiles;
         }

@@ -617,7 +617,6 @@ class WedgedNetwork : public DistributionNetwork
         : DistributionNetwork(DnKind::Tree, ms, bw)
     {
     }
-    bool inject(const DataPackage &) override { return false; }
     index_t
     injectBulk(index_t, index_t, PackageKind) override
     {
@@ -628,8 +627,6 @@ class WedgedNetwork : public DistributionNetwork
     {
         panic("a wedged fabric cannot skip steady spans");
     }
-    void cycle() override {}
-    void reset() override {}
     std::string name() const override { return "wedged_dn"; }
 };
 
