@@ -136,7 +136,6 @@ HardwareConfig::validate() const
     fatalIf(rn_bandwidth > ms_size,
             "config '", name, "': rn_bandwidth must lie in [1, ms_size], "
             "got ", rn_bandwidth);
-    fatalIf(fifo_capacity <= 0, "fifo_capacity must be positive");
     fatalIf(gb_size_kib <= 0, "gb_size_kib must be positive");
     fatalIf(dram_bandwidth_gbps <= 0, "dram bandwidth must be positive");
     fatalIf(clock_ghz <= 0, "clock frequency must be positive");
@@ -418,8 +417,6 @@ HardwareConfig::parse(const std::string &text, const std::string &origin)
             c.dn_bandwidth = as_int();
         } else if (key == "RN_BANDWIDTH") {
             c.rn_bandwidth = as_int();
-        } else if (key == "FIFO_CAPACITY") {
-            c.fifo_capacity = as_int();
         } else if (key == "ACCUMULATOR_SIZE") {
             c.accumulator_size = as_int();
         } else if (key == "GB_SIZE_KIB") {
@@ -541,7 +538,6 @@ HardwareConfig::toConfigText() const
        << "ms_size = " << ms_size << "\n"
        << "dn_bandwidth = " << dn_bandwidth << "\n"
        << "rn_bandwidth = " << rn_bandwidth << "\n"
-       << "fifo_capacity = " << fifo_capacity << "\n"
        << "accumulator_size = " << accumulator_size << "\n"
        << "gb_size_kib = " << gb_size_kib << "\n"
        << "dram_bandwidth_gbps = " << dram_bandwidth_gbps << "\n"

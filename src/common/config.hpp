@@ -115,9 +115,6 @@ struct HardwareConfig {
     index_t dn_bandwidth = 128;
     index_t rn_bandwidth = 128;
 
-    /** Per-switch FIFO capacity, in elements. */
-    index_t fifo_capacity = 8;
-
     /** Accumulation buffer entries for the ART+ACC collection point. */
     index_t accumulator_size = 256;
 

@@ -116,53 +116,53 @@ goldens()
         {"explore maeri_256 B-TR default k1",
          "variants=66 space=16425 "
          "cold=0/3 warm=3/0 "
-         "frontier=2 points=bd63273b8d795e76"},
+         "frontier=2 points=897cef20afee5b60"},
         {"explore maeri_256 B-TR default k4",
          "variants=66 space=16425 "
          "cold=0/11 warm=11/0 "
-         "frontier=2 points=caf3df64b9f7a370"},
+         "frontier=2 points=2eb21dd688bb5624"},
         {"explore maeri_256 B-TR ms_size,fabric k1",
          "variants=4 space=541 "
          "cold=0/4 warm=4/0 "
-         "frontier=3 points=4ed60142207a71a7"},
+         "frontier=3 points=840500963297393a"},
         {"explore maeri_256 B-TR ms_size,fabric k4",
          "variants=4 space=541 "
          "cold=0/4 warm=4/0 "
-         "frontier=3 points=4ed60142207a71a7"},
+         "frontier=3 points=840500963297393a"},
         {"explore maeri_256 M-L default k1",
          "variants=66 space=2709 "
          "cold=0/3 warm=3/0 "
-         "frontier=2 points=0844eb6e25628f75"},
+         "frontier=2 points=9d056346e8e3fafa"},
         {"explore maeri_256 M-L default k4",
          "variants=66 space=2709 "
          "cold=0/9 warm=9/0 "
-         "frontier=2 points=b5e2a41462e7b0e4"},
+         "frontier=2 points=0923dc5436d482e6"},
         {"explore maeri_256 M-L ms_size,fabric k1",
          "variants=4 space=89 "
          "cold=0/2 warm=2/0 "
-         "frontier=2 points=5676af32f58f8da5"},
+         "frontier=2 points=847c1d6c8074fd94"},
         {"explore maeri_256 M-L ms_size,fabric k4",
          "variants=4 space=89 "
          "cold=0/4 warm=4/0 "
-         "frontier=2 points=056cd70eeb4ed740"},
+         "frontier=2 points=0f110ae7cb611767"},
         {"explore maeri_256 S-EC default k1",
          "variants=66 space=8307 "
          "cold=0/3 warm=3/0 "
-         "frontier=3 points=1940f55972f9072c"},
+         "frontier=3 points=5390171740623f1a"},
         {"explore maeri_256 S-EC default k4",
          "variants=66 space=8307 "
          "cold=0/11 warm=11/0 "
-         "frontier=5 points=665237b51936a333"},
+         "frontier=5 points=3f2ceb5a221f9259"},
         {"explore maeri_256 S-EC ms_size,fabric k1",
          "variants=4 space=275 "
          "cold=0/3 warm=3/0 "
-         "frontier=3 points=cf997b33576da2d5"},
+         "frontier=3 points=98f0ca5487936f11"},
         {"explore maeri_256 S-EC ms_size,fabric k4",
          "variants=4 space=275 "
          "cold=0/4 warm=4/0 "
-         "frontier=3 points=da7d81c8f3eb2ae0"},
+         "frontier=3 points=37e89e3fb741c323"},
         {"service explore",
-         "871/1171eadd3a5a9c0c"},
+         "852/efac4306b08768ed"},
         {"service tune",
          R"({"chosen_tile":"3x3x2x1x3x1x1x1","chosen_cycles":428,)"
          R"("greedy_tile":"3x3x2x1x3x1x1x1","greedy_cycles":428,)"
@@ -171,723 +171,723 @@ goldens()
         {"tune maeri128x1 B-L k1 sp0.0",
          "space=165 best=1x1x128x1x1x1x1x1/1573002 "
          "greedy=1x1x128x1x1x1x1x1/1573002 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=43876ab5a280ecf0 keys=1/63dcebd57de16c67"},
+         "cold=0/1 warm=1/0 ranked=43876ab5a280ecf0 keys=1/0e4e849f6df32be3"},
         {"tune maeri128x1 B-L k1 sp0.5",
          "space=165 best=1x1x128x1x1x1x1x1/1573002 "
          "greedy=1x1x128x1x1x1x1x1/1573002 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=43876ab5a280ecf0 keys=1/c301fbaf8014acc2"},
+         "cold=0/1 warm=1/0 ranked=43876ab5a280ecf0 keys=1/a949db1aef5bc18a"},
         {"tune maeri128x1 B-L k8 sp0.0",
          "space=165 best=1x1x16x1x2x1x1x2/798759 "
          "greedy=1x1x128x1x1x1x1x1/1573002 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=0f1445ad84447829 keys=8/f558c3523501e44e"},
+         "cold=0/8 warm=8/0 ranked=0f1445ad84447829 keys=8/8d8a2182090fc2ae"},
         {"tune maeri128x1 B-L k8 sp0.5",
          "space=165 best=1x1x16x1x2x1x1x2/798759 "
          "greedy=1x1x128x1x1x1x1x1/1573002 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=0f1445ad84447829 keys=8/8fb45bde21fb4db6"},
+         "cold=0/8 warm=8/0 ranked=0f1445ad84447829 keys=8/189777f6a543f896"},
         {"tune maeri128x1 B-TR k1 sp0.0",
          "space=228 best=1x1x128x1x1x1x1x1/295050 "
          "greedy=1x1x128x1x1x1x1x1/295050 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=5cdea6516c786bc2 keys=1/3ba9faf422f4adec"},
+         "cold=0/1 warm=1/0 ranked=5cdea6516c786bc2 keys=1/94e8a2915f80be5c"},
         {"tune maeri128x1 B-TR k1 sp0.5",
          "space=228 best=1x1x128x1x1x1x1x1/295050 "
          "greedy=1x1x128x1x1x1x1x1/295050 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=5cdea6516c786bc2 keys=1/4d9fa45ae6e2b925"},
+         "cold=0/1 warm=1/0 ranked=5cdea6516c786bc2 keys=1/7f6babea646c2019"},
         {"tune maeri128x1 B-TR k8 sp0.0",
          "space=228 best=1x1x16x1x2x1x1x2/149799 "
          "greedy=1x1x128x1x1x1x1x1/295050 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=9c6dbabbe8b51a59 keys=8/5028f6a1dce78470"},
+         "cold=0/8 warm=8/0 ranked=9c6dbabbe8b51a59 keys=8/7894c6a34fe2d264"},
         {"tune maeri128x1 B-TR k8 sp0.5",
          "space=228 best=1x1x16x1x2x1x1x2/149799 "
          "greedy=1x1x128x1x1x1x1x1/295050 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=9c6dbabbe8b51a59 keys=8/2e35c1eaf6dc7258"},
+         "cold=0/8 warm=8/0 ranked=9c6dbabbe8b51a59 keys=8/3dba44f89cc2d584"},
         {"tune maeri128x1 DW k1 sp0.0",
          "space=90 best=3x3x1x8x1x1x1x1/1951 "
          "greedy=3x3x1x8x1x1x1x1/1951 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=ab12c77a1fd37c75 keys=2/6b7f6a0808e05080"},
+         "cold=0/2 warm=2/0 ranked=ab12c77a1fd37c75 keys=2/8df1a9e5349a664c"},
         {"tune maeri128x1 DW k1 sp0.5",
          "space=90 best=3x3x1x8x1x1x1x1/1951 "
          "greedy=3x3x1x8x1x1x1x1/1951 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=ab12c77a1fd37c75 keys=2/35ae73b17a746cd0"},
+         "cold=0/2 warm=2/0 ranked=ab12c77a1fd37c75 keys=2/da5d0ce0eed3aa78"},
         {"tune maeri128x1 DW k8 sp0.0",
          "space=90 best=3x3x1x8x1x1x1x1/1951 "
          "greedy=3x3x1x8x1x1x1x1/1951 rho=bfe199c1a6e08c2f "
-         "cold=0/9 warm=9/0 ranked=8e6918b41300d268 keys=9/673628dcef1a8b97"},
+         "cold=0/9 warm=9/0 ranked=8e6918b41300d268 keys=9/0f7e674f019cdd57"},
         {"tune maeri128x1 DW k8 sp0.5",
          "space=90 best=3x3x1x8x1x1x1x1/1951 "
          "greedy=3x3x1x8x1x1x1x1/1951 rho=bfe199c1a6e08c2f "
-         "cold=0/9 warm=9/0 ranked=8e6918b41300d268 keys=9/2391e9d6c223d9b2"},
+         "cold=0/9 warm=9/0 ranked=8e6918b41300d268 keys=9/809274d8bc4b0096"},
         {"tune maeri128x1 M-FC k1 sp0.0",
          "space=157 best=3x3x1x14x1x1x1x1/73605 "
          "greedy=3x3x1x14x1x1x1x1/73605 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=b6033b483eec0781 keys=2/b7fce4d6db3103b4"},
+         "cold=0/2 warm=2/0 ranked=b6033b483eec0781 keys=2/e203d028e4a3de14"},
         {"tune maeri128x1 M-FC k1 sp0.5",
          "space=157 best=3x3x1x14x1x1x1x1/73605 "
          "greedy=3x3x1x14x1x1x1x1/73605 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=b6033b483eec0781 keys=2/aa578cf238c950ca"},
+         "cold=0/2 warm=2/0 ranked=b6033b483eec0781 keys=2/f1ad2a825fdac672"},
         {"tune maeri128x1 M-FC k8 sp0.0",
          "space=157 best=3x3x1x1x1x1x14x1/73488 "
          "greedy=3x3x1x14x1x1x1x1/73605 rho=bfebc053a3ded1b5 "
-         "cold=0/9 warm=9/0 ranked=a77489d0ba99ecb4 keys=9/fd57714abb259aae"},
+         "cold=0/9 warm=9/0 ranked=a77489d0ba99ecb4 keys=9/b35910c3b015a276"},
         {"tune maeri128x1 M-FC k8 sp0.5",
          "space=157 best=3x3x1x1x1x1x14x1/73488 "
          "greedy=3x3x1x14x1x1x1x1/73605 rho=bfebc053a3ded1b5 "
-         "cold=0/9 warm=9/0 ranked=a77489d0ba99ecb4 keys=9/d34bbeb25a4e24e5"},
+         "cold=0/9 warm=9/0 ranked=a77489d0ba99ecb4 keys=9/bba739821d8ae08d"},
         {"tune maeri128x1 M-L k1 sp0.0",
          "space=39 best=1x1x128x1x1x1x1x1/51438 "
          "greedy=1x1x128x1x1x1x1x1/51438 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=2f96da313525f270 keys=1/6cc688b5cbcf6c54"},
+         "cold=0/1 warm=1/0 ranked=2f96da313525f270 keys=1/678ddfbf998a9b28"},
         {"tune maeri128x1 M-L k1 sp0.5",
          "space=39 best=1x1x128x1x1x1x1x1/51438 "
          "greedy=1x1x128x1x1x1x1x1/51438 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=2f96da313525f270 keys=1/c8f595bd88c54551"},
+         "cold=0/1 warm=1/0 ranked=2f96da313525f270 keys=1/5223f1abd2eabeb1"},
         {"tune maeri128x1 M-L k8 sp0.0",
          "space=39 best=1x1x1x1x1x1x1x1/51304 "
          "greedy=1x1x128x1x1x1x1x1/51438 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=bd30b931fa05e1fd keys=8/6d8e60f0f6e4afb6"},
+         "cold=0/8 warm=8/0 ranked=bd30b931fa05e1fd keys=8/033e75525139f24a"},
         {"tune maeri128x1 M-L k8 sp0.5",
          "space=39 best=1x1x1x1x1x1x1x1/51304 "
          "greedy=1x1x128x1x1x1x1x1/51438 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=bd30b931fa05e1fd keys=8/800865a4ca243ece"},
+         "cold=0/8 warm=8/0 ranked=bd30b931fa05e1fd keys=8/83d8fdb5ae24922a"},
         {"tune maeri128x1 R-C k1 sp0.0",
          "space=408 best=1x1x16x1x2x1x2x2/1929513 "
          "greedy=3x3x14x1x1x1x1x1/2310921 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=fdc65ba6a75efe13 keys=2/f183b7bbc8de4076"},
+         "cold=0/2 warm=2/0 ranked=fdc65ba6a75efe13 keys=2/828fb93215d9d1d2"},
         {"tune maeri128x1 R-C k1 sp0.5",
          "space=408 best=1x1x16x1x2x1x2x2/1929513 "
          "greedy=3x3x14x1x1x1x1x1/2310921 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=fdc65ba6a75efe13 keys=2/292f5c9783f1641c"},
+         "cold=0/2 warm=2/0 ranked=fdc65ba6a75efe13 keys=2/5b6d991675de2688"},
         {"tune maeri128x1 R-C k8 sp0.0",
          "space=408 best=1x1x16x1x8x1x1x1/381570 "
          "greedy=3x3x14x1x1x1x1x1/2310921 rho=3fe199c1a6e08c2f "
-         "cold=0/9 warm=9/0 ranked=d42e9ea32263c7fe keys=9/002fb79ce00ce7de"},
+         "cold=0/9 warm=9/0 ranked=d42e9ea32263c7fe keys=9/0f4a498f927df8ee"},
         {"tune maeri128x1 R-C k8 sp0.5",
          "space=408 best=1x1x16x1x8x1x1x1/381570 "
          "greedy=3x3x14x1x1x1x1x1/2310921 rho=3fe199c1a6e08c2f "
-         "cold=0/9 warm=9/0 ranked=d42e9ea32263c7fe keys=9/27e86767aee7fafb"},
+         "cold=0/9 warm=9/0 ranked=d42e9ea32263c7fe keys=9/1569a2caac6669df"},
         {"tune maeri128x1 R-L k1 sp0.0",
          "space=39 best=1x1x128x1x1x1x1x1/102639 "
          "greedy=1x1x128x1x1x1x1x1/102639 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=5576dced48196f0e keys=1/0d0687de534b26dc"},
+         "cold=0/1 warm=1/0 ranked=5576dced48196f0e keys=1/9b1374544a95dfec"},
         {"tune maeri128x1 R-L k1 sp0.5",
          "space=39 best=1x1x128x1x1x1x1x1/102639 "
          "greedy=1x1x128x1x1x1x1x1/102639 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=5576dced48196f0e keys=1/93765df4acd31255"},
+         "cold=0/1 warm=1/0 ranked=5576dced48196f0e keys=1/ba8d40ff715c5de9"},
         {"tune maeri128x1 R-L k8 sp0.0",
          "space=39 best=1x1x1x1x1x1x1x1/102505 "
          "greedy=1x1x128x1x1x1x1x1/102639 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=876e10119176cec7 keys=8/fba570966d5c8046"},
+         "cold=0/8 warm=8/0 ranked=876e10119176cec7 keys=8/93824653c19ba67a"},
         {"tune maeri128x1 R-L k8 sp0.5",
          "space=39 best=1x1x1x1x1x1x1x1/102505 "
          "greedy=1x1x128x1x1x1x1x1/102639 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=876e10119176cec7 keys=8/57f13f471f6f2f1a"},
+         "cold=0/8 warm=8/0 ranked=876e10119176cec7 keys=8/1e6616292c964cee"},
         {"tune maeri128x1 S-EC k1 sp0.0",
          "space=114 best=1x1x16x1x8x1x1x1/89576 "
          "greedy=3x3x2x1x7x1x1x1/92791 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=15a97fedc1057c87 keys=2/ba5e5005e990f014"},
+         "cold=0/2 warm=2/0 ranked=15a97fedc1057c87 keys=2/78c432173085c178"},
         {"tune maeri128x1 S-EC k1 sp0.5",
          "space=114 best=1x1x16x1x8x1x1x1/89576 "
          "greedy=3x3x2x1x7x1x1x1/92791 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=15a97fedc1057c87 keys=2/d13164ca82d68224"},
+         "cold=0/2 warm=2/0 ranked=15a97fedc1057c87 keys=2/074bf25eec233a3c"},
         {"tune maeri128x1 S-EC k8 sp0.0",
          "space=114 best=1x1x16x1x8x1x1x1/89576 "
          "greedy=3x3x2x1x7x1x1x1/92791 rho=3fba2748137fabb3 "
-         "cold=0/8 warm=8/0 ranked=b48db65878edd6f3 keys=8/6e583a9cef5665b6"},
+         "cold=0/8 warm=8/0 ranked=b48db65878edd6f3 keys=8/ed24bafcb80a01fa"},
         {"tune maeri128x1 S-EC k8 sp0.5",
          "space=114 best=1x1x16x1x8x1x1x1/89576 "
          "greedy=3x3x2x1x7x1x1x1/92791 rho=3fba2748137fabb3 "
-         "cold=0/8 warm=8/0 ranked=b48db65878edd6f3 keys=8/173d7326094e2a14"},
+         "cold=0/8 warm=8/0 ranked=b48db65878edd6f3 keys=8/03840308ff47d774"},
         {"tune maeri128x1 S-SC k1 sp0.0",
          "space=49 best=1x1x16x1x8x1x1x1/24471 "
          "greedy=1x1x64x1x2x1x1x1/86665 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=209f4ccafa5a73a3 keys=2/7e5eb2c5f1e2cbbe"},
+         "cold=0/2 warm=2/0 ranked=209f4ccafa5a73a3 keys=2/56397a89da8d4cce"},
         {"tune maeri128x1 S-SC k1 sp0.5",
          "space=49 best=1x1x16x1x8x1x1x1/24471 "
          "greedy=1x1x64x1x2x1x1x1/86665 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=209f4ccafa5a73a3 keys=2/a1c765d4839a52b4"},
+         "cold=0/2 warm=2/0 ranked=209f4ccafa5a73a3 keys=2/8498f49307bb4314"},
         {"tune maeri128x1 S-SC k8 sp0.0",
          "space=49 best=1x1x8x1x16x1x1x1/14047 "
          "greedy=1x1x64x1x2x1x1x1/86665 rho=bfcc453d90f057a1 "
-         "cold=0/8 warm=8/0 ranked=09bcbb89c55d2077 keys=8/b50a621f48bd24e8"},
+         "cold=0/8 warm=8/0 ranked=09bcbb89c55d2077 keys=8/f817ef062079dc0c"},
         {"tune maeri128x1 S-SC k8 sp0.5",
          "space=49 best=1x1x8x1x16x1x1x1/14047 "
          "greedy=1x1x64x1x2x1x1x1/86665 rho=bfcc453d90f057a1 "
-         "cold=0/8 warm=8/0 ranked=09bcbb89c55d2077 keys=8/11af8871d59aeedc"},
+         "cold=0/8 warm=8/0 ranked=09bcbb89c55d2077 keys=8/ad51995f341ee640"},
         {"tune maeri64x16ws B-L k1 sp0.0",
          "space=115 best=1x1x16x1x1x1x1x4/99080 "
          "greedy=1x1x64x1x1x1x1x1/99085 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=a86e6f95c719d37f keys=2/fb27502072cd26d9"},
+         "cold=0/2 warm=2/0 ranked=a86e6f95c719d37f keys=2/5857c1264614f415"},
         {"tune maeri64x16ws B-L k1 sp0.5",
          "space=115 best=1x1x16x1x1x1x1x4/99080 "
          "greedy=1x1x64x1x1x1x1x1/99085 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=a86e6f95c719d37f keys=2/bdfc3444161aafb7"},
+         "cold=0/2 warm=2/0 ranked=a86e6f95c719d37f keys=2/ca197415bf18b74f"},
         {"tune maeri64x16ws B-L k8 sp0.0",
          "space=115 best=1x1x1x1x4x1x1x16/25348 "
          "greedy=1x1x64x1x1x1x1x1/99085 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=ad9d505a0d281e3a keys=9/1f2b48b89cddc7a0"},
+         "cold=0/9 warm=9/0 ranked=ad9d505a0d281e3a keys=9/b7bbb5cabd134e90"},
         {"tune maeri64x16ws B-L k8 sp0.5",
          "space=115 best=1x1x1x1x4x1x1x16/25348 "
          "greedy=1x1x64x1x1x1x1x1/99085 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=ad9d505a0d281e3a keys=9/3636457cb013f26b"},
+         "cold=0/9 warm=9/0 ranked=ad9d505a0d281e3a keys=9/68a6943baf80fc93"},
         {"tune maeri64x16ws B-TR k1 sp0.0",
          "space=156 best=1x1x16x1x1x1x1x4/18584 "
          "greedy=1x1x64x1x1x1x1x1/18589 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d0ee0d0f2eb7c0e3 keys=2/aa1625a8ef8d1475"},
+         "cold=0/2 warm=2/0 ranked=d0ee0d0f2eb7c0e3 keys=2/643edf7114ac7d11"},
         {"tune maeri64x16ws B-TR k1 sp0.5",
          "space=156 best=1x1x16x1x1x1x1x4/18584 "
          "greedy=1x1x64x1x1x1x1x1/18589 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d0ee0d0f2eb7c0e3 keys=2/e3bbcd158bd8e62d"},
+         "cold=0/2 warm=2/0 ranked=d0ee0d0f2eb7c0e3 keys=2/8c52caeb3b4184f9"},
         {"tune maeri64x16ws B-TR k8 sp0.0",
          "space=156 best=1x1x1x1x4x1x1x16/4756 "
          "greedy=1x1x64x1x1x1x1x1/18589 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=f2ab6e407b2401d8 keys=9/9db91e302ee93f95"},
+         "cold=0/9 warm=9/0 ranked=f2ab6e407b2401d8 keys=9/4bfe9c6da953cf95"},
         {"tune maeri64x16ws B-TR k8 sp0.5",
          "space=156 best=1x1x1x1x4x1x1x16/4756 "
          "greedy=1x1x64x1x1x1x1x1/18589 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=f2ab6e407b2401d8 keys=9/de5562b0e8336d7e"},
+         "cold=0/9 warm=9/0 ranked=f2ab6e407b2401d8 keys=9/7b636439777fe346"},
         {"tune maeri64x16ws DW k1 sp0.0",
          "space=65 best=3x3x1x7x1x1x1x1/238 "
          "greedy=3x3x1x7x1x1x1x1/238 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=dd499bfa5fe3cac5 keys=2/e94eb77bde546370"},
+         "cold=0/2 warm=2/0 ranked=dd499bfa5fe3cac5 keys=2/34f9aa9bc3d965d8"},
         {"tune maeri64x16ws DW k1 sp0.5",
          "space=65 best=3x3x1x7x1x1x1x1/238 "
          "greedy=3x3x1x7x1x1x1x1/238 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=dd499bfa5fe3cac5 keys=2/353f35dd4325ff62"},
+         "cold=0/2 warm=2/0 ranked=dd499bfa5fe3cac5 keys=2/41ca70f1a56bd1a6"},
         {"tune maeri64x16ws DW k8 sp0.0",
          "space=65 best=1x3x1x2x1x1x9x1/202 "
          "greedy=3x3x1x7x1x1x1x1/238 rho=bfd1d3a60caf0ca7 "
-         "cold=0/9 warm=9/0 ranked=b5ac9b8cf2d25a8c keys=9/cd5187480de66cb7"},
+         "cold=0/9 warm=9/0 ranked=b5ac9b8cf2d25a8c keys=9/a0e986d8244bee4f"},
         {"tune maeri64x16ws DW k8 sp0.5",
          "space=65 best=1x3x1x2x1x1x9x1/202 "
          "greedy=3x3x1x7x1x1x1x1/238 rho=bfd1d3a60caf0ca7 "
-         "cold=0/9 warm=9/0 ranked=b5ac9b8cf2d25a8c keys=9/9841de16e99c2d3a"},
+         "cold=0/9 warm=9/0 ranked=b5ac9b8cf2d25a8c keys=9/2cfd6a75031a5336"},
         {"tune maeri64x16ws M-FC k1 sp0.0",
          "space=108 best=3x3x1x7x1x1x1x1/6795 "
          "greedy=3x3x1x7x1x1x1x1/6795 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=1fef835d88ec235b keys=2/f83bec483c0ca70a"},
+         "cold=0/2 warm=2/0 ranked=1fef835d88ec235b keys=2/3e1239df00f2601e"},
         {"tune maeri64x16ws M-FC k1 sp0.5",
          "space=108 best=3x3x1x7x1x1x1x1/6795 "
          "greedy=3x3x1x7x1x1x1x1/6795 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=1fef835d88ec235b keys=2/2384e313408aaf04"},
+         "cold=0/2 warm=2/0 ranked=1fef835d88ec235b keys=2/54a6bfb8ab1d538c"},
         {"tune maeri64x16ws M-FC k8 sp0.0",
          "space=108 best=3x3x1x7x1x1x1x1/6795 "
          "greedy=3x3x1x7x1x1x1x1/6795 rho=bfcbf47650ff164f "
-         "cold=0/8 warm=8/0 ranked=b34b31b1ba8ddbc1 keys=8/905534400b5a3171"},
+         "cold=0/8 warm=8/0 ranked=b34b31b1ba8ddbc1 keys=8/b6de1806867ffd85"},
         {"tune maeri64x16ws M-FC k8 sp0.5",
          "space=108 best=3x3x1x7x1x1x1x1/6795 "
          "greedy=3x3x1x7x1x1x1x1/6795 rho=bfcbf47650ff164f "
-         "cold=0/8 warm=8/0 ranked=b34b31b1ba8ddbc1 keys=8/2f0417d2a1bd2101"},
+         "cold=0/8 warm=8/0 ranked=b34b31b1ba8ddbc1 keys=8/c6f9e0ef78dc3f7d"},
         {"tune maeri64x16ws M-L k1 sp0.0",
          "space=30 best=1x1x16x1x1x1x1x1/3308 "
          "greedy=1x1x64x1x1x1x1x1/3313 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=e641ca9fb6622307 keys=2/fee6e875f7991462"},
+         "cold=0/2 warm=2/0 ranked=e641ca9fb6622307 keys=2/c892882004dc4b4a"},
         {"tune maeri64x16ws M-L k1 sp0.5",
          "space=30 best=1x1x16x1x1x1x1x1/3308 "
          "greedy=1x1x64x1x1x1x1x1/3313 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=e641ca9fb6622307 keys=2/455f3a2f1861814a"},
+         "cold=0/2 warm=2/0 ranked=e641ca9fb6622307 keys=2/106186bda2b76b1a"},
         {"tune maeri64x16ws M-L k8 sp0.0",
          "space=30 best=1x1x4x1x4x1x1x1/3234 "
          "greedy=1x1x64x1x1x1x1x1/3313 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=ba38a793e0157cdf keys=8/cdced3b2130d5193"},
+         "cold=0/8 warm=8/0 ranked=ba38a793e0157cdf keys=8/1509f255307f6337"},
         {"tune maeri64x16ws M-L k8 sp0.5",
          "space=30 best=1x1x4x1x4x1x1x1/3234 "
          "greedy=1x1x64x1x1x1x1x1/3313 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=ba38a793e0157cdf keys=8/594eda4d8c19b87b"},
+         "cold=0/8 warm=8/0 ranked=ba38a793e0157cdf keys=8/423132256d704df7"},
         {"tune maeri64x16ws R-C k1 sp0.0",
          "space=254 best=3x3x7x1x1x1x1x1/224206 "
          "greedy=3x3x7x1x1x1x1x1/224206 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=255fdaca4506e659 keys=2/e12b6161cbe8bcac"},
+         "cold=0/2 warm=2/0 ranked=255fdaca4506e659 keys=2/4915d1b8faacfe2c"},
         {"tune maeri64x16ws R-C k1 sp0.5",
          "space=254 best=3x3x7x1x1x1x1x1/224206 "
          "greedy=3x3x7x1x1x1x1x1/224206 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=255fdaca4506e659 keys=2/0467b533dfad8bd6"},
+         "cold=0/2 warm=2/0 ranked=255fdaca4506e659 keys=2/cb90c856962d5c1a"},
         {"tune maeri64x16ws R-C k8 sp0.0",
          "space=254 best=1x1x16x1x4x1x1x1/219743 "
          "greedy=3x3x7x1x1x1x1x1/224206 rho=bfda66a27a50d247 "
-         "cold=0/9 warm=9/0 ranked=e94fa022e937a96e keys=9/7a5f26c82c5488f2"},
+         "cold=0/9 warm=9/0 ranked=e94fa022e937a96e keys=9/bb2722a45ca206e2"},
         {"tune maeri64x16ws R-C k8 sp0.5",
          "space=254 best=1x1x16x1x4x1x1x1/219743 "
          "greedy=3x3x7x1x1x1x1x1/224206 rho=bfda66a27a50d247 "
-         "cold=0/9 warm=9/0 ranked=e94fa022e937a96e keys=9/3023eeeb8b135da7"},
+         "cold=0/9 warm=9/0 ranked=e94fa022e937a96e keys=9/d64f7b0087589edb"},
         {"tune maeri64x16ws R-L k1 sp0.0",
          "space=30 best=1x1x16x1x1x1x1x1/6509 "
          "greedy=1x1x64x1x1x1x1x1/6514 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=76f8198482c53d7b keys=2/d03cdb324d7fecba"},
+         "cold=0/2 warm=2/0 ranked=76f8198482c53d7b keys=2/38be7919100411aa"},
         {"tune maeri64x16ws R-L k1 sp0.5",
          "space=30 best=1x1x16x1x1x1x1x1/6509 "
          "greedy=1x1x64x1x1x1x1x1/6514 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=76f8198482c53d7b keys=2/4ca060c896972c28"},
+         "cold=0/2 warm=2/0 ranked=76f8198482c53d7b keys=2/2e89a242a093d74c"},
         {"tune maeri64x16ws R-L k8 sp0.0",
          "space=30 best=1x1x4x1x4x1x1x1/6438 "
          "greedy=1x1x64x1x1x1x1x1/6514 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=c733aa019f653ebb keys=8/89bdbcd38fbec07d"},
+         "cold=0/8 warm=8/0 ranked=c733aa019f653ebb keys=8/cd4aad2d9cc4927d"},
         {"tune maeri64x16ws R-L k8 sp0.5",
          "space=30 best=1x1x4x1x4x1x1x1/6438 "
          "greedy=1x1x64x1x1x1x1x1/6514 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=c733aa019f653ebb keys=8/8bea3e0e324495ad"},
+         "cold=0/8 warm=8/0 ranked=c733aa019f653ebb keys=8/6c5b2fbccef2844d"},
         {"tune maeri64x16ws S-EC k1 sp0.0",
          "space=78 best=1x1x16x1x4x1x1x1/45308 "
          "greedy=3x3x1x1x7x1x1x1/50452 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=cbcb9b2048d18ac3 keys=2/f3b21697ff52f96d"},
+         "cold=0/2 warm=2/0 ranked=cbcb9b2048d18ac3 keys=2/12261246c3cbd285"},
         {"tune maeri64x16ws S-EC k1 sp0.5",
          "space=78 best=1x1x16x1x4x1x1x1/45308 "
          "greedy=3x3x1x1x7x1x1x1/50452 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=cbcb9b2048d18ac3 keys=2/fc1fea6fa37cb3e7"},
+         "cold=0/2 warm=2/0 ranked=cbcb9b2048d18ac3 keys=2/50ed913937edbd9b"},
         {"tune maeri64x16ws S-EC k8 sp0.0",
          "space=78 best=1x1x16x1x4x1x1x1/45308 "
          "greedy=3x3x1x1x7x1x1x1/50452 rho=3fe691a4eee735e7 "
-         "cold=0/8 warm=8/0 ranked=0a80d0a95804c0eb keys=8/f380ef139ceccf65"},
+         "cold=0/8 warm=8/0 ranked=0a80d0a95804c0eb keys=8/8b0d35aa2daf69c5"},
         {"tune maeri64x16ws S-EC k8 sp0.5",
          "space=78 best=1x1x16x1x4x1x1x1/45308 "
          "greedy=3x3x1x1x7x1x1x1/50452 rho=3fe691a4eee735e7 "
-         "cold=0/8 warm=8/0 ranked=0a80d0a95804c0eb keys=8/618de50680646e6f"},
+         "cold=0/8 warm=8/0 ranked=0a80d0a95804c0eb keys=8/5936289ea0e675bb"},
         {"tune maeri64x16ws S-SC k1 sp0.0",
          "space=37 best=1x1x16x1x4x1x1x1/4743 "
          "greedy=1x1x64x1x1x1x1x1/10829 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=49d8274699f46dfb keys=2/666ce9300c6c3169"},
+         "cold=0/2 warm=2/0 ranked=49d8274699f46dfb keys=2/0b269681df3a9b35"},
         {"tune maeri64x16ws S-SC k1 sp0.5",
          "space=37 best=1x1x16x1x4x1x1x1/4743 "
          "greedy=1x1x64x1x1x1x1x1/10829 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=49d8274699f46dfb keys=2/1909063fd72f7fed"},
+         "cold=0/2 warm=2/0 ranked=49d8274699f46dfb keys=2/4470a5e4f317ac29"},
         {"tune maeri64x16ws S-SC k8 sp0.0",
          "space=37 best=1x1x16x1x4x1x1x1/4743 "
          "greedy=1x1x64x1x1x1x1x1/10829 rho=3feb35162d9700c4 "
-         "cold=0/8 warm=8/0 ranked=4b498b68d7381c6f keys=8/418fbb94cd7c7999"},
+         "cold=0/8 warm=8/0 ranked=4b498b68d7381c6f keys=8/1e89ed58baa03275"},
         {"tune maeri64x16ws S-SC k8 sp0.5",
          "space=37 best=1x1x16x1x4x1x1x1/4743 "
          "greedy=1x1x64x1x1x1x1x1/10829 rho=3feb35162d9700c4 "
-         "cold=0/8 warm=8/0 ranked=4b498b68d7381c6f keys=8/f72e9ec701887063"},
+         "cold=0/8 warm=8/0 ranked=4b498b68d7381c6f keys=8/e946ce944cf8028b"},
         {"tune maeri_128_x2 B-L k1 sp0.0",
          "space=165 best=1x1x128x1x1x1x1x1/24588 "
          "greedy=1x1x128x1x1x1x1x1/24588 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=3faab006341d6bcc keys=1/665dcf11c272af40"},
+         "cold=0/1 warm=1/0 ranked=3faab006341d6bcc keys=1/d84db89ffce5a35c"},
         {"tune maeri_128_x2 B-L k1 sp0.5",
          "space=165 best=1x1x128x1x1x1x1x1/24588 "
          "greedy=1x1x128x1x1x1x1x1/24588 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=3faab006341d6bcc keys=1/d8a5e03033d48065"},
+         "cold=0/1 warm=1/0 ranked=3faab006341d6bcc keys=1/487367d22c4973f5"},
         {"tune maeri_128_x2 B-L k8 sp0.0",
          "space=165 best=1x1x1x1x16x1x1x8/12487 "
          "greedy=1x1x128x1x1x1x1x1/24588 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=8e079e57df395a0d keys=8/3dfca570af4718a1"},
+         "cold=0/8 warm=8/0 ranked=8e079e57df395a0d keys=8/431e4073a09c22a9"},
         {"tune maeri_128_x2 B-L k8 sp0.5",
          "space=165 best=1x1x1x1x16x1x1x8/12487 "
          "greedy=1x1x128x1x1x1x1x1/24588 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=8e079e57df395a0d keys=8/a3d09ae8cd3ffca3"},
+         "cold=0/8 warm=8/0 ranked=8e079e57df395a0d keys=8/988be39bb9198c8f"},
         {"tune maeri_128_x2 B-TR k1 sp0.0",
          "space=228 best=1x1x128x1x1x1x1x1/4620 "
          "greedy=1x1x128x1x1x1x1x1/4620 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=11609286793314ea keys=1/06d1f4a121339201"},
+         "cold=0/1 warm=1/0 ranked=11609286793314ea keys=1/f89e8db956388f55"},
         {"tune maeri_128_x2 B-TR k1 sp0.5",
          "space=228 best=1x1x128x1x1x1x1x1/4620 "
          "greedy=1x1x128x1x1x1x1x1/4620 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=11609286793314ea keys=1/666f31f5c2507334"},
+         "cold=0/1 warm=1/0 ranked=11609286793314ea keys=1/8c6c5cd9e487499c"},
         {"tune maeri_128_x2 B-TR k8 sp0.0",
          "space=228 best=1x1x1x1x8x1x1x16/2345 "
          "greedy=1x1x128x1x1x1x1x1/4620 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=f9aa9767431f2967 keys=8/1a9894cafce7e65c"},
+         "cold=0/8 warm=8/0 ranked=f9aa9767431f2967 keys=8/d4f082ab22a012e0"},
         {"tune maeri_128_x2 B-TR k8 sp0.5",
          "space=228 best=1x1x1x1x8x1x1x16/2345 "
          "greedy=1x1x128x1x1x1x1x1/4620 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=f9aa9767431f2967 keys=8/a0db0f1caab4c9b8"},
+         "cold=0/8 warm=8/0 ranked=f9aa9767431f2967 keys=8/fe9c30f101666674"},
         {"tune maeri_128_x2 DW k1 sp0.0",
          "space=90 best=3x3x1x8x1x1x1x1/90 "
          "greedy=3x3x1x8x1x1x1x1/90 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=a96115b0296c11dd keys=2/81ff09e896771ded"},
+         "cold=0/2 warm=2/0 ranked=a96115b0296c11dd keys=2/ea2dc4d514378eed"},
         {"tune maeri_128_x2 DW k1 sp0.5",
          "space=90 best=3x3x1x8x1x1x1x1/90 "
          "greedy=3x3x1x8x1x1x1x1/90 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=a96115b0296c11dd keys=2/00b583682a027073"},
+         "cold=0/2 warm=2/0 ranked=a96115b0296c11dd keys=2/e79fe7a3ffa87797"},
         {"tune maeri_128_x2 DW k8 sp0.0",
          "space=90 best=1x3x1x4x1x1x9x1/86 "
          "greedy=3x3x1x8x1x1x1x1/90 rho=bfd1d3a60caf0ca7 "
-         "cold=0/9 warm=9/0 ranked=32ef4caa3a1b79ec keys=9/af54f9167ada99f7"},
+         "cold=0/9 warm=9/0 ranked=32ef4caa3a1b79ec keys=9/aa9ce607feeb1c63"},
         {"tune maeri_128_x2 DW k8 sp0.5",
          "space=90 best=1x3x1x4x1x1x9x1/86 "
          "greedy=3x3x1x8x1x1x1x1/90 rho=bfd1d3a60caf0ca7 "
-         "cold=0/9 warm=9/0 ranked=32ef4caa3a1b79ec keys=9/3c4df1113e48c25e"},
+         "cold=0/9 warm=9/0 ranked=32ef4caa3a1b79ec keys=9/f94c070350894a6e"},
         {"tune maeri_128_x2 M-FC k1 sp0.0",
          "space=157 best=3x3x1x14x1x1x1x1/2077 "
          "greedy=3x3x1x14x1x1x1x1/2077 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=1ec3cd485af33f19 keys=2/0ce3e8c558b3e2dc"},
+         "cold=0/2 warm=2/0 ranked=1ec3cd485af33f19 keys=2/dfc2d462afe5a830"},
         {"tune maeri_128_x2 M-FC k1 sp0.5",
          "space=157 best=3x3x1x14x1x1x1x1/2077 "
          "greedy=3x3x1x14x1x1x1x1/2077 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=1ec3cd485af33f19 keys=2/a36edb247a90719c"},
+         "cold=0/2 warm=2/0 ranked=1ec3cd485af33f19 keys=2/c1457e16cdd17190"},
         {"tune maeri_128_x2 M-FC k8 sp0.0",
          "space=157 best=3x3x1x1x1x1x14x1/1928 "
          "greedy=3x3x1x14x1x1x1x1/2077 rho=bfea83366935260e "
-         "cold=0/9 warm=9/0 ranked=4c1ac9fdc2720758 keys=9/e5e57bbf05ec65a5"},
+         "cold=0/9 warm=9/0 ranked=4c1ac9fdc2720758 keys=9/759edd5476a70c4d"},
         {"tune maeri_128_x2 M-FC k8 sp0.5",
          "space=157 best=3x3x1x1x1x1x14x1/1928 "
          "greedy=3x3x1x14x1x1x1x1/2077 rho=bfea83366935260e "
-         "cold=0/9 warm=9/0 ranked=4c1ac9fdc2720758 keys=9/2f7431774167182a"},
+         "cold=0/9 warm=9/0 ranked=4c1ac9fdc2720758 keys=9/5c2ced680c736302"},
         {"tune maeri_128_x2 M-L k1 sp0.0",
          "space=39 best=1x1x128x1x1x1x1x1/912 "
          "greedy=1x1x128x1x1x1x1x1/912 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=3bf91c4c754816a6 keys=1/f821735fc2917a2d"},
+         "cold=0/1 warm=1/0 ranked=3bf91c4c754816a6 keys=1/dd874f02da112bbd"},
         {"tune maeri_128_x2 M-L k1 sp0.5",
          "space=39 best=1x1x128x1x1x1x1x1/912 "
          "greedy=1x1x128x1x1x1x1x1/912 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=3bf91c4c754816a6 keys=1/e17915a2aa3d4d2c"},
+         "cold=0/1 warm=1/0 ranked=3bf91c4c754816a6 keys=1/7a8c2688d1e2d618"},
         {"tune maeri_128_x2 M-L k8 sp0.0",
          "space=39 best=1x1x16x1x4x1x1x1/836 "
          "greedy=1x1x128x1x1x1x1x1/912 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=0503719293932a37 keys=8/d8f1f1bf7b884cd7"},
+         "cold=0/8 warm=8/0 ranked=0503719293932a37 keys=8/bb457f33ea84c8b7"},
         {"tune maeri_128_x2 M-L k8 sp0.5",
          "space=39 best=1x1x16x1x4x1x1x1/836 "
          "greedy=1x1x128x1x1x1x1x1/912 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=0503719293932a37 keys=8/0b6c96f4fe165cb7"},
+         "cold=0/8 warm=8/0 ranked=0503719293932a37 keys=8/3786fd2bd10eacd7"},
         {"tune maeri_128_x2 R-C k1 sp0.0",
          "space=408 best=1x1x16x1x2x1x2x2/56682 "
          "greedy=3x3x14x1x1x1x1x1/66381 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=195e35124892b0f3 keys=2/3dedaeaa41877184"},
+         "cold=0/2 warm=2/0 ranked=195e35124892b0f3 keys=2/5dcc1520887aab58"},
         {"tune maeri_128_x2 R-C k1 sp0.5",
          "space=408 best=1x1x16x1x2x1x2x2/56682 "
          "greedy=3x3x14x1x1x1x1x1/66381 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=195e35124892b0f3 keys=2/ed580c4249f8c8cc"},
+         "cold=0/2 warm=2/0 ranked=195e35124892b0f3 keys=2/723d41bf9e04d018"},
         {"tune maeri_128_x2 R-C k8 sp0.0",
          "space=408 best=1x1x16x1x8x1x1x1/56665 "
          "greedy=3x3x14x1x1x1x1x1/66381 rho=3fe1accef0ce195f "
-         "cold=0/9 warm=9/0 ranked=ebc91c951867b3f6 keys=9/326d35ae1cffde89"},
+         "cold=0/9 warm=9/0 ranked=ebc91c951867b3f6 keys=9/de250f01f97ea289"},
         {"tune maeri_128_x2 R-C k8 sp0.5",
          "space=408 best=1x1x16x1x8x1x1x1/56665 "
          "greedy=3x3x14x1x1x1x1x1/66381 rho=3fe1accef0ce195f "
-         "cold=0/9 warm=9/0 ranked=ebc91c951867b3f6 keys=9/9f32f5e8bd5c2b3c"},
+         "cold=0/9 warm=9/0 ranked=ebc91c951867b3f6 keys=9/46e4c78847378410"},
         {"tune maeri_128_x2 R-L k1 sp0.0",
          "space=39 best=1x1x128x1x1x1x1x1/1713 "
          "greedy=1x1x128x1x1x1x1x1/1713 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=8fcfb438543d1c10 keys=1/eb2659d32697b42f"},
+         "cold=0/1 warm=1/0 ranked=8fcfb438543d1c10 keys=1/a794e32ffdb95c57"},
         {"tune maeri_128_x2 R-L k1 sp0.5",
          "space=39 best=1x1x128x1x1x1x1x1/1713 "
          "greedy=1x1x128x1x1x1x1x1/1713 rho=3ff0000000000000 "
-         "cold=0/1 warm=1/0 ranked=8fcfb438543d1c10 keys=1/03d14651f95eb906"},
+         "cold=0/1 warm=1/0 ranked=8fcfb438543d1c10 keys=1/1bcc1a4a180ce942"},
         {"tune maeri_128_x2 R-L k8 sp0.0",
          "space=39 best=1x1x16x1x4x1x1x1/1640 "
          "greedy=1x1x128x1x1x1x1x1/1713 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=cb468ce2e353e2a3 keys=8/8910db82bc3f67f7"},
+         "cold=0/8 warm=8/0 ranked=cb468ce2e353e2a3 keys=8/548d1198b1870ca7"},
         {"tune maeri_128_x2 R-L k8 sp0.5",
          "space=39 best=1x1x16x1x4x1x1x1/1640 "
          "greedy=1x1x128x1x1x1x1x1/1713 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=cb468ce2e353e2a3 keys=8/d0260258af0702c7"},
+         "cold=0/8 warm=8/0 ranked=cb468ce2e353e2a3 keys=8/d4365a19334eb7e7"},
         {"tune maeri_128_x2 S-EC k1 sp0.0",
          "space=114 best=1x1x16x1x8x1x1x1/12355 "
          "greedy=3x3x2x1x7x1x1x1/13712 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=3a969fad23076eb1 keys=2/0ffd2c3fa44af1e8"},
+         "cold=0/2 warm=2/0 ranked=3a969fad23076eb1 keys=2/9b2e73f020c6f1cc"},
         {"tune maeri_128_x2 S-EC k1 sp0.5",
          "space=114 best=1x1x16x1x8x1x1x1/12355 "
          "greedy=3x3x2x1x7x1x1x1/13712 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=3a969fad23076eb1 keys=2/33a472cbf664682e"},
+         "cold=0/2 warm=2/0 ranked=3a969fad23076eb1 keys=2/b4168b941d4b01a6"},
         {"tune maeri_128_x2 S-EC k8 sp0.0",
          "space=114 best=1x1x16x1x8x1x1x1/12355 "
          "greedy=3x3x2x1x7x1x1x1/13712 rho=3fe74afc315db4ec "
-         "cold=0/8 warm=8/0 ranked=c116fea18d2de4bd keys=8/4ab6e265e91b5864"},
+         "cold=0/8 warm=8/0 ranked=c116fea18d2de4bd keys=8/a0b0ac1d91a61f08"},
         {"tune maeri_128_x2 S-EC k8 sp0.5",
          "space=114 best=1x1x16x1x8x1x1x1/12355 "
          "greedy=3x3x2x1x7x1x1x1/13712 rho=3fe74afc315db4ec "
-         "cold=0/8 warm=8/0 ranked=c116fea18d2de4bd keys=8/a48c3ab32c22403a"},
+         "cold=0/8 warm=8/0 ranked=c116fea18d2de4bd keys=8/6ecd558319c0f9ba"},
         {"tune maeri_128_x2 S-SC k1 sp0.0",
          "space=49 best=1x1x64x1x2x1x1x1/1363 "
          "greedy=1x1x64x1x2x1x1x1/1363 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=05ec0b2b327d3bdf keys=2/9e2b605e6e4710b8"},
+         "cold=0/2 warm=2/0 ranked=05ec0b2b327d3bdf keys=2/bcade7a15f8aa878"},
         {"tune maeri_128_x2 S-SC k1 sp0.5",
          "space=49 best=1x1x64x1x2x1x1x1/1363 "
          "greedy=1x1x64x1x2x1x1x1/1363 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=05ec0b2b327d3bdf keys=2/f3baa2081c6b0f10"},
+         "cold=0/2 warm=2/0 ranked=05ec0b2b327d3bdf keys=2/acf9125d207a3038"},
         {"tune maeri_128_x2 S-SC k8 sp0.0",
          "space=49 best=1x1x64x1x2x1x1x1/1363 "
          "greedy=1x1x64x1x2x1x1x1/1363 rho=3fec453d90f057a1 "
-         "cold=0/8 warm=8/0 ranked=4d4946aba0080cc7 keys=8/3149316cb6263568"},
+         "cold=0/8 warm=8/0 ranked=4d4946aba0080cc7 keys=8/018c448695e26544"},
         {"tune maeri_128_x2 S-SC k8 sp0.5",
          "space=49 best=1x1x64x1x2x1x1x1/1363 "
          "greedy=1x1x64x1x2x1x1x1/1363 rho=3fec453d90f057a1 "
-         "cold=0/8 warm=8/0 ranked=4d4946aba0080cc7 keys=8/0689fd99ae2b89f8"},
+         "cold=0/8 warm=8/0 ranked=4d4946aba0080cc7 keys=8/d381736de3ea25b4"},
         {"tune maeri_256 B-L k1 sp0.0",
          "space=224 best=1x1x128x1x2x1x1x1/6156 "
          "greedy=1x1x128x1x2x1x1x1/6156 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=fac8897cbfb3d4ed keys=2/25b509366cbc92d9"},
+         "cold=0/2 warm=2/0 ranked=fac8897cbfb3d4ed keys=2/e6879762d2990089"},
         {"tune maeri_256 B-L k1 sp0.5",
          "space=224 best=1x1x128x1x2x1x1x1/6156 "
          "greedy=1x1x128x1x2x1x1x1/6156 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=fac8897cbfb3d4ed keys=2/611a849d396ef553"},
+         "cold=0/2 warm=2/0 ranked=fac8897cbfb3d4ed keys=2/cea03e081496bc5b"},
         {"tune maeri_256 B-L k8 sp0.0",
          "space=224 best=1x1x128x1x2x1x1x1/6156 "
          "greedy=1x1x128x1x2x1x1x1/6156 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=c4c0a0a9228dd31d keys=8/d5dd211458548947"},
+         "cold=0/8 warm=8/0 ranked=c4c0a0a9228dd31d keys=8/1587982c415f336b"},
         {"tune maeri_256 B-L k8 sp0.5",
          "space=224 best=1x1x128x1x2x1x1x1/6156 "
          "greedy=1x1x128x1x2x1x1x1/6156 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=c4c0a0a9228dd31d keys=8/c6e8260dcb676951"},
+         "cold=0/8 warm=8/0 ranked=c4c0a0a9228dd31d keys=8/5fe8577a5b3ba129"},
         {"tune maeri_256 B-TR k1 sp0.0",
          "space=311 best=1x1x128x1x2x1x1x1/1164 "
          "greedy=1x1x128x1x2x1x1x1/1164 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=28894ad3ac50e57d keys=2/cf3378871b019f0b"},
+         "cold=0/2 warm=2/0 ranked=28894ad3ac50e57d keys=2/6ee4196277f9eb63"},
         {"tune maeri_256 B-TR k1 sp0.5",
          "space=311 best=1x1x128x1x2x1x1x1/1164 "
          "greedy=1x1x128x1x2x1x1x1/1164 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=28894ad3ac50e57d keys=2/b4ab3d60a6db97d7"},
+         "cold=0/2 warm=2/0 ranked=28894ad3ac50e57d keys=2/7990de131062d503"},
         {"tune maeri_256 B-TR k8 sp0.0",
          "space=311 best=1x1x128x1x2x1x1x1/1164 "
          "greedy=1x1x128x1x2x1x1x1/1164 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=7dd326a834dae3fb keys=8/c3d9b46eff4dfa80"},
+         "cold=0/8 warm=8/0 ranked=7dd326a834dae3fb keys=8/b38f1a73bee65b08"},
         {"tune maeri_256 B-TR k8 sp0.5",
          "space=311 best=1x1x128x1x2x1x1x1/1164 "
          "greedy=1x1x128x1x2x1x1x1/1164 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=7dd326a834dae3fb keys=8/7feeba277f2441ea"},
+         "cold=0/8 warm=8/0 ranked=7dd326a834dae3fb keys=8/1c93fa71e9fa2ece"},
         {"tune maeri_256 DW k1 sp0.0",
          "space=112 best=3x3x1x8x1x1x1x3/49 "
          "greedy=3x3x1x8x1x1x1x3/49 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=ce4dcd2d0cf4b52d keys=2/416ac856f3f50748"},
+         "cold=0/2 warm=2/0 ranked=ce4dcd2d0cf4b52d keys=2/5cc554b95b4b68f4"},
         {"tune maeri_256 DW k1 sp0.5",
          "space=112 best=3x3x1x8x1x1x1x3/49 "
          "greedy=3x3x1x8x1x1x1x3/49 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=ce4dcd2d0cf4b52d keys=2/47fafd53f327b2f4"},
+         "cold=0/2 warm=2/0 ranked=ce4dcd2d0cf4b52d keys=2/2a3a10cccb8f0cf4"},
         {"tune maeri_256 DW k8 sp0.0",
          "space=112 best=3x3x1x1x1x1x9x3/48 "
          "greedy=3x3x1x8x1x1x1x3/49 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=a2a259394a6e6fd6 keys=9/165a86b57ffe29b8"},
+         "cold=0/9 warm=9/0 ranked=a2a259394a6e6fd6 keys=9/43b5ba9d78279e58"},
         {"tune maeri_256 DW k8 sp0.5",
          "space=112 best=3x3x1x1x1x1x9x3/48 "
          "greedy=3x3x1x8x1x1x1x3/49 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=a2a259394a6e6fd6 keys=9/270985a3597b6d35"},
+         "cold=0/9 warm=9/0 ranked=a2a259394a6e6fd6 keys=9/a29d107664f67529"},
         {"tune maeri_256 M-FC k1 sp0.0",
          "space=210 best=3x3x1x28x1x1x1x1/1037 "
          "greedy=3x3x1x28x1x1x1x1/1037 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=f847f03c40df8e05 keys=2/95dc2a681915f32c"},
+         "cold=0/2 warm=2/0 ranked=f847f03c40df8e05 keys=2/322398d52c3dcfc0"},
         {"tune maeri_256 M-FC k1 sp0.5",
          "space=210 best=3x3x1x28x1x1x1x1/1037 "
          "greedy=3x3x1x28x1x1x1x1/1037 rho=bff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=f847f03c40df8e05 keys=2/d2078158f3e7a066"},
+         "cold=0/2 warm=2/0 ranked=f847f03c40df8e05 keys=2/4158594cb2ed7e22"},
         {"tune maeri_256 M-FC k8 sp0.0",
          "space=210 best=3x3x1x2x1x1x14x1/968 "
          "greedy=3x3x1x28x1x1x1x1/1037 rho=bfe9952574c0f80f "
-         "cold=0/9 warm=9/0 ranked=0f0187f1b04d27ce keys=9/8f9faeb9ba735aba"},
+         "cold=0/9 warm=9/0 ranked=0f0187f1b04d27ce keys=9/3757b9073c14b96e"},
         {"tune maeri_256 M-FC k8 sp0.5",
          "space=210 best=3x3x1x2x1x1x14x1/968 "
          "greedy=3x3x1x28x1x1x1x1/1037 rho=bfe9952574c0f80f "
-         "cold=0/9 warm=9/0 ranked=0f0187f1b04d27ce keys=9/aca0ec3569d18009"},
+         "cold=0/9 warm=9/0 ranked=0f0187f1b04d27ce keys=9/6260c81b67aa5ce5"},
         {"tune maeri_256 M-L k1 sp0.0",
          "space=48 best=1x1x128x1x1x1x1x1/511 "
          "greedy=1x1x256x1x1x1x1x1/513 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=9d58f29ad9df8111 keys=2/3a7c62fd3ffc7183"},
+         "cold=0/2 warm=2/0 ranked=9d58f29ad9df8111 keys=2/20a8d4538433c103"},
         {"tune maeri_256 M-L k1 sp0.5",
          "space=48 best=1x1x128x1x1x1x1x1/511 "
          "greedy=1x1x256x1x1x1x1x1/513 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=9d58f29ad9df8111 keys=2/4200e31b8ed23b9b"},
+         "cold=0/2 warm=2/0 ranked=9d58f29ad9df8111 keys=2/c0e05f2ae83ba36f"},
         {"tune maeri_256 M-L k8 sp0.0",
          "space=48 best=1x1x32x1x4x1x1x1/437 "
          "greedy=1x1x256x1x1x1x1x1/513 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=156461f78e29c66b keys=8/e747852bff7dc137"},
+         "cold=0/8 warm=8/0 ranked=156461f78e29c66b keys=8/7257cfd31d02e0c7"},
         {"tune maeri_256 M-L k8 sp0.5",
          "space=48 best=1x1x32x1x4x1x1x1/437 "
          "greedy=1x1x256x1x1x1x1x1/513 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=156461f78e29c66b keys=8/510574cad4c6c4bf"},
+         "cold=0/8 warm=8/0 ranked=156461f78e29c66b keys=8/6d5fe55198538e97"},
         {"tune maeri_256 R-C k1 sp0.0",
          "space=610 best=1x1x16x1x16x1x1x1/28350 "
          "greedy=3x3x14x1x2x1x1x1/31502 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=af696933dbdd8023 keys=2/9423d4a386c6036d"},
+         "cold=0/2 warm=2/0 ranked=af696933dbdd8023 keys=2/1e9a3b22c3c60bad"},
         {"tune maeri_256 R-C k1 sp0.5",
          "space=610 best=1x1x16x1x16x1x1x1/28350 "
          "greedy=3x3x14x1x2x1x1x1/31502 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=af696933dbdd8023 keys=2/9589b2dd4c12ce9b"},
+         "cold=0/2 warm=2/0 ranked=af696933dbdd8023 keys=2/c4794a6e0e0a2393"},
         {"tune maeri_256 R-C k8 sp0.0",
          "space=610 best=1x1x16x1x8x1x1x2/28344 "
          "greedy=3x3x14x1x2x1x1x1/31502 rho=3fe1accef0ce195f "
-         "cold=0/9 warm=9/0 ranked=94479151c79af7d6 keys=9/1c73f0fc10fb97b2"},
+         "cold=0/9 warm=9/0 ranked=94479151c79af7d6 keys=9/938a3c85260d359e"},
         {"tune maeri_256 R-C k8 sp0.5",
          "space=610 best=1x1x16x1x8x1x1x2/28344 "
          "greedy=3x3x14x1x2x1x1x1/31502 rho=3fe1accef0ce195f "
-         "cold=0/9 warm=9/0 ranked=94479151c79af7d6 keys=9/d879589db48c22bb"},
+         "cold=0/9 warm=9/0 ranked=94479151c79af7d6 keys=9/d11dc10f0320a693"},
         {"tune maeri_256 R-L k1 sp0.0",
          "space=48 best=1x1x128x1x1x1x1x1/912 "
          "greedy=1x1x256x1x1x1x1x1/914 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=2a91bbf5701bee5d keys=2/0cd94e36784c082d"},
+         "cold=0/2 warm=2/0 ranked=2a91bbf5701bee5d keys=2/a6fc7f979e546651"},
         {"tune maeri_256 R-L k1 sp0.5",
          "space=48 best=1x1x128x1x1x1x1x1/912 "
          "greedy=1x1x256x1x1x1x1x1/914 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=2a91bbf5701bee5d keys=2/4a8bc7550348b5bb"},
+         "cold=0/2 warm=2/0 ranked=2a91bbf5701bee5d keys=2/52b170fd15c1ae17"},
         {"tune maeri_256 R-L k8 sp0.0",
          "space=48 best=1x1x32x1x4x1x1x1/841 "
          "greedy=1x1x256x1x1x1x1x1/914 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=d0aaf92e82ce54b1 keys=8/f4a9cb1b658b355b"},
+         "cold=0/8 warm=8/0 ranked=d0aaf92e82ce54b1 keys=8/dcc640244f68b883"},
         {"tune maeri_256 R-L k8 sp0.5",
          "space=48 best=1x1x32x1x4x1x1x1/841 "
          "greedy=1x1x256x1x1x1x1x1/914 rho=3fe83091e6a7f7e6 "
-         "cold=0/8 warm=8/0 ranked=d0aaf92e82ce54b1 keys=8/e4a8bc10dc486eff"},
+         "cold=0/8 warm=8/0 ranked=d0aaf92e82ce54b1 keys=8/3b31835cb43229cf"},
         {"tune maeri_256 S-EC k1 sp0.0",
          "space=159 best=1x1x16x1x16x1x1x1/6185 "
          "greedy=3x3x4x1x7x1x1x1/6867 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=123429aeca8ae0e1 keys=2/750fa9960e042850"},
+         "cold=0/2 warm=2/0 ranked=123429aeca8ae0e1 keys=2/be4cfeb00315a500"},
         {"tune maeri_256 S-EC k1 sp0.5",
          "space=159 best=1x1x16x1x16x1x1x1/6185 "
          "greedy=3x3x4x1x7x1x1x1/6867 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=123429aeca8ae0e1 keys=2/e562142b3be9f5ac"},
+         "cold=0/2 warm=2/0 ranked=123429aeca8ae0e1 keys=2/41ee029fc2025570"},
         {"tune maeri_256 S-EC k8 sp0.0",
          "space=159 best=1x1x16x1x16x1x1x1/6185 "
          "greedy=3x3x4x1x7x1x1x1/6867 rho=3fe9306acdb9c18f "
-         "cold=0/8 warm=8/0 ranked=2f98577847d37421 keys=8/f25f21d2ca42b79d"},
+         "cold=0/8 warm=8/0 ranked=2f98577847d37421 keys=8/cc8ed5840eea33d1"},
         {"tune maeri_256 S-EC k8 sp0.5",
          "space=159 best=1x1x16x1x16x1x1x1/6185 "
          "greedy=3x3x4x1x7x1x1x1/6867 rho=3fe9306acdb9c18f "
-         "cold=0/8 warm=8/0 ranked=2f98577847d37421 keys=8/03ceabcb72fe25df"},
+         "cold=0/8 warm=8/0 ranked=2f98577847d37421 keys=8/c2a6cdc4e1d164a7"},
         {"tune maeri_256 S-SC k1 sp0.0",
          "space=63 best=1x1x64x1x4x1x1x1/687 "
          "greedy=1x1x64x1x4x1x1x1/687 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d03c8e540d993fc5 keys=2/3ec9ea957eff189c"},
+         "cold=0/2 warm=2/0 ranked=d03c8e540d993fc5 keys=2/ca284aaff33dcbec"},
         {"tune maeri_256 S-SC k1 sp0.5",
          "space=63 best=1x1x64x1x4x1x1x1/687 "
          "greedy=1x1x64x1x4x1x1x1/687 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d03c8e540d993fc5 keys=2/2323609b29030eba"},
+         "cold=0/2 warm=2/0 ranked=d03c8e540d993fc5 keys=2/943181f638ebcdc2"},
         {"tune maeri_256 S-SC k8 sp0.0",
          "space=63 best=1x1x64x1x4x1x1x1/687 "
          "greedy=1x1x64x1x4x1x1x1/687 rho=3fec10dbfab3c883 "
-         "cold=0/8 warm=8/0 ranked=7243193afb1a2523 keys=8/387fc5932a172042"},
+         "cold=0/8 warm=8/0 ranked=7243193afb1a2523 keys=8/eba9d695c76dc822"},
         {"tune maeri_256 S-SC k8 sp0.5",
          "space=63 best=1x1x64x1x4x1x1x1/687 "
          "greedy=1x1x64x1x4x1x1x1/687 rho=3fec10dbfab3c883 "
-         "cold=0/8 warm=8/0 ranked=7243193afb1a2523 keys=8/32f4af2d961854de"},
+         "cold=0/8 warm=8/0 ranked=7243193afb1a2523 keys=8/2bee71d27b0a1896"},
         {"tune tpu_256 B-L k1 sp0.0",
          "space=224 best=1x1x128x1x1x1x1x2/7776 "
          "greedy=1x1x128x1x2x1x1x1/7776 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=a03d65156eabd315 keys=2/024d569f1fb8d53d"},
+         "cold=0/2 warm=2/0 ranked=a03d65156eabd315 keys=2/458c3ae1a2670bf5"},
         {"tune tpu_256 B-L k1 sp0.5",
          "space=224 best=1x1x128x1x1x1x1x2/7776 "
          "greedy=1x1x128x1x2x1x1x1/7776 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=a03d65156eabd315 keys=2/3d5b419cb0a77d0b"},
+         "cold=0/2 warm=2/0 ranked=a03d65156eabd315 keys=2/353d932eb007109b"},
         {"tune tpu_256 B-L k8 sp0.0",
          "space=224 best=1x1x128x1x1x1x1x2/7776 "
          "greedy=1x1x128x1x2x1x1x1/7776 rho=3ff0000000000000 "
-         "cold=0/8 warm=8/0 ranked=21fd41e5d6402c0d keys=8/03945a6d643705f7"},
+         "cold=0/8 warm=8/0 ranked=21fd41e5d6402c0d keys=8/2aee8f4ec6dc2b7b"},
         {"tune tpu_256 B-L k8 sp0.5",
          "space=224 best=1x1x128x1x1x1x1x2/7776 "
          "greedy=1x1x128x1x2x1x1x1/7776 rho=3ff0000000000000 "
-         "cold=0/8 warm=8/0 ranked=21fd41e5d6402c0d keys=8/1e2902a7fd623cb9"},
+         "cold=0/8 warm=8/0 ranked=21fd41e5d6402c0d keys=8/efda46b8fbecc341"},
         {"tune tpu_256 B-TR k1 sp0.0",
          "space=311 best=1x1x128x1x1x1x1x2/1458 "
          "greedy=1x1x128x1x2x1x1x1/1458 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=6353cf80f328cc61 keys=2/71da18e8018d5e9b"},
+         "cold=0/2 warm=2/0 ranked=6353cf80f328cc61 keys=2/ece775f1481bdf7b"},
         {"tune tpu_256 B-TR k1 sp0.5",
          "space=311 best=1x1x128x1x1x1x1x2/1458 "
          "greedy=1x1x128x1x2x1x1x1/1458 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=6353cf80f328cc61 keys=2/e48e2792dc6dd32b"},
+         "cold=0/2 warm=2/0 ranked=6353cf80f328cc61 keys=2/03ef87550997e957"},
         {"tune tpu_256 B-TR k8 sp0.0",
          "space=311 best=1x1x128x1x1x1x1x2/1458 "
          "greedy=1x1x128x1x2x1x1x1/1458 rho=3ff0000000000000 "
-         "cold=0/8 warm=8/0 ranked=1c4b3f13c9a8d3a3 keys=8/428f531b48c34418"},
+         "cold=0/8 warm=8/0 ranked=1c4b3f13c9a8d3a3 keys=8/90aa7af5a6a82a20"},
         {"tune tpu_256 B-TR k8 sp0.5",
          "space=311 best=1x1x128x1x1x1x1x2/1458 "
          "greedy=1x1x128x1x2x1x1x1/1458 rho=3ff0000000000000 "
-         "cold=0/8 warm=8/0 ranked=1c4b3f13c9a8d3a3 keys=8/4ee871d9c81d146a"},
+         "cold=0/8 warm=8/0 ranked=1c4b3f13c9a8d3a3 keys=8/59ecbd581b75582e"},
         {"tune tpu_256 DW k1 sp0.0",
          "space=112 best=1x3x1x1x1x1x9x9/1224 "
          "greedy=3x3x1x8x1x1x1x3/1224 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d1b942bcf137747d keys=2/3673d7338cf9af54"},
+         "cold=0/2 warm=2/0 ranked=d1b942bcf137747d keys=2/330111ac37251268"},
         {"tune tpu_256 DW k1 sp0.5",
          "space=112 best=1x3x1x1x1x1x9x9/1224 "
          "greedy=3x3x1x8x1x1x1x3/1224 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=d1b942bcf137747d keys=2/fed9f0459a4ea1cc"},
+         "cold=0/2 warm=2/0 ranked=d1b942bcf137747d keys=2/ccd1303b6fe64684"},
         {"tune tpu_256 DW k8 sp0.0",
          "space=112 best=1x3x1x1x1x1x9x9/1224 "
          "greedy=3x3x1x8x1x1x1x3/1224 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=550202fe8eaa19ea keys=9/a98e189e98ad7f4e"},
+         "cold=0/9 warm=9/0 ranked=550202fe8eaa19ea keys=9/e79b61df3101c94e"},
         {"tune tpu_256 DW k8 sp0.5",
          "space=112 best=1x3x1x1x1x1x9x9/1224 "
          "greedy=3x3x1x8x1x1x1x3/1224 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=550202fe8eaa19ea keys=9/0b227e0968368833"},
+         "cold=0/9 warm=9/0 ranked=550202fe8eaa19ea keys=9/6b0fce249f02b617"},
         {"tune tpu_256 M-FC k1 sp0.0",
          "space=210 best=1x1x1x128x1x1x1x2/45056 "
          "greedy=3x3x1x28x1x1x1x1/45056 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=bf44d78b074e0a75 keys=2/53fddff298adbf78"},
+         "cold=0/2 warm=2/0 ranked=bf44d78b074e0a75 keys=2/049f06e1e827ca3c"},
         {"tune tpu_256 M-FC k1 sp0.5",
          "space=210 best=1x1x1x128x1x1x1x2/45056 "
          "greedy=3x3x1x28x1x1x1x1/45056 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=bf44d78b074e0a75 keys=2/79f61ac6826ca8de"},
+         "cold=0/2 warm=2/0 ranked=bf44d78b074e0a75 keys=2/9db58bed638ea482"},
         {"tune tpu_256 M-FC k8 sp0.0",
          "space=210 best=1x1x1x128x1x1x1x2/45056 "
          "greedy=3x3x1x28x1x1x1x1/45056 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=1d5d407ecdd5187c keys=9/d5c895d4f8bd226c"},
+         "cold=0/9 warm=9/0 ranked=1d5d407ecdd5187c keys=9/c2ca5b5709652c88"},
         {"tune tpu_256 M-FC k8 sp0.5",
          "space=210 best=1x1x1x128x1x1x1x2/45056 "
          "greedy=3x3x1x28x1x1x1x1/45056 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=1d5d407ecdd5187c keys=9/d4f568f387a050c7"},
+         "cold=0/9 warm=9/0 ranked=1d5d407ecdd5187c keys=9/4280eaf617a82d6b"},
         {"tune tpu_256 M-L k1 sp0.0",
          "space=48 best=1x1x128x1x2x1x1x1/3705 "
          "greedy=1x1x256x1x1x1x1x1/3705 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=e7789fe225fccfb9 keys=2/f448499a5f8da326"},
+         "cold=0/2 warm=2/0 ranked=e7789fe225fccfb9 keys=2/cd24960b33c0d1c6"},
         {"tune tpu_256 M-L k1 sp0.5",
          "space=48 best=1x1x128x1x2x1x1x1/3705 "
          "greedy=1x1x256x1x1x1x1x1/3705 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=e7789fe225fccfb9 keys=2/c162fbf7e78fe772"},
+         "cold=0/2 warm=2/0 ranked=e7789fe225fccfb9 keys=2/e2cc1607ab063d36"},
         {"tune tpu_256 M-L k8 sp0.0",
          "space=48 best=1x1x128x1x2x1x1x1/3705 "
          "greedy=1x1x256x1x1x1x1x1/3705 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=b7bca78f4f5e0ee7 keys=8/fd92ecf353cb755d"},
+         "cold=0/8 warm=8/0 ranked=b7bca78f4f5e0ee7 keys=8/be5996aa3586e625"},
         {"tune tpu_256 M-L k8 sp0.5",
          "space=48 best=1x1x128x1x2x1x1x1/3705 "
          "greedy=1x1x256x1x1x1x1x1/3705 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=b7bca78f4f5e0ee7 keys=8/6a54cdb7dede96e9"},
+         "cold=0/8 warm=8/0 ranked=b7bca78f4f5e0ee7 keys=8/948a83cbf0cce429"},
         {"tune tpu_256 R-C k1 sp0.0",
          "space=610 best=1x1x16x1x16x1x1x1/31672 "
          "greedy=3x3x14x1x2x1x1x1/31672 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=0fc986b46a159e3b keys=2/5760af19ab8eefa9"},
+         "cold=0/2 warm=2/0 ranked=0fc986b46a159e3b keys=2/4396a83a56769a11"},
         {"tune tpu_256 R-C k1 sp0.5",
          "space=610 best=1x1x16x1x16x1x1x1/31672 "
          "greedy=3x3x14x1x2x1x1x1/31672 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=0fc986b46a159e3b keys=2/1e57c7951ef5a213"},
+         "cold=0/2 warm=2/0 ranked=0fc986b46a159e3b keys=2/cd0348322cbfe643"},
         {"tune tpu_256 R-C k8 sp0.0",
          "space=610 best=1x1x16x1x16x1x1x1/31672 "
          "greedy=3x3x14x1x2x1x1x1/31672 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=fb845571e7cbc2ec keys=9/4efadcf3f0c64830"},
+         "cold=0/9 warm=9/0 ranked=fb845571e7cbc2ec keys=9/bba5b9a6c236559c"},
         {"tune tpu_256 R-C k8 sp0.5",
          "space=610 best=1x1x16x1x16x1x1x1/31672 "
          "greedy=3x3x14x1x2x1x1x1/31672 rho=0000000000000000 "
-         "cold=0/9 warm=9/0 ranked=fb845571e7cbc2ec keys=9/6bed2a8c99994311"},
+         "cold=0/9 warm=9/0 ranked=fb845571e7cbc2ec keys=9/e0398e17050b5ca1"},
         {"tune tpu_256 R-L k1 sp0.0",
          "space=48 best=1x1x128x1x2x1x1x1/7289 "
          "greedy=1x1x256x1x1x1x1x1/7289 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=8127fa5ff8c28d3d keys=2/93fb281307a6b5fa"},
+         "cold=0/2 warm=2/0 ranked=8127fa5ff8c28d3d keys=2/01c6eaa4f80a6fba"},
         {"tune tpu_256 R-L k1 sp0.5",
          "space=48 best=1x1x128x1x2x1x1x1/7289 "
          "greedy=1x1x256x1x1x1x1x1/7289 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=8127fa5ff8c28d3d keys=2/6f573508dee1ac48"},
+         "cold=0/2 warm=2/0 ranked=8127fa5ff8c28d3d keys=2/1f3260c95dfad3e0"},
         {"tune tpu_256 R-L k8 sp0.0",
          "space=48 best=1x1x128x1x2x1x1x1/7289 "
          "greedy=1x1x256x1x1x1x1x1/7289 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=3b0de530b69e69a7 keys=8/54600d027b9e7c5f"},
+         "cold=0/8 warm=8/0 ranked=3b0de530b69e69a7 keys=8/9535360786dbb27b"},
         {"tune tpu_256 R-L k8 sp0.5",
          "space=48 best=1x1x128x1x2x1x1x1/7289 "
          "greedy=1x1x256x1x1x1x1x1/7289 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=3b0de530b69e69a7 keys=8/8f7e046e6b34d0cf"},
+         "cold=0/8 warm=8/0 ranked=3b0de530b69e69a7 keys=8/03df565b7ef775db"},
         {"tune tpu_256 S-EC k1 sp0.0",
          "space=159 best=1x1x16x1x16x1x1x1/7804 "
          "greedy=3x3x4x1x7x1x1x1/7804 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=e8cdfb8b47f76541 keys=2/7f4eed293bdac260"},
+         "cold=0/2 warm=2/0 ranked=e8cdfb8b47f76541 keys=2/bf5e45f45770d758"},
         {"tune tpu_256 S-EC k1 sp0.5",
          "space=159 best=1x1x16x1x16x1x1x1/7804 "
          "greedy=3x3x4x1x7x1x1x1/7804 rho=0000000000000000 "
-         "cold=0/2 warm=2/0 ranked=e8cdfb8b47f76541 keys=2/7185d2c9a18299d8"},
+         "cold=0/2 warm=2/0 ranked=e8cdfb8b47f76541 keys=2/b5d88c37d9e6e084"},
         {"tune tpu_256 S-EC k8 sp0.0",
          "space=159 best=1x1x16x1x16x1x1x1/7804 "
          "greedy=3x3x4x1x7x1x1x1/7804 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=9b064ab0ce1a1d2d keys=8/974518cabcbda6ad"},
+         "cold=0/8 warm=8/0 ranked=9b064ab0ce1a1d2d keys=8/1eacdf6489d18601"},
         {"tune tpu_256 S-EC k8 sp0.5",
          "space=159 best=1x1x16x1x16x1x1x1/7804 "
          "greedy=3x3x4x1x7x1x1x1/7804 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=9b064ab0ce1a1d2d keys=8/cbf00e7f094ddc87"},
+         "cold=0/8 warm=8/0 ranked=9b064ab0ce1a1d2d keys=8/c800923d92b99f5f"},
         {"tune tpu_256 S-SC k1 sp0.0",
          "space=63 best=1x1x16x1x16x1x1x1/1071 "
          "greedy=1x1x64x1x4x1x1x1/1071 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=80b12f866f11a035 keys=2/e4a571bdf31b9940"},
+         "cold=0/2 warm=2/0 ranked=80b12f866f11a035 keys=2/f459ca39d6dff748"},
         {"tune tpu_256 S-SC k1 sp0.5",
          "space=63 best=1x1x16x1x16x1x1x1/1071 "
          "greedy=1x1x64x1x4x1x1x1/1071 rho=3ff0000000000000 "
-         "cold=0/2 warm=2/0 ranked=80b12f866f11a035 keys=2/c3675c503212ceb2"},
+         "cold=0/2 warm=2/0 ranked=80b12f866f11a035 keys=2/7d3699510d1858e2"},
         {"tune tpu_256 S-SC k8 sp0.0",
          "space=63 best=1x1x16x1x16x1x1x1/1071 "
          "greedy=1x1x64x1x4x1x1x1/1071 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=811e77292a25466f keys=8/193b0a6799cca426"},
+         "cold=0/8 warm=8/0 ranked=811e77292a25466f keys=8/ef51e634ec69b22e"},
         {"tune tpu_256 S-SC k8 sp0.5",
          "space=63 best=1x1x16x1x16x1x1x1/1071 "
          "greedy=1x1x64x1x4x1x1x1/1071 rho=0000000000000000 "
-         "cold=0/8 warm=8/0 ranked=811e77292a25466f keys=8/a20bdacd520f2ec2"},
+         "cold=0/8 warm=8/0 ranked=811e77292a25466f keys=8/62f7332b73d41072"},
     };
     return table;
 }

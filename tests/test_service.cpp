@@ -330,30 +330,37 @@ TEST(ServiceProtocol, OverridesKeepTheSearchKeys)
 
 TEST(ServiceProtocol, RemovedFastForwardKeyIsRejected)
 {
+    // Removed keys are unknown keys, reported with the strict parser's
+    // file:line diagnostic in a .cfg and rejected in a job override:
     // `fast_forward` named a second execution mode that no longer
-    // exists: a .cfg or a job override still setting it is an unknown
-    // key, reported with the strict parser's file:line diagnostic.
-    TempFile cfg_file("test_service_fast_forward.cfg");
-    std::ofstream(cfg_file.path) << "ms_size = 64\nfast_forward = ON\n";
-    try {
-        (void)HardwareConfig::parseFile(cfg_file.path);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      cfg_file.path + ":2: unknown config key"),
-                  std::string::npos)
-            << e.what();
-    }
+    // exists, and `fifo_capacity` sized FIFOs that no fabric had.
+    for (const auto &[key, value] :
+         {std::pair<std::string, std::string>{"fast_forward", "ON"},
+          {"fifo_capacity", "8"}}) {
+        SCOPED_TRACE(key);
+        TempFile cfg_file("test_service_removed_key.cfg");
+        std::ofstream(cfg_file.path)
+            << "ms_size = 64\n" << key << " = " << value << "\n";
+        try {
+            (void)HardwareConfig::parseFile(cfg_file.path);
+            FAIL() << "expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          cfg_file.path + ":2: unknown config key"),
+                      std::string::npos)
+                << e.what();
+        }
 
-    try {
-        (void)applyOverrides(HardwareConfig::maeriLike(64, 16),
-                             {{"fast_forward", "ON"}});
-        FAIL() << "expected ProtocolError";
-    } catch (const ProtocolError &e) {
-        EXPECT_EQ(e.code(), kErrBadConfig);
-        EXPECT_NE(std::string(e.what()).find("unknown config key"),
-                  std::string::npos)
-            << e.what();
+        try {
+            (void)applyOverrides(HardwareConfig::maeriLike(64, 16),
+                                 {{key, value}});
+            FAIL() << "expected ProtocolError";
+        } catch (const ProtocolError &e) {
+            EXPECT_EQ(e.code(), kErrBadConfig);
+            EXPECT_NE(std::string(e.what()).find("unknown config key"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
