@@ -14,18 +14,6 @@ blocks(index_t total, index_t t)
     return (total + t - 1) / t;
 }
 
-index_t
-log2Ceil(index_t v)
-{
-    index_t l = 0;
-    index_t p = 1;
-    while (p < v) {
-        p <<= 1;
-        ++l;
-    }
-    return l;
-}
-
 } // namespace
 
 cycle_t

@@ -7,22 +7,6 @@
 
 namespace stonne::analytical {
 
-namespace {
-
-index_t
-log2Ceil(index_t v)
-{
-    index_t l = 0;
-    index_t p = 1;
-    while (p < v) {
-        p <<= 1;
-        ++l;
-    }
-    return l;
-}
-
-} // namespace
-
 cycle_t
 sigmaCycles(index_t m, index_t n, index_t k, index_t total_nnz,
             const HardwareConfig &cfg)

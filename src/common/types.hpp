@@ -6,6 +6,7 @@
 #ifndef STONNE_COMMON_TYPES_HPP
 #define STONNE_COMMON_TYPES_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -20,6 +21,17 @@ using count_t = std::uint64_t;
 
 /** Cycle timestamp. */
 using cycle_t = std::uint64_t;
+
+/**
+ * ceil(log2(v)): the levels of a binary tree over `v` leaves. 0 for
+ * v <= 1.
+ */
+inline index_t
+log2Ceil(index_t v)
+{
+    return v <= 1 ? 0
+                  : std::bit_width(static_cast<std::uint64_t>(v - 1));
+}
 
 /**
  * Numeric format used to represent DNN parameters in the simulated

@@ -76,22 +76,6 @@ AreaModel::AreaModel(const HardwareConfig &cfg, AreaTable table)
     cfg_.validate();
 }
 
-namespace {
-
-index_t
-log2Ceil(index_t v)
-{
-    index_t l = 0;
-    index_t p = 1;
-    while (p < v) {
-        p <<= 1;
-        ++l;
-    }
-    return l;
-}
-
-} // namespace
-
 AreaBreakdown
 AreaModel::compute() const
 {
