@@ -518,18 +518,9 @@ DenseController::runGemm(const LayerSpec &layer, const Tile &tile,
             output ? SystolicArray::panelsOf(b) : PanelSource(),
             output && b.allFinite(), output ? c.data() : nullptr);
 
-    // Map the GEMM onto the convolution pipeline: M filters of a
-    // 1x1x(K)-element window over an input of K channels and N output
-    // columns. Tensors alias the GEMM operands (same row-major layout).
-    Conv2dShape shape;
-    shape.R = 1;
-    shape.S = 1;
-    shape.C = g.k;
-    shape.K = g.m;
-    shape.G = 1;
-    shape.N = 1;
-    shape.X = 1;
-    shape.Y = g.n;
+    // Map the GEMM onto the convolution pipeline through its 1x1 view.
+    // Tensors alias the GEMM operands (same row-major layout).
+    const Conv2dShape shape = gemmAsConv(g);
 
     Tile conv_tile;
     conv_tile.t_c = tile.t_c;

@@ -74,6 +74,16 @@ LayerSpec::maxPool(std::string name, Conv2dShape input_shape, index_t window,
     return l;
 }
 
+Conv2dShape
+gemmAsConv(const GemmDims &g)
+{
+    Conv2dShape shape;
+    shape.C = g.k;
+    shape.K = g.m;
+    shape.Y = g.n;
+    return shape;
+}
+
 GemmDims
 LayerSpec::gemmView() const
 {

@@ -36,6 +36,12 @@ struct GemmDims {
     index_t k = 1; //!< dot-product length
 };
 
+/**
+ * The 1x1 convolution that computes a GEMM: M filters of a K-element
+ * window over a 1 x N input (R = S = G = N = X = 1, C = k, K = m, Y = n).
+ */
+Conv2dShape gemmAsConv(const GemmDims &g);
+
 /** One operation offloaded to the simulated accelerator. */
 struct LayerSpec {
     std::string name = "layer";

@@ -32,15 +32,21 @@ Mapper::generateTile(const LayerSpec &layer) const
     layer.validate();
     Tile t;
 
-    if (layer.kind == LayerKind::Convolution) {
-        const Conv2dShape &c = layer.conv;
+    if (layer.kind == LayerKind::MaxPool) {
+        const GemmDims g = layer.gemmView();
+        t.t_c = std::min(g.k, ms_size_);
+        index_t budget = std::max<index_t>(1, ms_size_ / t.t_c);
+        t.t_y = takeDim(budget, g.n);
+        t.t_k = takeDim(budget, g.m);
+    } else {
+        // GEMM-kind layers map as their 1x1 convolution view, the shape
+        // the dense controller runs them as.
+        const Conv2dShape c = layer.kind == LayerKind::Convolution
+                                  ? layer.conv
+                                  : gemmAsConv(layer.gemmView());
         const index_t cg = c.cPerGroup();
         const index_t spatial = c.R * c.S;
         const index_t window = spatial * cg;
-        const index_t outputs =
-            c.G * c.kPerGroup() * c.N * c.outX() * c.outY();
-
-        (void)outputs;
         // mRNA-style mapping search: for every channel slice T_C, build
         // the full candidate tile (clusters spread filters-first, then
         // groups, then output positions, then batch) and cost it as
@@ -83,42 +89,6 @@ Mapper::generateTile(const LayerSpec &layer) const
             const double cost = cost_of(cand);
             // Prefer larger clusters on near-ties: fewer folds means
             // fewer psum accumulations and weight reloads.
-            if (cost < best_cost * 0.98) {
-                best_cost = cost;
-                t = cand;
-            }
-        }
-    } else if (layer.kind == LayerKind::MaxPool) {
-        const GemmDims g = layer.gemmView();
-        t.t_c = std::min(g.k, ms_size_);
-        index_t budget = std::max<index_t>(1, ms_size_ / t.t_c);
-        t.t_y = takeDim(budget, g.n);
-        t.t_k = takeDim(budget, g.m);
-    } else {
-        const GemmDims g = layer.gemmView();
-        auto blocks = [](index_t total, index_t tt) {
-            return (total + tt - 1) / tt;
-        };
-        auto make_tile = [&](index_t tc) {
-            Tile cand;
-            cand.t_c = tc;
-            index_t budget = std::max<index_t>(1, ms_size_ / tc);
-            cand.t_k = takeDim(budget, g.m);
-            cand.t_y = takeDim(budget, g.n);
-            return cand;
-        };
-        auto cost_of = [&](const Tile &cand) {
-            return static_cast<double>(cand.folds(g.k)) *
-                static_cast<double>(blocks(g.m, cand.t_k) *
-                                    blocks(g.n, cand.t_y));
-        };
-        const index_t max_tc = std::max<index_t>(
-            1, std::min(g.k, ms_size_));
-        t = make_tile(max_tc);
-        double best_cost = cost_of(t);
-        for (index_t tc = max_tc - 1; tc >= 1; --tc) {
-            const Tile cand = make_tile(tc);
-            const double cost = cost_of(cand);
             if (cost < best_cost * 0.98) {
                 best_cost = cost;
                 t = cand;
