@@ -4,34 +4,10 @@
 
 namespace stonne {
 
-namespace {
-bool verbose_flag = false;
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    verbose_flag = verbose;
-}
-
-bool
-verboseEnabled()
-{
-    return verbose_flag;
-}
-
 void
 warnMessage(const std::string &msg)
 {
-    if (verbose_flag)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informMessage(const std::string &msg)
-{
-    if (verbose_flag)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace stonne

@@ -6,8 +6,8 @@
  *            (bad configuration, invalid arguments); throws FatalError.
  * panic()  — something happened that should never happen regardless of
  *            user input (a simulator bug); throws PanicError.
- * warn()   — functionality may not behave exactly as intended.
- * inform() — normal operating messages.
+ * warn()   — functionality may not behave exactly as intended; always
+ *            printed to stderr.
  *
  * Both error functions throw instead of calling exit()/abort() so that the
  * test suite can assert on misconfiguration handling.
@@ -105,15 +105,6 @@ fatalIf(bool cond, const Args &...args)
 /** Print a warning to stderr (does not stop the simulation). */
 void warnMessage(const std::string &msg);
 
-/** Print an informational message to stderr. */
-void informMessage(const std::string &msg);
-
-/** Enable or disable inform()/warn() output (quiet test runs). */
-void setVerbose(bool verbose);
-
-/** Whether inform()/warn() currently print. */
-bool verboseEnabled();
-
 template <typename... Args>
 void
 warn(const Args &...args)
@@ -121,15 +112,6 @@ warn(const Args &...args)
     std::ostringstream os;
     detail::format(os, args...);
     warnMessage(os.str());
-}
-
-template <typename... Args>
-void
-inform(const Args &...args)
-{
-    std::ostringstream os;
-    detail::format(os, args...);
-    informMessage(os.str());
 }
 
 } // namespace stonne

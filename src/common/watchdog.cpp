@@ -15,13 +15,6 @@ Watchdog::Watchdog(cycle_t limit)
 }
 
 void
-Watchdog::setLimit(cycle_t limit)
-{
-    fatalIf(limit == 0, "watchdog_cycles must be positive");
-    limit_ = limit;
-}
-
-void
 Watchdog::addSource(std::string name, SnapshotFn dump)
 {
     sources_.emplace_back(std::move(name), std::move(dump));

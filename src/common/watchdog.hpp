@@ -86,7 +86,6 @@ class Watchdog : public Checkpointable
 
     /** Zero-progress window size. */
     cycle_t limit() const { return limit_; }
-    void setLimit(cycle_t limit);
 
     /**
      * Register a component state dump for the deadlock report.
