@@ -22,7 +22,6 @@
 #include "common/watchdog.hpp"
 #include "faults/fault_injector.hpp"
 #include "mem/global_buffer.hpp"
-#include "network/unit.hpp"
 #include "trace/trace.hpp"
 
 namespace stonne {
@@ -53,13 +52,14 @@ countFresh(const std::vector<std::int64_t> &cur,
 }
 
 /**
- * Stream `remaining` elements of the same kind/fanout from the GB
- * through the DN, cycle by cycle: the one per-cycle delivery loop,
- * behind both engines (EventEngine::deliver() validates the request,
- * accounts the backlog and may skip a steady prefix first).
+ * Stream `remaining` elements of the same fanout from the GB through
+ * the DN, cycle by cycle: the one per-cycle delivery loop, behind both
+ * engines (EventEngine::deliver() validates the request, accounts the
+ * backlog and may skip a steady prefix first).
  *
- * A template over the DN type so calls through a `final` concrete DN
- * resolve statically; `Dn = DistributionNetwork` dispatches virtually.
+ * A template over the network so a test can stand in a fake with
+ * cycle(), bandwidth(), injectBulk() and name(); the simulator
+ * instantiates it on DistributionNetwork only, whose calls are direct.
  *
  * With a watchdog attached, a cycle that moves nothing counts as a stall
  * and a long enough stall run raises DeadlockError with a full fabric
@@ -73,8 +73,7 @@ countFresh(const std::vector<std::int64_t> &cur,
 template <class Dn>
 cycle_t
 deliverElements(Dn &dn, GlobalBuffer &gb, index_t remaining,
-                index_t fanout, PackageKind kind,
-                Watchdog *watchdog = nullptr,
+                index_t fanout, Watchdog *watchdog = nullptr,
                 FaultInjector *faults = nullptr, Tracer *trace = nullptr)
 {
     cycle_t cycles = 0;
@@ -83,7 +82,7 @@ deliverElements(Dn &dn, GlobalBuffer &gb, index_t remaining,
         dn.cycle();
         const index_t want = std::min(remaining, dn.bandwidth());
         const index_t granted = gb.readBulk(want);
-        index_t sent = dn.injectBulk(granted, fanout, kind);
+        index_t sent = dn.injectBulk(granted, fanout);
         index_t dropped = 0;
         if (faults != nullptr && sent > 0) {
             dropped = faults->dropFlits(sent);

@@ -7,7 +7,6 @@
 #include "controller/delivery.hpp"
 #include "controller/step_counts.hpp"
 #include "engine/event_engine.hpp"
-#include "network/dn_popn.hpp"
 #include "network/rn_linear.hpp"
 #include "network/systolic.hpp"
 #include "tensor/im2col.hpp"
@@ -274,8 +273,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                 setPhase("weight fold delivery");
                 const cycle_t w_cycles = engine_.deliver(
                     dn_, gb_, tg * tk * len,
-                    tile.t_n * tile.t_x * tile.t_y,
-                    PackageKind::Weight);
+                    tile.t_n * tile.t_x * tile.t_y);
                 block_cycles += w_cycles > prev_fold_cycles
                     ? w_cycles - prev_fold_cycles : 0;
                 cycle_t fold_cycles = 0;
@@ -319,8 +317,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                     }
 
                     setPhase("input streaming");
-                    cycle_t dl = engine_.deliver(dn_, gb_, fresh, tk,
-                                                 PackageKind::Input);
+                    cycle_t dl = engine_.deliver(dn_, gb_, fresh, tk);
 
                     const index_t active_vns = tg * tk * tn * tx * ty;
                     mn_.fireMultipliers(
@@ -341,9 +338,8 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                             drain = engine_.drain(gb_, active_vns);
                             mn_.forwardPsums(active_vns);
                             if (f > 0)
-                                dl += engine_.deliver(
-                                    dn_, gb_, active_vns, 1,
-                                    PackageKind::Psum);
+                                dl += engine_.deliver(dn_, gb_,
+                                                      active_vns, 1);
                         }
                     } else {
                         setPhase("output drain");
@@ -400,9 +396,8 @@ DenseController::runGemmSystolic(MatrixView a, index_t n,
                                  float *c)
 {
     setPhase("systolic gemm");
-    auto *popn = dynamic_cast<PointToPointNetwork *>(&dn_);
     auto *lrn = dynamic_cast<LinearReductionNetwork *>(&rn_);
-    fatalIf(!popn || !lrn,
+    fatalIf(dn_.type() != DnType::PointToPoint || !lrn,
             "the systolic pipeline needs a point-to-point DN and a "
             "linear RN");
 
@@ -427,7 +422,7 @@ DenseController::runGemmSystolic(MatrixView a, index_t n,
         std::min(a.rows * a.cols + a.cols * n, gb_.capacityElements()) *
         bpe);
 
-    SystolicArray array(rows, cols, *popn, mn_, *lrn, gb_);
+    SystolicArray array(rows, cols, dn_, mn_, *lrn, gb_);
     // The systolic inner run is closed-form under both engines; its
     // sample boundaries are interpolated like a skipped steady span.
     if (trace_ != nullptr)
@@ -655,8 +650,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                     fresh = countFresh(fetch, prev_fetch);
                     mn_.forwardOperands(distinct - fresh);
                 }
-                dl_total += engine_.deliver(dn_, gb_, fresh, 1,
-                                            PackageKind::Input);
+                dl_total += engine_.deliver(dn_, gb_, fresh, 1);
                 const index_t clusters = tkc * typ;
                 rn_.bulkReduce(clusters, len);
                 if (folds > 1 && rn_.supportsAccumulation())

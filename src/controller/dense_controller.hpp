@@ -34,6 +34,7 @@
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/systolic.hpp"
 #include "network/unit.hpp"

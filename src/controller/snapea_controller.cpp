@@ -1057,11 +1057,9 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
 
                             setPhase("sorted weight streaming");
                             cycle_t dl = engine_.deliver(
-                                dn_, gb_, stream_elems, per_filter,
-                                PackageKind::Weight);
+                                dn_, gb_, stream_elems, per_filter);
                             setPhase("activation gather");
-                            dl += engine_.deliver(dn_, gb_, distinct, 1,
-                                                  PackageKind::Input);
+                            dl += engine_.deliver(dn_, gb_, distinct, 1);
 
                             index_t fired = full * vn;
                             if (full > 0)

@@ -30,6 +30,7 @@
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/unit.hpp"
 #include "tensor/tensor.hpp"

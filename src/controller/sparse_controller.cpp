@@ -6,7 +6,6 @@
 
 #include "common/logging.hpp"
 #include "engine/event_engine.hpp"
-#include "network/dn_benes.hpp"
 #include "tensor/kernels.hpp"
 
 namespace stonne {
@@ -133,9 +132,8 @@ SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
                  gb_.capacityElements() * bpe));
 
     // Pipeline fill: one traversal of the DN plus the deepest reduction.
-    index_t dn_levels = 1;
-    if (auto *benes = dynamic_cast<BenesDistributionNetwork *>(&dn_))
-        dn_levels = benes->levels();
+    const index_t dn_levels =
+        dn_.type() == DnType::Benes ? dn_.levels() : 1;
     const cycle_t fill = static_cast<cycle_t>(dn_levels) +
         static_cast<cycle_t>(rn_.latency(cfg_.ms_size)) + 1;
     res.cycles += fill;
@@ -160,8 +158,7 @@ SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
     for (const SparseRound &round : rounds_) {
         // Stationary non-zeros enter through the Benes (unicast).
         setPhase("stationary nnz load");
-        res.cycles += engine_.deliver(dn_, gb_, round.nnz, 1,
-                                      PackageKind::Weight);
+        res.cycles += engine_.deliver(dn_, gb_, round.nnz, 1);
 
         // Streaming operands: the union of column indices the mapped
         // segments need; shared indices are multicast.
@@ -215,8 +212,7 @@ SparseController::runSpMM(const CsrMatrix &a, MatrixView b, float *c,
             }
 
             setPhase("streaming operand multicast");
-            const cycle_t dl = engine_.deliver(dn_, gb_, needed, 1,
-                                               PackageKind::Input);
+            const cycle_t dl = engine_.deliver(dn_, gb_, needed, 1);
             setPhase("output drain");
             const cycle_t drain = engine_.drain(gb_, completions);
 

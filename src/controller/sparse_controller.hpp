@@ -22,6 +22,7 @@
 #include "controller/scheduler.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/unit.hpp"
 #include "tensor/sparse.hpp"

@@ -2,9 +2,6 @@
 
 #include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
-#include "network/dn_benes.hpp"
-#include "network/dn_popn.hpp"
-#include "network/dn_tree.hpp"
 #include "network/rn_fan.hpp"
 #include "network/rn_linear.hpp"
 #include "network/rn_tree.hpp"
@@ -44,20 +41,8 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
     dram_ = std::make_unique<Dram>(cfg_.dram_bandwidth_gbps, cfg_.clock_ghz,
                                    cfg_.dram_latency_cycles, stats_);
 
-    switch (cfg_.dn_type) {
-      case DnType::Tree:
-        dn_ = std::make_unique<TreeDistributionNetwork>(
-            cfg_.ms_size, cfg_.dn_bandwidth, stats_);
-        break;
-      case DnType::Benes:
-        dn_ = std::make_unique<BenesDistributionNetwork>(
-            cfg_.ms_size, cfg_.dn_bandwidth, stats_);
-        break;
-      case DnType::PointToPoint:
-        dn_ = std::make_unique<PointToPointNetwork>(
-            cfg_.ms_size, cfg_.dn_bandwidth, stats_);
-        break;
-    }
+    dn_ = std::make_unique<DistributionNetwork>(
+        cfg_.dn_type, cfg_.ms_size, cfg_.dn_bandwidth, stats_);
 
     mn_ = std::make_unique<MultiplierArray>(cfg_.ms_size, cfg_.mn_type,
                                             stats_);

@@ -4,9 +4,6 @@
 
 #include "common/logging.hpp"
 #include "controller/delivery.hpp"
-#include "network/dn_benes.hpp"
-#include "network/dn_popn.hpp"
-#include "network/dn_tree.hpp"
 
 namespace stonne {
 
@@ -28,7 +25,7 @@ EventEngine::clampToBudget(cycle_t skip) const
 
 cycle_t
 EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
-                     index_t count, index_t fanout, PackageKind kind)
+                     index_t count, index_t fanout)
 {
     // Guards are open-coded `if (...) panic(...)`: panicIf evaluates
     // its message arguments eagerly, and constructing dn.name() here
@@ -54,7 +51,7 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
     dn.accountBacklog(count, grant);
 
     if (mode_ == EngineType::Tick) {
-        return deliverElements(dn, gb, count, fanout, kind, watchdog_,
+        return deliverElements(dn, gb, count, fanout, watchdog_,
                                faults_, trace_);
     }
 
@@ -77,7 +74,7 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
             if (trace_ != nullptr)
                 trace_->steadyBegin();
             gb.bulkAdvance(skip, moved, 0);
-            dn.bulkAdvance(skip, moved, fanout, kind);
+            dn.bulkAdvance(skip, moved, fanout);
             if (trace_ != nullptr)
                 trace_->steadyEnd(skip);
             if (watchdog_ != nullptr)
@@ -87,26 +84,8 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
         }
     }
 
-    // The tail runs on the concrete DN type: every concrete DN is
-    // final, so the loop's per-cycle calls resolve statically.
-    switch (dn.kind()) {
-      case DnKind::Tree:
-        cycles += deliverElements(
-            static_cast<TreeDistributionNetwork &>(dn), gb, remaining,
-            fanout, kind, watchdog_, faults_, trace_);
-        break;
-      case DnKind::Benes:
-        cycles += deliverElements(
-            static_cast<BenesDistributionNetwork &>(dn), gb, remaining,
-            fanout, kind, watchdog_, faults_, trace_);
-        break;
-      case DnKind::PointToPoint:
-        cycles += deliverElements(static_cast<PointToPointNetwork &>(dn),
-                                  gb, remaining, fanout, kind, watchdog_,
-                                  faults_, trace_);
-        break;
-    }
-    return cycles;
+    return cycles + deliverElements(dn, gb, remaining, fanout, watchdog_,
+                                    faults_, trace_);
 }
 
 cycle_t

@@ -17,11 +17,9 @@
  * unless a fault injector is attached (it draws once per cycle); a
  * drain takes it always.
  *
- * The remainder of every span runs through delivery.hpp's exact loop,
- * instantiated on the concrete DN type: one switch on the DN topology
- * tag selects the instantiation whose inner per-cycle calls are
- * non-virtual (gemmini-style single dispatch), replacing three virtual
- * calls per simulated cycle.
+ * The remainder of every span runs through delivery.hpp's exact loop.
+ * There is one DN class for every topology, so the loop's per-cycle
+ * calls are direct under both engines.
  *
  * Controllers whose units of work repeat (MAERI filter blocks and pool
  * channel blocks, SIGMA's columns of a round, SNAPEA's repeated steps)
@@ -50,7 +48,7 @@
 #include "common/watchdog.hpp"
 #include "faults/fault_injector.hpp"
 #include "mem/global_buffer.hpp"
-#include "network/unit.hpp"
+#include "network/dn.hpp"
 #include "trace/trace.hpp"
 
 namespace stonne {
@@ -84,7 +82,7 @@ class EventEngine
     EngineType mode() const { return mode_; }
 
     /**
-     * Stream `count` same-kind, same-fanout elements from the GB
+     * Stream `count` same-fanout elements from the GB
      * through the DN. Under EVENT the steady prefix is skipped in
      * closed form, byte-identical to exact per-cycle stepping. A fault
      * injector pins the whole delivery to the exact loop (dropFlits()
@@ -93,7 +91,7 @@ class EventEngine
      * @return the number of cycles the delivery occupied.
      */
     cycle_t deliver(DistributionNetwork &dn, GlobalBuffer &gb,
-                    index_t count, index_t fanout, PackageKind kind);
+                    index_t count, index_t fanout);
 
     /**
      * Drain `count` finished outputs through the GB write ports.

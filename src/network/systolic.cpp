@@ -86,11 +86,13 @@ orderedGemm(MatrixView a, index_t n, const PanelSource &b, bool b_finite,
 }
 
 SystolicArray::SystolicArray(index_t rows, index_t cols,
-                             PointToPointNetwork &dn, MultiplierArray &mn,
+                             DistributionNetwork &dn, MultiplierArray &mn,
                              LinearReductionNetwork &rn, GlobalBuffer &gb)
     : rows_(rows), cols_(cols), dn_(dn), mn_(mn), rn_(rn), gb_(gb)
 {
     fatalIf(rows <= 0 || cols <= 0, "systolic array needs positive dims");
+    fatalIf(dn.type() != DnType::PointToPoint,
+            "systolic array needs point-to-point DN links");
     fatalIf(rows * cols != dn.msSize(),
             "systolic array size ", rows * cols,
             " does not match the DN endpoint count ", dn.msSize());
@@ -113,7 +115,7 @@ SystolicArray::accountTile(index_t mt, index_t nt, index_t k,
         dn_.cycle();
         for (index_t e = 0; e < peak; ++e) {
             gb_.read();
-            panicIf(dn_.injectBulk(1, 1, PackageKind::Input) != 1,
+            panicIf(dn_.injectBulk(1, 1) != 1,
                     "systolic edge injection rejected");
         }
     }
@@ -127,14 +129,13 @@ SystolicArray::accountTile(index_t mt, index_t nt, index_t k,
         const index_t last = edgeInjections(compute_cycles - 1, mt, k) +
                              edgeInjections(compute_cycles - 1, nt, k);
         gb_.bulkAdvance(compute_cycles - 1, injected - last, 0);
-        dn_.bulkAdvance(compute_cycles - 1, injected - last, 1,
-                        PackageKind::Input);
+        dn_.bulkAdvance(compute_cycles - 1, injected - last, 1);
         // The final compute cycle leaves the per-cycle budgets as
         // stepping it would.
         gb_.nextCycle();
         gb_.readBulk(last);
         dn_.cycle();
-        dn_.injectBulk(last, 1, PackageKind::Input);
+        dn_.injectBulk(last, 1);
         mn_.bulkAdvance(compute_cycles, products);
         mn_.forwardOperandsBulk(
             compute_cycles, static_cast<count_t>(

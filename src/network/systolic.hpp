@@ -32,7 +32,7 @@
 #include <functional>
 
 #include "mem/global_buffer.hpp"
-#include "network/dn_popn.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/rn_linear.hpp"
 #include "tensor/tensor.hpp"
@@ -83,7 +83,7 @@ class SystolicArray
      * @param rn linear reduction chain (stats)
      * @param gb global buffer (bandwidth + access accounting)
      */
-    SystolicArray(index_t rows, index_t cols, PointToPointNetwork &dn,
+    SystolicArray(index_t rows, index_t cols, DistributionNetwork &dn,
                   MultiplierArray &mn, LinearReductionNetwork &rn,
                   GlobalBuffer &gb);
 
@@ -121,7 +121,7 @@ class SystolicArray
 
     index_t rows_;
     index_t cols_;
-    PointToPointNetwork &dn_;
+    DistributionNetwork &dn_;
     MultiplierArray &mn_;
     LinearReductionNetwork &rn_;
     GlobalBuffer &gb_;

@@ -37,9 +37,7 @@
 #include "faults/fault_injector.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
-#include "network/dn_benes.hpp"
-#include "network/dn_popn.hpp"
-#include "network/dn_tree.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/rn_fan.hpp"
 #include "network/rn_linear.hpp"
@@ -162,66 +160,46 @@ TEST(BulkAdvance, DramMatchesPerTransferAccounting)
     EXPECT_THROW(bulk.bulkAdvance(-1, 1), PanicError);
 }
 
-TEST(BulkAdvance, TreeDnMatchesInjectLoop)
+TEST(BulkAdvance, EveryDnTopologyMatchesInjectLoop)
 {
-    StatsRegistry s1;
-    TreeDistributionNetwork loop(64, 8, s1);
-    for (int c = 0; c < 5; ++c) {
-        loop.cycle();
-        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Input), 8);
+    struct Case {
+        DnType type;
+        index_t ms, bw;
+        int cycles;
+        index_t fanout;
+    };
+    for (const Case c : {Case{DnType::Tree, 64, 8, 5, 4},
+                         Case{DnType::Benes, 64, 8, 3, 4},
+                         Case{DnType::PointToPoint, 16, 4, 4, 1}}) {
+        StatsRegistry s1;
+        DistributionNetwork loop(c.type, c.ms, c.bw, s1);
+        for (int i = 0; i < c.cycles; ++i) {
+            loop.cycle();
+            EXPECT_EQ(loop.injectBulk(c.bw, c.fanout), c.bw);
+        }
+
+        StatsRegistry s2;
+        DistributionNetwork bulk(c.type, c.ms, c.bw, s2);
+        bulk.bulkAdvance(c.cycles, c.cycles * c.bw, c.fanout);
+        expectSameCounters(s1, s2);
     }
-
-    StatsRegistry s2;
-    TreeDistributionNetwork bulk(64, 8, s2);
-    bulk.bulkAdvance(5, 40, 4, PackageKind::Input);
-    expectSameCounters(s1, s2);
-}
-
-TEST(BulkAdvance, BenesDnMatchesInjectLoop)
-{
-    StatsRegistry s1;
-    BenesDistributionNetwork loop(64, 8, s1);
-    for (int c = 0; c < 3; ++c) {
-        loop.cycle();
-        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Weight), 8);
-    }
-
-    StatsRegistry s2;
-    BenesDistributionNetwork bulk(64, 8, s2);
-    bulk.bulkAdvance(3, 24, 4, PackageKind::Weight);
-    expectSameCounters(s1, s2);
-}
-
-TEST(BulkAdvance, PointToPointDnMatchesInjectLoop)
-{
-    StatsRegistry s1;
-    PointToPointNetwork loop(16, 4, s1);
-    for (int c = 0; c < 4; ++c) {
-        loop.cycle();
-        EXPECT_EQ(loop.injectBulk(4, 1, PackageKind::Input), 4);
-    }
-
-    StatsRegistry s2;
-    PointToPointNetwork bulk(16, 4, s2);
-    bulk.bulkAdvance(4, 16, 1, PackageKind::Input);
-    expectSameCounters(s1, s2);
 }
 
 TEST(BulkAdvance, DnRejectsInvalidArguments)
 {
     StatsRegistry s;
-    TreeDistributionNetwork tree(64, 8, s);
-    EXPECT_THROW(tree.bulkAdvance(1, 9, 1, PackageKind::Input),
+    DistributionNetwork tree(DnType::Tree, 64, 8, s);
+    EXPECT_THROW(tree.bulkAdvance(1, 9, 1),
                  PanicError); // exceeds 1 cycle of bandwidth
-    EXPECT_THROW(tree.bulkAdvance(1, -1, 1, PackageKind::Input),
+    EXPECT_THROW(tree.bulkAdvance(1, -1, 1),
                  PanicError);
-    EXPECT_THROW(tree.bulkAdvance(1, 1, 0, PackageKind::Input),
+    EXPECT_THROW(tree.bulkAdvance(1, 1, 0),
                  PanicError);
 
     StatsRegistry s2;
-    PointToPointNetwork pop(16, 4, s2);
+    DistributionNetwork pop(DnType::PointToPoint, 16, 4, s2);
     // Multicast is structurally impossible on the systolic links.
-    EXPECT_THROW(pop.bulkAdvance(1, 1, 2, PackageKind::Input), FatalError);
+    EXPECT_THROW(pop.bulkAdvance(1, 1, 2), FatalError);
 }
 
 TEST(BulkAdvance, MultiplierArrayMatchesFireLoop)
@@ -320,20 +298,18 @@ TEST(EventEngineDelivery, CyclesAndCountersMatchTickLoop)
     // grant exercise the tail handling.
     for (const index_t count : {1, 3, 4, 5, 37, 128}) {
         StatsRegistry s1;
-        TreeDistributionNetwork dn1(64, 8, s1);
+        DistributionNetwork dn1(DnType::Tree, 64, 8, s1);
         GlobalBuffer gb1(108, 4, 4, 1, s1);
         Watchdog wd1(1000);
         EventEngine tick(EngineType::Tick, &wd1);
-        const cycle_t ref =
-            tick.deliver(dn1, gb1, count, 2, PackageKind::Input);
+        const cycle_t ref = tick.deliver(dn1, gb1, count, 2);
 
         StatsRegistry s2;
-        TreeDistributionNetwork dn2(64, 8, s2);
+        DistributionNetwork dn2(DnType::Tree, 64, 8, s2);
         GlobalBuffer gb2(108, 4, 4, 1, s2);
         Watchdog wd2(1000);
         EventEngine ev(EngineType::Event, &wd2);
-        const cycle_t got =
-            ev.deliver(dn2, gb2, count, 2, PackageKind::Input);
+        const cycle_t got = ev.deliver(dn2, gb2, count, 2);
 
         EXPECT_EQ(ref, got) << "count " << count;
         EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
@@ -344,26 +320,14 @@ TEST(EventEngineDelivery, CyclesAndCountersMatchTickLoop)
 
 TEST(EventEngineDelivery, EveryDnTopologyMatchesTickLoop)
 {
-    // One run per concrete DN class exercises each devirtualized
-    // dispatch arm of the tail loop (fanout 1: the systolic links
-    // cannot multicast).
+    // One run per DN topology (fanout 1: the systolic links cannot
+    // multicast).
     const auto run = [](EngineType mode, DnType type, StatsRegistry &s,
                         Watchdog &wd) {
-        std::unique_ptr<DistributionNetwork> dn;
-        switch (type) {
-          case DnType::Tree:
-            dn = std::make_unique<TreeDistributionNetwork>(64, 8, s);
-            break;
-          case DnType::Benes:
-            dn = std::make_unique<BenesDistributionNetwork>(64, 8, s);
-            break;
-          case DnType::PointToPoint:
-            dn = std::make_unique<PointToPointNetwork>(64, 8, s);
-            break;
-        }
+        DistributionNetwork dn(type, 64, 8, s);
         GlobalBuffer gb(108, 8, 8, 1, s);
         EventEngine engine(mode, &wd);
-        return engine.deliver(*dn, gb, 77, 1, PackageKind::Weight);
+        return engine.deliver(dn, gb, 77, 1);
     };
 
     for (const DnType type :
@@ -412,13 +376,12 @@ TEST(EventEngineDelivery, FaultInjectorPinsTheExactLoop)
 
     const auto run = [&fc](EngineType mode, StatsRegistry &s,
                            Watchdog &wd) {
-        TreeDistributionNetwork dn(64, 8, s);
+        DistributionNetwork dn(DnType::Tree, 64, 8, s);
         GlobalBuffer gb(108, 8, 8, 1, s);
         FaultInjector faults(fc, 64, s);
         EventEngine engine(mode, &wd, &faults);
-        cycle_t cycles =
-            engine.deliver(dn, gb, 200, 2, PackageKind::Input);
-        cycles += engine.deliver(dn, gb, 150, 1, PackageKind::Weight);
+        cycle_t cycles = engine.deliver(dn, gb, 200, 2);
+        cycles += engine.deliver(dn, gb, 150, 1);
         return cycles;
     };
 
@@ -440,7 +403,7 @@ TEST(EventEngineBudget, AbortsOnTheSameCycleWithTheSameMessage)
     // figure the exact loop reports.
     const auto run = [](EngineType mode) {
         StatsRegistry s;
-        TreeDistributionNetwork dn(64, 8, s);
+        DistributionNetwork dn(DnType::Tree, 64, 8, s);
         GlobalBuffer gb(108, 4, 4, 1, s);
         Watchdog wd(100000);
         wd.setCycleBudget(17);
@@ -448,7 +411,7 @@ TEST(EventEngineBudget, AbortsOnTheSameCycleWithTheSameMessage)
         std::string what;
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 400, 2, PackageKind::Input);
+            (void)engine.deliver(dn, gb, 400, 2);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &e) {
             what = e.what();
@@ -470,7 +433,7 @@ TEST(EventEngineBudget, BudgetAlreadySpentStillAborts)
     // zero; the exact loop's first tick must still fire.
     const auto run = [](EngineType mode) {
         StatsRegistry s;
-        TreeDistributionNetwork dn(64, 8, s);
+        DistributionNetwork dn(DnType::Tree, 64, 8, s);
         GlobalBuffer gb(108, 4, 4, 1, s);
         Watchdog wd(100000);
         wd.setCycleBudget(5);
@@ -478,7 +441,7 @@ TEST(EventEngineBudget, BudgetAlreadySpentStillAborts)
         EventEngine engine(mode, &wd);
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 64, 1, PackageKind::Input);
+            (void)engine.deliver(dn, gb, 64, 1);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &) {
             observed = wd.cyclesObserved();
@@ -698,7 +661,7 @@ TEST(EventEngineParity, TraceEventStreamIsIdentical)
  *  delivery and one drain. */
 struct BareUnits {
     StatsRegistry stats;
-    TreeDistributionNetwork dn{64, 8, stats};
+    DistributionNetwork dn{DnType::Tree, 64, 8, stats};
     GlobalBuffer gb{108, 4, 3, 1, stats};
     Watchdog wd{1000};
     EventEngine engine;
@@ -711,7 +674,7 @@ struct BareUnits {
     void
     unit()
     {
-        (void)engine.deliver(dn, gb, 37, 2, PackageKind::Input);
+        (void)engine.deliver(dn, gb, 37, 2);
         (void)engine.drain(gb, 11);
     }
 };
@@ -742,7 +705,7 @@ TEST(EventEngineReplay, OnlyStreamsTheUnitUsedMove)
     const count_t writes = u.stats.value("gb.writes");
     const count_t reads0 = u.stats.value("gb.reads");
     const EventEngine::Mark mark = u.engine.mark();
-    (void)u.engine.deliver(u.dn, u.gb, 20, 1, PackageKind::Weight);
+    (void)u.engine.deliver(u.dn, u.gb, 20, 1);
     const count_t reads = u.stats.value("gb.reads");
     const count_t unit_reads = reads - reads0;
     ASSERT_GT(unit_reads, 0u);
@@ -801,11 +764,11 @@ TEST(EventEngineReplay, DeclinesWhereSteppingIsObservable)
     {
         SCOPED_TRACE("no registry");
         StatsRegistry s;
-        TreeDistributionNetwork dn(64, 8, s);
+        DistributionNetwork dn(DnType::Tree, 64, 8, s);
         GlobalBuffer gb(108, 4, 3, 1, s);
         EventEngine engine(EngineType::Event);
         const EventEngine::Mark m = engine.mark();
-        (void)engine.deliver(dn, gb, 37, 2, PackageKind::Input);
+        (void)engine.deliver(dn, gb, 37, 2);
         EXPECT_FALSE(engine.replay(m, 1));
     }
 }

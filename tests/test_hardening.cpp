@@ -134,24 +134,12 @@ TEST_F(WatchdogTest, ReportNamesEveryRegisteredSource)
 }
 
 /** A distribution network that never accepts anything: a wedged fabric. */
-class WedgedNetwork : public DistributionNetwork
-{
-  public:
-    WedgedNetwork(index_t ms, index_t bw)
-        : DistributionNetwork(DnKind::Tree, ms, bw)
-    {
-    }
-    index_t
-    injectBulk(index_t, index_t, PackageKind) override
-    {
-        return 0;
-    }
-    void
-    bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
-    {
-        panic("a wedged fabric cannot skip steady spans");
-    }
-    std::string name() const override { return "wedged_dn"; }
+struct WedgedNetwork {
+    index_t bw;
+    void cycle() {}
+    index_t bandwidth() const { return bw; }
+    index_t injectBulk(index_t, index_t) { return 0; }
+    std::string name() const { return "wedged_dn"; }
 };
 
 TEST_F(WatchdogTest, StalledDeliveryFiresWithFullAcceleratorSnapshot)
@@ -162,11 +150,10 @@ TEST_F(WatchdogTest, StalledDeliveryFiresWithFullAcceleratorSnapshot)
     HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
     cfg.watchdog_cycles = 32;
     Accelerator accel(cfg);
-    WedgedNetwork wedged(64, 16);
+    WedgedNetwork wedged{16};
 
     try {
-        deliverElements(wedged, accel.gb(), 8, 1, PackageKind::Input,
-                        &accel.watchdog());
+        deliverElements(wedged, accel.gb(), 8, 1, &accel.watchdog());
         FAIL() << "a wedged delivery must raise DeadlockError";
     } catch (const DeadlockError &e) {
         EXPECT_NE(std::string(e.what()).find(
@@ -193,8 +180,8 @@ TEST_F(WatchdogTest, LegacyPathWithoutWatchdogStillPanics)
 {
     StatsRegistry stats;
     GlobalBuffer gb(108, 16, 16, 1, stats);
-    WedgedNetwork wedged(64, 16);
-    EXPECT_THROW(deliverElements(wedged, gb, 8, 1, PackageKind::Input),
+    WedgedNetwork wedged{16};
+    EXPECT_THROW(deliverElements(wedged, gb, 8, 1),
                  PanicError);
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests for the on-chip network fabrics: the three distribution
- * networks, the multiplier array and the four reduction networks.
+ * network topologies, the multiplier array and the four reduction networks.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
-#include "network/dn_benes.hpp"
-#include "network/dn_popn.hpp"
-#include "network/dn_tree.hpp"
+#include "energy/area_model.hpp"
+#include "network/dn.hpp"
 #include "network/mn_array.hpp"
 #include "network/rn_fan.hpp"
 #include "network/rn_linear.hpp"
@@ -18,37 +17,82 @@
 namespace stonne {
 namespace {
 
+// --- Every DN topology -------------------------------------------------
+
+TEST(DistributionNetwork, RegistersTheSameCountersPerTopology)
+{
+    // The registry's order feeds snapshot(), replay, the tracer and the
+    // CLI counter file; point-to-point links have no switches to count.
+    struct Expected {
+        DnType type;
+        std::vector<std::string> names;
+        const char *unit;
+        index_t levels;
+    };
+    const std::vector<Expected> cases = {
+        {DnType::Tree,
+         {"dn.packages", "dn.switch_hops", "dn.link_hops", "dn.stalls",
+          "dn.inject_queue_occ"},
+         "dn_tree", 6},
+        {DnType::Benes,
+         {"dn.packages", "dn.switch_hops", "dn.link_hops", "dn.stalls",
+          "dn.inject_queue_occ"},
+         "dn_benes", 13},
+        {DnType::PointToPoint,
+         {"dn.packages", "dn.link_hops", "dn.stalls",
+          "dn.inject_queue_occ"},
+         "dn_popn", 0},
+    };
+    for (const Expected &e : cases) {
+        StatsRegistry stats;
+        DistributionNetwork dn(e.type, 64, 8, stats);
+        EXPECT_EQ(dn.name(), e.unit);
+        EXPECT_EQ(dn.levels(), e.levels) << e.unit;
+        EXPECT_EQ(DistributionNetwork::levels(e.type, 64), e.levels);
+        const auto &got = stats.counters();
+        ASSERT_EQ(got.size(), e.names.size()) << e.unit;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].name, e.names[i]) << e.unit;
+            EXPECT_EQ(got[i].group, StatGroup::DistributionNetwork);
+            EXPECT_EQ(got[i].kind, e.names[i] == "dn.inject_queue_occ"
+                                       ? StatKind::Occupancy
+                                       : StatKind::Activity)
+                << e.names[i];
+        }
+    }
+}
+
 // --- Tree DN ----------------------------------------------------------
 
 TEST(TreeDn, BandwidthLimitsInjectionsPerCycle)
 {
     StatsRegistry stats;
-    TreeDistributionNetwork dn(16, 2, stats);
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 0);
+    DistributionNetwork dn(DnType::Tree, 16, 2, stats);
+    EXPECT_EQ(dn.injectBulk(1, 1), 1);
+    EXPECT_EQ(dn.injectBulk(1, 1), 1);
+    EXPECT_EQ(dn.injectBulk(1, 1), 0);
     dn.cycle();
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
+    EXPECT_EQ(dn.injectBulk(1, 1), 1);
     EXPECT_EQ(dn.stalls(), 1u);
 }
 
 TEST(TreeDn, BroadcastUsesWholeFabric)
 {
     StatsRegistry stats;
-    TreeDistributionNetwork dn(16, 4, stats);
-    EXPECT_EQ(dn.injectBulk(1, 16, PackageKind::Weight), 1);
+    DistributionNetwork dn(DnType::Tree, 16, 4, stats);
+    EXPECT_EQ(dn.injectBulk(1, 16), 1);
     EXPECT_EQ(dn.packagesDelivered(), 1u);
     // The spanning subtree of all 16 leaves: 4 levels plus 15 more
     // switches, and one link into every leaf.
     EXPECT_EQ(stats.value("dn.switch_hops"), 4u + 15u);
     EXPECT_EQ(stats.value("dn.link_hops"), 4u + 15u + 16u);
-    EXPECT_THROW(dn.injectBulk(1, 17, PackageKind::Weight), PanicError);
+    EXPECT_THROW(dn.injectBulk(1, 17), PanicError);
 }
 
 TEST(TreeDn, TraversalCountsScaleWithFanout)
 {
     StatsRegistry stats;
-    TreeDistributionNetwork dn(64, 8, stats);
+    DistributionNetwork dn(DnType::Tree, 64, 8, stats);
     EXPECT_EQ(dn.levels(), 6);
     EXPECT_EQ(dn.traversalSwitches(1), 6);
     EXPECT_EQ(dn.traversalSwitches(64), 6 + 63);
@@ -57,18 +101,19 @@ TEST(TreeDn, TraversalCountsScaleWithFanout)
 TEST(TreeDn, BulkInjectionRespectsBandwidth)
 {
     StatsRegistry stats;
-    TreeDistributionNetwork dn(64, 8, stats);
-    EXPECT_EQ(dn.injectBulk(20, 4, PackageKind::Input), 8);
-    EXPECT_EQ(dn.injectBulk(20, 4, PackageKind::Input), 0);
+    DistributionNetwork dn(DnType::Tree, 64, 8, stats);
+    EXPECT_EQ(dn.injectBulk(20, 4), 8);
+    EXPECT_EQ(dn.injectBulk(20, 4), 0);
     dn.cycle();
-    EXPECT_EQ(dn.injectBulk(3, 4, PackageKind::Input), 3);
+    EXPECT_EQ(dn.injectBulk(3, 4), 3);
     EXPECT_EQ(stats.value("dn.packages"), 11u);
 }
 
 TEST(TreeDn, RequiresPowerOfTwoLeaves)
 {
     StatsRegistry stats;
-    EXPECT_THROW(TreeDistributionNetwork(48, 4, stats), FatalError);
+    EXPECT_THROW(DistributionNetwork(DnType::Tree, 48, 4, stats),
+                 FatalError);
 }
 
 // --- Benes DN ---------------------------------------------------------
@@ -76,28 +121,34 @@ TEST(TreeDn, RequiresPowerOfTwoLeaves)
 TEST(BenesDn, NonBlockingUpToBandwidth)
 {
     StatsRegistry stats;
-    BenesDistributionNetwork dn(16, 4, stats);
+    DistributionNetwork dn(DnType::Benes, 16, 4, stats);
     // Any mix of fanouts routes in one cycle: only the bandwidth limits.
-    EXPECT_EQ(dn.injectBulk(1, 8, PackageKind::Weight), 1);
-    EXPECT_EQ(dn.injectBulk(2, 16, PackageKind::Weight), 2);
-    EXPECT_EQ(dn.injectBulk(2, 1, PackageKind::Input), 1);
+    EXPECT_EQ(dn.injectBulk(1, 8), 1);
+    EXPECT_EQ(dn.injectBulk(2, 16), 2);
+    EXPECT_EQ(dn.injectBulk(2, 1), 1);
     EXPECT_EQ(dn.stalls(), 1u);
 }
 
 TEST(BenesDn, LevelStructureMatchesPaper)
 {
     StatsRegistry stats;
-    BenesDistributionNetwork dn(128, 64, stats);
-    // 2*log2(N) + 1 levels of N/2 tiny 2x2 switches.
+    DistributionNetwork dn(DnType::Benes, 128, 64, stats);
+    // 2*log2(N) + 1 levels of N/2 tiny 2x2 switches; the area model
+    // charges exactly that many.
     EXPECT_EQ(dn.levels(), 2 * 7 + 1);
-    EXPECT_EQ(dn.switchCount(), 15 * 64);
+    EXPECT_EQ(DistributionNetwork::levels(DnType::Benes, 128), 15);
+    const AreaTable table;
+    EXPECT_EQ(AreaModel(HardwareConfig::sigmaLike(128, 64), table)
+                  .compute()
+                  .dn_um2,
+              15 * 64 * table.benes_switch_um2);
 }
 
 TEST(BenesDn, HopAccountingCrossesAllLevels)
 {
     StatsRegistry stats;
-    BenesDistributionNetwork dn(16, 4, stats);
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
+    DistributionNetwork dn(DnType::Benes, 16, 4, stats);
+    EXPECT_EQ(dn.injectBulk(1, 1), 1);
     EXPECT_EQ(stats.value("dn.switch_hops"),
               static_cast<count_t>(dn.levels()));
 }
@@ -107,19 +158,19 @@ TEST(BenesDn, HopAccountingCrossesAllLevels)
 TEST(PopDn, RejectsMulticastStructurally)
 {
     StatsRegistry stats;
-    PointToPointNetwork dn(16, 16, stats);
-    EXPECT_EQ(dn.injectBulk(1, 1, PackageKind::Input), 1);
-    EXPECT_THROW(dn.injectBulk(1, 2, PackageKind::Input), FatalError);
-    EXPECT_THROW(dn.injectBulk(4, 2, PackageKind::Input), FatalError);
+    DistributionNetwork dn(DnType::PointToPoint, 16, 16, stats);
+    EXPECT_EQ(dn.injectBulk(1, 1), 1);
+    EXPECT_THROW(dn.injectBulk(1, 2), FatalError);
+    EXPECT_THROW(dn.injectBulk(4, 2), FatalError);
 }
 
 TEST(PopDn, UnicastBandwidth)
 {
     StatsRegistry stats;
-    PointToPointNetwork dn(16, 4, stats);
-    EXPECT_EQ(dn.injectBulk(10, 1, PackageKind::Input), 4);
+    DistributionNetwork dn(DnType::PointToPoint, 16, 4, stats);
+    EXPECT_EQ(dn.injectBulk(10, 1), 4);
     dn.cycle();
-    EXPECT_EQ(dn.injectBulk(10, 1, PackageKind::Input), 4);
+    EXPECT_EQ(dn.injectBulk(10, 1), 4);
     EXPECT_EQ(stats.value("dn.stalls"), 2u);
 }
 
@@ -219,7 +270,7 @@ TEST(LinearRn, SerialLatency)
 TEST(TreeDn, InjectQueueOccIntegralIsClosedForm)
 {
     StatsRegistry stats;
-    TreeDistributionNetwork dn(16, 2, stats);
+    DistributionNetwork dn(DnType::Tree, 16, 2, stats);
     // Streaming 5 elements at 2 accepted per cycle queues 5, 3 and 1
     // pending elements over the three cycles: integral 9.
     dn.accountBacklog(5, 2);

@@ -28,7 +28,7 @@ namespace {
 struct Rig {
     StatsRegistry stats;
     GlobalBuffer gb;
-    PointToPointNetwork dn;
+    DistributionNetwork dn;
     MultiplierArray mn;
     LinearReductionNetwork rn;
     SystolicArray array;
@@ -41,7 +41,7 @@ struct Rig {
     Rig(index_t rows, index_t cols, index_t gb_read_bw, index_t gb_write_bw,
         index_t dn_bw)
         : gb(108, gb_read_bw, gb_write_bw, 1, stats),
-          dn(rows * cols, dn_bw, stats),
+          dn(DnType::PointToPoint, rows * cols, dn_bw, stats),
           mn(rows * cols, MnType::Linear, stats),
           rn(rows * cols, stats),
           array(rows, cols, dn, mn, rn, gb)
@@ -95,8 +95,7 @@ wavefrontTile(Rig &rig, const Tensor &a, const Tensor &b, Tensor &c,
                         av = a.at(m0 + i, tt - i);
                         avalid = 1;
                         rig.gb.read();
-                        panicIf(rig.dn.injectBulk(1, 1, PackageKind::Input)
-                                    != 1,
+                        panicIf(rig.dn.injectBulk(1, 1) != 1,
                                 "systolic edge injection rejected");
                     }
                 } else {
@@ -113,8 +112,7 @@ wavefrontTile(Rig &rig, const Tensor &a, const Tensor &b, Tensor &c,
                         bv = b.at(tt - j, n0 + j);
                         bvalid = 1;
                         rig.gb.read();
-                        panicIf(rig.dn.injectBulk(1, 1, PackageKind::Weight)
-                                    != 1,
+                        panicIf(rig.dn.injectBulk(1, 1) != 1,
                                 "systolic edge injection rejected");
                     }
                 } else {
@@ -371,7 +369,7 @@ TEST(Systolic, ArraySizeMustMatchFabric)
 {
     StatsRegistry stats;
     GlobalBuffer gb(108, 16, 16, 1, stats);
-    PointToPointNetwork dn(16, 16, stats);
+    DistributionNetwork dn(DnType::PointToPoint, 16, 16, stats);
     MultiplierArray mn(16, MnType::Linear, stats);
     LinearReductionNetwork rn(16, stats);
     EXPECT_THROW(SystolicArray(8, 8, dn, mn, rn, gb), FatalError);

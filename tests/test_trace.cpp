@@ -610,24 +610,12 @@ TEST(TracedRun, TraceOffLeavesNoPathAndNoFile)
 // --- deadlock post-mortem ---------------------------------------------
 
 /** A distribution network that never accepts a flit. */
-class WedgedNetwork : public DistributionNetwork
-{
-  public:
-    WedgedNetwork(index_t ms, index_t bw)
-        : DistributionNetwork(DnKind::Tree, ms, bw)
-    {
-    }
-    index_t
-    injectBulk(index_t, index_t, PackageKind) override
-    {
-        return 0;
-    }
-    void
-    bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
-    {
-        panic("a wedged fabric cannot skip steady spans");
-    }
-    std::string name() const override { return "wedged_dn"; }
+struct WedgedNetwork {
+    index_t bw;
+    void cycle() {}
+    index_t bandwidth() const { return bw; }
+    index_t injectBulk(index_t, index_t) { return 0; }
+    std::string name() const { return "wedged_dn"; }
 };
 
 TEST(TracedRun, DeadlockLeavesAPostMortemTrace)
@@ -639,10 +627,10 @@ TEST(TracedRun, DeadlockLeavesAPostMortemTrace)
     cfg.trace_file = path;
     cfg.trace_sample_cycles = 8;
     Accelerator accel(cfg);
-    WedgedNetwork wedged(64, 16);
+    WedgedNetwork wedged{16};
 
     try {
-        deliverElements(wedged, accel.gb(), 8, 1, PackageKind::Input,
+        deliverElements(wedged, accel.gb(), 8, 1,
                         &accel.watchdog(), nullptr, accel.tracer());
         FAIL() << "a wedged delivery must raise DeadlockError";
     } catch (const DeadlockError &) {
