@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "network/dn.hpp"
 
 namespace stonne::analytical {
 
@@ -41,7 +42,8 @@ sigmaCycles(index_t m, index_t n, index_t k, index_t total_nnz,
                              cfg.dn_bandwidth));
 
     const cycle_t fill =
-        static_cast<cycle_t>(2 * log2Ceil(cfg.ms_size) + 1) +
+        static_cast<cycle_t>(
+            DistributionNetwork::levels(DnType::Benes, cfg.ms_size)) +
         static_cast<cycle_t>(log2Ceil(cfg.ms_size)) + 1;
 
     return static_cast<cycle_t>(rounds) *

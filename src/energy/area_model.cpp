@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "network/dn.hpp"
 
 namespace stonne {
 
@@ -90,7 +91,8 @@ AreaModel::compute() const
         a.dn_um2 = (ms - 1) * table_.tree_switch_um2;
         break;
       case DnType::Benes:
-        a.dn_um2 = static_cast<double>(2 * log2Ceil(cfg_.ms_size) + 1) *
+        a.dn_um2 = static_cast<double>(DistributionNetwork::levels(
+                       DnType::Benes, cfg_.ms_size)) *
             (ms / 2.0) * table_.benes_switch_um2;
         break;
       case DnType::PointToPoint:
