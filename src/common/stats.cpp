@@ -75,13 +75,6 @@ StatsRegistry::repeat(const std::vector<count_t> &before, count_t times)
 }
 
 void
-StatsRegistry::reset()
-{
-    for (auto &c : counters_)
-        c.value = 0;
-}
-
-void
 StatsRegistry::clear()
 {
     counters_.clear();

@@ -101,9 +101,6 @@ class StatsRegistry : public Checkpointable
      */
     void repeat(const std::vector<count_t> &before, count_t times);
 
-    /** Reset every counter to zero (keeps registrations). */
-    void reset();
-
     /** Zero-state: no counters registered at all. */
     void clear();
 

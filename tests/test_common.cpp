@@ -139,15 +139,6 @@ TEST(Stats, ReRegisteringInDifferentGroupPanics)
     EXPECT_THROW(reg.counter("x", StatGroup::GlobalBuffer), PanicError);
 }
 
-TEST(Stats, ResetZeroesButKeepsRegistrations)
-{
-    StatsRegistry reg;
-    reg.counter("x", StatGroup::Other).value = 9;
-    reg.reset();
-    EXPECT_EQ(reg.value("x"), 0u);
-    EXPECT_EQ(reg.counters().size(), 1u);
-}
-
 TEST(Json, ScalarsRender)
 {
     EXPECT_EQ(JsonValue::makeInt(-3).dump(), "-3");
