@@ -4,10 +4,10 @@
  *
  * A thread-local stack of key/value scopes (cycle, layer name, unit id,
  * controller phase, ...) that fatal(), panic() and the progress watchdog
- * automatically attach to their messages. A context-free "push on a full
- * fifo" becomes "push on a full fifo [layer=conv1, unit=dn_tree,
- * phase=input-delivery]" without every call site having to thread the
- * information through by hand.
+ * automatically attach to their messages. A context-free "delivery made
+ * no progress" becomes "delivery made no progress [layer=conv1,
+ * unit=dn_tree, phase=input-delivery]" without every call site having
+ * to thread the information through by hand.
  *
  * Usage:
  *   SimScope scope("layer", layer.name);   // popped on scope exit

@@ -7,7 +7,7 @@
  * simulation forever. The watchdog observes a per-cycle progress signal
  * (packages moved, MACs fired, GB grants); when no progress occurs for
  * `limit` consecutive cycles it aborts with a DeadlockError whose report
- * dumps the registered state of every hardware unit — FIFO occupancies,
+ * dumps the registered state of every hardware unit — GB port budgets,
  * network issue state, controller phase — so the stall site is
  * immediately visible instead of requiring a debugger.
  *
@@ -33,7 +33,7 @@ namespace stonne {
 /**
  * Thrown when the watchdog detects no forward progress for the
  * configured window. The what() string names the stall; report() holds
- * the full unit/FIFO state snapshot taken at the moment of the stall.
+ * the full per-unit state snapshot taken at the moment of the stall.
  */
 class DeadlockError : public std::runtime_error
 {
