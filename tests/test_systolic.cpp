@@ -373,6 +373,11 @@ TEST(Systolic, ArraySizeMustMatchFabric)
     MultiplierArray mn(16, MnType::Linear, stats);
     LinearReductionNetwork rn(16, stats);
     EXPECT_THROW(SystolicArray(8, 8, dn, mn, rn, gb), FatalError);
+
+    // The edges stream over point-to-point links only.
+    StatsRegistry tree_stats;
+    DistributionNetwork tree(DnType::Tree, 16, 16, tree_stats);
+    EXPECT_THROW(SystolicArray(4, 4, tree, mn, rn, gb), FatalError);
 }
 
 } // namespace
