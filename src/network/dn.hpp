@@ -108,9 +108,6 @@ class DistributionNetwork final : public Checkpointable
     /** Issue/activity state for watchdog deadlock snapshots. */
     void dumpState(std::ostream &os) const;
 
-    count_t packagesDelivered() const { return packages_->value; }
-    count_t stalls() const { return stalls_->value; }
-
     /** Serialize the per-cycle issue count. */
     void saveState(ArchiveWriter &ar) const override;
     void loadState(ArchiveReader &ar) override;
