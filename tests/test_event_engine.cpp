@@ -160,29 +160,39 @@ TEST(BulkAdvance, DramMatchesPerTransferAccounting)
     EXPECT_THROW(bulk.bulkAdvance(-1, 1), PanicError);
 }
 
-TEST(BulkAdvance, EveryDnTopologyMatchesInjectLoop)
+/** Injects @p bw packages of @p fanout copies for @p cycles cycles one
+ *  cycle at a time, and checks that one bulkAdvance() over the same span
+ *  leaves every counter where the loop left it. */
+void
+expectDnBulkMatchesInjectLoop(DnType type, index_t ms, index_t bw,
+                              int cycles, index_t fanout)
 {
-    struct Case {
-        DnType type;
-        index_t ms, bw;
-        int cycles;
-        index_t fanout;
-    };
-    for (const Case c : {Case{DnType::Tree, 64, 8, 5, 4},
-                         Case{DnType::Benes, 64, 8, 3, 4},
-                         Case{DnType::PointToPoint, 16, 4, 4, 1}}) {
-        StatsRegistry s1;
-        DistributionNetwork loop(c.type, c.ms, c.bw, s1);
-        for (int i = 0; i < c.cycles; ++i) {
-            loop.cycle();
-            EXPECT_EQ(loop.injectBulk(c.bw, c.fanout), c.bw);
-        }
-
-        StatsRegistry s2;
-        DistributionNetwork bulk(c.type, c.ms, c.bw, s2);
-        bulk.bulkAdvance(c.cycles, c.cycles * c.bw, c.fanout);
-        expectSameCounters(s1, s2);
+    StatsRegistry s1;
+    DistributionNetwork loop(type, ms, bw, s1);
+    for (int c = 0; c < cycles; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(bw, fanout), bw);
     }
+
+    StatsRegistry s2;
+    DistributionNetwork bulk(type, ms, bw, s2);
+    bulk.bulkAdvance(cycles, cycles * bw, fanout);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, TreeDnMatchesInjectLoop)
+{
+    expectDnBulkMatchesInjectLoop(DnType::Tree, 64, 8, 5, 4);
+}
+
+TEST(BulkAdvance, BenesDnMatchesInjectLoop)
+{
+    expectDnBulkMatchesInjectLoop(DnType::Benes, 64, 8, 3, 4);
+}
+
+TEST(BulkAdvance, PointToPointDnMatchesInjectLoop)
+{
+    expectDnBulkMatchesInjectLoop(DnType::PointToPoint, 16, 4, 4, 1);
 }
 
 TEST(BulkAdvance, DnRejectsInvalidArguments)
